@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
-from .qlinalg import Flag, Subspace, Vec, canonical_point, qv, vec_dot
+from .qlinalg import Subspace, Vec, canonical_point, qv, vec_dot
 from .steinberg import St, _acc, flag_expand, make_apartment, normalize_apartment
 
 Point = tuple[int, ...]
@@ -139,7 +139,7 @@ def _expand_letters(w: Subspace, ambient_terms: dict) -> list[tuple[Letter, Frac
         piece = make_apartment(pts, k)
         for k2, s in piece.terms.items():
             local.add_term(k2, c * s)
-    local = flag_expand(local, Flag.standard(k))
+    local = flag_expand(local)
     return [(("S", w.rows, key), c) for key, c in sorted(local.terms.items())]
 
 

@@ -36,6 +36,10 @@ from .steinberg import ash_rudolph_reduce, flag_expand, make_apartment
 
 ONE = Fraction(1)
 
+# The flag normal form and the s-map visit d! orderings of an apartment, so
+# every dimension taken from arguments or input files is bounded.
+MAX_DIM = 6
+
 
 class InputError(Exception):
     """Malformed file or arguments; maps to exit code 2."""
@@ -67,6 +71,11 @@ def _vec(data) -> tuple:
     return tuple(_frac(e) for e in data)
 
 
+def _check_dim(n: int, what: str) -> None:
+    if not 1 <= n <= MAX_DIM:
+        raise InputError(f"{what} must be between 1 and {MAX_DIM}, got {n}")
+
+
 def _vec_json(v) -> list:
     return [frac_to_str(Fraction(e)) for e in v]
 
@@ -77,6 +86,7 @@ def _st_from_json(data):
         terms = data["terms"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("element needs 'dim' and 'terms'") from exc
+    _check_dim(dim, "element dimension")
     out = None
     for entry in terms:
         try:
@@ -86,6 +96,8 @@ def _st_from_json(data):
             raise InputError(f"bad term {entry!r}") from exc
         if len(vecs) != dim:
             raise InputError(f"apartment needs {dim} vectors, got {len(vecs)}")
+        if any(len(v) != dim for v in vecs):
+            raise InputError(f"apartment vectors need {dim} coordinates: {entry['apartment']!r}")
         if rank([qv(v) for v in vecs]) < dim:
             raise InputError(f"degenerate apartment {entry['apartment']!r}")
         piece = c * make_apartment(vecs, dim)
@@ -198,11 +210,30 @@ def _case_perturbation(case, ambient: int):
     pert = case.get("perturb")
     if pert is None:
         return None, None
+    if not isinstance(pert, dict):
+        raise InputError(f"bad perturbation {pert!r}")
     vecs = [_vec(v) for v in pert.get("vectors", ())]
     c = _frac(pert.get("coeff", "1"))
-    if len(vecs) != ambient or rank([qv(v) for v in vecs]) < ambient:
+    if (
+        len(vecs) != ambient
+        or any(len(v) != ambient for v in vecs)
+        or rank([qv(v) for v in vecs]) < ambient
+    ):
         raise InputError(f"perturbation needs an {ambient}-basis")
     return vecs, c
+
+
+def _case_basis(entry) -> list:
+    rows = entry.get("basis") if isinstance(entry, dict) else None
+    if not isinstance(rows, list) or not rows:
+        raise InputError(f"case needs a non-empty 'basis' list: {entry!r}")
+    basis = [_vec(v) for v in rows]
+    if any(len(v) != len(basis) for v in basis):
+        raise InputError("case basis must be square")
+    _check_dim(len(basis), "case dimension")
+    if rank([qv(v) for v in basis]) < len(basis):
+        raise InputError(f"case basis is degenerate: {rows!r}")
+    return basis
 
 
 def _suite_shuffle(basis, n, seed, points, extra):
@@ -304,21 +335,18 @@ def cmd_verify(args) -> int:
     if args.suite not in _SUITES:
         raise InputError(f"unknown suite {args.suite!r}")
     run, pert_kind = _SUITES[args.suite]
+    _check_dim(args.dim, "--dim")
+    if args.cases < 1:
+        raise InputError(f"--cases must be at least 1, got {args.cases}")
     n = args.dim
     if args.file:
         data = _load_json(args.file)
-        if not isinstance(data, dict) or "cases" not in data:
+        if not isinstance(data, dict) or not isinstance(data.get("cases"), list):
             raise InputError("fixture needs a 'cases' list")
-        cases = []
-        for entry in data["cases"]:
-            basis = [_vec(v) for v in entry["basis"]]
-            if len(basis) != len(basis[0]):
-                raise InputError("case basis must be square")
-            if rank([qv(v) for v in basis]) < len(basis):
-                raise InputError(f"case basis is degenerate: {entry['basis']!r}")
-            cases.append((basis, entry))
-        if cases:
-            n = len(cases[0][0])
+        if not data["cases"]:
+            raise InputError("fixture has no cases")
+        cases = [(_case_basis(entry), entry) for entry in data["cases"]]
+        n = len(cases[0][0])
     else:
         rng = split_seed(args.seed, f"verify-{args.suite}")
         cases = [(_rand_basis(rng, n), {}) for _ in range(args.cases)]
@@ -496,8 +524,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a relation suite")
     p.add_argument("suite", choices=sorted(_SUITES))
     p.add_argument("file", nargs="?", default=None, help="optional fixture of cases")
-    p.add_argument("--dim", type=int, default=3)
-    p.add_argument("--cases", type=int, default=12)
+    p.add_argument("--dim", type=int, default=3, help=f"dimension, 1 to {MAX_DIM}")
+    p.add_argument("--cases", type=int, default=12, help="random cases, at least 1")
     p.add_argument("--oracle-points", type=int, default=5, dest="oracle_points")
     common(p)
     p.set_defaults(func=cmd_verify)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
@@ -22,7 +23,7 @@ ONE = Fraction(1)
 
 def qv(entries: Iterable) -> Vec:
     """Coerce an iterable of numbers or 'p/q' strings to a rational vector."""
-    return tuple(Fraction(e) for e in entries)
+    return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
 
 
 def qm(rows: Iterable[Iterable]) -> Mat:
@@ -102,6 +103,35 @@ def _int_det(rows: list[list[int]]) -> int:
             m[i][k] = 0
         prev = pivot
     return sign * m[n - 1][n - 1]
+
+
+def _int_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+
+    After r pivots every entry below them is an (r+1)-minor of the input,
+    so the division by the previous pivot stays exact when zero columns
+    are skipped.
+    """
+    m = [list(r) for r in rows]
+    if not m:
+        return 0
+    nrows, ncols = len(m), len(m[0])
+    r, prev = 0, 1
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pivot = m[r][c]
+        for i in range(r + 1, nrows):
+            for j in range(c + 1, ncols):
+                m[i][j] = (m[i][j] * pivot - m[i][c] * m[r][j]) // prev
+            m[i][c] = 0
+        prev = pivot
+        r += 1
+        if r == nrows:
+            break
+    return r
 
 
 def det(m: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -235,16 +265,21 @@ def canonical_point(v: Sequence) -> tuple[int, ...]:
     w = qv(v)
     if is_zero_vec(w):
         raise ValueError("canonical_point of the zero vector")
+    return rational_point(w)
+
+
+def rational_point(w: Sequence[Fraction]) -> tuple[int, ...]:
+    """canonical_point of a nonzero vector of Fractions or ints, uncoerced."""
     mult = lcm(*(f.denominator for f in w))
-    ints = [int(f * mult) for f in w]
-    g = gcd(*ints)
-    ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return tuple(ints)
+    return int_point([f.numerator * (mult // f.denominator) for f in w])
+
+
+def int_point(v: Sequence[int]) -> tuple[int, ...]:
+    """canonical_point of a nonzero integer vector, without Fractions."""
+    g = gcd(*v)
+    if next(x for x in v if x) < 0:
+        g = -g
+    return tuple(x // g for x in v)
 
 
 def dual_basis(basis: Sequence[Vec]) -> Mat:
@@ -275,18 +310,12 @@ def saturation_index(vectors: Sequence[Vec]) -> Fraction:
         scaled.append(irow)
         denom *= mult
     g = 0
-    for cols in _k_subsets(d, k):
+    for cols in combinations(range(d), k):
         minor = _int_det([[scaled[i][c] for c in cols] for i in range(k)])
         g = gcd(g, minor)
     if g == 0:
         raise ValueError("saturation index of dependent vectors")
     return Fraction(g, denom)
-
-
-def _k_subsets(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    from itertools import combinations
-
-    yield from combinations(range(n), k)
 
 
 class Subspace:

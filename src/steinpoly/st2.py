@@ -439,16 +439,26 @@ def symbol_I(vectors: Sequence, ambient: int | None = None) -> Bar:
 
 
 def st2_normal_form(x: St2) -> dict:
-    """Canonical coordinates: flag-expand both factors of every term."""
-    out: dict = {}
+    """Canonical coordinates: flag-expand the second factors, then the first.
+
+    Terms sharing a first factor and exponents expand their second
+    factors in one flag_expand call; the results are regrouped by second
+    basis apartment and their first factors expanded the same way.
+    """
+    n = x.ambient
+    by_a: dict = {}
     for (key_a, key_b, exps), c in x.terms.items():
-        if len(key_a) != x.ambient:
+        if len(key_a) != n:
             raise ValueError("normal form needs full-rank terms")
-        ea = flag_expand(St(x.ambient, {key_a: ONE}))
-        eb = flag_expand(St(x.ambient, {key_b: ONE}))
-        for ka, ca in ea.terms.items():
-            for kb, cb in eb.terms.items():
-                _acc(out, (ka, kb, exps), c * ca * cb)
+        by_a.setdefault((key_a, exps), St(n)).add_term(key_b, c)
+    by_b: dict = {}
+    for (key_a, exps), second in by_a.items():
+        for kb, cb in flag_expand(second).terms.items():
+            by_b.setdefault((kb, exps), St(n)).add_term(key_a, cb)
+    out: dict = {}
+    for (kb, exps), first in by_b.items():
+        for ka, ca in flag_expand(first).terms.items():
+            out[(ka, kb, exps)] = ca
     return out
 
 

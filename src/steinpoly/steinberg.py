@@ -7,7 +7,14 @@ sign of the permutation, rescaling any entry by a nonzero scalar, the
 canonical storage key is the lex-sorted tuple of canonical line points
 with the sort sign folded into the coefficient.
 
-flag_expand rewrites a class in the basis attached to a complete flag;
+flag_expand rewrites a class in the basis attached to a complete flag.
+It walks suffix chains S_1 > S_2 > ... of the apartment's entries depth
+first: step i cuts the i-th flag step with the span of S_i, a subset whose
+cut is no line prunes every chain through it, and the sign grows by the
+position of each dropped entry. Keys, flag rows and cut lines are plain
+ints; cut lines come from signed maximal minors (Bareiss determinants), so
+the walk does no Fraction arithmetic.
+
 ash_rudolph_reduce rewrites an integral apartment as a sum of unimodular
 ones (continued-fraction pivots in rank 2, residue/coresidue descent in
 higher rank).
@@ -16,20 +23,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterable, Sequence
 
 from .qlinalg import (
     Flag,
     Mat,
-    Subspace,
     Vec,
+    _int_det,
+    _int_rank,
     canonical_point,
     det,
     identity,
+    int_point,
     inverse,
     qv,
-    rank,
+    rational_point,
 )
 
 Point = tuple[int, ...]
@@ -65,23 +74,28 @@ def _sort_sign(points: Sequence[Point]) -> tuple[ApKey, int]:
 
 
 def normalize_apartment(vectors: Sequence[Sequence], ambient: int | None = None):
-    """Canonical (key, sign) for an apartment, or None when degenerate."""
-    vecs = [qv(v) for v in vectors]
-    if not vecs:
+    """Canonical (key, sign) for an apartment, or None when degenerate.
+
+    Vectors of plain ints (apartment keys, flag-walk points) skip the
+    conversion to Fraction.
+    """
+    if not vectors:
         raise ValueError("empty apartment")
+    ints = all(type(x) is int for v in vectors for x in v)
+    vecs = vectors if ints else [qv(v) for v in vectors]
     n = ambient if ambient is not None else len(vecs[0])
     if any(len(v) != n for v in vecs):
         raise ValueError("mixed vector lengths in apartment")
-    if any(all(x == 0 for x in v) for v in vecs):
+    if any(not any(v) for v in vecs):
         return None
-    points = [canonical_point(v) for v in vecs]
+    points = [int_point(v) if ints else rational_point(v) for v in vecs]
     k = len(points)
     if k > n:
         return None
     if k == n:
-        if det(tuple(qv(p) for p in points)) == 0:
+        if _int_det(points) == 0:
             return None
-    elif rank(tuple(qv(p) for p in points)) < k:
+    elif _int_rank(points) < k:
         return None
     return _sort_sign(points)
 
@@ -138,14 +152,6 @@ class St:
     def items(self):
         return self.terms.items()
 
-    def map_apartments(self, fn) -> "St":
-        """Sum fn(key) weighted by coefficients; fn returns an St."""
-        out: St | None = None
-        for key, c in self.terms.items():
-            piece = c * fn(key)
-            out = piece if out is None else out + piece
-        return out if out is not None else St.zero(self.ambient)
-
     def __repr__(self) -> str:
         if not self.terms:
             return "St(0)"
@@ -191,53 +197,84 @@ def block_embed(x: St, offset: int, total: int) -> St:
 # ---------------------------------------------------------------- flag basis
 
 
+FlagRows = tuple[Point, ...]
+
+
+@lru_cache(maxsize=16)
+def _standard_rows(n: int) -> FlagRows:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _flag_rows(flag: Flag, n: int) -> FlagRows:
+    """Integer basis f_1..f_k of the flag, with F_i = span(f_1..f_i)."""
+    rows: list[Point] = []
+    prev = None
+    for step in flag.steps:
+        if step.ambient != n:
+            raise ValueError("flag and apartments live in different ambient spaces")
+        row = next(r for r in step.rows if prev is None or not prev.contains(r))
+        rows.append(canonical_point(row))
+        prev = step
+    return tuple(rows)
+
+
+def _cut_point(frows: FlagRows, vecs: list[Point]) -> Point | None:
+    """Canonical point of F_i = span(frows) cut with span(vecs), i + len(vecs) = d + 1.
+
+    The stacked d+1 rows [f_1..f_i; vecs] have the signed maximal minors
+    y_r = (-1)^r det(rows without r) in their left kernel, so y_0 f_1 +
+    ... + y_{i-1} f_i lies in the cut. Returns None unless the cut is a
+    line outside F_{i-1}, which holds exactly when y_{i-1} != 0 (all
+    minors vanish when the cut is not a line).
+    """
+    i = len(frows)
+    stacked = list(frows) + vecs
+    last = _int_det(stacked[: i - 1] + stacked[i:])
+    if not last:
+        return None
+    if len(vecs) == 1:  # F_d is the whole space
+        return int_point(vecs[0])
+    ys = [_int_det(stacked[:r] + stacked[r + 1 :]) * (-1) ** r for r in range(i - 1)]
+    ys.append(last * (-1) ** (i - 1))
+    return int_point([sum(y * f[j] for y, f in zip(ys, frows)) for j in range(len(vecs[0]))])
+
+
 @lru_cache(maxsize=None)
-def _flag_expand_apartment(key: ApKey, flag: Flag) -> tuple[tuple[ApKey, int], ...]:
+def _flag_expand_apartment(key: ApKey, frows: FlagRows) -> tuple[tuple[ApKey, int], ...]:
+    """Flag-basis expansion of one apartment, walking suffix chains.
+
+    A permutation tau of the entries contributes the points cut from F_i
+    by the span of the suffix S_i = {tau_i, ..., tau_d}, with the sign of
+    tau; that sign is the product over the steps of (-1)^(position of
+    tau_i in sorted S_i). The cut at step i depends on S_i alone, so it is
+    computed once per subset, and a subset whose cut is not a line prunes
+    every chain through it. The points of a chain are independent exactly
+    when no point lies in the previous flag step, which _cut_point tests,
+    so every chain that reaches a leaf contributes.
+    """
     d = len(key)
-    from itertools import permutations
+    cuts: dict[tuple[int, ...], Point | None] = {}
+    results: dict[ApKey, int] = {}
+    lines: list[Point] = []
 
-    results: dict[ApKey, Fraction] = {}
-    w = [qv(p) for p in key]
+    def walk(suffix: tuple[int, ...], sign: int) -> None:
+        if suffix not in cuts:
+            step = d - len(suffix) + 1
+            cuts[suffix] = _cut_point(frows[:step], [key[j] for j in suffix])
+        line = cuts[suffix]
+        if line is None:
+            return
+        lines.append(line)
+        if len(suffix) == 1:
+            k2, s2 = _sort_sign(lines)
+            results[k2] = results.get(k2, 0) + sign * s2
+        else:
+            for pos in range(len(suffix)):
+                walk(suffix[:pos] + suffix[pos + 1 :], -sign if pos % 2 else sign)
+        lines.pop()
 
-    # Suffix spans and their flag cuts depend only on the index subset,
-    # not on the visiting order, so share them across permutations.
-    span_of: dict[frozenset, Subspace] = {frozenset(): Subspace.zero(len(w[0]))}
-
-    def span_set(ix: frozenset) -> Subspace:
-        got = span_of.get(ix)
-        if got is None:
-            i = next(iter(ix))
-            got = span_set(ix - {i}).add(Subspace.span([w[i]]))
-            span_of[ix] = got
-        return got
-
-    line_of: dict[tuple[int, frozenset], Point | None] = {}
-
-    def cut_line(i: int, ix: frozenset) -> Point | None:
-        kk = (i, ix)
-        if kk not in line_of:
-            inter = flag[i - 1].intersect(span_set(ix))
-            line_of[kk] = inter.line_point() if inter.dim == 1 else None
-        return line_of[kk]
-
-    for tau in permutations(range(d)):
-        lines: list[Point] = []
-        ok = True
-        for i in range(1, d + 1):
-            got = cut_line(i, frozenset(tau[i - 1 :]))
-            if got is None:
-                ok = False
-                break
-            lines.append(got)
-        if not ok:
-            continue
-        sign = _perm_sign(tau)
-        norm = normalize_apartment(lines)
-        if norm is None:
-            continue
-        k2, s2 = norm
-        _acc(results, k2, Fraction(sign * s2))
-    return tuple(sorted((k, c) for k, c in results.items()))
+    walk(tuple(range(d)), 1)
+    return tuple(sorted((k, c) for k, c in results.items() if c))
 
 
 def _perm_sign(tau: Sequence[int]) -> int:
@@ -257,16 +294,21 @@ def flag_expand(x: St, flag: Flag | None = None) -> St:
     the expansion is idempotent and a zero test for the module.
     """
     if flag is None:
-        flag = Flag.standard(x.ambient)
-    if len(flag) != x.ambient:
+        frows = _standard_rows(x.ambient)
+    elif len(flag) != x.ambient:
         raise ValueError("flag length must match the ambient dimension")
-    out = St.zero(x.ambient)
+    else:
+        frows = _flag_rows(flag, x.ambient)
+    # numerators over one common denominator, so the sums stay in int
+    den = lcm(*(c.denominator for c in x.terms.values()))
+    acc: dict[ApKey, int] = {}
     for key, c in x.terms.items():
         if len(key) != x.ambient:
             raise ValueError("flag expansion needs full-length apartments")
-        for k2, c2 in _flag_expand_apartment(key, flag):
-            out.add_term(k2, c * c2)
-    return out
+        num = c.numerator * (den // c.denominator)
+        for k2, c2 in _flag_expand_apartment(key, frows):
+            acc[k2] = acc.get(k2, 0) + num * c2
+    return St(x.ambient, {k: Fraction(v, den) for k, v in acc.items() if v})
 
 
 def is_zero(x: St) -> bool:

@@ -4,7 +4,7 @@ from importlib import resources
 
 import pytest
 
-from steinpoly.cli import main
+from steinpoly.cli import MAX_DIM, main
 
 FIXTURE = str(resources.files("steinpoly").joinpath("data/weight4_depth2.json"))
 
@@ -54,6 +54,23 @@ class TestReduce:
         p = tmp_path / "bad.json"
         p.write_text('{"dim": 2, "terms": [')
         code, _ = run(tmp_path, "reduce", str(p))
+        assert code == 2
+
+    def test_short_vector_exits_2(self, tmp_path):
+        path = write(tmp_path, "short.json", {
+            "dim": 2,
+            "terms": [{"apartment": [[1, 0], [1]], "coeff": "1"}],
+        })
+        code, _ = run(tmp_path, "reduce", path)
+        assert code == 2
+
+    @pytest.mark.parametrize("dim", [0, MAX_DIM + 1])
+    def test_dimension_out_of_range_exits_2(self, tmp_path, dim):
+        path = write(tmp_path, "big.json", {
+            "dim": dim,
+            "terms": [{"apartment": [[int(i == j) for j in range(dim)] for i in range(dim)]}],
+        })
+        code, _ = run(tmp_path, "reduce", path)
         assert code == 2
 
     def test_degenerate_apartment_exits_2(self, tmp_path):
@@ -129,6 +146,33 @@ class TestVerify:
         path = write(tmp_path, "fix.json", {"wrong": []})
         code, _ = run(tmp_path, "verify", "shuffle", path)
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "shuffle", "--dim", "0"],
+        ["verify", "duality", "--dim", "0"],
+        ["verify", "dihedral", "--dim", "-1"],
+        ["verify", "shuffle", "--dim", str(MAX_DIM + 1)],
+        ["verify", "shuffle", "--dim", "2", "--cases", "0"],
+        ["verify", "duality", "--dim", "2", "--cases", "-3"],
+    ])
+    def test_bounds_exit_2(self, tmp_path, argv):
+        code, text = run(tmp_path, *argv)
+        assert code == 2 and text == ""
+
+    @pytest.mark.parametrize("cases", [
+        [],
+        [{"perturb": {"vectors": [[1, 0], [0, 1]]}}],
+        [{"basis": []}],
+        [{"basis": 5}],
+        [{"basis": [[1, 0], [1]]}],
+        [[[1, 0], [0, 1]]],
+        [{"basis": [[int(i == j) for j in range(MAX_DIM + 1)] for i in range(MAX_DIM + 1)]}],
+        [{"basis": [[1, 0], [0, 1]], "perturb": {"vectors": [[0, 1], [1]]}}],
+    ])
+    def test_malformed_fixture_exits_2(self, tmp_path, cases):
+        path = write(tmp_path, "fix.json", {"cases": cases})
+        code, text = run(tmp_path, "verify", "duality", path)
+        assert code == 2 and text == ""
 
     def test_unknown_suite_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

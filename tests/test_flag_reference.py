@@ -1,0 +1,107 @@
+"""The integer flag normal form against the Fraction reference it replaced.
+
+``flag_reference`` keeps the flat permutation walk over ``Subspace`` cuts
+and the per-term outer-product normal form; the kernel must agree with
+them exactly, on generic keys and on keys where some cuts are not lines.
+"""
+from fractions import Fraction
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import flag_reference as ref
+from steinpoly.qlinalg import Flag, _int_rank, qv, rank
+from steinpoly.st2 import St2, make_I, make_L, st2_normal_form
+from steinpoly.steinberg import St, flag_expand, normalize_apartment
+
+COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+
+
+def vectors(d, count, bound=2):
+    return st.lists(
+        st.tuples(*[st.integers(-bound, bound)] * d), min_size=count, max_size=count
+    )
+
+
+@st.composite
+def keys(draw, d):
+    norm = ref.normalize_apartment(draw(vectors(d, d)))
+    assume(norm is not None)
+    return norm[0]
+
+
+@st.composite
+def flags(draw, d):
+    if draw(st.booleans()):
+        return None
+    basis = draw(vectors(d, d))
+    assume(rank(tuple(qv(v) for v in basis)) == d)
+    return Flag.from_basis(basis)
+
+
+@st.composite
+def elements(draw):
+    d = draw(st.integers(2, 4))
+    terms = draw(st.dictionaries(keys(d), COEFFS, min_size=1, max_size=3))
+    return St(d, terms), draw(flags(d))
+
+
+@st.composite
+def st2_elements(draw):
+    d = draw(st.integers(2, 4))
+    x = St2.zero(d)
+    for _ in range(draw(st.integers(1, 4))):
+        exps = draw(st.tuples(*[st.integers(0, 1)] * d))
+        x.add_term(draw(keys(d)), draw(keys(d)), draw(COEFFS), exps)
+    return x
+
+
+@given(elements())
+@settings(max_examples=80, deadline=None)
+def test_flag_expand_matches_reference(case):
+    x, flag = case
+    want = ref.flag_expand_terms(x.terms, x.ambient, flag)
+    assert flag_expand(x, flag).terms == want
+
+
+@given(st2_elements())
+@settings(max_examples=40, deadline=None)
+def test_st2_normal_form_matches_reference(x):
+    assert st2_normal_form(x) == ref.st2_normal_form(x)
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.integers(1, n + 1).flatmap(lambda k: vectors(n, k)),
+    st.booleans(),
+)))
+@settings(max_examples=120, deadline=None)
+def test_normalize_apartment_matches_reference(case):
+    n, vecs, as_fractions = case
+    assert _int_rank(vecs) == rank(tuple(qv(v) for v in vecs))
+    if as_fractions:
+        vecs = [tuple(Fraction(x, 3) for x in v) for v in vecs]
+    assert normalize_apartment(vecs, n) == ref.normalize_apartment(vecs, n)
+
+
+DIM5_KEYS = [
+    ((1, 0, 2, -1, 3), (0, 1, -1, 2, 1), (2, 1, 0, 1, -1), (1, -1, 1, 0, 2), (0, 2, 1, -3, 1)),
+    ((1, 0, 0, 0, 1), (0, 1, 0, 1, 0), (0, 0, 1, 0, 0), (1, 1, 0, 0, 0), (0, 0, 0, 1, 2)),
+]
+DIM5_FLAG = Flag.from_basis(
+    [(1, 1, 0, 0, 0), (0, 1, 2, 0, 0), (1, 0, 0, 1, -1), (0, 0, 1, 1, 1), (2, 0, 1, 0, 1)]
+)
+
+
+def test_flag_expand_dim5_matches_reference():
+    for vecs in DIM5_KEYS:
+        key = ref.normalize_apartment(vecs)[0]
+        for flag in (None, DIM5_FLAG):
+            x = St(5, {key: Fraction(2, 3)})
+            assert flag_expand(x, flag).terms == ref.flag_expand_terms(x.terms, 5, flag)
+
+
+def test_st2_normal_form_dim5_matches_reference():
+    basis = [(1, 2, 0, 1, -1), (0, 1, 1, 0, 2), (1, 0, -1, 1, 0), (2, 1, 0, 0, 1), (0, 0, 1, 1, 1)]
+    x = make_L(basis) - make_I(list(reversed(basis)), c=Fraction(1, 2))
+    assert st2_normal_form(x) == ref.st2_normal_form(x)
