@@ -17,9 +17,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import lcm
 from typing import Iterable, Sequence
 
-from .qlinalg import Subspace, Vec, canonical_point, qv, vec_dot
+from .qlinalg import Subspace, Vec, canonical_point, qv
 from .steinberg import St, _acc, flag_expand, make_apartment, normalize_apartment
 
 Point = tuple[int, ...]
@@ -249,10 +250,18 @@ def p_H_project(x: Bar, h: Sequence) -> Bar:
     hv = qv(h)
     if len(hv) != x.ambient:
         raise ValueError("functional length does not match ambient dimension")
+    # h with its denominators cleared pairs with the integer letters in int
+    m = lcm(*(f.denominator for f in hv))
+    hi = [f.numerator * (m // f.denominator) for f in hv]
+    live: dict[Point, bool] = {}
     out = Bar.zero(x.ambient)
-    for (word, exps), c in x.terms.items():
-        if all(vec_dot(hv, qv(p)) != 0 for p in word):
-            out.add_word(word, c, exps)
+    for key, c in x.terms.items():
+        word = key[0]
+        for p in word:
+            if p not in live:
+                live[p] = sum(a * b for a, b in zip(hi, p, strict=True)) != 0
+        if all(live[p] for p in word):
+            out.terms[key] = c
     return out
 
 

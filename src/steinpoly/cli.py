@@ -13,6 +13,7 @@ from itertools import combinations
 
 from .barcplx import Bar
 from .cones import (
+    PoleError,
     bernoulli_reference,
     coefficient_shuffle_check,
     st_equality_oracle,
@@ -21,7 +22,6 @@ from .cones import (
 from .mpl import identity_terms_from_json, li_identity_residual
 from .qlinalg import det, frac_from_str, frac_to_str, qm, qv, rank, split_seed
 from .st2 import (
-    St2,
     cobracket_matches_coproduct,
     dualize,
     is_zero_st_infty,
@@ -32,7 +32,7 @@ from .st2 import (
     symbol_I,
     symbol_L,
 )
-from .steinberg import ash_rudolph_reduce, flag_expand, make_apartment
+from .steinberg import _acc, ash_rudolph_reduce, flag_expand, make_apartment
 
 ONE = Fraction(1)
 
@@ -69,6 +69,13 @@ def _vec(data) -> tuple:
     if not isinstance(data, (list, tuple)) or not data:
         raise InputError(f"bad vector {data!r}")
     return tuple(_frac(e) for e in data)
+
+
+def _positive_int(value, what: str) -> int:
+    f = _frac(value)
+    if f.denominator != 1 or f < 1:
+        raise InputError(f"{what} must be a positive integer, got {value!r}")
+    return int(f)
 
 
 def _check_dim(n: int, what: str) -> None:
@@ -180,6 +187,9 @@ def cmd_symbol(args) -> int:
     if len(dims) != 1:
         raise InputError("vectors have mixed lengths")
     ambient = args.dim or dims.pop()
+    if rank(vecs) < len(vecs):
+        # the generators vanish on dependent vectors; the recursions do not see that
+        raise InputError("symbol vectors must be independent")
     try:
         bar = (symbol_L if args.kind == "L" else symbol_I)(vecs, ambient)
     except ValueError as exc:
@@ -240,8 +250,8 @@ def _suite_shuffle(basis, n, seed, points, extra):
     vecs = [qv(v) for v in basis]
     for d1 in range(1, n):
         for make in (make_L, make_I):
-            lhs = st2_product(make(vecs[:d1], n), make(vecs[d1:], n))
-            rhs = St2.zero(n)
+            # lhs minus every shuffle, subtracted in place
+            residual = st2_product(make(vecs[:d1], n), make(vecs[d1:], n))
             for pos in combinations(range(n), d1):
                 arranged = [None] * n
                 rest = [i for i in range(n) if i not in pos]
@@ -249,10 +259,11 @@ def _suite_shuffle(basis, n, seed, points, extra):
                     arranged[p] = vecs[k]
                 for k, p in enumerate(rest):
                     arranged[p] = vecs[d1 + k]
-                rhs = rhs + make(arranged, n)
-            residual = lhs - rhs
+                for key, c in make(arranged, n).terms.items():
+                    _acc(residual.terms, key, -c)
             if extra is not None:
-                residual = residual + extra
+                for key, c in extra.terms.items():
+                    _acc(residual.terms, key, c)
             nf = st2_normal_form(residual)
             if nf:
                 return {
@@ -385,7 +396,7 @@ def cmd_st(args) -> int:
     data = _load_json(args.file)
     try:
         terms = identity_terms_from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad identity file: {exc}") from exc
     try:
         residual = li_identity_residual(terms, seed=args.seed)
@@ -410,9 +421,9 @@ def cmd_st(args) -> int:
 
 
 def _study_bernoulli(cfg, box, seed):
-    weights = [int(n) for n in cfg.get("weights", [1, 2, 3])]
+    weights = [_positive_int(n, "weight") for n in cfg.get("weights", [1, 2, 3])]
     points = [_frac(x) for x in cfg.get("points", ["1/3", "1/5", "2/7"])]
-    m_max = int(box or cfg.get("m_max", 10000))
+    m_max = box or _positive_int(cfg.get("m_max", 10000), "m_max")
     tol = cfg.get("tolerance")
     rows = []
     ok = True
@@ -446,7 +457,7 @@ def _study_bernoulli(cfg, box, seed):
 
 
 def _study_shuffle(cfg, box, seed):
-    size = int(box or cfg.get("box", 25))
+    size = box or _positive_int(cfg.get("box", 25), "box")
     good = coefficient_shuffle_check(size)
     return ["box", "status"], [[str(size), "pass" if good else "fail"]], good
 
@@ -455,14 +466,17 @@ def _study_cone(cfg, box, seed):
     try:
         gens = [_vec(g) for g in cfg["generators"]]
         forms = [_vec(u) for u in cfg["forms"]]
-        ns = [int(n) for n in cfg["exponents"]]
+        ns = [_positive_int(n, "exponent") for n in cfg["exponents"]]
         points = [[_frac(e) for e in p] for p in cfg["points"]]
     except (KeyError, TypeError) as exc:
         raise InputError(f"cone study needs generators/forms/exponents/points: {exc}")
-    m_max = int(box or cfg.get("m_max", 50))
+    m_max = box or _positive_int(cfg.get("m_max", 50), "m_max")
     rows = []
     for p in points:
-        val = truncated_fourier_sum(gens, forms, ns, p, m_max)
+        try:
+            val = truncated_fourier_sum(gens, forms, ns, p, m_max)
+        except PoleError as exc:
+            raise InputError(str(exc)) from exc
         rows.append(
             [
                 " ".join(frac_to_str(e) for e in p),
@@ -485,6 +499,8 @@ def cmd_fourier(args) -> int:
     }
     if cfg["study"] not in studies:
         raise InputError(f"unknown study {cfg['study']!r}")
+    if args.box is not None and args.box < 1:
+        raise InputError(f"--box must be at least 1, got {args.box}")
     header, rows, ok = studies[cfg["study"]](cfg, args.box, args.seed)
     buf = io.StringIO()
     buf.write(f"# seed={args.seed}\n")
@@ -537,7 +553,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fourier", help="truncated Fourier studies, CSV output")
     p.add_argument("file", help="study configuration")
-    p.add_argument("--box", type=int, default=None, help="override the summation box")
+    p.add_argument("--box", type=int, default=None, help="override the summation box, at least 1")
     common(p)
     p.set_defaults(func=cmd_fourier)
 

@@ -237,8 +237,11 @@ def truncated_fourier_sum(
             sum(lam[j] * gens[j][r] for j in range(d)) for r in range(len(xv))
         )
         coeff = ONE
-        for u, m in zip(forms, ns, strict=True):
-            coeff *= vec_dot(qv(u), nu) ** (-m)
+        try:
+            for u, m in zip(forms, ns, strict=True):
+                coeff *= vec_dot(qv(u), nu) ** (-m)
+        except ZeroDivisionError:
+            raise PoleError(f"lattice point {nu} pairs to zero with a form") from None
         phase = vec_dot(xv, nu)
         frac = phase - math.floor(phase)
         total += float(coeff) * cmath.exp(2j * math.pi * float(frac))

@@ -767,7 +767,8 @@ def _bar_slice_to_st2(slice_terms: dict, exps: tuple, ambient: int) -> St2:
     out = St2.zero(ambient)
     for c, cand in zip(coeffs, family):
         if c:
-            out = out + c * cand
+            for k, v in cand.terms.items():
+                _acc(out.terms, k, c * v)
     check = embed_s(out)
     want = {(w, exps): c for w, c in slice_terms.items()}
     if check.terms != want:
@@ -791,7 +792,8 @@ def truncated_symbol(g) -> St2:
         slices.setdefault(exps, {})[word] = c
     out = St2.zero(d)
     for exps in sorted(slices):
-        out = out + _bar_slice_to_st2(slices[exps], exps, d)
+        for k, v in _bar_slice_to_st2(slices[exps], exps, d).terms.items():
+            _acc(out.terms, k, v)
     return out
 
 
@@ -846,7 +848,8 @@ def li_identity_residual(terms: Sequence, seed: int = 0) -> Bar:
     for c, p in pairs:
         if p.depth < ambient:
             continue
-        total = total + c * embed_s(truncated_symbol(p))
+        for k, v in embed_s(truncated_symbol(p)).terms.items():
+            _acc(total.terms, k, c * v)
     return bar_infty_reduce(total, seed)
 
 

@@ -9,26 +9,32 @@ L and I, their symbol recursions, duality, and the cyclic cobracket all
 live here, together with the projected zero test for the quotient by
 shuffle products (the "stable" quotient below, in which decomposables
 vanish).
+
+The s-map walks pairs (prefix of the first factor's entries, suffix of the
+second's) depth first; the coproduct tests each split with one determinant.
+Both take their cut lines from signed maximal minors of stacked integer
+rows (steinberg._cut_point, Bareiss determinants), so neither does Fraction
+arithmetic on the apartment keys.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations
 from typing import Callable, Sequence
 
 from .barcplx import Bar, p_H_project, shuffle_span_reduce
 from .qlinalg import (
-    Flag,
     Subspace,
     Vec,
+    _int_det,
+    _int_rank,
     canonical_point,
     inverse,
     qv,
     split_seed,
     transpose,
     vec_add,
-    vec_dot,
     vec_sub,
 )
 from .steinberg import (
@@ -36,6 +42,7 @@ from .steinberg import (
     Point,
     St,
     _acc,
+    _cut_point,
     _perm_sign,
     flag_expand,
     make_apartment,
@@ -107,8 +114,7 @@ class St2:
 
 
 def make_pair(vecs_a: Sequence, vecs_b: Sequence, ambient: int | None = None, c=1, exps=None) -> St2:
-    va = [qv(v) for v in vecs_a]
-    n = ambient if ambient is not None else len(va[0])
+    n = ambient if ambient is not None else len(vecs_a[0])
     out = St2.zero(n)
     na = normalize_apartment(vecs_a, n)
     nb = normalize_apartment(vecs_b, n)
@@ -143,56 +149,58 @@ def st2_product(x: St2, y: St2) -> St2:
 
 @lru_cache(maxsize=None)
 def _s_pair(key_a: ApKey, key_b: ApKey) -> tuple[tuple[tuple[Point, ...], int], ...]:
+    """Bar words of a pair of apartments, walking (prefix of A, suffix of B).
+
+    A pair of permutations (sigma, tau) contributes the word whose i-th
+    letter is span(a[sigma_1..sigma_i]) cut with span(b[tau_i..tau_d]),
+    with the sign of sigma times the sign of tau, when the d letters are
+    independent lines. The walk builds sigma and tau one entry at a time:
+    step i takes an unused A-entry s, signed by its position among the
+    unused entries, and after the letter drops one B-entry, signed by its
+    position among the remaining ones. The earlier letters span a[P] for
+    the prefix P, so letter i is independent of them exactly when the cut
+    is a line outside span(a[P]), which is the one minor _cut_point tests
+    first; a failed cut prunes every continuation. Each cut is computed
+    once per (P, s, suffix).
+
+    All letters lie in span A and span B, so pairs of different spans give
+    no words. When the common span is smaller than the ambient space the
+    minors are taken on d coordinates where A has a nonzero maximal minor.
+    """
     d = len(key_a)
     n = len(key_a[0])
-    va = [qv(p) for p in key_a]
-    vb = [qv(p) for p in key_b]
-
-    span_a: dict[frozenset, Subspace] = {}
-    span_b: dict[frozenset, Subspace] = {}
-
-    def spa(fs: frozenset) -> Subspace:
-        if fs not in span_a:
-            span_a[fs] = Subspace.span([va[i] for i in fs], n)
-        return span_a[fs]
-
-    def spb(fs: frozenset) -> Subspace:
-        if fs not in span_b:
-            span_b[fs] = Subspace.span([vb[i] for i in fs], n)
-        return span_b[fs]
-
-    inter_cache: dict[tuple[frozenset, frozenset], Point | None] = {}
-
-    def line_of(fa: frozenset, fb: frozenset) -> Point | None:
-        key = (fa, fb)
-        if key not in inter_cache:
-            w = spa(fa).intersect(spb(fb))
-            inter_cache[key] = w.line_point() if w.dim == 1 else None
-        return inter_cache[key]
-
+    cols = None
+    if d < n:
+        if _int_rank(key_a + key_b) != d:
+            return ()
+        cols = next(
+            c for c in combinations(range(n), d) if _int_det([[p[j] for j in c] for p in key_a])
+        )
+    cuts: dict[tuple[tuple[int, ...], int, tuple[int, ...]], Point | None] = {}
     words: dict[tuple[Point, ...], int] = {}
-    for sigma in permutations(range(d)):
-        sgn_s = _perm_sign(sigma)
-        prefs = [frozenset(sigma[:i]) for i in range(1, d + 1)]
-        for tau in permutations(range(d)):
-            letters: list[Point] = []
-            span = Subspace.zero(n)
-            for i in range(1, d + 1):
-                # entry i pairs the i-th front flag step with the
-                # complementary-depth back step
-                line = line_of(prefs[i - 1], frozenset(tau[i - 1 :]))
-                if line is None:
-                    break
-                # only transverse flag pairs contribute; equivalently the
-                # letters must stay independent
-                grown = span.add(Subspace.span([qv(line)], n))
-                if grown.dim == span.dim:
-                    break
-                span = grown
-                letters.append(line)
-            else:
+    letters: list[Point] = []
+
+    def walk(prefix: list[Point], unused: tuple[int, ...], suffix: tuple[int, ...], sign: int) -> None:
+        for pos, s in enumerate(unused):
+            sgn = -sign if pos % 2 else sign
+            front = prefix + [key_a[s]]
+            ck = (unused, s, suffix)
+            if ck not in cuts:
+                cuts[ck] = _cut_point(front, [key_b[j] for j in suffix], cols)
+            line = cuts[ck]
+            if line is None:
+                continue
+            letters.append(line)
+            if len(suffix) == 1:
                 w = tuple(letters)
-                words[w] = words.get(w, 0) + sgn_s * _perm_sign(tau)
+                words[w] = words.get(w, 0) + sgn
+            else:
+                rest = unused[:pos] + unused[pos + 1 :]
+                for k in range(len(suffix)):
+                    walk(front, rest, suffix[:k] + suffix[k + 1 :], -sgn if k % 2 else sgn)
+            letters.pop()
+
+    walk([], tuple(range(d)), tuple(range(d)), 1)
     return tuple(sorted((w, c) for w, c in words.items() if c))
 
 
@@ -227,9 +235,12 @@ def st2_coproduct(x: St2) -> list[tuple[tuple[int, ...], tuple[int, ...], St2, S
     the I-entries, right on the span of the J-entries, both written in
     ambient coordinates. Signs and coefficients are folded into left.
     Counit pieces (I or J empty) are included.
-    """
-    from itertools import combinations
 
+    A split (I, J) counts when det[a_I; b_J] != 0. Then a_I + b_J is the
+    whole space, so the cuts a_I with span(b_J, b_j) and b_J with
+    span(a_I, a_i) are always lines; each is the kernel line of d + 1
+    stacked rows whose minor without b_j (a_i) is that determinant.
+    """
     out: list[tuple[tuple[int, ...], tuple[int, ...], St2, St2]] = []
     n = x.ambient
     for (key_a, key_b, exps), c in x.terms.items():
@@ -238,54 +249,24 @@ def st2_coproduct(x: St2) -> list[tuple[tuple[int, ...], tuple[int, ...], St2, S
         d = len(key_a)
         if d != n:
             raise ValueError("coproduct needs full-rank terms")
-        va = [qv(p) for p in key_a]
-        vb = [qv(p) for p in key_b]
         for k in range(d + 1):
             for i_set in combinations(range(d), k):
-                a_i = Subspace.span([va[i] for i in i_set], n) if i_set else Subspace.zero(n)
+                a_i = [key_a[i] for i in i_set]
                 for j_set in combinations(range(d), d - k):
-                    b_j = (
-                        Subspace.span([vb[j] for j in j_set], n)
-                        if j_set
-                        else Subspace.zero(n)
-                    )
-                    if a_i.add(b_j).dim != d:
+                    b_j = [key_b[j] for j in j_set]
+                    if not _int_det(a_i + b_j):
                         continue
                     j_comp = tuple(j for j in range(d) if j not in j_set)
                     i_comp = tuple(i for i in range(d) if i not in i_set)
                     sign = _subset_front_sign(i_set, d) * _subset_front_sign(j_comp, d)
                     # left: A-entries at I, against lines cut out of A_I
-                    left_b_lines = []
-                    ok = True
-                    for j in j_comp:
-                        cut = a_i.intersect(b_j.add(Subspace.span([vb[j]], n)))
-                        if cut.dim != 1:
-                            ok = False
-                            break
-                        left_b_lines.append(cut.line_point())
-                    if not ok:
-                        continue
-                    right_a_lines = []
-                    for i in i_comp:
-                        cut = b_j.intersect(a_i.add(Subspace.span([va[i]], n)))
-                        if cut.dim != 1:
-                            ok = False
-                            break
-                        right_a_lines.append(cut.line_point())
-                    if not ok:
-                        continue
+                    left_b_lines = [_cut_point(b_j + [key_b[j]], a_i) for j in j_comp]
+                    right_a_lines = [_cut_point(a_i + [key_a[i]], b_j) for i in i_comp]
                     left = make_pair(
-                        [va[i] for i in i_set],
-                        left_b_lines,
-                        n,
-                        c=c * sign,
-                        exps=zero_exps(n),
+                        a_i, left_b_lines, n, c=c * sign, exps=zero_exps(n)
                     ) if i_set else _unit_st2(n, c * sign)
                     right = make_pair(
-                        right_a_lines,
-                        [vb[j] for j in j_set],
-                        n,
-                        exps=zero_exps(n),
+                        right_a_lines, b_j, n, exps=zero_exps(n)
                     ) if j_set else _unit_st2(n, 1)
                     if not left.terms or not right.terms:
                         continue
@@ -466,18 +447,18 @@ def is_zero_st2(x: St2) -> bool:
     return not st2_normal_form(x)
 
 
-def _h_functional(seed: int, dim: int, lines=(), label: str = "") -> Vec:
+def _h_functional(seed: int, dim: int, lines=(), label: str = "") -> Point:
     """Seeded functional with small positive entries, avoiding the given lines.
 
     Any nonzero functional gives a faithful projection on the stable
     quotient; avoiding the occurring lines just keeps witnesses fat.
     """
     rng = split_seed(seed, f"h:{dim}:{label}")
-    h = tuple(Fraction(rng.randint(1, 97)) for _ in range(dim))
+    h = tuple(rng.randint(1, 97) for _ in range(dim))
     for _ in range(64):
-        if all(vec_dot(h, qv(p)) != 0 for p in lines):
+        if all(sum(x * y for x, y in zip(h, p, strict=True)) for p in lines):
             break
-        h = tuple(Fraction(rng.randint(1, 97)) for _ in range(dim))
+        h = tuple(rng.randint(1, 97) for _ in range(dim))
     return h
 
 

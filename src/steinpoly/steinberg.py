@@ -218,25 +218,30 @@ def _flag_rows(flag: Flag, n: int) -> FlagRows:
     return tuple(rows)
 
 
-def _cut_point(frows: FlagRows, vecs: list[Point]) -> Point | None:
-    """Canonical point of F_i = span(frows) cut with span(vecs), i + len(vecs) = d + 1.
+def _cut_point(frows: Sequence[Point], vecs: Sequence[Point], cols: Sequence[int] | None = None) -> Point | None:
+    """Canonical point of span(frows) cut with span(vecs), len(frows) + len(vecs) = d + 1.
 
-    The stacked d+1 rows [f_1..f_i; vecs] have the signed maximal minors
-    y_r = (-1)^r det(rows without r) in their left kernel, so y_0 f_1 +
-    ... + y_{i-1} f_i lies in the cut. Returns None unless the cut is a
-    line outside F_{i-1}, which holds exactly when y_{i-1} != 0 (all
-    minors vanish when the cut is not a line).
+    Both row sets are independent and lie in a d-dimensional space; cols
+    names d coordinates on which that space projects injectively (all of
+    them by default). The stacked d+1 rows [f_1..f_i; vecs], read on cols,
+    have the signed maximal minors y_r = (-1)^r det(rows without r) in
+    their left kernel, so y_0 f_1 + ... + y_{i-1} f_i lies in the cut.
+    Returns None unless the cut is a line outside span(f_1..f_{i-1}),
+    which holds exactly when y_{i-1} != 0 (all minors vanish when the cut
+    is not a line).
     """
     i = len(frows)
-    stacked = list(frows) + vecs
+    stacked = [*frows, *vecs]
+    if cols is not None:
+        stacked = [[r[c] for c in cols] for r in stacked]
     last = _int_det(stacked[: i - 1] + stacked[i:])
     if not last:
         return None
-    if len(vecs) == 1:  # F_d is the whole space
+    if len(vecs) == 1:  # span(frows) is the whole space
         return int_point(vecs[0])
     ys = [_int_det(stacked[:r] + stacked[r + 1 :]) * (-1) ** r for r in range(i - 1)]
     ys.append(last * (-1) ** (i - 1))
-    return int_point([sum(y * f[j] for y, f in zip(ys, frows)) for j in range(len(vecs[0]))])
+    return int_point([sum(y * f[j] for y, f in zip(ys, frows)) for j in range(len(frows[0]))])
 
 
 @lru_cache(maxsize=None)

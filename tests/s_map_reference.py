@@ -1,0 +1,115 @@
+"""Reference implementations of the s-map and the coproduct, kept for tests only.
+
+These are the Fraction-based routines the integer walks in
+``steinpoly.st2`` replaced: the flat loop over all pairs of permutations
+with letters from ``Subspace.intersect`` and an independence test by
+``Subspace.add``, and the coproduct whose splits and cut lines come from
+``Subspace`` spans. Tests require the kernel to agree with them exactly.
+"""
+from itertools import combinations, permutations
+
+from steinpoly.qlinalg import Subspace, qv
+from steinpoly.st2 import _subset_front_sign, _unit_st2, make_pair, zero_exps
+from steinpoly.steinberg import _perm_sign
+
+
+def s_pair(key_a, key_b):
+    d = len(key_a)
+    n = len(key_a[0])
+    va = [qv(p) for p in key_a]
+    vb = [qv(p) for p in key_b]
+
+    span_a = {}
+    span_b = {}
+
+    def spa(fs):
+        if fs not in span_a:
+            span_a[fs] = Subspace.span([va[i] for i in fs], n)
+        return span_a[fs]
+
+    def spb(fs):
+        if fs not in span_b:
+            span_b[fs] = Subspace.span([vb[i] for i in fs], n)
+        return span_b[fs]
+
+    inter_cache = {}
+
+    def line_of(fa, fb):
+        key = (fa, fb)
+        if key not in inter_cache:
+            w = spa(fa).intersect(spb(fb))
+            inter_cache[key] = w.line_point() if w.dim == 1 else None
+        return inter_cache[key]
+
+    words = {}
+    for sigma in permutations(range(d)):
+        sgn_s = _perm_sign(sigma)
+        prefs = [frozenset(sigma[:i]) for i in range(1, d + 1)]
+        for tau in permutations(range(d)):
+            letters = []
+            span = Subspace.zero(n)
+            for i in range(1, d + 1):
+                line = line_of(prefs[i - 1], frozenset(tau[i - 1 :]))
+                if line is None:
+                    break
+                grown = span.add(Subspace.span([qv(line)], n))
+                if grown.dim == span.dim:
+                    break
+                span = grown
+                letters.append(line)
+            else:
+                w = tuple(letters)
+                words[w] = words.get(w, 0) + sgn_s * _perm_sign(tau)
+    return tuple(sorted((w, c) for w, c in words.items() if c))
+
+
+def st2_coproduct(x):
+    out = []
+    n = x.ambient
+    for (key_a, key_b, exps), c in x.terms.items():
+        if any(exps):
+            raise ValueError("coproduct is defined on the plain component")
+        d = len(key_a)
+        if d != n:
+            raise ValueError("coproduct needs full-rank terms")
+        va = [qv(p) for p in key_a]
+        vb = [qv(p) for p in key_b]
+        for k in range(d + 1):
+            for i_set in combinations(range(d), k):
+                a_i = Subspace.span([va[i] for i in i_set], n) if i_set else Subspace.zero(n)
+                for j_set in combinations(range(d), d - k):
+                    b_j = Subspace.span([vb[j] for j in j_set], n) if j_set else Subspace.zero(n)
+                    if a_i.add(b_j).dim != d:
+                        continue
+                    j_comp = tuple(j for j in range(d) if j not in j_set)
+                    i_comp = tuple(i for i in range(d) if i not in i_set)
+                    sign = _subset_front_sign(i_set, d) * _subset_front_sign(j_comp, d)
+                    left_b_lines = []
+                    ok = True
+                    for j in j_comp:
+                        cut = a_i.intersect(b_j.add(Subspace.span([vb[j]], n)))
+                        if cut.dim != 1:
+                            ok = False
+                            break
+                        left_b_lines.append(cut.line_point())
+                    if not ok:
+                        continue
+                    right_a_lines = []
+                    for i in i_comp:
+                        cut = b_j.intersect(a_i.add(Subspace.span([va[i]], n)))
+                        if cut.dim != 1:
+                            ok = False
+                            break
+                        right_a_lines.append(cut.line_point())
+                    if not ok:
+                        continue
+                    left = make_pair(
+                        [va[i] for i in i_set], left_b_lines, n, c=c * sign, exps=zero_exps(n)
+                    ) if i_set else _unit_st2(n, c * sign)
+                    right = make_pair(
+                        right_a_lines, [vb[j] for j in j_set], n, exps=zero_exps(n)
+                    ) if j_set else _unit_st2(n, 1)
+                    if not left.terms or not right.terms:
+                        continue
+                    out.append((i_set, j_set, left, right))
+    return out

@@ -112,6 +112,10 @@ class TestSymbol:
         code, _ = run(tmp_path, "symbol", "--kind", "L", "1,0", "0,1,0")
         assert code == 2
 
+    def test_dependent_vectors_exit_2(self, tmp_path):
+        code, text = run(tmp_path, "symbol", "--kind", "L", "1,0", "2,0")
+        assert code == 2 and text == ""
+
 
 class TestVerify:
     def test_random_suites_pass(self, tmp_path):
@@ -209,6 +213,12 @@ class TestSt:
         code, _ = run(tmp_path, "st", path)
         assert code == 2
 
+    def test_zero_denominator_coeff_exits_2(self, tmp_path):
+        data = json.load(open(FIXTURE))
+        data[0]["coeff"] = "1/0"
+        code, _ = run(tmp_path, "st", write(tmp_path, "zero.json", data))
+        assert code == 2
+
 
 class TestFourier:
     def test_bernoulli_study_format(self, tmp_path):
@@ -245,6 +255,31 @@ class TestFourier:
     def test_unknown_study_exits_2(self, tmp_path):
         path = write(tmp_path, "u.json", {"study": "sandpile"})
         code, _ = run(tmp_path, "fourier", path)
+        assert code == 2
+
+    @pytest.mark.parametrize("weight", ["3/2", 0])
+    def test_bad_weight_exits_2(self, tmp_path, weight):
+        path = write(tmp_path, "w.json", {
+            "study": "bernoulli", "weights": [weight], "points": ["1/3"], "m_max": 10,
+        })
+        code, _ = run(tmp_path, "fourier", path)
+        assert code == 2
+
+    def test_form_vanishing_on_lattice_exits_2(self, tmp_path):
+        path = write(tmp_path, "pole.json", {
+            "study": "cone",
+            "generators": [[1, 0], [0, 1]],
+            "forms": [[1, -1], [0, 1]],
+            "exponents": [1, 1],
+            "points": [["1/3", "1/7"]],
+            "m_max": 5,
+        })
+        code, _ = run(tmp_path, "fourier", path)
+        assert code == 2
+
+    def test_nonpositive_box_exits_2(self, tmp_path):
+        path = write(tmp_path, "s.json", {"study": "shuffle"})
+        code, _ = run(tmp_path, "fourier", path, "--box", "0")
         assert code == 2
 
 

@@ -1,0 +1,84 @@
+"""The integer s-map walk and coproduct cuts against the Fraction reference.
+
+``s_map_reference`` keeps the flat loop over all pairs of permutations with
+``Subspace`` letters, and the coproduct with ``Subspace`` splits; the kernel
+must agree with them exactly, also for pairs of rank below the ambient
+dimension, pairs of different spans and pairs sharing entries.
+"""
+from fractions import Fraction
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import flag_reference
+import s_map_reference as ref
+from steinpoly.st2 import St2, _s_pair, embed_s, make_I, make_L, make_pair, st2_coproduct
+
+COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+
+
+def vectors(n, count, bound=2):
+    return st.lists(
+        st.tuples(*[st.integers(-bound, bound)] * n), min_size=count, max_size=count
+    )
+
+
+def key_of(vecs, n):
+    norm = flag_reference.normalize_apartment(vecs, n)
+    assume(norm is not None)
+    return norm[0]
+
+
+@st.composite
+def pairs(draw):
+    d = draw(st.integers(1, 4))
+    n = d + draw(st.integers(0, 2))
+    key_a = key_of(draw(vectors(n, d)), n)
+    if draw(st.booleans()):
+        vecs_b = draw(vectors(n, d))
+    else:
+        # integer combinations of A's entries stay in span A
+        combos = draw(vectors(d, d))
+        vecs_b = [tuple(sum(c * p[j] for c, p in zip(cs, key_a)) for j in range(n)) for cs in combos]
+    if draw(st.booleans()):
+        keep = draw(st.integers(1, d))
+        vecs_b = list(key_a[:keep]) + vecs_b[keep:]
+    return key_a, key_of(vecs_b, n)
+
+
+@given(pairs())
+@settings(max_examples=150, deadline=None)
+def test_s_pair_matches_reference(pair):
+    key_a, key_b = pair
+    assert _s_pair(key_a, key_b) == ref.s_pair(key_a, key_b)
+
+
+@st.composite
+def st2_sums(draw):
+    d = draw(st.integers(1, 4))
+    x = St2.zero(d)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from([make_L, make_I, make_pair]))
+        c = draw(COEFFS)
+        if kind is make_pair:
+            x = x + make_pair(draw(vectors(d, d)), draw(vectors(d, d)), d, c=c)
+        else:
+            x = x + kind(draw(vectors(d, d)), d, c=c)
+    assume(x.terms)
+    return x
+
+
+@given(st2_sums())
+@settings(max_examples=60, deadline=None)
+def test_st2_coproduct_matches_reference(x):
+    assert st2_coproduct(x) == ref.st2_coproduct(x)
+
+
+def test_embed_s_dim5_matches_reference():
+    basis = [(1, 2, 0, 1, -1), (0, 1, 1, 0, 2), (1, 0, -1, 1, 0), (2, 1, 0, 0, 1), (0, 0, 1, 1, 1)]
+    x = make_L(basis, c=Fraction(2, 3))
+    ((key_a, key_b, _), c), = x.terms.items()
+    want = ref.s_pair(key_a, key_b)
+    assert len(want) == 945
+    assert _s_pair(key_a, key_b) == want
+    assert embed_s(x).terms == {(w, (0,) * 5): c * wc for w, wc in want}
