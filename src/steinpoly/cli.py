@@ -20,7 +20,7 @@ from .cones import (
     truncated_fourier_sum,
 )
 from .mpl import identity_terms_from_json, li_identity_residual
-from .qlinalg import det, frac_from_str, frac_to_str, qm, qv, rank, split_seed
+from .qlinalg import det, frac_from_str, frac_to_str, qm, qv, rank, split_seed, vec_to_json
 from .st2 import (
     cobracket_matches_coproduct,
     dualize,
@@ -83,10 +83,6 @@ def _check_dim(n: int, what: str) -> None:
         raise InputError(f"{what} must be between 1 and {MAX_DIM}, got {n}")
 
 
-def _vec_json(v) -> list:
-    return [frac_to_str(Fraction(e)) for e in v]
-
-
 def _st_from_json(data):
     try:
         dim = int(data["dim"])
@@ -117,7 +113,7 @@ def _st_from_json(data):
 def _st_to_json(x) -> list:
     rows = []
     for key, c in sorted(x.terms.items()):
-        rows.append({"apartment": [_vec_json(p) for p in key], "coeff": frac_to_str(c)})
+        rows.append({"apartment": [vec_to_json(p) for p in key], "coeff": frac_to_str(c)})
     return rows
 
 
@@ -128,7 +124,7 @@ def _bar_to_json(x: Bar) -> list:
             {
                 "coeff": frac_to_str(c),
                 "exp": [int(e) for e in exps],
-                "word": [_vec_json(p) for p in word],
+                "word": [vec_to_json(p) for p in word],
             }
         )
     return rows
@@ -142,8 +138,8 @@ def _st2_nf_to_json(nf: dict, limit: int = 8) -> list:
                 "coeff": frac_to_str(c),
                 "exp": [int(e) for e in exps],
                 "pair": [
-                    [_vec_json(p) for p in key_a],
-                    [_vec_json(p) for p in key_b],
+                    [vec_to_json(p) for p in key_a],
+                    [vec_to_json(p) for p in key_b],
                 ],
             }
         )
@@ -186,7 +182,11 @@ def cmd_symbol(args) -> int:
     dims = {len(v) for v in vecs}
     if len(dims) != 1:
         raise InputError("vectors have mixed lengths")
-    ambient = args.dim or dims.pop()
+    (length,) = dims
+    ambient = args.dim if args.dim is not None else length
+    _check_dim(ambient, "ambient dimension")
+    if length != ambient:
+        raise InputError(f"vectors need {ambient} coordinates, got {length}")
     if rank(vecs) < len(vecs):
         # the generators vanish on dependent vectors; the recursions do not see that
         raise InputError("symbol vectors must be independent")
@@ -327,7 +327,7 @@ def _suite_ashrudolph(basis, n, seed, points, extra):
     for key in red.terms:
         d = det(qm([list(p) for p in key]))
         if abs(d) != 1:
-            return {"relation": "unimodularity", "apartment": [_vec_json(p) for p in key]}
+            return {"relation": "unimodularity", "apartment": [vec_to_json(p) for p in key]}
     if not st_equality_oracle(x, red, seed=seed, points=points):
         return {"relation": "evaluation mismatch", "terms": _st_to_json(red)[:8]}
     return None
@@ -375,7 +375,7 @@ def cmd_verify(args) -> int:
         witness = run(basis, len(basis), args.seed, args.oracle_points, extra)
         if witness is not None:
             failures.append(
-                {"case": i, "basis": [_vec_json(v) for v in basis], "witness": witness}
+                {"case": i, "basis": [vec_to_json(v) for v in basis], "witness": witness}
             )
     report = {
         "seed": args.seed,

@@ -277,19 +277,6 @@ class DepthOneNF:
             for (phase, vec), c in sorted(self.terms.items())
         ]
 
-    def as_monomials(self) -> list[tuple[Fraction, Monomial]]:
-        out = [(c, Monomial(phase, vec)) for c, phase, vec in self.items()]
-        out.extend(
-            (c, Monomial(phase, [ZERO] * self._guess_dim()))
-            for phase, c in sorted(self.constants.items())
-        )
-        return out
-
-    def _guess_dim(self) -> int:
-        for (_, vec) in self.terms:
-            return len(vec)
-        return 1
-
     def rescale(self, new_level: int) -> "DepthOneNF":
         if new_level % self.level:
             raise ValueError("covering levels must be nested")

@@ -38,11 +38,6 @@ def vec_sub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
-def vec_scale(c, a: Vec) -> Vec:
-    c = Fraction(c)
-    return tuple(c * x for x in a)
-
-
 def vec_neg(a: Vec) -> Vec:
     return tuple(-x for x in a)
 

@@ -477,12 +477,21 @@ def is_zero_st_infty(x: St2, seed: int = 0) -> bool:
     return not reduced.terms
 
 
+def _fingerprint_local(x_local: St2, w: Subspace, seed: int) -> dict:
+    """st_infty_fingerprint of a tensor already in w's local coordinates."""
+    words = embed_s(x_local)
+    h = _h_functional(seed, w.dim, label=repr(w.rows))
+    reduced = shuffle_span_reduce(p_H_project(words, h))
+    return dict(reduced.terms)
+
+
 def st_infty_fingerprint(x: St2, w: Subspace, seed: int = 0) -> dict:
     """Canonical class coordinates of a tensor supported on the subspace w.
 
     Localizes to w's echelon basis, embeds via the s-map, projects along
-    a functional derived from (seed, w), and shuffle-reduces. Equal
-    classes give equal dictionaries regardless of presentation.
+    a functional derived from (seed, w), and takes the shuffle-span
+    representative of barcplx.shuffle_span_reduce. Equal classes give
+    equal dictionaries regardless of presentation.
     """
     k = w.dim
     local = St2.zero(k)
@@ -492,10 +501,7 @@ def st_infty_fingerprint(x: St2, w: Subspace, seed: int = 0) -> dict:
         for ka, sa in pa.terms.items():
             for kb, sb in pb.terms.items():
                 _acc(local.terms, (ka, kb, zero_exps(k)), c * sa * sb)
-    words = embed_s(local)
-    h = _h_functional(seed, k, label=repr(w.rows))
-    reduced = shuffle_span_reduce(p_H_project(words, h))
-    return dict(reduced.terms)
+    return _fingerprint_local(local, w, seed)
 
 
 # -------------------------------------------------------------- cobracket
@@ -524,11 +530,14 @@ def cobracket_L(vectors: Sequence, ambient: int | None = None):
     return terms
 
 
-def _wedge_expand(acc: dict, c: Fraction, wa_rows, fpa: dict, wb_rows, fpb: dict) -> None:
+def _wedge_expand(acc: dict, ids: dict, c: Fraction, wa, fpa: dict, wb, fpb: dict) -> None:
+    # small ints from ids stand in for the subspaces' Fraction rows in the keys
+    a = ids.setdefault(wa.rows, len(ids))
+    b = ids.setdefault(wb.rows, len(ids))
     for ka, ca in fpa.items():
         for kb, cb in fpb.items():
-            _acc(acc, (wa_rows, ka, wb_rows, kb), c * ca * cb)
-            _acc(acc, (wb_rows, kb, wa_rows, ka), -c * ca * cb)
+            _acc(acc, (a, ka, b, kb), c * ca * cb)
+            _acc(acc, (b, kb, a, ka), -c * ca * cb)
 
 
 def cobracket_matches_coproduct(vectors: Sequence, seed: int = 0) -> bool:
@@ -540,6 +549,7 @@ def cobracket_matches_coproduct(vectors: Sequence, seed: int = 0) -> bool:
     """
     vecs = [qv(v) for v in vectors]
     n = len(vecs[0])
+    ids: dict = {}
     route_a: dict = {}
     for c, left, right in cobracket_L(vecs, n):
         wa = Subspace.span(left, n)
@@ -548,7 +558,7 @@ def cobracket_matches_coproduct(vectors: Sequence, seed: int = 0) -> bool:
         lb = make_L([wb.local_coords(qv(v)) for v in right], wb.dim)
         fpa = _fingerprint_local(la, wa, seed)
         fpb = _fingerprint_local(lb, wb, seed)
-        _wedge_expand(route_a, c, wa.rows, fpa, wb.rows, fpb)
+        _wedge_expand(route_a, ids, c, wa, fpa, wb, fpb)
 
     route_b: dict = {}
     for i_set, j_set, left, right in st2_coproduct(make_L(vecs, n)):
@@ -558,15 +568,8 @@ def cobracket_matches_coproduct(vectors: Sequence, seed: int = 0) -> bool:
         wb = _support_subspace(right, n)
         fpa = st_infty_fingerprint(left, wa, seed)
         fpb = st_infty_fingerprint(right, wb, seed)
-        _wedge_expand(route_b, ONE, wa.rows, fpa, wb.rows, fpb)
+        _wedge_expand(route_b, ids, ONE, wa, fpa, wb, fpb)
     return route_a == route_b
-
-
-def _fingerprint_local(x_local: St2, w: Subspace, seed: int) -> dict:
-    words = embed_s(x_local)
-    h = _h_functional(seed, w.dim, label=repr(w.rows))
-    reduced = shuffle_span_reduce(p_H_project(words, h))
-    return dict(reduced.terms)
 
 
 def _support_subspace(x: St2, n: int) -> Subspace:

@@ -237,9 +237,10 @@ def test_criterion_04_double_shuffle():
 
 
 def test_criterion_05_dihedral_and_nongeneric():
+    t0 = time.monotonic()
     rng = split_seed(2026, "acc-dihedral")
-    for i in range(50):
-        n = 2 + i % 2
+    # ranks 2 and 3 alternating, then two bases each of ranks 4 and 5
+    for i, n in enumerate([2 + i % 2 for i in range(50)] + [4, 4, 5, 5]):
         vecs = [qv(v) for v in rand_basis(rng, n, bound=3)]
         total = vecs[0]
         for v in vecs[1:]:
@@ -258,14 +259,19 @@ def test_criterion_05_dihedral_and_nongeneric():
         x = make_pair(ps, qq, n)
         assert x.terms
         assert is_zero_st_infty(x)
+    elapsed = time.monotonic() - t0
+    assert elapsed < 20.0, f"dihedral suite took {elapsed:.2f}s"
 
 
 def test_criterion_06_cobracket_matches_coproduct():
+    t0 = time.monotonic()
     rng = split_seed(2026, "acc-cobracket")
-    for i in range(25):
-        n = 2 + i % 2
+    # ranks 2 and 3 alternating, then two bases each of ranks 4 and 5
+    for i, n in enumerate([2 + i % 2 for i in range(25)] + [4, 4, 5, 5]):
         vecs = rand_basis(rng, n, bound=3)
         assert cobracket_matches_coproduct(vecs, seed=i)
+    elapsed = time.monotonic() - t0
+    assert elapsed < 20.0, f"cobracket suite took {elapsed:.2f}s"
 
 
 def test_criterion_07_duality():

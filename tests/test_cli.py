@@ -116,6 +116,17 @@ class TestSymbol:
         code, text = run(tmp_path, "symbol", "--kind", "L", "1,0", "2,0")
         assert code == 2 and text == ""
 
+    @pytest.mark.parametrize("dim_args, length", [
+        ((), MAX_DIM + 1),
+        (("--dim", str(MAX_DIM + 1)), MAX_DIM + 1),
+        (("--dim", "2"), 3),
+    ])
+    def test_ambient_bound_exit_2(self, tmp_path, dim_args, length):
+        # a single vector keeps the case cheap should the bound ever be missing
+        vec = ",".join(["1"] + ["0"] * (length - 1))
+        code, text = run(tmp_path, "symbol", "--kind", "L", *dim_args, vec)
+        assert code == 2 and text == ""
+
 
 class TestVerify:
     def test_random_suites_pass(self, tmp_path):
