@@ -5,12 +5,14 @@ lines (canonical integer points of the ambient space); the differential
 merges adjacent letters into classes on higher-dimensional subspaces,
 so merged letters carry a subspace together with a flag-normalized
 class in that subspace's local coordinates. Merged letters only appear
-in differential outputs; the projection and shuffle-reduction operators
-work on all-lines words and refuse mixed input.
+in differential outputs, which live in the same Bar terms as every other
+word: their letters are tagged, ("L", point) for a line and ("S", rows,
+key) for a merged class. The projection and shuffle-reduction operators
+work on all-lines words and refuse tagged input.
 
-Each term may carry an exponent tuple (a coordinate monomial of the
-ambient space) recording a symmetric-power factor; the bar operators
-leave it untouched.
+Each term carries a full-length exponent tuple (a coordinate monomial of
+the ambient space) recording a symmetric-power factor, zero_exps when
+there is none; the bar operators leave it untouched.
 
 The quotient by shuffle products is computed word by word, with no
 matrix: shuffle_span_reduce sends each word to the part of its Dynkin
@@ -27,10 +29,18 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from .qlinalg import Subspace, Vec, canonical_point, qv
-from .steinberg import St, _acc, flag_expand, make_apartment, normalize_apartment
+from .steinberg import (
+    LinComb,
+    St,
+    _acc,
+    flag_expand,
+    make_apartment,
+    normalize_apartment,
+    zero_exps,
+)
 
 Point = tuple[int, ...]
-Letter = tuple  # ('L', point) or ('S', rows, terms)
+Letter = tuple  # ('L', point) or ('S', rows, key)
 Word = tuple[Point, ...]
 
 
@@ -38,77 +48,26 @@ def line_letter(v: Sequence) -> Point:
     return canonical_point(qv(v))
 
 
-class Bar:
-    """Combination of bar words, with an optional symmetric-power exponent.
+class Bar(LinComb):
+    """Combination of bar words, each with a symmetric-power exponent tuple.
 
-    terms:  {(word_of_points, exps): coeff} for all-lines words
-    mixed:  {(word_of_letters, exps): coeff} for words with merged letters
+    terms: {(word, exps): coeff}. Letters are lines (canonical points),
+    except in bar_differential outputs, whose words hold tagged letters
+    ("L", point) and ("S", rows, key); exps defaults to zero_exps.
     """
 
-    __slots__ = ("ambient", "terms", "mixed")
+    __slots__ = ()
 
-    def __init__(self, ambient: int, terms=None, mixed=None):
-        self.ambient = ambient
-        self.terms: dict = dict(terms) if terms else {}
-        self.mixed: dict = dict(mixed) if mixed else {}
-
-    @classmethod
-    def zero(cls, ambient: int) -> "Bar":
-        return cls(ambient)
-
-    def add_word(self, word: Word, c, exps: tuple[int, ...] = ()) -> None:
-        _acc(self.terms, (tuple(word), tuple(exps)), Fraction(c))
-
-    def add_mixed(self, letters: tuple, c, exps: tuple[int, ...] = ()) -> None:
-        _acc(self.mixed, (tuple(letters), tuple(exps)), Fraction(c))
-
-    def __add__(self, other: "Bar") -> "Bar":
-        if self.ambient != other.ambient:
-            raise ValueError("ambient dimensions differ")
-        out = Bar(self.ambient, self.terms, self.mixed)
-        for k, c in other.terms.items():
-            _acc(out.terms, k, c)
-        for k, c in other.mixed.items():
-            _acc(out.mixed, k, c)
-        return out
-
-    def __sub__(self, other: "Bar") -> "Bar":
-        return self + (-1) * other
-
-    def __rmul__(self, c) -> "Bar":
-        c = Fraction(c)
-        if c == 0:
-            return Bar.zero(self.ambient)
-        return Bar(
-            self.ambient,
-            {k: c * v for k, v in self.terms.items()},
-            {k: c * v for k, v in self.mixed.items()},
-        )
-
-    def __neg__(self) -> "Bar":
-        return (-1) * self
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Bar)
-            and self.ambient == other.ambient
-            and self.terms == other.terms
-            and self.mixed == other.mixed
-        )
-
-    def __bool__(self) -> bool:
-        return bool(self.terms) or bool(self.mixed)
-
-    def __repr__(self) -> str:
-        n = len(self.terms) + len(self.mixed)
-        return f"Bar({n} terms, ambient={self.ambient})"
+    def add_word(self, word: Word, c, exps=None) -> None:
+        e = tuple(exps) if exps else zero_exps(self.ambient)
+        _acc(self.terms, (tuple(word), e), Fraction(c))
 
 
-def bar_word(points: Sequence[Sequence], ambient: int | None = None, c=1, exps=()) -> Bar:
+def bar_word(points: Sequence[Sequence], ambient: int | None = None, c=1, exps=None) -> Bar:
     pts = [line_letter(p) for p in points]
     n = ambient if ambient is not None else len(pts[0])
     out = Bar.zero(n)
-    out.add_word(tuple(pts), Fraction(c), tuple(exps))
+    out.add_word(pts, c, exps)
     return out
 
 
@@ -140,10 +99,7 @@ def _expand_letters(w: Subspace, ambient_terms: dict) -> list[tuple[Letter, Frac
     k = w.dim
     local = St.zero(k)
     for key, c in ambient_terms.items():
-        pts = [w.local_coords(qv(p)) for p in key]
-        piece = make_apartment(pts, k)
-        for k2, s in piece.terms.items():
-            local.add_term(k2, c * s)
+        local += c * make_apartment([w.local_coords(qv(p)) for p in key], k)
     local = flag_expand(local)
     return [(("S", w.rows, key), c) for key, c in sorted(local.terms.items())]
 
@@ -164,30 +120,34 @@ def _merge_letters(a: Letter, b: Letter, ambient: int) -> list[tuple[Letter, Fra
     return _expand_letters(wa.add(wb), prod)
 
 
+def _is_tagged(word: tuple) -> bool:
+    return bool(word) and type(word[0][0]) is str
+
+
 def bar_differential(x: Bar) -> Bar:
-    """Sum of adjacent-letter merges with alternating signs."""
+    """Sum of adjacent-letter merges with alternating signs.
+
+    Output words hold tagged letters, so the result can be fed back in.
+    """
     out = Bar.zero(x.ambient)
-    items = [
-        (tuple(("L", p) for p in word), exps, c) for (word, exps), c in x.terms.items()
-    ] + [(letters, exps, c) for (letters, exps), c in x.mixed.items()]
-    for letters, exps, c in items:
-        m = len(letters)
-        for j in range(m - 1):
+    for (word, exps), c in x.terms.items():
+        letters = word if _is_tagged(word) else tuple(("L", p) for p in word)
+        for j in range(len(letters) - 1):
             for merged, mc in _merge_letters(letters[j], letters[j + 1], x.ambient):
                 new_word = letters[:j] + (merged,) + letters[j + 2 :]
-                out.add_mixed(new_word, c * mc * (-1) ** j, exps)
+                out.add_word(new_word, c * mc * (-1) ** j, exps)
     return out
 
 
 def is_zero_bar(x: Bar) -> bool:
-    return not x.terms and not x.mixed
+    return not x.terms
 
 
 # ---------------------------------------------------------------- shuffles
 
 
 def _require_lines(x: Bar, op: str) -> None:
-    if x.mixed:
+    if any(_is_tagged(word) for word, _ in x.terms):
         raise ValueError(f"{op} is only defined on all-lines words")
 
 
@@ -220,18 +180,10 @@ def bar_shuffle(x: Bar, y: Bar) -> Bar:
             joint = u + v
             if normalize_apartment(joint, x.ambient) is None:
                 raise ValueError("bar_shuffle with overlapping supports")
-            exps = _mul_exps(e1, e2)
+            exps = tuple(a + b for a, b in zip(e1, e2, strict=True))
             for word in shuffle_words(u, v):
                 out.add_word(word, cu * cv, exps)
     return out
-
-
-def _mul_exps(e1: tuple, e2: tuple) -> tuple:
-    if not e1:
-        return e2
-    if not e2:
-        return e1
-    return tuple(a + b for a, b in zip(e1, e2, strict=True))
 
 
 def deconcat(x: Bar) -> list[tuple[Bar, Bar]]:

@@ -20,7 +20,17 @@ from .cones import (
     truncated_fourier_sum,
 )
 from .mpl import identity_terms_from_json, li_identity_residual
-from .qlinalg import det, frac_from_str, frac_to_str, qm, qv, rank, split_seed, vec_to_json
+from .qlinalg import (
+    det,
+    dual_basis,
+    frac_from_str,
+    frac_to_str,
+    qm,
+    qv,
+    rank,
+    split_seed,
+    vec_to_json,
+)
 from .st2 import (
     cobracket_matches_coproduct,
     dualize,
@@ -32,7 +42,7 @@ from .st2 import (
     symbol_I,
     symbol_L,
 )
-from .steinberg import _acc, ash_rudolph_reduce, flag_expand, make_apartment
+from .steinberg import St, ash_rudolph_reduce, flag_expand, make_apartment
 
 ONE = Fraction(1)
 
@@ -90,7 +100,9 @@ def _st_from_json(data):
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("element needs 'dim' and 'terms'") from exc
     _check_dim(dim, "element dimension")
-    out = None
+    if not isinstance(terms, list) or not terms:
+        raise InputError("element 'terms' must be a non-empty list")
+    out = St.zero(dim)
     for entry in terms:
         try:
             vecs = [_vec(v) for v in entry["apartment"]]
@@ -103,10 +115,7 @@ def _st_from_json(data):
             raise InputError(f"apartment vectors need {dim} coordinates: {entry['apartment']!r}")
         if rank([qv(v) for v in vecs]) < dim:
             raise InputError(f"degenerate apartment {entry['apartment']!r}")
-        piece = c * make_apartment(vecs, dim)
-        out = piece if out is None else out + piece
-    if out is None:
-        raise InputError("element has no terms")
+        out += c * make_apartment(vecs, dim)
     return out
 
 
@@ -259,11 +268,9 @@ def _suite_shuffle(basis, n, seed, points, extra):
                     arranged[p] = vecs[k]
                 for k, p in enumerate(rest):
                     arranged[p] = vecs[d1 + k]
-                for key, c in make(arranged, n).terms.items():
-                    _acc(residual.terms, key, -c)
+                residual -= make(arranged, n)
             if extra is not None:
-                for key, c in extra.terms.items():
-                    _acc(residual.terms, key, c)
+                residual += extra
             nf = st2_normal_form(residual)
             if nf:
                 return {
@@ -302,13 +309,12 @@ def _suite_cobracket(basis, n, seed, points, extra):
 
 
 def _suite_duality(basis, n, seed, points, extra):
-    from .qlinalg import inverse, transpose
-
     vecs = tuple(qv(v) for v in basis)
-    dual = inverse(transpose(vecs))
+    L = make_L(vecs, n)
+    dual_L = dualize(L)
     checks = [
-        ("L to I", dualize(make_L(vecs, n)) - make_I(list(reversed(dual)), n, c=(-1) ** n)),
-        ("involution", dualize(dualize(make_L(vecs, n))) - make_L(vecs, n)),
+        ("L to I", dual_L - make_I(list(reversed(dual_basis(vecs))), n, c=(-1) ** n)),
+        ("involution", dualize(dual_L) - L),
     ]
     for name, residual in checks:
         if extra is not None:
@@ -349,6 +355,8 @@ def cmd_verify(args) -> int:
     _check_dim(args.dim, "--dim")
     if args.cases < 1:
         raise InputError(f"--cases must be at least 1, got {args.cases}")
+    if args.oracle_points < 1:
+        raise InputError(f"--oracle-points must be at least 1, got {args.oracle_points}")
     n = args.dim
     if args.file:
         data = _load_json(args.file)
@@ -398,6 +406,11 @@ def cmd_st(args) -> int:
         terms = identity_terms_from_json(data)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad identity file: {exc}") from exc
+    generators = [t[1] for t in terms if t[0] != "product"]
+    if not generators:
+        raise InputError("identity file has no generator terms")
+    for p in generators:
+        _check_dim(p.ambient, "identity matrix size")
     try:
         residual = li_identity_residual(terms, seed=args.seed)
     except ValueError as exc:
@@ -542,7 +555,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", nargs="?", default=None, help="optional fixture of cases")
     p.add_argument("--dim", type=int, default=3, help=f"dimension, 1 to {MAX_DIM}")
     p.add_argument("--cases", type=int, default=12, help="random cases, at least 1")
-    p.add_argument("--oracle-points", type=int, default=5, dest="oracle_points")
+    p.add_argument("--oracle-points", type=int, default=5, help="evaluation points, at least 1")
     common(p)
     p.set_defaults(func=cmd_verify)
 

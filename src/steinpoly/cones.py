@@ -17,13 +17,13 @@ from typing import Sequence
 
 from .qlinalg import (
     Vec,
+    _int_det,
     det,
-    inverse,
+    dual_basis,
     qv,
     rank,
     solve,
     split_seed,
-    transpose,
     vec_dot,
 )
 from .st2 import St2
@@ -53,9 +53,7 @@ def cone_to_steinberg(generators: Sequence, ambient: int | None = None) -> St:
 
 @lru_cache(maxsize=None)
 def _dual_data(key: ApKey) -> tuple[tuple[Vec, ...], Fraction]:
-    pts = tuple(qv(p) for p in key)
-    dual = inverse(transpose(pts))
-    return dual, ONE / det(pts)
+    return dual_basis(key), Fraction(1, _int_det(key))
 
 
 def _poly_mul(p: dict, form: Vec, power: int) -> dict:

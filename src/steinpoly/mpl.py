@@ -34,17 +34,10 @@ from .qlinalg import (
     solve,
 )
 from .st2 import St2, _h_functional, embed_s, make_L, make_pair
+from .steinberg import _acc
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def _acc(d: dict, key, c: Fraction) -> None:
-    v = d.get(key, ZERO) + c
-    if v:
-        d[key] = v
-    else:
-        d.pop(key, None)
 
 
 # ---------------------------------------------------------------- monomials
@@ -490,11 +483,11 @@ def recursion_symbol_bar(g) -> Bar:
     if isinstance(g, PushedLi):
         out = Bar.zero(g.ambient)
         for c, gen in pushed_expand(g):
-            out = out + c * recursion_symbol_bar(gen)
+            out += c * recursion_symbol_bar(gen)
         return out
     out = Bar.zero(g.ambient)
     for slots in _iterated_top(g):
-        out = out + sigma(slots, g.ambient)
+        out += sigma(slots, g.ambient)
     return out
 
 
@@ -659,7 +652,7 @@ def goncharov_symbol_bar(g: LiGen) -> Bar:
                 continue
             nf_left = divergent_reduce(left)
             nf_gap = divergent_reduce(gap)
-            out = out + c0 * sigma((nf_left, nf_gap), d)
+            out += c0 * sigma((nf_left, nf_gap), d)
     return out
 
 
@@ -668,8 +661,6 @@ def goncharov_symbol_bar(g: LiGen) -> Bar:
 
 def _monomial_image(a, exps: tuple) -> dict:
     """Image of a symmetric-tail monomial under a matrix on the variables."""
-    if not exps:
-        return {(): ONE}
     d = len(exps)
     poly = {(0,) * d: ONE}
     for j, e in enumerate(exps):
@@ -699,7 +690,7 @@ def st2_gl_act(a, x: St2) -> St2:
         va = [mat_vec(am, qv(p)) for p in key_a]
         vb = [mat_vec(am, qv(p)) for p in key_b]
         for new_exps, pc in _monomial_image(am, exps).items():
-            out = out + make_pair(va, vb, d, c * pc, new_exps)
+            out += make_pair(va, vb, d, c * pc, new_exps)
     return out
 
 
@@ -753,9 +744,7 @@ def _bar_slice_to_st2(slice_terms: dict, exps: tuple, ambient: int) -> St2:
         raise ArithmeticError("bar slice not in the L-generator span")
     out = St2.zero(ambient)
     for c, cand in zip(coeffs, family):
-        if c:
-            for k, v in cand.terms.items():
-                _acc(out.terms, k, c * v)
+        out += c * cand
     check = embed_s(out)
     want = {(w, exps): c for w, c in slice_terms.items()}
     if check.terms != want:
@@ -779,8 +768,7 @@ def truncated_symbol(g) -> St2:
         slices.setdefault(exps, {})[word] = c
     out = St2.zero(d)
     for exps in sorted(slices):
-        for k, v in _bar_slice_to_st2(slices[exps], exps, d).terms.items():
-            _acc(out.terms, k, v)
+        out += _bar_slice_to_st2(slices[exps], exps, d)
     return out
 
 
@@ -835,8 +823,7 @@ def li_identity_residual(terms: Sequence, seed: int = 0) -> Bar:
     for c, p in pairs:
         if p.depth < ambient:
             continue
-        for k, v in embed_s(truncated_symbol(p)).terms.items():
-            _acc(total.terms, k, c * v)
+        total += c * embed_s(truncated_symbol(p))
     return bar_infty_reduce(total, seed)
 
 

@@ -1,14 +1,16 @@
 """Tensor squares of apartment classes and their Lie-coalgebra structure.
 
 Elements here are combinations [A] (x) [B] of pairs of apartments of the
-same rank, optionally times a coordinate monomial recording a symmetric
-power. The s-map embeds such a pair into bar words of lines; products
-are slotwise concatenation; the coproduct splits the ambient space into
-a piece of each tensor factor. The two distinguished generator families
-L and I, their symbol recursions, duality, and the cyclic cobracket all
-live here, together with the projected zero test for the quotient by
-shuffle products (the "stable" quotient below, in which decomposables
-vanish).
+same rank, each times a coordinate monomial recording a symmetric power:
+a full-length exponent tuple, zero_exps when there is none. The s-map
+embeds such a pair into bar words of lines, carrying the tuple along, and
+the symbol recursions write their words with the zero tuple, so the two
+routes give equal Bars. Products are slotwise concatenation; the
+coproduct splits the ambient space into a piece of each tensor factor.
+The two distinguished generator families L and I, their symbol
+recursions, duality, and the cyclic cobracket all live here, together
+with the projected zero test for the quotient by shuffle products (the
+"stable" quotient below, in which decomposables vanish).
 
 The s-map walks pairs (prefix of the first factor's entries, suffix of the
 second's) depth first; the coproduct tests each split with one determinant.
@@ -30,95 +32,50 @@ from .qlinalg import (
     _int_det,
     _int_rank,
     canonical_point,
-    inverse,
+    dual_basis,
     qv,
     split_seed,
-    transpose,
     vec_add,
     vec_sub,
 )
 from .steinberg import (
     ApKey,
+    LinComb,
     Point,
     St,
     _acc,
     _cut_point,
     _perm_sign,
     flag_expand,
-    make_apartment,
     normalize_apartment,
+    zero_exps,
 )
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def zero_exps(n: int) -> tuple[int, ...]:
-    return (0,) * n
+class St2(LinComb):
+    """Combination of apartment pairs [A] (x) [B] times sym monomials.
 
+    terms: {(key_a, key_b, exps): coeff}; exps defaults to zero_exps.
+    """
 
-class St2:
-    """Combination of apartment pairs [A] (x) [B] times sym monomials."""
-
-    __slots__ = ("ambient", "terms")
-
-    def __init__(self, ambient: int, terms=None):
-        self.ambient = ambient
-        self.terms: dict = dict(terms) if terms else {}
-
-    @classmethod
-    def zero(cls, ambient: int) -> "St2":
-        return cls(ambient)
+    __slots__ = ()
 
     def add_term(self, key_a: ApKey, key_b: ApKey, c, exps=None) -> None:
         if len(key_a) != len(key_b):
             raise ValueError("tensor factors must have equal rank")
-        e = tuple(exps) if exps is not None else zero_exps(self.ambient)
+        e = tuple(exps) if exps else zero_exps(self.ambient)
         _acc(self.terms, (key_a, key_b, e), Fraction(c))
-
-    def __add__(self, other: "St2") -> "St2":
-        if self.ambient != other.ambient:
-            raise ValueError("ambient dimensions differ")
-        out = St2(self.ambient, self.terms)
-        for k, c in other.terms.items():
-            _acc(out.terms, k, c)
-        return out
-
-    def __sub__(self, other: "St2") -> "St2":
-        return self + (-1) * other
-
-    def __rmul__(self, c) -> "St2":
-        c = Fraction(c)
-        if c == 0:
-            return St2.zero(self.ambient)
-        return St2(self.ambient, {k: c * v for k, v in self.terms.items()})
-
-    def __neg__(self) -> "St2":
-        return (-1) * self
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, St2)
-            and self.ambient == other.ambient
-            and self.terms == other.terms
-        )
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def items(self):
-        return self.terms.items()
-
-    def __repr__(self) -> str:
-        return f"St2({len(self.terms)} terms, ambient={self.ambient})"
 
 
 def make_pair(vecs_a: Sequence, vecs_b: Sequence, ambient: int | None = None, c=1, exps=None) -> St2:
     n = ambient if ambient is not None else len(vecs_a[0])
     out = St2.zero(n)
     na = normalize_apartment(vecs_a, n)
-    nb = normalize_apartment(vecs_b, n)
-    if na is None or nb is None:
+    nb = normalize_apartment(vecs_b, n) if na is not None else None
+    if nb is None:
         return out
     out.add_term(na[0], nb[0], Fraction(c) * na[1] * nb[1], exps)
     return out
@@ -131,16 +88,8 @@ def st2_product(x: St2, y: St2) -> St2:
     out = St2.zero(x.ambient)
     for (ka1, kb1, e1), c1 in x.terms.items():
         for (ka2, kb2, e2), c2 in y.terms.items():
-            pa = make_apartment(ka1 + ka2, x.ambient)
-            if not pa.terms:
-                continue
-            pb = make_apartment(kb1 + kb2, x.ambient)
-            if not pb.terms:
-                continue
             e = tuple(a + b for a, b in zip(e1, e2, strict=True))
-            for ka, sa in pa.terms.items():
-                for kb, sb in pb.terms.items():
-                    _acc(out.terms, (ka, kb, e), c1 * c2 * sa * sb)
+            out += make_pair(ka1 + ka2, kb1 + kb2, x.ambient, c1 * c2, e)
     return out
 
 
@@ -263,11 +212,9 @@ def st2_coproduct(x: St2) -> list[tuple[tuple[int, ...], tuple[int, ...], St2, S
                     left_b_lines = [_cut_point(b_j + [key_b[j]], a_i) for j in j_comp]
                     right_a_lines = [_cut_point(a_i + [key_a[i]], b_j) for i in i_comp]
                     left = make_pair(
-                        a_i, left_b_lines, n, c=c * sign, exps=zero_exps(n)
+                        a_i, left_b_lines, n, c=c * sign
                     ) if i_set else _unit_st2(n, c * sign)
-                    right = make_pair(
-                        right_a_lines, b_j, n, exps=zero_exps(n)
-                    ) if j_set else _unit_st2(n, 1)
+                    right = make_pair(right_a_lines, b_j, n) if j_set else _unit_st2(n, 1)
                     if not left.terms or not right.terms:
                         continue
                     out.append((i_set, j_set, left, right))
@@ -276,8 +223,7 @@ def st2_coproduct(x: St2) -> list[tuple[tuple[int, ...], tuple[int, ...], St2, S
 
 def _unit_st2(n: int, c) -> St2:
     out = St2.zero(n)
-    if c:
-        _acc(out.terms, ((), (), zero_exps(n)), Fraction(c))
+    out.add_term((), (), c)
     return out
 
 
@@ -339,21 +285,8 @@ def dualize(x: St2) -> St2:
     for (key_a, key_b, exps), c in x.terms.items():
         if len(key_a) != x.ambient:
             raise ValueError("duality needs full-rank terms")
-        da = _dual_apartment(key_a)
-        db = _dual_apartment(key_b)
-        pa = make_apartment(db[0], x.ambient)
-        pb = make_apartment(da[0], x.ambient)
-        for ka, sa in pa.terms.items():
-            for kb, sb in pb.terms.items():
-                _acc(out.terms, (ka, kb, exps), c * sa * sb)
+        out += make_pair(dual_basis(key_b), dual_basis(key_a), x.ambient, c, exps)
     return out
-
-
-@lru_cache(maxsize=None)
-def _dual_apartment(key: ApKey) -> tuple[tuple[Vec, ...]]:
-    m = tuple(qv(p) for p in key)
-    dual = inverse(transpose(m))
-    return (dual,)
 
 
 # ------------------------------------------------------- symbol recursions
@@ -495,12 +428,10 @@ def st_infty_fingerprint(x: St2, w: Subspace, seed: int = 0) -> dict:
     """
     k = w.dim
     local = St2.zero(k)
-    for (key_a, key_b, exps), c in x.terms.items():
-        pa = make_apartment([w.local_coords(qv(p)) for p in key_a], k)
-        pb = make_apartment([w.local_coords(qv(p)) for p in key_b], k)
-        for ka, sa in pa.terms.items():
-            for kb, sb in pb.terms.items():
-                _acc(local.terms, (ka, kb, zero_exps(k)), c * sa * sb)
+    for (key_a, key_b, _exps), c in x.terms.items():
+        local += make_pair(
+            [w.local_coords(qv(p)) for p in key_a], [w.local_coords(qv(p)) for p in key_b], k, c
+        )
     return _fingerprint_local(local, w, seed)
 
 

@@ -1,5 +1,10 @@
 """Apartment classes of the rational Steinberg module.
 
+LinComb is the one sparse linear-combination type of the package: St here,
+St2 and Bar subclass it and only add their key builders. A term's
+symmetric-power tail is always a full-length exponent tuple; "no tail" is
+zero_exps(ambient).
+
 An apartment class [v_1, ..., v_d] is indexed by d independent lines in
 Q^d (or in a subspace). The defining relations are: reordering by the
 sign of the permutation, rescaling any entry by a nonzero scalar, the
@@ -55,6 +60,80 @@ def _acc(d: dict, key, c: Fraction) -> None:
         d.pop(key, None)
 
 
+def zero_exps(n: int) -> tuple[int, ...]:
+    """The exponent tuple of "no symmetric tail" in ambient dimension n."""
+    return (0,) * n
+
+
+class LinComb:
+    """Sparse linear combination {key: nonzero Fraction} in Q^ambient.
+
+    Subclasses only build keys. ``+=`` and ``-=`` add into the left
+    operand; ``+``, ``-``, ``c * x`` and ``-x`` return new combinations.
+    Combinations are mutable, so they compare by value but do not hash.
+    """
+
+    __slots__ = ("ambient", "terms")
+
+    def __init__(self, ambient: int, terms: dict | None = None):
+        self.ambient = ambient
+        self.terms: dict = dict(terms) if terms else {}
+
+    @classmethod
+    def zero(cls, ambient: int):
+        return cls(ambient)
+
+    def __iadd__(self, other: "LinComb"):
+        if type(other) is not type(self):
+            raise TypeError(f"cannot add {type(other).__name__} to {type(self).__name__}")
+        if self.ambient != other.ambient:
+            raise ValueError("ambient dimensions differ")
+        for k, c in other.terms.items():
+            _acc(self.terms, k, c)
+        return self
+
+    def __isub__(self, other: "LinComb"):
+        self += -other
+        return self
+
+    def __add__(self, other: "LinComb"):
+        out = type(self)(self.ambient, self.terms)
+        out += other
+        return out
+
+    def __sub__(self, other: "LinComb"):
+        out = type(self)(self.ambient, self.terms)
+        out -= other
+        return out
+
+    def __rmul__(self, c):
+        c = Fraction(c)
+        if not c:
+            return type(self)(self.ambient)
+        return type(self)(self.ambient, {k: c * v for k, v in self.terms.items()})
+
+    def __neg__(self):
+        return (-1) * self
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.ambient == other.ambient
+            and self.terms == other.terms
+        )
+
+    __hash__ = None
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def items(self):
+        return self.terms.items()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({len(self.terms)} terms, ambient={self.ambient})"
+
+
 def _sort_sign(points: Sequence[Point]) -> tuple[ApKey, int]:
     order = sorted(range(len(points)), key=lambda i: points[i])
     sign = 1
@@ -100,63 +179,13 @@ def normalize_apartment(vectors: Sequence[Sequence], ambient: int | None = None)
     return _sort_sign(points)
 
 
-class St:
+class St(LinComb):
     """Linear combination of apartment classes with rational coefficients."""
 
-    __slots__ = ("ambient", "terms")
-
-    def __init__(self, ambient: int, terms: dict[ApKey, Fraction] | None = None):
-        self.ambient = ambient
-        self.terms: dict[ApKey, Fraction] = dict(terms) if terms else {}
-
-    @classmethod
-    def zero(cls, ambient: int) -> "St":
-        return cls(ambient)
+    __slots__ = ()
 
     def add_term(self, key: ApKey, c: Fraction) -> None:
         _acc(self.terms, key, c)
-
-    def __add__(self, other: "St") -> "St":
-        if self.ambient != other.ambient:
-            raise ValueError("ambient dimensions differ")
-        out = St(self.ambient, self.terms)
-        for k, c in other.terms.items():
-            _acc(out.terms, k, c)
-        return out
-
-    def __sub__(self, other: "St") -> "St":
-        return self + (-1) * other
-
-    def __rmul__(self, c) -> "St":
-        c = Fraction(c)
-        if c == 0:
-            return St.zero(self.ambient)
-        return St(self.ambient, {k: c * v for k, v in self.terms.items()})
-
-    def __neg__(self) -> "St":
-        return (-1) * self
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, St)
-            and self.ambient == other.ambient
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        raise TypeError("St elements are mutable accumulators, not hashable")
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def items(self):
-        return self.terms.items()
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "St(0)"
-        bits = [f"{c}*{list(map(list, k))}" for k, c in sorted(self.terms.items())]
-        return "St(" + " + ".join(bits) + ")"
 
 
 def make_apartment(vectors: Sequence[Sequence], ambient: int | None = None) -> St:
@@ -177,9 +206,7 @@ def st_multiply(a: St, b: St) -> St:
     out = St.zero(a.ambient)
     for ka, ca in a.terms.items():
         for kb, cb in b.terms.items():
-            piece = make_apartment(ka + kb, a.ambient)
-            for key, s in piece.terms.items():
-                out.add_term(key, ca * cb * s)
+            out += ca * cb * make_apartment(ka + kb, a.ambient)
     return out
 
 
@@ -355,9 +382,7 @@ def residue(x: St, p: Sequence) -> St:
                 if not rest:
                     out.add_term((), c)
                 else:
-                    piece = make_apartment(rest, x.ambient - 1)
-                    for k2, s in piece.terms.items():
-                        out.add_term(k2, c * s * (-1) ** slot)
+                    out += c * (-1) ** slot * make_apartment(rest, x.ambient - 1)
                 break
     return out
 

@@ -31,16 +31,15 @@ def rand_word(rng, n, m):
 class TestDifferential:
     def test_two_letter_word_merges_once(self):
         d = bar_differential(bar_word([E1, E2], 3))
-        assert not d.terms
-        assert len(d.mixed) == 1
-        ((letters, exps),) = d.mixed.keys()
-        assert exps == ()
+        assert len(d.terms) == 1
+        ((letters, exps),) = d.terms.keys()
+        assert exps == (0, 0, 0)
         assert len(letters) == 1
         kind, rows, key = letters[0]
         assert kind == "S"
         # lex-sorted key storage folds a swap sign into the coefficient
         assert key == ((0, 1), (1, 0))
-        assert list(d.mixed.values()) == [Fraction(-1)]
+        assert list(d.terms.values()) == [Fraction(-1)]
 
     def test_adjacent_equal_lines_merge_to_zero(self):
         d = bar_differential(bar_word([E1, E1], 3))
@@ -49,7 +48,7 @@ class TestDifferential:
     def test_sign_alternation(self):
         # [a|b|c]: merges at j=0 and j=1 carry opposite signs
         d = bar_differential(bar_word([E1, E2, E3], 3))
-        assert sorted(d.mixed.values()) == [Fraction(-1), Fraction(1)]
+        assert sorted(d.terms.values()) == [Fraction(-1), Fraction(1)]
 
     def test_differential_squares_to_zero(self):
         rng = split_seed(11, "dd")

@@ -56,6 +56,12 @@ class TestReduce:
         code, _ = run(tmp_path, "reduce", str(p))
         assert code == 2
 
+    @pytest.mark.parametrize("terms", [5, None])
+    def test_non_list_terms_exit_2(self, tmp_path, terms):
+        path = write(tmp_path, "el.json", {"dim": 2, "terms": terms})
+        code, text = run(tmp_path, "reduce", path)
+        assert code == 2 and text == ""
+
     def test_short_vector_exits_2(self, tmp_path):
         path = write(tmp_path, "short.json", {
             "dim": 2,
@@ -106,7 +112,7 @@ class TestSymbol:
     def test_single_vector(self, tmp_path):
         code, report = run_json(tmp_path, "symbol", "--kind", "L", "3,6")
         assert code == 0
-        assert report["terms"] == [{"coeff": "1", "exp": [], "word": [["1", "2"]]}]
+        assert report["terms"] == [{"coeff": "1", "exp": [0, 0], "word": [["1", "2"]]}]
 
     def test_mixed_lengths_exit_2(self, tmp_path):
         code, _ = run(tmp_path, "symbol", "--kind", "L", "1,0", "0,1,0")
@@ -189,6 +195,19 @@ class TestVerify:
         code, text = run(tmp_path, "verify", "duality", path)
         assert code == 2 and text == ""
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_oracle_points_below_one_exits_2(self, tmp_path, points):
+        # the only case is perturbed, so an oracle that skips every point would PASS
+        path = write(tmp_path, "fix.json", {"cases": [{
+            "basis": [[2, 1], [1, 3]],
+            "perturb": {"vectors": [[1, 0], [0, 1]], "coeff": "1"},
+        }]})
+        code, text = run(tmp_path, "verify", "ashrudolph", path, "--oracle-points", points)
+        assert code == 2 and text == ""
+        code, report = run_json(tmp_path, "verify", "ashrudolph", path, "--oracle-points", "5")
+        assert code == 1
+        assert report["failures"][0]["witness"]["relation"] == "evaluation mismatch"
+
     def test_unknown_suite_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "nonsense"])
@@ -211,10 +230,18 @@ class TestSt:
         assert report["verdict"] == "FAIL"
         assert report["residual"]
 
-    def test_empty_identity_passes(self, tmp_path):
-        path = write(tmp_path, "empty.json", [])
-        code, report = run_json(tmp_path, "st", path)
-        assert code == 0 and report["verdict"] == "PASS"
+    def test_empty_identity_exits_2(self, tmp_path):
+        # nothing is checked, so there is no verdict to report
+        for data in ([], [{"coeff": "1", "product": [2, 2]}]):
+            code, text = run(tmp_path, "st", write(tmp_path, "empty.json", data))
+            assert code == 2 and text == ""
+
+    def test_matrix_above_max_dim_exits_2(self, tmp_path):
+        # depth 1 keeps the case cheap should the bound ever be missing
+        m = [[str(int(i == j)) for j in range(MAX_DIM + 1)] for i in range(MAX_DIM + 1)]
+        path = write(tmp_path, "big.json", [{"coeff": "1", "matrix": m, "exponents": [2]}])
+        code, text = run(tmp_path, "st", path)
+        assert code == 2 and text == ""
 
     def test_mixed_weight_file_exits_2(self, tmp_path):
         path = write(tmp_path, "mixed.json", [
