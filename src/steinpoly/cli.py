@@ -21,11 +21,10 @@ from .cones import (
 )
 from .mpl import identity_terms_from_json, li_identity_residual
 from .qlinalg import (
-    det,
+    _int_det,
     dual_basis,
     frac_from_str,
     frac_to_str,
-    qm,
     qv,
     rank,
     split_seed,
@@ -49,6 +48,15 @@ ONE = Fraction(1)
 # The flag normal form and the s-map visit d! orderings of an apartment, so
 # every dimension taken from arguments or input files is bounded.
 MAX_DIM = 6
+
+# `st` expands each generator's symmetric tail under its matrix into up to
+# C(w - 1, d - 1) monomials of total weight w, so the weight is bounded too.
+MAX_WEIGHT = 12
+
+# A truncated Fourier sum visits m_max ** (number of generators) lattice
+# points, and the shuffle study box ** 2; `fourier` refuses studies that
+# would visit more than this.
+MAX_FOURIER_POINTS = 10**6
 
 
 class InputError(Exception):
@@ -329,10 +337,9 @@ def _suite_ashrudolph(basis, n, seed, points, extra):
     x = make_apartment([qv(v) for v in basis], n)
     red = ash_rudolph_reduce([qv(v) for v in basis])
     if extra is not None:
-        red = red + extra
+        red += extra
     for key in red.terms:
-        d = det(qm([list(p) for p in key]))
-        if abs(d) != 1:
+        if abs(_int_det(key)) != 1:
             return {"relation": "unimodularity", "apartment": [vec_to_json(p) for p in key]}
     if not st_equality_oracle(x, red, seed=seed, points=points):
         return {"relation": "evaluation mismatch", "terms": _st_to_json(red)[:8]}
@@ -411,6 +418,8 @@ def cmd_st(args) -> int:
         raise InputError("identity file has no generator terms")
     for p in generators:
         _check_dim(p.ambient, "identity matrix size")
+        if p.weight > MAX_WEIGHT:
+            raise InputError(f"identity weight must be at most {MAX_WEIGHT}, got {p.weight}")
     try:
         residual = li_identity_residual(terms, seed=args.seed)
     except ValueError as exc:
@@ -433,10 +442,18 @@ def cmd_st(args) -> int:
 # ---------------------------------------------------------------- fourier
 
 
+def _check_points(side: int, dims: int) -> None:
+    if side**dims > MAX_FOURIER_POINTS:
+        raise InputError(
+            f"a box of side {side} in {dims} dimensions has more than {MAX_FOURIER_POINTS} lattice points"
+        )
+
+
 def _study_bernoulli(cfg, box, seed):
     weights = [_positive_int(n, "weight") for n in cfg.get("weights", [1, 2, 3])]
     points = [_frac(x) for x in cfg.get("points", ["1/3", "1/5", "2/7"])]
     m_max = box or _positive_int(cfg.get("m_max", 10000), "m_max")
+    _check_points(m_max, 1)
     tol = cfg.get("tolerance")
     rows = []
     ok = True
@@ -471,6 +488,7 @@ def _study_bernoulli(cfg, box, seed):
 
 def _study_shuffle(cfg, box, seed):
     size = box or _positive_int(cfg.get("box", 25), "box")
+    _check_points(size, 2)
     good = coefficient_shuffle_check(size)
     return ["box", "status"], [[str(size), "pass" if good else "fail"]], good
 
@@ -483,7 +501,15 @@ def _study_cone(cfg, box, seed):
         points = [[_frac(e) for e in p] for p in cfg["points"]]
     except (KeyError, TypeError) as exc:
         raise InputError(f"cone study needs generators/forms/exponents/points: {exc}")
+    if not gens:
+        raise InputError("cone study needs at least one generator")
+    n = len(gens[0])
+    if any(len(v) != n for v in gens + forms + points):
+        raise InputError(f"cone generators, forms and points need {n} coordinates each")
+    if len(forms) != len(ns):
+        raise InputError(f"{len(forms)} forms but {len(ns)} exponents")
     m_max = box or _positive_int(cfg.get("m_max", 50), "m_max")
+    _check_points(m_max, len(gens))
     rows = []
     for p in points:
         try:

@@ -5,7 +5,9 @@ the product of the dual linear forms at z; this turns exact identities
 between combinations of apartments into identities of rational
 functions, checkable at random integer points. The same cones carry
 generating-function coefficients, giving the quasi-shuffle and
-Bernoulli checks at the lattice level.
+Bernoulli checks at the lattice level. Truncated Fourier sums run in
+integers (denominators cleared once, phases memoised by residue) and give
+the same floats, bit for bit, as the exact Fraction sum rounded term by term.
 """
 from __future__ import annotations
 
@@ -13,11 +15,14 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product as iproduct
+from operator import mul
 from typing import Sequence
 
 from .qlinalg import (
     Vec,
     _int_det,
+    _row_to_int,
     det,
     dual_basis,
     qv,
@@ -223,26 +228,57 @@ def truncated_fourier_sum(
 
     Runs the generator multiples over 1..m_max each; the phase at nu is
     exp(2 pi i <x, nu>) with <x, nu> reduced mod 1 exactly first.
+
+    The sum runs in integers. With the denominators of the generators
+    cleared to one g, nu = sum_j lam_j G_j / g; a form U / u pairs with it
+    to sum_j lam_j (U.G_j) / (u g), and x = X / e to a phase k / (e g) with
+    k = sum_j lam_j (X.G_j) mod e g. So each coefficient is a fixed integer
+    scale over a product of integer pairings; int / int true division
+    rounds it exactly as float() of the Fraction, and exp(2 pi i k / (e g))
+    is memoised per residue k. The terms are added in the same order as
+    the Fraction sum, so the result is the same float bit for bit.
     """
     gens = [qv(g) for g in generators]
     xv = qv(x)
-    d = len(gens)
+    n = len(xv)
+    if any(len(g) != n for g in gens):
+        raise ValueError("generators and x must have the same length")
+    if len(forms) != len(ns):
+        raise ValueError("one exponent per form")
+    gden = math.lcm(*(c.denominator for g in gens for c in g))
+    gint = [[c.numerator * (gden // c.denominator) for c in g] for g in gens]
+    scale_num = scale_den = 1
+    pairings = []  # (U.G_j for each j, exponent)
+    for u, m in zip(forms, ns):
+        urow, uden = _row_to_int(qv(u))
+        if len(urow) != n:
+            raise ValueError("forms and x must have the same length")
+        if m > 0:
+            scale_num *= (uden * gden) ** m
+        elif m < 0:
+            scale_den *= (uden * gden) ** -m
+        pairings.append(([sum(map(mul, urow, g)) for g in gint], m))
+    xrow, xden = _row_to_int(xv)
+    xpair = [sum(map(mul, xrow, g)) for g in gint]
+    period = xden * gden
+    phases: dict[int, complex] = {}
     total = 0j
-    from itertools import product as iproduct
-
-    for lam in iproduct(range(1, m_max + 1), repeat=d):
-        nu = tuple(
-            sum(lam[j] * gens[j][r] for j in range(d)) for r in range(len(xv))
-        )
-        coeff = ONE
-        try:
-            for u, m in zip(forms, ns, strict=True):
-                coeff *= vec_dot(qv(u), nu) ** (-m)
-        except ZeroDivisionError:
-            raise PoleError(f"lattice point {nu} pairs to zero with a form") from None
-        phase = vec_dot(xv, nu)
-        frac = phase - math.floor(phase)
-        total += float(coeff) * cmath.exp(2j * math.pi * float(frac))
+    for lam in iproduct(range(1, m_max + 1), repeat=len(gint)):
+        num, den = scale_num, scale_den
+        for row, m in pairings:
+            p = sum(map(mul, row, lam))
+            if m > 0:
+                den *= p**m
+            elif m < 0:
+                num *= p**-m
+        if not den:
+            nu = ", ".join(str(Fraction(sum(map(mul, lam, col)), gden)) for col in zip(*gint))
+            raise PoleError(f"lattice point ({nu}) pairs to zero with a form")
+        k = sum(map(mul, xpair, lam)) % period
+        phase = phases.get(k)
+        if phase is None:
+            phase = phases[k] = cmath.exp(2j * math.pi * (k / period))
+        total += num / den * phase
     return total
 
 

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -143,33 +143,6 @@ def det(m: Sequence[Sequence[Fraction]]) -> Fraction:
         scaled.append(irow)
         denom *= mult
     return Fraction(_int_det(scaled), denom)
-
-
-def det_perm_expansion(m: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Leibniz-formula determinant. Exponential; only for cross-checks."""
-    n = len(m)
-    if n == 0:
-        return ONE
-    total = ZERO
-    for perm, sign in _signed_permutations(n):
-        prod = Fraction(sign)
-        for i, j in enumerate(perm):
-            prod *= m[i][j]
-        total += prod
-    return total
-
-
-def _signed_permutations(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    def rec(rest: list[int]) -> Iterator[tuple[tuple[int, ...], int]]:
-        if not rest:
-            yield (), 1
-            return
-        for idx, first in enumerate(rest):
-            sub = rest[:idx] + rest[idx + 1 :]
-            for tail, s in rec(sub):
-                yield (first,) + tail, s * (-1) ** idx
-
-    yield from rec(list(range(n)))
 
 
 def rref(rows: Sequence[Vec]) -> tuple[Mat, tuple[int, ...]]:

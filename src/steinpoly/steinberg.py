@@ -21,14 +21,19 @@ ints; cut lines come from signed maximal minors (Bareiss determinants), so
 the walk does no Fraction arithmetic.
 
 ash_rudolph_reduce rewrites an integral apartment as a sum of unimodular
-ones (continued-fraction pivots in rank 2, residue/coresidue descent in
-higher rank).
+ones. In rank 2 it splits [a, b] = [a, w] + [w, b] at a pivot w whose child
+determinants are at most ceil(sqrt|det|); the admissible pivots form a
+rank-2 lattice of index |det|, and the pivot is read off its Lagrange-reduced
+basis in O(log |det|) steps instead of a scan of a box of side 2 sqrt|det|.
+Higher rank uses residue/coresidue descent in unimodular integer charts.
+The whole reduction runs on int keys and int coefficients.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .qlinalg import (
@@ -38,10 +43,7 @@ from .qlinalg import (
     _int_det,
     _int_rank,
     canonical_point,
-    det,
-    identity,
     int_point,
-    inverse,
     qv,
     rational_point,
 )
@@ -404,45 +406,51 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 @lru_cache(maxsize=None)
 def _line_chart(p: Point) -> tuple[Mat, Mat]:
-    """Unimodular U with U e_1 = p, plus T = U^{-1}; lattice-exact chart."""
+    """Unimodular U with U e_1 = p, plus T = U^{-1}; lattice-exact chart.
+
+    T is built from the bottom up by 2 x 2 xgcd steps of determinant 1 on
+    rows i-1, i, and U by the inverse steps on columns i-1, i in the same
+    order, so both are integer matrices and no inverse is solved for.
+    """
     n = len(p)
-    t_rows = [list(row) for row in identity(n)]
-    w = [Fraction(x) for x in p]
+    t_rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    u_cols = [[int(i == j) for j in range(n)] for i in range(n)]
+    w = list(p)
     for i in range(n - 1, 0, -1):
-        a, b = int(w[i - 1]), int(w[i])
+        a, b = w[i - 1], w[i]
         if b == 0:
             continue
         g, sa, sb = _xgcd(a, b)
-        row_a, row_b = t_rows[i - 1], t_rows[i]
-        new_a = [sa * x + sb * y for x, y in zip(row_a, row_b)]
-        new_b = [
-            Fraction(-b // g) * x + Fraction(a // g) * y for x, y in zip(row_a, row_b)
-        ]
-        t_rows[i - 1], t_rows[i] = new_a, new_b
-        w[i - 1], w[i] = Fraction(g), Fraction(0)
+        ag, bg = a // g, -b // g
+        # rows go by [[sa, sb], [-b/g, a/g]], columns by its inverse [[a/g, -sb], [b/g, sa]]
+        ra, rb = t_rows[i - 1], t_rows[i]
+        t_rows[i - 1] = [sa * x + sb * y for x, y in zip(ra, rb)]
+        t_rows[i] = [bg * x + ag * y for x, y in zip(ra, rb)]
+        ca, cb = u_cols[i - 1], u_cols[i]
+        u_cols[i - 1] = [ag * x - bg * y for x, y in zip(ca, cb)]
+        u_cols[i] = [sa * y - sb * x for x, y in zip(ca, cb)]
+        w[i - 1], w[i] = g, 0
     if w[0] == -1:
         t_rows[0] = [-x for x in t_rows[0]]
-        w[0] = Fraction(1)
-    assert w[0] == 1 and all(x == 0 for x in w[1:])
-    t_mat = tuple(tuple(r) for r in t_rows)
-    u_mat = inverse(t_mat)
-    return u_mat, t_mat
+        u_cols[0] = [-x for x in u_cols[0]]
+        w[0] = 1
+    assert w[0] == 1 and not any(w[1:])
+    return tuple(zip(*u_cols)), tuple(tuple(r) for r in t_rows)
 
 
-def _chart_coords(t_mat: Mat, v: Point) -> tuple[Fraction, Vec]:
-    img = tuple(
-        sum((row[i] * v[i] for i in range(len(v))), start=ZERO) for row in t_mat
-    )
-    return img[0], img[1:]
+def _chart_coords(t_mat: Mat, v: Point) -> Point:
+    """Integer coordinates of v in Z^n / Z p, for T = _line_chart(p)[1]."""
+    return tuple(sum(map(mul, row, v)) for row in t_mat[1:])
 
 
 def ash_rudolph_reduce(vectors: Sequence[Sequence]) -> St:
     """Express an integral apartment as a sum of unimodular apartments.
 
-    The rank-2 case runs a continued-fraction style subdivision with a
-    deterministic pivot (minimal child determinants, lexicographic tie
-    break); higher rank peels boundary components at one line at a time
-    and rebuilds the element from unimodular lifts, level by level.
+    The rank-2 case subdivides [a, b] = [a, w] + [w, b] at the pivot of
+    _ar_pivot, whose child determinants are at most ceil(sqrt|det|), so the
+    recursion is shallow and each node costs O(log |det|); higher rank
+    peels boundary components at one line at a time and rebuilds the
+    element from unimodular lifts, level by level, in integer charts.
     """
     vecs = [qv(v) for v in vectors]
     for v in vecs:
@@ -452,7 +460,7 @@ def ash_rudolph_reduce(vectors: Sequence[Sequence]) -> St:
     n = len(vecs[0])
     if len(vecs) != n:
         raise ValueError("apartment must have as many vectors as coordinates")
-    start = make_apartment(vecs, n)
+    start = make_apartment([tuple(int(x) for x in v) for v in vecs], n)
     return _ar_elem(start)
 
 
@@ -465,12 +473,12 @@ def _ar_elem(x: St) -> St:
 
 
 @lru_cache(maxsize=None)
-def _ar_apartment(key: ApKey) -> tuple[tuple[ApKey, Fraction], ...]:
+def _ar_apartment(key: ApKey) -> tuple[tuple[ApKey, int], ...]:
+    """Unimodular reduction of one apartment, with integer coefficients."""
     d = len(key)
-    mat = tuple(qv(p) for p in key)
-    dd = int(det(mat))
+    dd = _int_det(key)
     if d == 1 or abs(dd) == 1:
-        return ((key, Fraction(1)),)
+        return ((key, 1),)
     if d == 2:
         terms = _ar_rank2(key, dd)
     else:
@@ -478,56 +486,119 @@ def _ar_apartment(key: ApKey) -> tuple[tuple[ApKey, Fraction], ...]:
     return tuple(sorted(terms.items()))
 
 
-def _ar_rank2(key: ApKey, dd: int) -> dict[ApKey, Fraction]:
-    a, b = key
+def _int_acc(d: dict, key, c: int) -> None:
+    v = d.get(key, 0) + c
+    if v:
+        d[key] = v
+    else:
+        d.pop(key, None)
+
+
+def _add_apartment(out: dict, vectors: Sequence[Point], c: int, ambient: int, reduce: bool) -> None:
+    """out += c [vectors], or c times its unimodular reduction when reduce."""
+    norm = normalize_apartment(vectors, ambient)
+    if norm is None:
+        return
+    key, sign = norm
+    for k2, c2 in _ar_apartment(key) if reduce else ((key, 1),):
+        _int_acc(out, k2, c * sign * c2)
+
+
+def _lagrange_reduce(u: Point, v: Point) -> tuple[Point, Point]:
+    """Gauss-Lagrange reduced basis of u Z + v Z in Z^2: |u| <= |v|, 2|u.v| <= |u|^2."""
+    nu, nv = u[0] * u[0] + u[1] * u[1], v[0] * v[0] + v[1] * v[1]
+    if nv < nu:
+        u, v, nu, nv = v, u, nv, nu
+    while True:
+        q = (2 * (u[0] * v[0] + u[1] * v[1]) + nu) // (2 * nu)  # nearest to u.v / |u|^2
+        v = (v[0] - q * u[0], v[1] - q * u[1])
+        nv = v[0] * v[0] + v[1] * v[1]
+        if nv >= nu:
+            return u, v
+        u, v, nu, nv = v, u, nv, nu
+
+
+def _short_vectors(u: Point, v: Point, bound: int):
+    """Every alpha u + beta v of squared length at most bound, u, v reduced.
+
+    For fixed beta the squared length is ((uu alpha + uv beta)^2 + G beta^2) / uu
+    with G = uu vv - uv^2, so beta^2 <= bound uu / G and
+    |uu alpha + uv beta| <= isqrt(uu bound - G beta^2); both bounds are exact.
+    """
+    uu, uv, vv = u[0] * u[0] + u[1] * u[1], u[0] * v[0] + u[1] * v[1], v[0] * v[0] + v[1] * v[1]
+    gram = uu * vv - uv * uv
+    top = isqrt(bound * uu // gram)
+    for beta in range(-top, top + 1):
+        root = isqrt(uu * bound - gram * beta * beta)
+        lo, hi = -((uv * beta + root) // uu), (root - uv * beta) // uu
+        for alpha in range(lo, hi + 1):
+            yield alpha * u[0] + beta * v[0], alpha * u[1] + beta * v[1]
+
+
+def _ar_pivot(a: Point, b: Point, dd: int) -> Point:
+    """Pivot w = (t a + s b) / dd of the rank-2 step [a, b] = [a, w] + [w, b].
+
+    Among the integral w with 0 < |s|, |t| < |dd| and max(|s|, |t|) at most
+    r = ceil(sqrt|dd|), it takes the one minimising
+    (max(|s|, |t|), |s| + |t|, w). The child determinants are s and t.
+    The admissible (t, s) form the lattice adj[a; b] Z^2 of index |dd|,
+    with basis (b_2, -a_2), (-b_1, a_1) (and w is the coefficient vector
+    in it). After Lagrange reduction an admissible point among u, v, u + v,
+    u - v bounds the sup norm of the minimiser, and only the few lattice
+    points in the disc around that sup-norm box are visited, so the step
+    costs O(log |dd|) (Ash-Rudolph 1979; Cohen 1993, section 1.3).
+    """
     absd = abs(dd)
     r = isqrt(absd)
     if r * r < absd:
         r += 1
+    u, v = _lagrange_reduce((b[1], -a[1]), (-b[0], a[0]))
+
+    def norm(p: Point) -> int | None:
+        t, s = p
+        m = max(abs(t), abs(s))
+        return m if t and s and m <= r and m < absd else None
+
+    radius = r
+    for p in (u, v, (u[0] + v[0], u[1] + v[1]), (u[0] - v[0], u[1] - v[1])):
+        m = norm(p)
+        if m is not None:
+            radius = min(radius, m)
     best = None
-    for s in range(-r, r + 1):
-        if s == 0 or abs(s) >= absd:
+    for t, s in _short_vectors(u, v, 2 * radius * radius):
+        m = norm((t, s))
+        if m is None or m > radius:
             continue
-        for t in range(-r, r + 1):
-            if t == 0 or abs(t) >= absd:
-                continue
-            num = tuple(t * ai + s * bi for ai, bi in zip(a, b))
-            if any(x % dd for x in num):
-                continue
-            w = tuple(x // dd for x in num)
-            cand = (max(abs(s), abs(t)), abs(s) + abs(t), w)
-            if best is None or cand < best:
-                best = cand
+        w = tuple((t * ai + s * bi) // dd for ai, bi in zip(a, b))
+        cand = (m, abs(s) + abs(t), w)
+        if best is None or cand < best:
+            best = cand
     assert best is not None, "no admissible pivot; determinant box too small"
-    w = best[2]
-    out: dict[ApKey, Fraction] = {}
-    for child in (make_apartment((a, w)), make_apartment((w, b))):
-        for ckey, cc in child.terms.items():
-            for k2, c2 in _ar_apartment(ckey):
-                _acc(out, k2, cc * c2)
+    return best[2]
+
+
+def _ar_rank2(key: ApKey, dd: int) -> dict[ApKey, int]:
+    a, b = key
+    w = _ar_pivot(a, b, dd)
+    out: dict[ApKey, int] = {}
+    _add_apartment(out, (a, w), 1, 2, True)
+    _add_apartment(out, (w, b), 1, 2, True)
     return out
 
 
-def _ar_descent(key: ApKey) -> dict[ApKey, Fraction]:
+def _ar_descent(key: ApKey) -> dict[ApKey, int]:
     d = len(key)
 
     # boundary targets of the input, one per line with nonzero height
-    targets: dict[Point, dict[ApKey, Fraction]] = {}
+    targets: dict[Point, dict[ApKey, int]] = {}
     for slot, p in enumerate(key):
         if p[-1] == 0:
             continue
         _, t_mat = _line_chart(p)
-        rest = []
-        for q in key[:slot] + key[slot + 1 :]:
-            _, qc = _chart_coords(t_mat, q)
-            rest.append(qc)
-        piece = make_apartment(rest, d - 1)
-        reduced = _ar_elem(piece)
-        bucket = targets.setdefault(p, {})
-        for k2, c2 in reduced.terms.items():
-            _acc(bucket, k2, Fraction((-1) ** slot) * c2)
+        rest = [_chart_coords(t_mat, q) for q in key[:slot] + key[slot + 1 :]]
+        _add_apartment(targets.setdefault(p, {}), rest, (-1) ** slot, d - 1, True)
 
-    x: dict[ApKey, Fraction] = {}
+    x: dict[ApKey, int] = {}
     processed: set[Point] = set()
     while True:
         live: set[Point] = {p for p in targets if p not in processed}
@@ -542,38 +613,28 @@ def _ar_descent(key: ApKey) -> dict[ApKey, Fraction]:
         for p_line in lines:
             processed.add(p_line)
             u_mat, t_mat = _line_chart(p_line)
-            need: dict[ApKey, Fraction] = dict(targets.get(p_line, {}))
+            need: dict[ApKey, int] = dict(targets.get(p_line, {}))
             for k2, c2 in _delta_line(x, p_line, t_mat).items():
-                _acc(need, k2, -c2)
+                _int_acc(need, k2, -c2)
             if not need:
                 continue
             step = p_line if p_line[-1] > 0 else tuple(-c for c in p_line)
             for q_ap, c in need.items():
                 lifts = []
                 for q in q_ap:
-                    u0 = tuple(
-                        int(sum(u_mat[r][i] * Fraction(qi) for i, qi in enumerate((0,) + q)))
-                        for r in range(d)
-                    )
+                    u0 = [sum(map(mul, row, (0,) + q)) for row in u_mat]
                     shift = u0[-1] // k_level
                     lifts.append(tuple(a - shift * b for a, b in zip(u0, step)))
-                piece = make_apartment((p_line,) + tuple(lifts), d)
-                for k3, c3 in piece.terms.items():
-                    _acc(x, k3, c * c3)
+                _add_apartment(x, (p_line, *lifts), c, d, False)
     return x
 
 
-def _delta_line(x: dict[ApKey, Fraction], p: Point, t_mat: Mat) -> dict[ApKey, Fraction]:
-    out: dict[ApKey, Fraction] = {}
+def _delta_line(x: dict[ApKey, int], p: Point, t_mat: Mat) -> dict[ApKey, int]:
+    out: dict[ApKey, int] = {}
     for ap, c in x.items():
         for slot, pt in enumerate(ap):
             if pt == p:
-                rest = []
-                for q in ap[:slot] + ap[slot + 1 :]:
-                    _, qc = _chart_coords(t_mat, q)
-                    rest.append(qc)
-                piece = make_apartment(rest, len(p) - 1)
-                for k2, c2 in piece.terms.items():
-                    _acc(out, k2, c * c2 * (-1) ** slot)
+                rest = [_chart_coords(t_mat, q) for q in ap[:slot] + ap[slot + 1 :]]
+                _add_apartment(out, rest, c * (-1) ** slot, len(p) - 1, False)
                 break
     return out

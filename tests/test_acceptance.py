@@ -363,6 +363,19 @@ def test_criterion_10_unimodular_reduction():
             assert abs(det(qm(key))) == 1
         assert st_equality_oracle(out, make_apartment(vecs), seed=done, points=5)
         done += 1
+    # large determinants: the rank-2 pivot comes from a reduced lattice
+    done = 0
+    while done < 5:
+        vecs = tuple(tuple(rng.randint(-1000, 1000) for _ in range(2)) for _ in range(2))
+        dd = abs(det(qm(vecs)))
+        if not 10**5 <= dd <= 10**6:
+            continue
+        out = ash_rudolph_reduce(vecs)
+        for key in out.terms:
+            assert abs(det(qm(key))) == 1
+        assert len(out.terms) <= 4 * math.log2(dd) + 4
+        assert st_equality_oracle(out, make_apartment(vecs), seed=done, points=5)
+        done += 1
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0, f"reduction suite took {elapsed:.2f}s"
 
@@ -379,7 +392,7 @@ def test_criterion_11_fourier_bernoulli_and_shuffle():
             assert abs(val - ref) <= tol, (n, x, abs(val - ref))
     assert coefficient_shuffle_check(25)
     elapsed = time.monotonic() - t0
-    assert elapsed < 30.0, f"fourier suite took {elapsed:.2f}s"
+    assert elapsed < 10.0, f"fourier suite took {elapsed:.2f}s"
 
 
 def test_criterion_12_gl_equivariance():

@@ -4,7 +4,7 @@ from importlib import resources
 
 import pytest
 
-from steinpoly.cli import MAX_DIM, main
+from steinpoly.cli import MAX_DIM, MAX_FOURIER_POINTS, MAX_WEIGHT, main
 
 FIXTURE = str(resources.files("steinpoly").joinpath("data/weight4_depth2.json"))
 
@@ -243,6 +243,14 @@ class TestSt:
         code, text = run(tmp_path, "st", path)
         assert code == 2 and text == ""
 
+    def test_weight_above_max_weight_exits_2(self, tmp_path):
+        # one term of weight 90 expands into C(89, 2) = 3916 tail monomials
+        m = [["1", "0", "0"], ["1", "1", "0"], ["0", "1", "1"]]
+        path = write(tmp_path, "heavy.json", [{"coeff": "1", "matrix": m, "exponents": [30, 30, 30]}])
+        code, text = run(tmp_path, "st", path)
+        assert code == 2 and text == ""
+        assert 4 <= MAX_WEIGHT < 90
+
     def test_mixed_weight_file_exits_2(self, tmp_path):
         path = write(tmp_path, "mixed.json", [
             {"coeff": "1", "matrix": [["1"]], "exponents": [2]},
@@ -314,6 +322,39 @@ class TestFourier:
         })
         code, _ = run(tmp_path, "fourier", path)
         assert code == 2
+
+    @pytest.mark.parametrize("change", [
+        pytest.param({"generators": [[1, 0, 7], [0, 1]]}, id="ragged-generators"),
+        pytest.param({"forms": [[1, 0], [0, 1, 1]]}, id="form-length"),
+        pytest.param({"points": [["1/3", "1/7"], ["1/5"]]}, id="point-length"),
+        pytest.param({"exponents": [1, 1, 2]}, id="more-exponents-than-forms"),
+        pytest.param({"forms": [[1, 0]]}, id="fewer-forms-than-exponents"),
+        pytest.param({"m_max": 1001}, id="points-above-cap"),  # 1001 ** 2 lattice points
+    ])
+    def test_malformed_cone_study_exits_2(self, tmp_path, change):
+        cfg = {
+            "study": "cone",
+            "generators": [[1, 0], [1, 1]],
+            "forms": [[1, 0], [0, 1]],
+            "exponents": [1, 1],
+            "points": [["1/3", "1/7"]],
+            "m_max": 20,
+            **change,
+        }
+        code, text = run(tmp_path, "fourier", write(tmp_path, "c.json", cfg))
+        assert code == 2 and text == ""
+
+    def test_bernoulli_box_above_point_cap_exits_2(self, tmp_path):
+        path = write(tmp_path, "b.json", {"study": "bernoulli", "weights": [2], "points": ["1/3"]})
+        code, text = run(tmp_path, "fourier", path, "--box", str(MAX_FOURIER_POINTS + 1))
+        assert code == 2 and text == ""
+        code, _ = run(tmp_path, "fourier", path, "--box", "1000")
+        assert code == 0
+
+    def test_shuffle_box_above_point_cap_exits_2(self, tmp_path):
+        path = write(tmp_path, "s.json", {"study": "shuffle"})
+        code, text = run(tmp_path, "fourier", path, "--box", "1001")
+        assert code == 2 and text == ""
 
     def test_nonpositive_box_exits_2(self, tmp_path):
         path = write(tmp_path, "s.json", {"study": "shuffle"})

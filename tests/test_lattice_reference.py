@@ -1,0 +1,128 @@
+"""The integer lattice kernels against the seed's box search and Fraction sum.
+
+ash_rudolph_reduce finds its rank-2 pivot in a reduced rank-2 lattice and
+works in integer charts; truncated_fourier_sum runs in integers. Both must
+give exactly what the references in lattice_reference.py give: the same
+pivot, the same reduction term for term, and the same complex float bit
+for bit.
+"""
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import lattice_reference as ref
+from steinpoly.cones import PoleError, truncated_fourier_sum
+from steinpoly.qlinalg import _int_det
+from steinpoly.steinberg import _ar_pivot, _line_chart, ash_rudolph_reduce, int_point
+
+F = Fraction
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def _primitive(v):
+    return gcd(*v) == 1
+
+
+@st.composite
+def rank2_pairs(draw, max_det=20_000):
+    """Primitive (a, b) with 1 < |det| <= max_det: generic pairs and skew
+    ones, a = (1, 0), b = (c, det), whose lattice has a very short vector."""
+    if draw(st.booleans()):
+        a = (draw(st.integers(-100, 100)), draw(st.integers(-100, 100)))
+        b = (draw(st.integers(-100, 100)), draw(st.integers(-100, 100)))
+    else:
+        dd = draw(st.integers(2, max_det)) * draw(st.sampled_from((1, -1)))
+        a, b = (1, 0), (draw(st.integers(-max_det, max_det)), dd)
+    assume(_primitive(a) and _primitive(b))
+    dd = _int_det([a, b])
+    assume(1 < abs(dd) <= max_det)
+    return a, b, dd
+
+
+@SETTINGS
+@given(rank2_pairs())
+def test_pivot_equals_box_search(pair):
+    a, b, dd = pair
+    assert _ar_pivot(a, b, dd) == ref.box_pivot(a, b, dd)
+
+
+@SETTINGS
+@given(rank2_pairs())
+def test_rank2_reduction_equals_reference(pair):
+    a, b, _ = pair
+    new, old = ash_rudolph_reduce([a, b]), ref.ash_rudolph_reduce([a, b])
+    assert list(new.terms.items()) == list(old.terms.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(3, 4).flatmap(
+        lambda d: st.lists(
+            st.lists(st.integers(-3, 3) if d == 3 else st.integers(-2, 2), min_size=d, max_size=d),
+            min_size=d,
+            max_size=d,
+        )
+    )
+)
+def test_descent_equals_reference(rows):
+    dd = _int_det(rows)
+    assume(dd != 0 and abs(dd) <= 60)
+    new, old = ash_rudolph_reduce(rows), ref.ash_rudolph_reduce(rows)
+    assert list(new.terms.items()) == list(old.terms.items())
+
+
+@SETTINGS
+@given(st.lists(st.integers(-40, 40), min_size=2, max_size=5))
+def test_line_chart_equals_reference(v):
+    assume(any(v))
+    p = int_point(v)
+    u, t = _line_chart(p)
+    ru, rt = ref._line_chart(p)
+    assert u == ru and t == rt
+    assert all(type(x) is int for m in (u, t) for row in m for x in row)
+
+
+rationals = st.builds(F, st.integers(-9, 9), st.sampled_from((1, 1, 2, 3, 7)))
+big_den = st.builds(
+    F,
+    st.integers(-(10**9), 10**9),
+    st.sampled_from((1, 3, 999_999_937, 10**9 + 7, 10**9 - 1)),
+)
+
+
+@st.composite
+def cone_sums(draw):
+    d = draw(st.integers(1, 2))
+    n = draw(st.integers(d, d + 1))
+    vec = st.lists(rationals, min_size=n, max_size=n)
+    gens = draw(st.lists(vec, min_size=d, max_size=d))
+    forms = draw(st.lists(vec, min_size=0, max_size=2))
+    ns = draw(st.lists(st.sampled_from((1, 2, 3, 0, -1)), min_size=len(forms), max_size=len(forms)))
+    x = draw(st.lists(st.one_of(rationals, big_den), min_size=n, max_size=n))
+    m_max = draw(st.integers(1, 60 if d == 1 else 8))
+    return gens, forms, ns, x, m_max
+
+
+def _sum_or_pole(fn, args):
+    try:
+        return repr(fn(*args))
+    except PoleError:
+        return "pole"
+
+
+@settings(max_examples=150, deadline=None)
+@given(cone_sums())
+def test_fourier_sum_bit_equal(args):
+    # repr tells apart every two floats, -0.0 and 0.0 included
+    assert _sum_or_pole(truncated_fourier_sum, args) == _sum_or_pole(ref.truncated_fourier_sum, args)
+
+
+@pytest.mark.parametrize("x", [F(1, 3), F(2, 7), F(123_456_789, 999_999_937)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_bernoulli_sums_bit_equal(n, x):
+    for gen in ((1,), (-1,)):
+        args = ([gen], [(1,)], [n], (x,), 2_000)
+        assert repr(truncated_fourier_sum(*args)) == repr(ref.truncated_fourier_sum(*args))

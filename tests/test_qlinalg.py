@@ -15,7 +15,6 @@ from steinpoly.qlinalg import (
     Subspace,
     canonical_point,
     det,
-    det_perm_expansion,
     dual_basis,
     frac_from_str,
     frac_to_str,
@@ -36,6 +35,33 @@ from steinpoly.qlinalg import (
 )
 
 F = Fraction
+
+
+def det_perm_expansion(m):
+    """Leibniz-formula determinant. Exponential; only for cross-checks."""
+    n = len(m)
+    if n == 0:
+        return F(1)
+    total = F(0)
+    for perm, sign in _signed_permutations(n):
+        prod = F(sign)
+        for i, j in enumerate(perm):
+            prod *= m[i][j]
+        total += prod
+    return total
+
+
+def _signed_permutations(n):
+    def rec(rest):
+        if not rest:
+            yield (), 1
+            return
+        for idx, first in enumerate(rest):
+            sub = rest[:idx] + rest[idx + 1 :]
+            for tail, s in rec(sub):
+                yield (first,) + tail, s * (-1) ** idx
+
+    yield from rec(list(range(n)))
 
 
 def rand_frac(rng, span=6, denoms=(1, 1, 1, 2, 3)):
