@@ -449,12 +449,32 @@ def _check_points(side: int, dims: int) -> None:
         )
 
 
+def _nonempty_list(cfg, key: str, default: list) -> list:
+    value = cfg.get(key, default)
+    if not isinstance(value, list) or not value:
+        raise InputError(f"{key} must be a non-empty list, got {value!r}")
+    return value
+
+
+def _tolerance(value) -> float | None:
+    """A finite tolerance >= 0 (a JSON number or a rational string), or None."""
+    if value is None:
+        return None
+    tol = _frac(value)  # refuses nan and inf, which Fraction cannot hold
+    if tol < 0:
+        raise InputError(f"tolerance must be at least 0, got {value!r}")
+    try:
+        return float(tol)
+    except OverflowError as exc:
+        raise InputError(f"tolerance {value!r} is out of range") from exc
+
+
 def _study_bernoulli(cfg, box, seed):
-    weights = [_positive_int(n, "weight") for n in cfg.get("weights", [1, 2, 3])]
-    points = [_frac(x) for x in cfg.get("points", ["1/3", "1/5", "2/7"])]
+    weights = [_positive_int(n, "weight") for n in _nonempty_list(cfg, "weights", [1, 2, 3])]
+    points = [_frac(x) for x in _nonempty_list(cfg, "points", ["1/3", "1/5", "2/7"])]
+    tol = _tolerance(cfg.get("tolerance"))
     m_max = box or _positive_int(cfg.get("m_max", 10000), "m_max")
     _check_points(m_max, 1)
-    tol = cfg.get("tolerance")
     rows = []
     ok = True
     for n in weights:
@@ -467,7 +487,7 @@ def _study_bernoulli(cfg, box, seed):
             err = abs(val - ref)
             status = ""
             if tol is not None:
-                status = "pass" if err <= float(tol) else "fail"
+                status = "pass" if err <= tol else "fail"
                 ok = ok and status == "pass"
             rows.append(
                 [

@@ -15,12 +15,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product as iproduct
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from .barcplx import Bar, p_H_project, shuffle_span_reduce, shuffle_words
 from .qlinalg import (
-    Vec,
+    _int_rank,
+    _minor_gcd,
+    _row_to_int,
     canonical_point,
     det,
     frac_from_str,
@@ -29,7 +31,6 @@ from .qlinalg import (
     mat_vec,
     qm,
     qv,
-    rank,
     saturation_index,
     solve,
 )
@@ -113,8 +114,7 @@ class LiGen:
             raise ValueError("exponent tuple and argument tuple must match")
         if any(n < 1 for n in self.ns):
             raise ValueError("weights must be positive")
-        vecs = [qv(a.exps) for a in self.args]
-        if rank(vecs) != len(vecs):
+        if _int_rank([_row_to_int(a.exps)[0] for a in self.args]) != len(self.args):
             raise ValueError("argument exponent vectors are dependent")
 
     @property
@@ -217,25 +217,33 @@ def gl_act(a: Sequence[Sequence], x: PushedLi) -> PushedLi:
     return PushedLi(x.coeff, mat_mul(qm(a), qm(x.matrix)), x.ns)
 
 
+def _pushed_root(p: PushedLi) -> tuple[Fraction, int, list]:
+    """(prefactor N^{n-d-1} coeff, N = |det A|, exponent columns / N)."""
+    d = p.ambient
+    nn = abs(int(det(qm(p.matrix))))
+    pref = p.coeff * Fraction(nn) ** (p.weight - d - 1)
+    cols = [[Fraction(p.matrix[i][l], nn) for i in range(d)] for l in range(p.depth)]
+    return pref, nn, cols
+
+
 def pushed_expand(p: PushedLi) -> list[tuple[Fraction, LiGen]]:
     """Root expansion of the action into honest generators.
 
     N-th roots of all d coordinates contribute N^d phase tuples; the
     l-th argument picks up phase sum_i A_{il} j_i / N on the exponent
-    vector (column l)/N.
+    vector (column l)/N.  The N^d generators share their coefficient
+    and their exponent vectors and differ only in phase, so any map
+    that is linear and blind to phase (the symbol recursion) takes N^d
+    times its value on the zero-phase generator, the first one listed.
     """
     d = p.ambient
-    k = p.depth
-    n = p.weight
-    nn = abs(int(det(qm(p.matrix))))
-    pref = p.coeff * Fraction(nn) ** (n - d - 1)
-    cols = [[Fraction(p.matrix[i][l], nn) for i in range(d)] for l in range(k)]
+    pref, nn, cols = _pushed_root(p)
     out = []
     for js in iproduct(range(nn), repeat=d):
         args = []
-        for l in range(k):
+        for l, col in enumerate(cols):
             phase = sum(Fraction(p.matrix[i][l] * js[i], nn) for i in range(d))
-            args.append(Monomial(phase, cols[l]))
+            args.append(Monomial(phase, col))
         out.append((pref, LiGen(p.ns, args)))
     return out
 
@@ -340,7 +348,7 @@ def depth1_nf(weight: int, items: Iterable[tuple]) -> DepthOneNF:
 # --------------------------------------------------------- sigma and alpha
 
 
-def _sym_poly(vectors: Sequence[Vec], weights: Sequence[int], d: int) -> dict:
+def _sym_poly(vectors: Sequence[Sequence], weights: Sequence[int], d: int) -> dict:
     """Monomial expansion of prod v_i^{n_i - 1} / (n_i - 1)!."""
     poly = {(0,) * d: ONE}
     denom = 1
@@ -361,6 +369,41 @@ def _poly_times_linear(poly: dict, vec: Sequence) -> dict:
     return out
 
 
+def _sigma_acc(acc: dict, factors: Sequence[DepthOneNF], scale=ONE) -> None:
+    """Add scale * (one slot tuple) into acc, keyed (weights, levels, directions).
+
+    sigma forgets phases, so every phase combination of one direction
+    tuple lands on the same key; the per-key work waits for _sigma_emit.
+    A direction stays the primitive lex-positive integer vector p of its
+    depth-one key, standing for p / W at the factor's level W.
+    """
+    head = (tuple(f.weight for f in factors), tuple(f.level for f in factors))
+    for combo in iproduct(*[f.terms.items() for f in factors]):
+        coeff = scale
+        for _key, c in combo:
+            coeff *= c
+        _acc(acc, head + (tuple(vec for (_phase, vec), _c in combo),), coeff)
+
+
+def _sigma_emit(acc: dict, ambient: int) -> Bar:
+    """Bar words of accumulated direction tuples, one rank test per key.
+
+    The letters p_i are already canonical points.  The covolume of the
+    p_i / W_i is g / prod W_i, g the gcd of the maximal minors of the p_i
+    (0 exactly when they are dependent), and the tail of p_i / W_i is
+    that of p_i over prod W_i^(n_i - 1).
+    """
+    out = Bar.zero(ambient)
+    for (weights, levels, word), coeff in acc.items():
+        g = _minor_gcd(word)
+        if not g:
+            continue
+        c = coeff * Fraction(g, prod(w**n for w, n in zip(levels, weights)))
+        for exps, pc in _sym_poly(word, weights, ambient).items():
+            out.add_word(word, c * pc, exps)
+    return out
+
+
 def sigma(factors: Sequence[DepthOneNF], ambient: int) -> Bar:
     """Section of the root-expansion embedding on depth-one tensors.
 
@@ -368,22 +411,9 @@ def sigma(factors: Sequence[DepthOneNF], ambient: int) -> Bar:
     factor, and the weights feed the symmetric tail.  Dependent tuples
     and constant slots contribute nothing.
     """
-    out = Bar.zero(ambient)
-    weights = [f.weight for f in factors]
-    k = len(factors)
-    for combo in iproduct(*[f.items() for f in factors]):
-        coeff = ONE
-        vecs = []
-        for c, _phase, v in combo:
-            coeff *= c
-            vecs.append(qv(v))
-        if rank(vecs) < k:
-            continue
-        covol = saturation_index(vecs)
-        word = tuple(canonical_point(v) for v in vecs)
-        for exps, pc in _sym_poly(vecs, weights, ambient).items():
-            out.add_word(word, coeff * covol * pc, exps)
-    return out
+    acc: dict = {}
+    _sigma_acc(acc, factors)
+    return _sigma_emit(acc, ambient)
 
 
 def alpha(vectors: Sequence[Sequence[int]], weights: Sequence[int]) -> list:
@@ -479,16 +509,25 @@ def _iterated_top(g: LiGen) -> list:
 
 
 def recursion_symbol_bar(g) -> Bar:
-    """Bar-word symbol through the iterated top coproduct and sigma."""
+    """Bar-word symbol through the iterated top coproduct and sigma.
+
+    delta_top, depth1_nf and sigma are linear, and a phase only labels
+    their keys: it never changes a coefficient, a direction or a weight,
+    and sigma forgets it.  So the symbol does not depend on the phases
+    of the arguments, and the N^d generators of a pushforward, which
+    differ only in phase, all have the symbol of the zero-phase one.
+    Every slot tuple of the iterated coproduct is summed into one map
+    (weights, levels, direction tuple) -> coefficient, and sigma's rank
+    test, covolume and tail then run once per distinct key.
+    """
     if isinstance(g, PushedLi):
-        out = Bar.zero(g.ambient)
-        for c, gen in pushed_expand(g):
-            out += c * recursion_symbol_bar(gen)
-        return out
-    out = Bar.zero(g.ambient)
+        pref, nn, cols = _pushed_root(g)
+        gen = LiGen(g.ns, [Monomial(0, col) for col in cols])
+        return (pref * nn**g.ambient) * recursion_symbol_bar(gen)
+    acc: dict = {}
     for slots in _iterated_top(g):
-        out += sigma(slots, g.ambient)
-    return out
+        _sigma_acc(acc, slots)
+    return _sigma_emit(acc, g.ambient)
 
 
 # -------------------------------------------------- formal iterated integrals
@@ -639,7 +678,7 @@ def goncharov_symbol_bar(g: LiGen) -> Bar:
         return sigma((_nf_of_gen(g),), d)
     if g.depth != 2:
         raise ValueError("iterated-integral route covers depth <= 2")
-    out = Bar.zero(d)
+    acc: dict = {}
     for ii, c0 in li_to_ii(g).items():
         for left, gaps in goncharov_coproduct(ii):
             if left.weight == 0:
@@ -652,8 +691,8 @@ def goncharov_symbol_bar(g: LiGen) -> Bar:
                 continue
             nf_left = divergent_reduce(left)
             nf_gap = divergent_reduce(gap)
-            out += c0 * sigma((nf_left, nf_gap), d)
-    return out
+            _sigma_acc(acc, (nf_left, nf_gap), c0)
+    return _sigma_emit(acc, d)
 
 
 # ----------------------------------------------------------- group actions
@@ -718,9 +757,14 @@ def truncated_symbol_closed(ns: Sequence[int], ambient: int | None = None) -> St
 def _bar_slice_to_st2(slice_terms: dict, exps: tuple, ambient: int) -> St2:
     """Solve a bar-word slice back into the Steinberg tensor square.
 
-    Candidates are L generators on each word read right to left; the
-    result is guarded by re-embedding, so failure raises instead of
-    returning a wrong element.
+    Candidates are L generators on each word read right to left.  Each
+    candidate embeds to its own word with coefficient 1, so the system
+    is restricted to the slice's own words: one row per word and at most
+    one column per word, a square system (15 x 15 at depth 3, 105 x 105
+    at depth 4) in place of every word the candidates embed to (6,929
+    rows at depth 4).  Words outside the slice are not constrained by
+    the solve; the result is guarded by re-embedding, so failure raises
+    instead of returning a wrong element.
     """
     cands: dict = {}
     for word in slice_terms:
@@ -731,14 +775,9 @@ def _bar_slice_to_st2(slice_terms: dict, exps: tuple, ambient: int) -> St2:
             cands[key] = cand
     family = list(cands.values())
     fam_bars = [embed_s(c) for c in family]
-    words = set(slice_terms)
-    for fb in fam_bars:
-        words.update(w for (w, _) in fb.terms)
-    rows = []
-    rhs = []
-    for w in sorted(words):
-        rows.append([fb.terms.get((w, exps), ZERO) for fb in fam_bars])
-        rhs.append(slice_terms.get(w, ZERO))
+    words = sorted(slice_terms)
+    rows = [[fb.terms.get((w, exps), ZERO) for fb in fam_bars] for w in words]
+    rhs = [slice_terms[w] for w in words]
     coeffs = solve(qm(rows), qv(rhs)) if family else None
     if coeffs is None:
         raise ArithmeticError("bar slice not in the L-generator span")

@@ -277,13 +277,21 @@ def saturation_index(vectors: Sequence[Vec]) -> Fraction:
         irow, mult = _row_to_int(row)
         scaled.append(irow)
         denom *= mult
-    g = 0
-    for cols in combinations(range(d), k):
-        minor = _int_det([[scaled[i][c] for c in cols] for i in range(k)])
-        g = gcd(g, minor)
+    g = _minor_gcd(scaled)
     if g == 0:
         raise ValueError("saturation index of dependent vectors")
     return Fraction(g, denom)
+
+
+def _minor_gcd(rows: Sequence[Sequence[int]]) -> int:
+    """gcd of the k x k minors of k integer rows; 0 exactly when they are dependent."""
+    k = len(rows)
+    g = 0
+    for cols in combinations(range(len(rows[0])), k):
+        g = gcd(g, _int_det([[row[c] for c in cols] for row in rows]))
+        if g == 1:
+            break
+    return g
 
 
 class Subspace:

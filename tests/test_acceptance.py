@@ -303,7 +303,7 @@ def test_criterion_08_truncated_symbol_routes():
             out = out + [t + (a,) for t in out for a in range(1, w_max + 1)]
         return [t for t in out if t and sum(t) <= w_max]
 
-    for ns in tuples_up_to(3, 5):
+    for ns in tuples_up_to(3, 5) + [(1, 1, 1, 1), (2, 1, 1, 1)]:
         st = truncated_symbol(std_li(*ns))
         assert is_zero_st2(st + (-1) * truncated_symbol_closed(ns)), ns
     for ns in tuples_up_to(2, 4):
@@ -311,7 +311,7 @@ def test_criterion_08_truncated_symbol_routes():
         rhs = recursion_symbol_bar(std_li(*ns))
         assert lhs.terms == rhs.terms, ns
     elapsed = time.monotonic() - t0
-    assert elapsed < 120.0, f"symbol route suite took {elapsed:.2f}s"
+    assert elapsed < 30.0, f"symbol route suite took {elapsed:.2f}s"
 
 
 def test_criterion_09_weight4_identity_and_perturbations():
@@ -396,16 +396,22 @@ def test_criterion_11_fourier_bernoulli_and_shuffle():
 
 
 def test_criterion_12_gl_equivariance():
+    t0 = time.monotonic()
     rng = split_seed(2026, "acc-gl")
-    mats = []
-    while len(mats) < 20:
-        a = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]
-        dd = a[0][0] * a[1][1] - a[0][1] * a[1][0]
-        if dd != 0 and abs(dd) <= 3:
-            mats.append(a)
-    tuples = [(1, 1), (2, 1), (1, 2), (3, 1), (2, 2), (1, 3)]
-    for a in mats:
-        for ns in tuples:
-            lhs = recursion_symbol_bar(PushedLi(1, a, ns))
-            rhs = bar_gl_act(a, recursion_symbol_bar(std_li(*ns)))
-            assert lhs.terms == rhs.terms, (a, ns)
+    for n, count, tuples in (
+        (2, 20, [(1, 1), (2, 1), (1, 2), (3, 1), (2, 2), (1, 3)]),
+        (3, 6, [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2)]),
+    ):
+        mats = []
+        while len(mats) < count:
+            a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            dd = det(qm(a))
+            if dd != 0 and abs(dd) <= 3:
+                mats.append(a)
+        for a in mats:
+            for ns in tuples:
+                lhs = recursion_symbol_bar(PushedLi(1, a, ns))
+                rhs = bar_gl_act(a, recursion_symbol_bar(std_li(*ns)))
+                assert lhs.terms == rhs.terms, (a, ns)
+    elapsed = time.monotonic() - t0
+    assert elapsed < 10.0, f"equivariance suite took {elapsed:.2f}s"

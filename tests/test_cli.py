@@ -311,6 +311,34 @@ class TestFourier:
         code, _ = run(tmp_path, "fourier", path)
         assert code == 2
 
+    @pytest.mark.parametrize("change", [
+        pytest.param({"weights": 3}, id="weights-not-a-list"),
+        pytest.param({"weights": []}, id="weights-empty"),
+        pytest.param({"points": "1/3"}, id="points-not-a-list"),
+        pytest.param({"tolerance": "x"}, id="tolerance-word"),
+        pytest.param({"tolerance": [1]}, id="tolerance-list"),
+        pytest.param({"tolerance": "nan"}, id="tolerance-nan-string"),
+        pytest.param({"tolerance": float("nan")}, id="tolerance-nan"),
+        pytest.param({"tolerance": float("inf")}, id="tolerance-inf"),
+        pytest.param({"tolerance": -1e-3}, id="tolerance-negative"),
+        pytest.param({"tolerance": "1e400"}, id="tolerance-out-of-range"),
+    ])
+    def test_malformed_bernoulli_study_exits_2(self, tmp_path, change):
+        cfg = {"study": "bernoulli", "weights": [1], "points": ["1/3"], "m_max": 10}
+        path = write(tmp_path, "b.json", {**cfg, **change})
+        code, text = run(tmp_path, "fourier", path)
+        assert code == 2
+        assert text == ""
+
+    def test_rational_string_tolerance_accepted(self, tmp_path):
+        path = write(tmp_path, "b.json", {
+            "study": "bernoulli", "weights": [2], "points": ["1/3"],
+            "m_max": 400, "tolerance": "1/100",
+        })
+        code, text = run(tmp_path, "fourier", path)
+        assert code == 0
+        assert text.splitlines()[-1].endswith("pass")
+
     def test_form_vanishing_on_lattice_exits_2(self, tmp_path):
         path = write(tmp_path, "pole.json", {
             "study": "cone",

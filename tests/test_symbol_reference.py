@@ -1,0 +1,140 @@
+"""The phase-free symbol routes against the per-generator references.
+
+recursion_symbol_bar expands one zero-phase generator per pushforward and
+runs sigma's per-tuple work once per distinct direction tuple;
+_bar_slice_to_st2 solves only on the slice's own words. Both must give
+exactly what symbol_reference.py gives: the same Bar terms, the same St2
+terms, and an ArithmeticError exactly where the reference raises one.
+"""
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import symbol_reference as ref
+from steinpoly.mpl import (
+    LiGen,
+    Monomial,
+    PushedLi,
+    _bar_slice_to_st2,
+    bar_gl_act,
+    goncharov_symbol_bar,
+    recursion_symbol_bar,
+    std_li,
+    truncated_symbol,
+)
+from steinpoly.qlinalg import _int_det, _int_rank
+
+F = Fraction
+SETTINGS = settings(max_examples=40, deadline=None)
+
+PHASES = st.sampled_from((F(0), F(1, 2), F(1, 3), F(2, 3), F(1, 4), F(3, 5)))
+
+
+def _tuples(k_max, w_max):
+    out = [()]
+    for _ in range(k_max):
+        out = out + [t + (a,) for t in out for a in range(1, w_max + 1)]
+    return [t for t in out if t and sum(t) <= w_max]
+
+
+@st.composite
+def pushforwards(draw, full_depth=False):
+    """c * (A . Li_ns) with d <= 3, 0 < |det A| <= 4, depth 1..d (or d), n_i <= 3."""
+    d = draw(st.integers(1, 3))
+    a = [[draw(st.integers(-2, 2)) for _ in range(d)] for _ in range(d)]
+    assume(0 < abs(_int_det(a)) <= 4)
+    k = d if full_depth else draw(st.integers(1, d))
+    ns = [draw(st.integers(1, 3)) for _ in range(k)]
+    c = F(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+    return PushedLi(c, a, ns)
+
+
+@st.composite
+def li_gens(draw, min_depth=1, max_depth=3):
+    """Li_ns at independent monomials: exponent rows in [-2, 2]^d / {1, 2}, any phases."""
+    k = draw(st.integers(min_depth, max_depth))
+    d = draw(st.integers(k, max_depth))
+    ns = [draw(st.integers(1, 3)) for _ in range(k)]
+    ints = [[draw(st.integers(-2, 2)) for _ in range(d)] for _ in range(k)]
+    assume(_int_rank(ints) == k)
+    dens = [draw(st.sampled_from((1, 2))) for _ in ints]
+    args = [Monomial(draw(PHASES), [F(e, m) for e in row]) for row, m in zip(ints, dens)]
+    return LiGen(ns, args)
+
+
+def _symbol_or_raise(route, g):
+    try:
+        return route(g).terms
+    except ArithmeticError:
+        return ArithmeticError
+
+
+@SETTINGS
+@given(pushforwards())
+def test_pushforward_symbol_equals_reference(p):
+    assert recursion_symbol_bar(p).terms == ref.recursion_symbol_bar(p).terms
+
+
+@SETTINGS
+@given(pushforwards(full_depth=True))
+def test_pushforward_symbol_is_gl_equivariant(p):
+    lhs = recursion_symbol_bar(p)
+    rhs = p.coeff * bar_gl_act(p.matrix, recursion_symbol_bar(std_li(*p.ns)))
+    assert lhs.terms == rhs.terms
+
+
+@pytest.mark.parametrize("ns", _tuples(3, 5), ids=str)
+def test_standard_symbol_equals_reference(ns):
+    g = std_li(*ns)
+    assert recursion_symbol_bar(g).terms == ref.recursion_symbol_bar(g).terms
+
+
+@SETTINGS
+@given(li_gens())
+def test_symbol_is_phase_independent(g):
+    zero = LiGen(g.ns, [Monomial(0, a.exps) for a in g.args])
+    assert recursion_symbol_bar(g).terms == recursion_symbol_bar(zero).terms
+    assert recursion_symbol_bar(g).terms == ref.recursion_symbol_bar(g).terms
+
+
+@pytest.mark.parametrize("ns", [t for t in _tuples(3, 5) if len(t) >= 2], ids=str)
+def test_standard_truncated_symbol_equals_reference(ns):
+    g = std_li(*ns)
+    assert truncated_symbol(g).terms == ref.truncated_symbol(g).terms
+
+
+@settings(max_examples=30, deadline=None)
+@given(li_gens(min_depth=2))
+def test_nonstandard_truncated_symbol_equals_reference(g):
+    assert _symbol_or_raise(truncated_symbol, g) == _symbol_or_raise(ref.truncated_symbol, g)
+
+
+@SETTINGS
+@given(li_gens(max_depth=2))
+def test_goncharov_route_equals_recursion(g):
+    assert goncharov_symbol_bar(g).terms == recursion_symbol_bar(g).terms
+
+
+@pytest.mark.parametrize("ns", _tuples(2, 5), ids=str)
+def test_goncharov_route_equals_recursion_on_standard(ns):
+    g = std_li(*ns)
+    assert goncharov_symbol_bar(g).terms == recursion_symbol_bar(g).terms
+
+
+@pytest.mark.parametrize(
+    "slice_terms",
+    [
+        {((1, 0), (0, 1)): F(1)},
+        {((1, 0), (0, 1)): F(1), ((1, 1), (0, 1)): F(1)},
+    ],
+    ids=["one-word", "two-words"],
+)
+def test_solve_back_guard_raises_on_unreproducible_slice(slice_terms):
+    # L on each word also embeds to words outside the slice, which the
+    # square system leaves unconstrained; the re-embedding catches them
+    with pytest.raises(ArithmeticError):
+        _bar_slice_to_st2(slice_terms, (0, 0), 2)
+    with pytest.raises(ArithmeticError):
+        ref._bar_slice_to_st2(slice_terms, (0, 0), 2)
