@@ -28,7 +28,7 @@ from itertools import combinations
 from math import lcm
 from typing import Iterable, Sequence
 
-from .qlinalg import Subspace, Vec, canonical_point, qv
+from .qlinalg import Subspace, canonical_point, qv
 from .steinberg import (
     LinComb,
     St,
@@ -45,7 +45,7 @@ Word = tuple[Point, ...]
 
 
 def line_letter(v: Sequence) -> Point:
-    return canonical_point(qv(v))
+    return canonical_point(v)
 
 
 class Bar(LinComb):
@@ -76,7 +76,7 @@ def bar_word(points: Sequence[Sequence], ambient: int | None = None, c=1, exps=N
 
 def _letter_subspace(letter: Letter, ambient: int) -> Subspace:
     if letter[0] == "L":
-        return Subspace.span([qv(letter[1])], ambient)
+        return Subspace.span([letter[1]], ambient)
     return Subspace(ambient, letter[1])
 
 
@@ -85,7 +85,7 @@ def _letter_ambient_terms(letter: Letter, ambient: int) -> dict:
     if letter[0] == "L":
         return {(letter[1],): Fraction(1)}
     w = Subspace(ambient, letter[1])
-    pts = [w.from_local(qv(q)) for q in letter[2]]
+    pts = [w.from_local(q) for q in letter[2]]
     return dict(make_apartment(pts, ambient).terms)
 
 
@@ -99,7 +99,7 @@ def _expand_letters(w: Subspace, ambient_terms: dict) -> list[tuple[Letter, Frac
     k = w.dim
     local = St.zero(k)
     for key, c in ambient_terms.items():
-        local += c * make_apartment([w.local_coords(qv(p)) for p in key], k)
+        local += c * make_apartment([w.local_coords(p) for p in key], k)
     local = flag_expand(local)
     return [(("S", w.rows, key), c) for key, c in sorted(local.terms.items())]
 

@@ -26,13 +26,12 @@ from .qlinalg import (
     det,
     dual_basis,
     qv,
-    rank,
     solve,
     split_seed,
     vec_dot,
 )
 from .st2 import St2
-from .steinberg import ApKey, St, make_apartment
+from .steinberg import ApKey, St, _poly_times_linear, make_apartment
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -49,9 +48,9 @@ def cone_to_steinberg(generators: Sequence, ambient: int | None = None) -> St:
     """
     gens = [qv(g) for g in generators]
     n = ambient if ambient is not None else len(gens[0])
-    if len(gens) != n or rank(tuple(gens)) != n:
+    d = det(gens) if len(gens) == n else 0
+    if d == 0:
         return St.zero(n)
-    d = det(tuple(gens))
     sign = 1 if d > 0 else -1
     return sign * make_apartment(gens, n)
 
@@ -59,22 +58,6 @@ def cone_to_steinberg(generators: Sequence, ambient: int | None = None) -> St:
 @lru_cache(maxsize=None)
 def _dual_data(key: ApKey) -> tuple[tuple[Vec, ...], Fraction]:
     return dual_basis(key), Fraction(1, _int_det(key))
-
-
-def _poly_mul(p: dict, form: Vec, power: int) -> dict:
-    """Multiply a monomial dict by (sum_i form[i] X_i)^power."""
-    for _ in range(power):
-        nxt: dict = {}
-        for mono, c in p.items():
-            for i, a in enumerate(form):
-                if a == 0:
-                    continue
-                m2 = list(mono)
-                m2[i] += 1
-                key = tuple(m2)
-                nxt[key] = nxt.get(key, ZERO) + c * a
-        p = nxt
-    return p
 
 
 def rho_term(key: ApKey, exps: Sequence[int], z: Sequence) -> Fraction:
@@ -94,10 +77,8 @@ def rho_term(key: ApKey, exps: Sequence[int], z: Sequence) -> Fraction:
     # the dual vectors
     mono_dict: dict = {(0,) * d: ONE}
     for j, m in enumerate(exps):
-        if m == 0:
-            continue
-        form = tuple(dual[i][j] for i in range(d))
-        mono_dict = _poly_mul(mono_dict, form, m)
+        for _ in range(m):
+            mono_dict = _poly_times_linear(mono_dict, [u[j] for u in dual])
     total = ZERO
     for mono, c in mono_dict.items():
         val = ddet * c
@@ -119,6 +100,28 @@ def _draw_point(rng, n: int) -> tuple:
     return tuple(Fraction(rng.randint(1, 10_000)) for _ in range(n))
 
 
+def _vanishes_at_samples(vanishes_at_draw, points: int) -> bool:
+    """True when vanishes_at_draw() holds at `points` pole-free draws.
+
+    Each call draws its own evaluation points and raises PoleError on the
+    pole locus, which only costs a resample; a draw where the difference
+    does not vanish decides the answer at once.
+    """
+    done = 0
+    attempts = 0
+    while done < points:
+        attempts += 1
+        if attempts > 50 * points:
+            raise RuntimeError("could not find pole-free evaluation points")
+        try:
+            if not vanishes_at_draw():
+                return False
+        except PoleError:
+            continue
+        done += 1
+    return True
+
+
 def st_equality_oracle(x: St, y: St, seed: int = 0, points: int = 5) -> bool:
     """Compare two combinations of apartments as rational functions.
 
@@ -134,20 +137,7 @@ def st_equality_oracle(x: St, y: St, seed: int = 0, points: int = 5) -> bool:
     if not diff.terms:
         return True
     rng = split_seed(seed, "st-oracle")
-    done = 0
-    attempts = 0
-    while done < points:
-        attempts += 1
-        if attempts > 50 * points:
-            raise RuntimeError("could not find pole-free evaluation points")
-        z = _draw_point(rng, x.ambient)
-        try:
-            if rho_st(diff, z) != 0:
-                return False
-        except PoleError:
-            continue
-        done += 1
-    return True
+    return _vanishes_at_samples(lambda: rho_st(diff, _draw_point(rng, x.ambient)) == 0, points)
 
 
 def st2_equality_oracle(x: St2, y: St2, seed: int = 0, points: int = 5) -> bool:
@@ -163,25 +153,17 @@ def st2_equality_oracle(x: St2, y: St2, seed: int = 0, points: int = 5) -> bool:
         return True
     rng = split_seed(seed, "st2-oracle")
     zeros = (0,) * x.ambient
-    done = 0
-    attempts = 0
-    while done < points:
-        attempts += 1
-        if attempts > 50 * points:
-            raise RuntimeError("could not find pole-free evaluation points")
+
+    def vanishes() -> bool:
         z = _draw_point(rng, x.ambient)
         zp = _draw_point(rng, x.ambient)
         by_exps: dict = {}
-        try:
-            for (ka, kb, exps), c in diff.terms.items():
-                v = c * rho_term(ka, zeros, z) * rho_term(kb, zeros, zp)
-                by_exps[exps] = by_exps.get(exps, ZERO) + v
-        except PoleError:
-            continue
-        if any(v != 0 for v in by_exps.values()):
-            return False
-        done += 1
-    return True
+        for (ka, kb, exps), c in diff.terms.items():
+            v = c * rho_term(ka, zeros, z) * rho_term(kb, zeros, zp)
+            by_exps[exps] = by_exps.get(exps, ZERO) + v
+        return not any(by_exps.values())
+
+    return _vanishes_at_samples(vanishes, points)
 
 
 # ------------------------------------------------------------ lattice side
@@ -204,13 +186,8 @@ def fourier_coefficient(
     lam = solve(cols, nuv)
     if lam is None:
         return ZERO
-    # solve() gives one solution; independent generators make it unique
+    # solve() gives one exact solution; independent generators make it unique
     if any(l <= 0 for l in lam):
-        return ZERO
-    recon = tuple(
-        sum(lam[j] * gens[j][r] for j in range(len(gens))) for r in range(n)
-    )
-    if recon != tuple(nuv):
         return ZERO
     val = ONE
     for u, m in zip(forms, ns, strict=True):

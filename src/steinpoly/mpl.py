@@ -18,8 +18,9 @@ from itertools import combinations, product as iproduct
 from math import comb, factorial, gcd, lcm, prod
 from typing import Iterable, Sequence
 
-from .barcplx import Bar, p_H_project, shuffle_span_reduce, shuffle_words
+from .barcplx import Bar, shuffle_words
 from .qlinalg import (
+    _int_det,
     _int_rank,
     _minor_gcd,
     _row_to_int,
@@ -34,8 +35,8 @@ from .qlinalg import (
     saturation_index,
     solve,
 )
-from .st2 import St2, _h_functional, embed_s, make_L, make_pair
-from .steinberg import _acc
+from .st2 import St2, bar_infty_reduce, embed_s, make_L, make_pair
+from .steinberg import _acc, _poly_times_linear
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -220,7 +221,7 @@ def gl_act(a: Sequence[Sequence], x: PushedLi) -> PushedLi:
 def _pushed_root(p: PushedLi) -> tuple[Fraction, int, list]:
     """(prefactor N^{n-d-1} coeff, N = |det A|, exponent columns / N)."""
     d = p.ambient
-    nn = abs(int(det(qm(p.matrix))))
+    nn = abs(_int_det(p.matrix))
     pref = p.coeff * Fraction(nn) ** (p.weight - d - 1)
     cols = [[Fraction(p.matrix[i][l], nn) for i in range(d)] for l in range(p.depth)]
     return pref, nn, cols
@@ -357,16 +358,6 @@ def _sym_poly(vectors: Sequence[Sequence], weights: Sequence[int], d: int) -> di
         for _ in range(n - 1):
             poly = _poly_times_linear(poly, v)
     return {e: c / denom for e, c in poly.items()}
-
-
-def _poly_times_linear(poly: dict, vec: Sequence) -> dict:
-    out: dict = {}
-    for exps, c in poly.items():
-        for i, vi in enumerate(vec):
-            if vi:
-                key = exps[:i] + (exps[i] + 1,) + exps[i + 1 :]
-                _acc(out, key, c * vi)
-    return out
 
 
 def _sigma_acc(acc: dict, factors: Sequence[DepthOneNF], scale=ONE) -> None:
@@ -778,7 +769,7 @@ def _bar_slice_to_st2(slice_terms: dict, exps: tuple, ambient: int) -> St2:
     words = sorted(slice_terms)
     rows = [[fb.terms.get((w, exps), ZERO) for fb in fam_bars] for w in words]
     rhs = [slice_terms[w] for w in words]
-    coeffs = solve(qm(rows), qv(rhs)) if family else None
+    coeffs = solve(rows, rhs) if family else None
     if coeffs is None:
         raise ArithmeticError("bar slice not in the L-generator span")
     out = St2.zero(ambient)
@@ -812,17 +803,6 @@ def truncated_symbol(g) -> St2:
 
 
 # --------------------------------------------------------- identity checking
-
-
-def bar_infty_reduce(x: Bar, seed: int = 0) -> Bar:
-    """Canonical remainder of a bar element in the stable quotient.
-
-    Projects along a seeded functional transverse to every letter, then
-    reduces modulo the shuffle span; empty output certifies zero.
-    """
-    lines = sorted({p for (word, _exps) in x.terms for p in word})
-    h = _h_functional(seed, x.ambient, lines=tuple(lines))
-    return shuffle_span_reduce(p_H_project(x, h))
 
 
 def li_identity_residual(terms: Sequence, seed: int = 0) -> Bar:

@@ -1,9 +1,11 @@
 """Exact linear algebra over the rationals.
 
 Vectors are tuples of Fraction, matrices are tuples of row vectors.
-Everything here is exact, no floats. Subspaces are kept in reduced row
-echelon form so that equality of subspaces is equality of the stored
-rows, and downstream modules can use them as dict keys.
+Everything here is exact, no floats. Every elimination is fraction-free:
+rows are scaled to integers and reduced by Bareiss steps with exact
+division, and Fraction appears only in the output. Subspaces are kept in
+reduced row echelon form so that equality of subspaces is equality of the
+stored rows, and downstream modules can use them as dict keys.
 """
 from __future__ import annotations
 
@@ -70,7 +72,18 @@ def identity(n: int) -> Mat:
 def _row_to_int(row: Sequence[Fraction]) -> tuple[list[int], int]:
     """Scale a rational row to integers; return (row, multiplier)."""
     m = lcm(*(f.denominator for f in row)) if row else 1
-    return [int(f * m) for f in row], m
+    return [f.numerator * (m // f.denominator) for f in row], m
+
+
+def _rows_to_int(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """Scale each rational row to integers; return (rows, product of multipliers)."""
+    scaled = []
+    denom = 1
+    for row in rows:
+        irow, mult = _row_to_int(row)
+        scaled.append(irow)
+        denom *= mult
+    return scaled, denom
 
 
 def _int_det(rows: list[list[int]]) -> int:
@@ -136,48 +149,52 @@ def det(m: Sequence[Sequence[Fraction]]) -> Fraction:
         return ONE
     if any(len(r) != n for r in m):
         raise ValueError("determinant of a non-square matrix")
-    scaled = []
-    denom = 1
-    for row in m:
-        irow, mult = _row_to_int(row)
-        scaled.append(irow)
-        denom *= mult
+    scaled, denom = _rows_to_int(m)
     return Fraction(_int_det(scaled), denom)
 
 
 def rref(rows: Sequence[Vec]) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    work = [list(r) for r in rows]
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+    Fraction-free Gauss-Jordan: the rows are scaled to integers, and each
+    pivot eliminates its column above and below with a division by the
+    previous pivot that is exact. After k pivots every entry is a minor of
+    the scaled input (of order k or k + 1) and every pivot entry equals the
+    last pivot, so one division per entry at the end gives the RREF, which
+    is unique.
+    """
+    work, _ = _rows_to_int(rows)
     if not work:
         return (), ()
-    ncols = len(work[0])
+    nrows, ncols = len(work), len(work[0])
     pivots: list[int] = []
-    r = 0
+    r, prev = 0, 1
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if work[i][c] != 0:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, nrows) if work[i][c]), None)
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        pv = work[r][c]
-        work[r] = [x / pv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        top = work[r]
+        pv = top[c]
+        for i, row in enumerate(work):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                work[i] = [(x * pv - f * y) // prev for x, y in zip(row, top)]
+            elif pv != prev:
+                work[i] = [x * pv // prev for x in row]
         pivots.append(c)
+        prev = pv
         r += 1
-        if r == len(work):
+        if r == nrows:
             break
-    out = tuple(tuple(row) for row in work[:r])
+    out = tuple(tuple(Fraction(x, prev) for x in row) for row in work[:r])
     return out, tuple(pivots)
 
 
 def rank(rows: Sequence[Vec]) -> int:
-    return len(rref(rows)[0])
+    return _int_rank(_rows_to_int(rows)[0])
 
 
 def inverse(m: Mat) -> Mat:
@@ -271,12 +288,7 @@ def saturation_index(vectors: Sequence[Vec]) -> Fraction:
     d = len(rows[0])
     if k > d:
         raise ValueError("more vectors than the ambient dimension")
-    scaled = []
-    denom = 1
-    for row in rows:
-        irow, mult = _row_to_int(row)
-        scaled.append(irow)
-        denom *= mult
+    scaled, denom = _rows_to_int(rows)
     g = _minor_gcd(scaled)
     if g == 0:
         raise ValueError("saturation index of dependent vectors")

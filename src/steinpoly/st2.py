@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .barcplx import Bar, p_H_project, shuffle_span_reduce
 from .qlinalg import (
@@ -34,6 +34,8 @@ from .qlinalg import (
     canonical_point,
     dual_basis,
     qv,
+    rank,
+    solve,
     split_seed,
     vec_add,
     vec_sub,
@@ -272,9 +274,7 @@ def make_corr_colon(points: Sequence, ambient: int | None = None, c=1) -> St2:
     n = ambient if ambient is not None else len(pts[0])
     d = len(pts) - 1
     diffs = [vec_sub(pts[i], pts[(i + 1) % (d + 1)]) for i in range(d + 1)]
-    from .qlinalg import rank
-
-    if rank(tuple(diffs[1:])) != d:
+    if rank(diffs[1:]) != d:
         raise ValueError("points are not affinely independent")
     return make_L(diffs[1:], n, c=c)
 
@@ -395,19 +395,25 @@ def _h_functional(seed: int, dim: int, lines=(), label: str = "") -> Point:
     return h
 
 
+def bar_infty_reduce(x: Bar, seed: int = 0) -> Bar:
+    """Canonical remainder of a bar element in the stable quotient.
+
+    Projects along a seeded functional transverse to every letter, then
+    reduces modulo the shuffle span; empty output certifies zero.
+    """
+    lines = sorted({p for (word, _exps) in x.terms for p in word})
+    h = _h_functional(seed, x.ambient, lines=tuple(lines))
+    return shuffle_span_reduce(p_H_project(x, h))
+
+
 def is_zero_st_infty(x: St2, seed: int = 0) -> bool:
     """Zero test in the quotient where shuffle products vanish.
 
-    Projects the s-image along a seeded functional and reduces modulo
-    the shuffle span; the projection is faithful on the quotient for
-    any choice of functional, so the verdict does not depend on the
-    seed.
+    Reduces the s-image with bar_infty_reduce; the projection is faithful
+    on the quotient for any choice of functional, so the verdict does not
+    depend on the seed.
     """
-    words = embed_s(x)
-    lines = {p for (word, _), _ in words.terms.items() for p in word}
-    h = _h_functional(seed, x.ambient, lines=tuple(sorted(lines)))
-    reduced = shuffle_span_reduce(p_H_project(words, h))
-    return not reduced.terms
+    return not bar_infty_reduce(embed_s(x), seed).terms
 
 
 def _fingerprint_local(x_local: St2, w: Subspace, seed: int) -> dict:
@@ -430,7 +436,7 @@ def st_infty_fingerprint(x: St2, w: Subspace, seed: int = 0) -> dict:
     local = St2.zero(k)
     for (key_a, key_b, _exps), c in x.terms.items():
         local += make_pair(
-            [w.local_coords(qv(p)) for p in key_a], [w.local_coords(qv(p)) for p in key_b], k, c
+            [w.local_coords(p) for p in key_a], [w.local_coords(p) for p in key_b], k, c
         )
     return _fingerprint_local(local, w, seed)
 
@@ -485,8 +491,8 @@ def cobracket_matches_coproduct(vectors: Sequence, seed: int = 0) -> bool:
     for c, left, right in cobracket_L(vecs, n):
         wa = Subspace.span(left, n)
         wb = Subspace.span(right, n)
-        la = make_L([wa.local_coords(qv(v)) for v in left], wa.dim)
-        lb = make_L([wb.local_coords(qv(v)) for v in right], wb.dim)
+        la = make_L([wa.local_coords(v) for v in left], wa.dim)
+        lb = make_L([wb.local_coords(v) for v in right], wb.dim)
         fpa = _fingerprint_local(la, wa, seed)
         fpb = _fingerprint_local(lb, wb, seed)
         _wedge_expand(route_a, ids, c, wa, fpa, wb, fpb)
@@ -506,7 +512,7 @@ def cobracket_matches_coproduct(vectors: Sequence, seed: int = 0) -> bool:
 def _support_subspace(x: St2, n: int) -> Subspace:
     pts = []
     for (key_a, key_b, _), _c in x.terms.items():
-        pts.extend(qv(p) for p in key_a)
+        pts.extend(key_a)
     return Subspace.span(pts, n)
 
 
@@ -535,9 +541,6 @@ def coxeter_to_basis(p_points: Sequence, q_points: Sequence) -> tuple[Vec, ...]:
         # partial + alpha q_i = beta p_i
         cols = tuple((qs[i][r], -ps[i][r]) for r in range(n))
         rhs = tuple(-partial[r] for r in range(n))
-        sol = None
-        from .qlinalg import solve
-
         sol = solve(cols, rhs)
         if sol is None:
             raise ValueError(
@@ -568,6 +571,4 @@ def span_solve(target: St2, family: Sequence[St2]):
     keys = sorted(set(t_nf) | {k for nf in f_nfs for k in nf})
     rows = tuple(tuple(nf.get(k, ZERO) for nf in f_nfs) for k in keys)
     rhs = tuple(t_nf.get(k, ZERO) for k in keys)
-    from .qlinalg import solve
-
     return solve(rows, rhs)

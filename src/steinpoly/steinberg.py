@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .qlinalg import (
     Flag,
@@ -51,15 +51,25 @@ from .qlinalg import (
 Point = tuple[int, ...]
 ApKey = tuple[Point, ...]
 
-ZERO = Fraction(0)
 
-
-def _acc(d: dict, key, c: Fraction) -> None:
-    v = d.get(key, ZERO) + c
+def _acc(d: dict, key, c) -> None:
+    """d[key] += c, dropping the key at zero; int sums stay int, Fraction sums Fraction."""
+    v = d.get(key, 0) + c
     if v:
         d[key] = v
     else:
         d.pop(key, None)
+
+
+def _poly_times_linear(poly: dict, vec: Sequence) -> dict:
+    """Product of a monomial dict {exponents: coeff} with the form sum_i vec[i] X_i."""
+    out: dict = {}
+    for exps, c in poly.items():
+        for i, vi in enumerate(vec):
+            if vi:
+                key = exps[:i] + (exps[i] + 1,) + exps[i + 1 :]
+                _acc(out, key, c * vi)
+    return out
 
 
 def zero_exps(n: int) -> tuple[int, ...]:
@@ -486,14 +496,6 @@ def _ar_apartment(key: ApKey) -> tuple[tuple[ApKey, int], ...]:
     return tuple(sorted(terms.items()))
 
 
-def _int_acc(d: dict, key, c: int) -> None:
-    v = d.get(key, 0) + c
-    if v:
-        d[key] = v
-    else:
-        d.pop(key, None)
-
-
 def _add_apartment(out: dict, vectors: Sequence[Point], c: int, ambient: int, reduce: bool) -> None:
     """out += c [vectors], or c times its unimodular reduction when reduce."""
     norm = normalize_apartment(vectors, ambient)
@@ -501,7 +503,7 @@ def _add_apartment(out: dict, vectors: Sequence[Point], c: int, ambient: int, re
         return
     key, sign = norm
     for k2, c2 in _ar_apartment(key) if reduce else ((key, 1),):
-        _int_acc(out, k2, c * sign * c2)
+        _acc(out, k2, c * sign * c2)
 
 
 def _lagrange_reduce(u: Point, v: Point) -> tuple[Point, Point]:
@@ -588,15 +590,8 @@ def _ar_rank2(key: ApKey, dd: int) -> dict[ApKey, int]:
 
 def _ar_descent(key: ApKey) -> dict[ApKey, int]:
     d = len(key)
-
-    # boundary targets of the input, one per line with nonzero height
-    targets: dict[Point, dict[ApKey, int]] = {}
-    for slot, p in enumerate(key):
-        if p[-1] == 0:
-            continue
-        _, t_mat = _line_chart(p)
-        rest = [_chart_coords(t_mat, q) for q in key[:slot] + key[slot + 1 :]]
-        _add_apartment(targets.setdefault(p, {}), rest, (-1) ** slot, d - 1, True)
+    # reduced boundary targets of the input, one per line with nonzero height
+    targets = {p: _delta_line({key: 1}, p, _line_chart(p)[1], True) for p in key if p[-1] != 0}
 
     x: dict[ApKey, int] = {}
     processed: set[Point] = set()
@@ -614,8 +609,8 @@ def _ar_descent(key: ApKey) -> dict[ApKey, int]:
             processed.add(p_line)
             u_mat, t_mat = _line_chart(p_line)
             need: dict[ApKey, int] = dict(targets.get(p_line, {}))
-            for k2, c2 in _delta_line(x, p_line, t_mat).items():
-                _int_acc(need, k2, -c2)
+            for k2, c2 in _delta_line(x, p_line, t_mat, False).items():
+                _acc(need, k2, -c2)
             if not need:
                 continue
             step = p_line if p_line[-1] > 0 else tuple(-c for c in p_line)
@@ -629,12 +624,13 @@ def _ar_descent(key: ApKey) -> dict[ApKey, int]:
     return x
 
 
-def _delta_line(x: dict[ApKey, int], p: Point, t_mat: Mat) -> dict[ApKey, int]:
+def _delta_line(x: dict[ApKey, int], p: Point, t_mat: Mat, reduce: bool) -> dict[ApKey, int]:
+    """Residue of x at the line p in the chart T = t_mat, reduced when reduce."""
     out: dict[ApKey, int] = {}
     for ap, c in x.items():
         for slot, pt in enumerate(ap):
             if pt == p:
                 rest = [_chart_coords(t_mat, q) for q in ap[:slot] + ap[slot + 1 :]]
-                _add_apartment(out, rest, c * (-1) ** slot, len(p) - 1, False)
+                _add_apartment(out, rest, c * (-1) ** slot, len(p) - 1, reduce)
                 break
     return out

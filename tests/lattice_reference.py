@@ -16,9 +16,9 @@ from functools import lru_cache
 from math import isqrt
 from typing import Sequence
 
-from steinpoly.cones import ONE, PoleError
+from steinpoly.cones import ONE, ZERO, PoleError
 from steinpoly.qlinalg import Mat, Vec, det, identity, inverse, qv, vec_dot
-from steinpoly.steinberg import ZERO, ApKey, Point, St, _acc, _xgcd, make_apartment
+from steinpoly.steinberg import ApKey, Point, St, _acc, _xgcd, make_apartment
 
 # --------------------------------------------------- Ash-Rudolph style reduction
 

@@ -195,6 +195,15 @@ class TestVerify:
         code, text = run(tmp_path, "verify", "duality", path)
         assert code == 2 and text == ""
 
+    def test_perturbed_cobracket_fixture_exits_2(self, tmp_path):
+        # the cobracket suite takes no perturbation: bad input, not a FAIL
+        path = write(tmp_path, "fix.json", {"cases": [
+            {"basis": [[1, 0], [0, 1]]},
+            {"basis": [[2, 1], [1, 1]], "perturb": {"vectors": [[1, 0], [1, 1]], "coeff": "1"}},
+        ]})
+        code, text = run(tmp_path, "verify", "cobracket", path)
+        assert code == 2 and text == ""
+
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_oracle_points_below_one_exits_2(self, tmp_path, points):
         # the only case is perturbed, so an oracle that skips every point would PASS
