@@ -25,7 +25,6 @@ from .qlinalg import (
     dual_basis,
     frac_from_str,
     frac_to_str,
-    qv,
     rank,
     split_seed,
     vec_to_json,
@@ -263,8 +262,7 @@ def _case_basis(entry) -> list:
     return basis
 
 
-def _suite_shuffle(basis, n, seed, points, extra):
-    vecs = [qv(v) for v in basis]
+def _suite_shuffle(vecs, n, seed, points, extra):
     for d1 in range(1, n):
         for make in (make_L, make_I):
             # lhs minus every shuffle, subtracted in place
@@ -288,8 +286,7 @@ def _suite_shuffle(basis, n, seed, points, extra):
     return None
 
 
-def _suite_dihedral(basis, n, seed, points, extra):
-    vecs = [qv(v) for v in basis]
+def _suite_dihedral(vecs, n, seed, points, extra):
     total = tuple(sum(v[i] for v in vecs) for i in range(n))
     v0 = tuple(-e for e in total)
     L = make_L(vecs, n)
@@ -315,8 +312,7 @@ def _suite_cobracket(basis, n, seed, points, extra):
     return None
 
 
-def _suite_duality(basis, n, seed, points, extra):
-    vecs = tuple(qv(v) for v in basis)
+def _suite_duality(vecs, n, seed, points, extra):
     L = make_L(vecs, n)
     dual_L = dualize(L)
     checks = [
@@ -333,8 +329,12 @@ def _suite_duality(basis, n, seed, points, extra):
 
 
 def _suite_ashrudolph(basis, n, seed, points, extra):
-    x = make_apartment([qv(v) for v in basis], n)
-    red = ash_rudolph_reduce([qv(v) for v in basis])
+    if any(x.denominator != 1 for v in basis for x in v):
+        rows = [vec_to_json(v) for v in basis]
+        raise InputError(f"ashrudolph needs an integral basis, got {rows}")
+    vecs = [tuple(int(x) for x in v) for v in basis]
+    x = make_apartment(vecs, n)
+    red = ash_rudolph_reduce(vecs)
     if extra is not None:
         red += extra
     for key in red.terms:

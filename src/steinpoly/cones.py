@@ -3,7 +3,10 @@
 An apartment [v_1..v_d] acts on a point z as det of the dual basis over
 the product of the dual linear forms at z; this turns exact identities
 between combinations of apartments into identities of rational
-functions, checkable at random integer points. The same cones carry
+functions, checkable at random integer points. The evaluation runs in
+integers: with D = det [v_1..v_d] and A_i the integer adjugate rows, so
+<A_i, v_j> = D delta_ij, the value at an integer point Z is
+D^(d-1) / prod_i <A_i, Z>, one Fraction per apartment. The same cones carry
 generating-function coefficients, giving the quasi-shuffle and
 Bernoulli checks at the lattice level. Truncated Fourier sums run in
 integers (denominators cleared once, phases memoised by residue) and give
@@ -20,11 +23,9 @@ from operator import mul
 from typing import Sequence
 
 from .qlinalg import (
-    Vec,
-    _int_det,
+    _int_adjugate,
     _row_to_int,
     det,
-    dual_basis,
     qv,
     solve,
     split_seed,
@@ -56,8 +57,10 @@ def cone_to_steinberg(generators: Sequence, ambient: int | None = None) -> St:
 
 
 @lru_cache(maxsize=None)
-def _dual_data(key: ApKey) -> tuple[tuple[Vec, ...], Fraction]:
-    return dual_basis(key), Fraction(1, _int_det(key))
+def _dual_data(key: ApKey) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(A, D): D = det of the key and A_i the integer rows with <A_i, v_j> = D delta_ij."""
+    adj, dd = _int_adjugate(list(zip(*key)))
+    return tuple(map(tuple, adj)), dd
 
 
 def rho_term(key: ApKey, exps: Sequence[int], z: Sequence) -> Fraction:
@@ -65,27 +68,40 @@ def rho_term(key: ApKey, exps: Sequence[int], z: Sequence) -> Fraction:
 
     The monomial is re-expanded in the apartment basis; a basis monomial
     prod v_i^{k_i} contributes prod k_i! * det over the dual forms at z
-    raised to k_i + 1.
+    raised to k_i + 1. The dual forms are A_i / D (_dual_data), so with
+    z = Z / e, Z integral, and P_i = <A_i, Z>, a term of total degree
+    m = |exps| is the single fraction
+        D^(d-1) e^(d+m) sum_mono C_mono prod k_i! P_i^(m-k_i) / prod P_i^(m+1),
+    where C_mono are the integer coefficients of the expansion along the
+    columns of A; for m = 0 it is D^(d-1) e^d / prod P_i. Some P_i = 0 is
+    a pole.
     """
-    zv = qv(z)
+    if all(type(x) is int for x in z):
+        zint, e = z, 1
+    else:
+        zint, e = _row_to_int(qv(z))
     d = len(key)
-    dual, ddet = _dual_data(key)
-    pairings = [vec_dot(u, zv) for u in dual]
-    if any(p == 0 for p in pairings):
+    if len(zint) != d:
+        raise ValueError("evaluation point and apartment have different dimensions")
+    adj, dd = _dual_data(key)
+    pairings = [sum(map(mul, a, zint)) for a in adj]
+    if 0 in pairings:
         raise PoleError(f"evaluation point on a pole hyperplane of {key}")
-    # coordinates of e_j in the apartment basis are the j-th entries of
-    # the dual vectors
-    mono_dict: dict = {(0,) * d: ONE}
-    for j, m in enumerate(exps):
-        for _ in range(m):
-            mono_dict = _poly_times_linear(mono_dict, [u[j] for u in dual])
-    total = ZERO
-    for mono, c in mono_dict.items():
-        val = ddet * c
-        for i, k in enumerate(mono):
-            val *= Fraction(math.factorial(k)) / pairings[i] ** (k + 1)
-        total += val
-    return total
+    m = sum(exps)
+    scale = dd ** (d - 1) * e ** (d + m)
+    if not m:
+        return Fraction(scale, math.prod(pairings))
+    # coordinates of D e_j in the apartment basis are the j-th entries of A
+    mono_dict: dict = {(0,) * d: 1}
+    for j, mj in enumerate(exps):
+        col = [a[j] for a in adj]
+        for _ in range(mj):
+            mono_dict = _poly_times_linear(mono_dict, col)
+    num = sum(
+        c * math.prod(math.factorial(k) * p ** (m - k) for k, p in zip(mono, pairings))
+        for mono, c in mono_dict.items()
+    )
+    return Fraction(scale * num, math.prod(pairings) ** (m + 1))
 
 
 def rho_st(x: St, z: Sequence) -> Fraction:
@@ -96,8 +112,8 @@ def rho_st(x: St, z: Sequence) -> Fraction:
     return total
 
 
-def _draw_point(rng, n: int) -> tuple:
-    return tuple(Fraction(rng.randint(1, 10_000)) for _ in range(n))
+def _draw_point(rng, n: int) -> tuple[int, ...]:
+    return tuple(rng.randint(1, 10_000) for _ in range(n))
 
 
 def _vanishes_at_samples(vanishes_at_draw, points: int) -> bool:

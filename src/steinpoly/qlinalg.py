@@ -153,27 +153,27 @@ def det(m: Sequence[Sequence[Fraction]]) -> Fraction:
     return Fraction(_int_det(scaled), denom)
 
 
-def rref(rows: Sequence[Vec]) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+def _int_gauss_jordan(work: list[list[int]]) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan on integer rows, in place.
 
-    Fraction-free Gauss-Jordan: the rows are scaled to integers, and each
-    pivot eliminates its column above and below with a division by the
+    Each pivot eliminates its column above and below with a division by the
     previous pivot that is exact. After k pivots every entry is a minor of
-    the scaled input (of order k or k + 1) and every pivot entry equals the
-    last pivot, so one division per entry at the end gives the RREF, which
-    is unique.
+    the input (of order k or k + 1) and every pivot entry equals the last
+    pivot, so the first len(pivots) rows end as that pivot times the RREF.
+    Returns (pivot columns, last pivot, sign of the row permutation); for a
+    nonsingular square block the last pivot is that sign times its
+    determinant.
     """
-    work, _ = _rows_to_int(rows)
-    if not work:
-        return (), ()
     nrows, ncols = len(work), len(work[0])
     pivots: list[int] = []
-    r, prev = 0, 1
+    r, prev, sign = 0, 1, 1
     for c in range(ncols):
         pivot_row = next((i for i in range(r, nrows) if work[i][c]), None)
         if pivot_row is None:
             continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
+        if pivot_row != r:
+            work[r], work[pivot_row] = work[pivot_row], work[r]
+            sign = -sign
         top = work[r]
         pv = top[c]
         for i, row in enumerate(work):
@@ -189,7 +189,40 @@ def rref(rows: Sequence[Vec]) -> tuple[Mat, tuple[int, ...]]:
         r += 1
         if r == nrows:
             break
-    out = tuple(tuple(Fraction(x, prev) for x in row) for row in work[:r])
+    return pivots, prev, sign
+
+
+def _int_adjugate(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """Adjugate and determinant of a nonsingular square integer matrix.
+
+    Gauss-Jordan on [M | I] ends at [p I | p M^-1] with p = sign * det M,
+    so the adjugate det M * M^-1 is the right block times the sign.
+    Raises ValueError on a singular or non-square matrix.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix is not square")
+    if not n:
+        return [], 1
+    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    pivots, prev, sign = _int_gauss_jordan(work)
+    if pivots[n - 1 : n] != [n - 1]:
+        raise ValueError("matrix is singular")
+    return [[sign * x for x in row[n:]] for row in work], sign * prev
+
+
+def rref(rows: Sequence[Vec]) -> tuple[Mat, tuple[int, ...]]:
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+    The rows are scaled to integers and reduced by _int_gauss_jordan; one
+    division per entry by the last pivot at the end gives the RREF, which
+    is unique.
+    """
+    work, _ = _rows_to_int(rows)
+    if not work:
+        return (), ()
+    pivots, prev, _ = _int_gauss_jordan(work)
+    out = tuple(tuple(Fraction(x, prev) for x in row) for row in work[: len(pivots)])
     return out, tuple(pivots)
 
 
@@ -198,13 +231,14 @@ def rank(rows: Sequence[Vec]) -> int:
 
 
 def inverse(m: Mat) -> Mat:
-    """Inverse of a square rational matrix; raises on singular input."""
-    n = len(m)
-    aug = [list(m[i]) + [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    reduced, pivots = rref(tuple(tuple(r) for r in aug))
-    if pivots[:n] != tuple(range(n)) or len(reduced) != n:
-        raise ValueError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in reduced)
+    """Inverse of a square rational matrix; raises ValueError on singular input.
+
+    Row i is scaled to integers by s_i, M' = S m, so m^-1 = M'^-1 S and
+    entry (i, j) is adj(M')[i][j] * s_j / det M'.
+    """
+    rows, scales = zip(*map(_row_to_int, m)) if m else ((), ())
+    adj, dd = _int_adjugate(rows)
+    return tuple(tuple(Fraction(x * s, dd) for x, s in zip(row, scales)) for row in adj)
 
 
 def solve(m: Mat, rhs: Vec) -> Vec | None:

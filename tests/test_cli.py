@@ -204,6 +204,15 @@ class TestVerify:
         code, text = run(tmp_path, "verify", "cobracket", path)
         assert code == 2 and text == ""
 
+    def test_non_integral_ashrudolph_basis_exits_2(self, tmp_path, capsys):
+        path = write(tmp_path, "fix.json", {"cases": [
+            {"basis": [[1, 0], [0, 1]]},
+            {"basis": [["1/2", 2], [3, 4]]},
+        ]})
+        code, text = run(tmp_path, "verify", "ashrudolph", path)
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err.startswith("error: ashrudolph needs an integral basis")
+
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_oracle_points_below_one_exits_2(self, tmp_path, points):
         # the only case is perturbed, so an oracle that skips every point would PASS

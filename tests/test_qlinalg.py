@@ -155,6 +155,8 @@ class TestSolveInverse:
             )
         with pytest.raises(ValueError):
             inverse(qm([[1, 2], [2, 4]]))
+        with pytest.raises(ValueError):
+            inverse(qm([[1, 0, 0], [0, 1, 0]]))
 
 
 class TestCanonicalPoint:
