@@ -65,10 +65,6 @@ def transpose(m: Mat) -> Mat:
     return tuple(zip(*m, strict=True)) if m else ()
 
 
-def identity(n: int) -> Mat:
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-
-
 def _row_to_int(row: Sequence[Fraction]) -> tuple[list[int], int]:
     """Scale a rational row to integers; return (row, multiplier)."""
     m = lcm(*(f.denominator for f in row)) if row else 1
@@ -366,23 +362,18 @@ class Subspace:
     def zero(cls, ambient: int) -> "Subspace":
         return cls(ambient, ())
 
-    @classmethod
-    def full(cls, ambient: int) -> "Subspace":
-        return cls(ambient, identity(ambient))
-
     @property
     def dim(self) -> int:
         return len(self.rows)
 
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        """Pivot column of each RREF row: a 1 in that row, a 0 in the others."""
+        return tuple(next(i for i, x in enumerate(row) if x) for row in self.rows)
+
     def contains(self, v: Sequence) -> bool:
         w = qv(v)
-        r = list(w)
-        for row in self.rows:
-            p = next(i for i, x in enumerate(row) if x == 1 and all(row[j] == 0 for j in range(i)))
-            c = r[p]
-            if c != 0:
-                r = [x - c * y for x, y in zip(r, row)]
-        return all(x == 0 for x in r)
+        return self.from_local(tuple(w[p] for p in self.pivots)) == w
 
     def contains_sub(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.rows)
@@ -415,12 +406,8 @@ class Subspace:
     def local_coords(self, v: Sequence) -> Vec:
         """Coordinates of v in the RREF-row basis; raises if v is outside."""
         w = qv(v)
-        pivots = tuple(next(i for i, x in enumerate(row) if x != 0) for row in self.rows)
-        coeffs = tuple(w[p] for p in pivots)
-        rebuilt = [ZERO] * self.ambient
-        for c, row in zip(coeffs, self.rows):
-            rebuilt = [x + c * y for x, y in zip(rebuilt, row)]
-        if tuple(rebuilt) != w:
+        coeffs = tuple(w[p] for p in self.pivots)
+        if self.from_local(coeffs) != w:
             raise ValueError("vector is not in the subspace")
         return coeffs
 
@@ -432,11 +419,6 @@ class Subspace:
         for c, row in zip(cs, self.rows):
             v = [x + c * y for x, y in zip(v, row)]
         return tuple(v)
-
-    def line_point(self) -> tuple[int, ...]:
-        if self.dim != 1:
-            raise ValueError("line_point of a subspace that is not a line")
-        return canonical_point(self.rows[0])
 
     def __eq__(self, other) -> bool:
         return (

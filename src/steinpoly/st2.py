@@ -416,29 +416,23 @@ def is_zero_st_infty(x: St2, seed: int = 0) -> bool:
     return not bar_infty_reduce(embed_s(x), seed).terms
 
 
-def _fingerprint_local(x_local: St2, w: Subspace, seed: int) -> dict:
-    """st_infty_fingerprint of a tensor already in w's local coordinates."""
-    words = embed_s(x_local)
-    h = _h_functional(seed, w.dim, label=repr(w.rows))
-    reduced = shuffle_span_reduce(p_H_project(words, h))
-    return dict(reduced.terms)
+def st_infty_fingerprint(x: St2, seed: int = 0) -> dict:
+    """Canonical class coordinates of a tensor, read in ambient coordinates.
 
-
-def st_infty_fingerprint(x: St2, w: Subspace, seed: int = 0) -> dict:
-    """Canonical class coordinates of a tensor supported on the subspace w.
-
-    Localizes to w's echelon basis, embeds via the s-map, projects along
-    a functional derived from (seed, w), and takes the shuffle-span
-    representative of barcplx.shuffle_span_reduce. Equal classes give
-    equal dictionaries regardless of presentation.
+    w is the span of the first factors' points. The functional is the one
+    drawn from (seed, w) in w's echelon coordinates, with its entries
+    placed at w's pivot columns: each RREF row of w has a 1 at its pivot
+    and the other rows vanish there, so for every p in w the ambient
+    pairing <h, p> equals the pairing of h's local entries with p's
+    echelon coordinates. The s-image is projected along h and reduced to
+    the representative of barcplx.shuffle_span_reduce; equal classes on
+    the same support give equal dictionaries regardless of presentation.
     """
-    k = w.dim
-    local = St2.zero(k)
-    for (key_a, key_b, _exps), c in x.terms.items():
-        local += make_pair(
-            [w.local_coords(p) for p in key_a], [w.local_coords(p) for p in key_b], k, c
-        )
-    return _fingerprint_local(local, w, seed)
+    w = Subspace.span([p for key_a, _kb, _e in x.terms for p in key_a], x.ambient)
+    h = [0] * x.ambient
+    for p, hi in zip(w.pivots, _h_functional(seed, w.dim, label=repr(w.rows))):
+        h[p] = hi
+    return dict(shuffle_span_reduce(p_H_project(embed_s(x), h)).terms)
 
 
 # -------------------------------------------------------------- cobracket
@@ -467,53 +461,38 @@ def cobracket_L(vectors: Sequence, ambient: int | None = None):
     return terms
 
 
-def _wedge_expand(acc: dict, ids: dict, c: Fraction, wa, fpa: dict, wb, fpb: dict) -> None:
-    # small ints from ids stand in for the subspaces' Fraction rows in the keys
-    a = ids.setdefault(wa.rows, len(ids))
-    b = ids.setdefault(wb.rows, len(ids))
-    for ka, ca in fpa.items():
-        for kb, cb in fpb.items():
-            _acc(acc, (a, ka, b, kb), c * ca * cb)
-            _acc(acc, (b, kb, a, ka), -c * ca * cb)
+def _wedge(pairs, seed: int) -> dict:
+    """Sum of c fp(a) ^ fp(b) over (c, a, b), keyed by (key of a, key of b).
+
+    The letters of each fingerprint word span the word's support, so
+    ambient keys keep factors on different supports apart.
+    """
+    acc: dict = {}
+    for c, a, b in pairs:
+        fpa = st_infty_fingerprint(a, seed)
+        fpb = st_infty_fingerprint(b, seed)
+        for ka, ca in fpa.items():
+            for kb, cb in fpb.items():
+                _acc(acc, (ka, kb), c * ca * cb)
+                _acc(acc, (kb, ka), -c * ca * cb)
+    return acc
 
 
 def cobracket_matches_coproduct(vectors: Sequence, seed: int = 0) -> bool:
     """Cross-check of the cyclic cobracket against the coproduct route.
 
-    Expands both sides into fingerprint coordinates of their factors and
-    compares exactly. The coproduct route antisymmetrizes every split
-    and keeps only the splits where both sides are nontrivial.
+    Expands both sides into ambient fingerprint coordinates of their
+    factors and compares exactly. The coproduct route antisymmetrizes
+    every split and keeps only the splits where both sides are nontrivial.
     """
     vecs = [qv(v) for v in vectors]
     n = len(vecs[0])
-    ids: dict = {}
-    route_a: dict = {}
-    for c, left, right in cobracket_L(vecs, n):
-        wa = Subspace.span(left, n)
-        wb = Subspace.span(right, n)
-        la = make_L([wa.local_coords(v) for v in left], wa.dim)
-        lb = make_L([wb.local_coords(v) for v in right], wb.dim)
-        fpa = _fingerprint_local(la, wa, seed)
-        fpb = _fingerprint_local(lb, wb, seed)
-        _wedge_expand(route_a, ids, c, wa, fpa, wb, fpb)
-
-    route_b: dict = {}
-    for i_set, j_set, left, right in st2_coproduct(make_L(vecs, n)):
-        if not i_set or not j_set:
-            continue
-        wa = _support_subspace(left, n)
-        wb = _support_subspace(right, n)
-        fpa = st_infty_fingerprint(left, wa, seed)
-        fpb = st_infty_fingerprint(right, wb, seed)
-        _wedge_expand(route_b, ids, ONE, wa, fpa, wb, fpb)
+    route_a = _wedge(
+        ((c, make_L(left, n), make_L(right, n)) for c, left, right in cobracket_L(vecs, n)), seed
+    )
+    splits = st2_coproduct(make_L(vecs, n))
+    route_b = _wedge(((ONE, left, right) for i, j, left, right in splits if i and j), seed)
     return route_a == route_b
-
-
-def _support_subspace(x: St2, n: int) -> Subspace:
-    pts = []
-    for (key_a, key_b, _), _c in x.terms.items():
-        pts.extend(key_a)
-    return Subspace.span(pts, n)
 
 
 # ------------------------------------------------------ generic pair solve

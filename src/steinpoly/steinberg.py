@@ -39,7 +39,6 @@ from typing import Sequence
 from .qlinalg import (
     Flag,
     Mat,
-    Vec,
     _int_det,
     _int_rank,
     canonical_point,
@@ -362,41 +361,21 @@ def is_zero(x: St) -> bool:
 # ------------------------------------------------------------------ residue
 
 
-def _pivot_chart(p_can: Point):
-    """Drop-pivot linear chart on Q^n / <p>, per the echelon convention."""
-    j = next(i for i, x in enumerate(p_can) if x != 0)
-    pj = Fraction(p_can[j])
-
-    def chart(v: Vec) -> Vec:
-        f = v[j] / pj
-        w = tuple(x - f * Fraction(pc) for x, pc in zip(v, p_can))
-        return w[:j] + w[j + 1 :]
-
-    return chart
-
-
 def residue(x: St, p: Sequence) -> St:
     """Boundary component of x at the line through p.
 
     Keeps only apartments with an entry on the line, removes that entry
-    with the sign of its slot, and pushes the rest to the quotient in
-    the drop-pivot chart of the line.
+    with the sign of its slot, and pushes the rest to the quotient
+    Q^n / <p>, written in the unimodular chart of _line_chart(p) (the
+    one the Ash-Rudolph descent uses). In Q^1 the one apartment [p] goes
+    to the empty apartment of Q^0.
     """
     p_can = canonical_point(qv(p))
     if len(p_can) != x.ambient:
         raise ValueError("point length does not match ambient dimension")
-    chart = _pivot_chart(p_can)
-    out = St.zero(x.ambient - 1)
-    for key, c in x.terms.items():
-        for slot, pt in enumerate(key):
-            if pt == p_can:
-                rest = [chart(qv(q)) for q in key[:slot] + key[slot + 1 :]]
-                if not rest:
-                    out.add_term((), c)
-                else:
-                    out += c * (-1) ** slot * make_apartment(rest, x.ambient - 1)
-                break
-    return out
+    if x.ambient == 1:
+        return St(0, {(): c for c in x.terms.values()})
+    return St(x.ambient - 1, _delta_line(x.terms, p_can, _line_chart(p_can)[1], False))
 
 
 # --------------------------------------------------- Ash-Rudolph style reduction

@@ -1,0 +1,80 @@
+"""Reference cobracket check, kept for tests only.
+
+This is the localised route that the ambient fingerprints in
+``steinpoly.st2`` replaced: every factor is moved into the echelon basis
+of its support with ``Subspace.local_coords`` before the s-map, the
+projection and the shuffle-span reduction, and the wedge keys carry a
+small id per support. Unlike the kernel, it takes the list of cobracket
+terms as an argument, so tests can feed both routes the same mutated
+terms and require the same verdict.
+"""
+from fractions import Fraction
+
+from steinpoly.barcplx import p_H_project, shuffle_span_reduce
+from steinpoly.qlinalg import Subspace, qv
+from steinpoly.st2 import St2, _h_functional, embed_s, make_L, make_pair, st2_coproduct
+from steinpoly.steinberg import _acc
+
+ONE = Fraction(1)
+
+
+def _fingerprint_local(x_local, w, seed):
+    """st_infty_fingerprint of a tensor already in w's local coordinates."""
+    words = embed_s(x_local)
+    h = _h_functional(seed, w.dim, label=repr(w.rows))
+    reduced = shuffle_span_reduce(p_H_project(words, h))
+    return dict(reduced.terms)
+
+
+def st_infty_fingerprint(x, w, seed=0):
+    k = w.dim
+    local = St2.zero(k)
+    for (key_a, key_b, _exps), c in x.terms.items():
+        local += make_pair(
+            [w.local_coords(p) for p in key_a], [w.local_coords(p) for p in key_b], k, c
+        )
+    return _fingerprint_local(local, w, seed)
+
+
+def _wedge_expand(acc, ids, c, wa, fpa, wb, fpb):
+    # small ints from ids stand in for the subspaces' Fraction rows in the keys
+    a = ids.setdefault(wa.rows, len(ids))
+    b = ids.setdefault(wb.rows, len(ids))
+    for ka, ca in fpa.items():
+        for kb, cb in fpb.items():
+            _acc(acc, (a, ka, b, kb), c * ca * cb)
+            _acc(acc, (b, kb, a, ka), -c * ca * cb)
+
+
+def _support_subspace(x, n):
+    pts = []
+    for (key_a, key_b, _), _c in x.terms.items():
+        pts.extend(key_a)
+    return Subspace.span(pts, n)
+
+
+def cobracket_matches_coproduct(vectors, terms, seed=0):
+    """Compare the cobracket terms (c, left, right) with the coproduct of L(vectors)."""
+    vecs = [qv(v) for v in vectors]
+    n = len(vecs[0])
+    ids: dict = {}
+    route_a: dict = {}
+    for c, left, right in terms:
+        wa = Subspace.span(left, n)
+        wb = Subspace.span(right, n)
+        la = make_L([wa.local_coords(v) for v in left], wa.dim)
+        lb = make_L([wb.local_coords(v) for v in right], wb.dim)
+        fpa = _fingerprint_local(la, wa, seed)
+        fpb = _fingerprint_local(lb, wb, seed)
+        _wedge_expand(route_a, ids, c, wa, fpa, wb, fpb)
+
+    route_b: dict = {}
+    for i_set, j_set, left, right in st2_coproduct(make_L(vecs, n)):
+        if not i_set or not j_set:
+            continue
+        wa = _support_subspace(left, n)
+        wb = _support_subspace(right, n)
+        fpa = st_infty_fingerprint(left, wa, seed)
+        fpb = st_infty_fingerprint(right, wb, seed)
+        _wedge_expand(route_b, ids, ONE, wa, fpa, wb, fpb)
+    return route_a == route_b

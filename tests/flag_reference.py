@@ -64,7 +64,7 @@ def flag_expand_apartment(key, flag):
         kk = (i, ix)
         if kk not in line_of:
             inter = flag[i - 1].intersect(span_set(ix))
-            line_of[kk] = inter.line_point() if inter.dim == 1 else None
+            line_of[kk] = canonical_point(inter.rows[0]) if inter.dim == 1 else None
         return line_of[kk]
 
     for tau in permutations(range(d)):

@@ -17,7 +17,7 @@ from math import isqrt
 from typing import Sequence
 
 from steinpoly.cones import ONE, ZERO, PoleError
-from steinpoly.qlinalg import Mat, Vec, det, identity, inverse, qv, vec_dot
+from steinpoly.qlinalg import Mat, Vec, det, inverse, qv, vec_dot
 from steinpoly.steinberg import ApKey, Point, St, _acc, _xgcd, make_apartment
 
 # --------------------------------------------------- Ash-Rudolph style reduction
@@ -27,7 +27,7 @@ from steinpoly.steinberg import ApKey, Point, St, _acc, _xgcd, make_apartment
 def _line_chart(p: Point) -> tuple[Mat, Mat]:
     """Unimodular U with U e_1 = p, plus T = U^{-1}; lattice-exact chart."""
     n = len(p)
-    t_rows = [list(row) for row in identity(n)]
+    t_rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
     w = [Fraction(x) for x in p]
     for i in range(n - 1, 0, -1):
         a, b = int(w[i - 1]), int(w[i])

@@ -8,7 +8,7 @@ with letters from ``Subspace.intersect`` and an independence test by
 """
 from itertools import combinations, permutations
 
-from steinpoly.qlinalg import Subspace, qv
+from steinpoly.qlinalg import Subspace, canonical_point, qv
 from steinpoly.st2 import _subset_front_sign, _unit_st2, make_pair, zero_exps
 from steinpoly.steinberg import _perm_sign
 
@@ -38,7 +38,7 @@ def s_pair(key_a, key_b):
         key = (fa, fb)
         if key not in inter_cache:
             w = spa(fa).intersect(spb(fb))
-            inter_cache[key] = w.line_point() if w.dim == 1 else None
+            inter_cache[key] = canonical_point(w.rows[0]) if w.dim == 1 else None
         return inter_cache[key]
 
     words = {}
@@ -91,7 +91,7 @@ def st2_coproduct(x):
                         if cut.dim != 1:
                             ok = False
                             break
-                        left_b_lines.append(cut.line_point())
+                        left_b_lines.append(canonical_point(cut.rows[0]))
                     if not ok:
                         continue
                     right_a_lines = []
@@ -100,7 +100,7 @@ def st2_coproduct(x):
                         if cut.dim != 1:
                             ok = False
                             break
-                        right_a_lines.append(cut.line_point())
+                        right_a_lines.append(canonical_point(cut.rows[0]))
                     if not ok:
                         continue
                     left = make_pair(

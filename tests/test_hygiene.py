@@ -1,9 +1,14 @@
-"""Static checks on the package source: no import is left unused.
+"""Static checks on the package source: no import is left unused, and no
+private helper is left without a caller.
 
 A name bound by an import counts as used when the module reads it
-anywhere (code or annotations) or lists it in its ``__all__``.
+anywhere (code or annotations) or lists it in its ``__all__``. A
+module-level function or class whose name starts with ``_`` counts as
+used when some module of the package names it (as a name, an attribute
+or an imported name) outside the helper's own body.
 """
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -39,3 +44,41 @@ def test_detects_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _names(node) -> Counter:
+    names: Counter = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            names[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            names[sub.asname or sub.name] += 1
+    return names
+
+
+def orphaned_helpers(sources: dict[str, str]) -> list[str]:
+    """module.name of every private module-level helper no other code names."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    names = {mod: _names(tree) for mod, tree in trees.items()}
+    everywhere = sum(names.values(), Counter())
+    orphans = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                if everywhere[node.name] == _names(node)[node.name]:
+                    orphans.append(f"{mod}.{node.name}")
+    return sorted(orphans)
+
+
+def test_detects_orphaned_helper():
+    sources = {
+        "a": "def _used():\n    pass\n\ndef _rec(n):\n    return _rec(n - 1)\n\nclass _Gone:\n    pass\n",
+        "b": "from .a import _used\n",
+    }
+    assert orphaned_helpers(sources) == ["a._Gone", "a._rec"]
+
+
+def test_no_orphaned_helpers():
+    assert orphaned_helpers({p.stem: p.read_text() for p in MODULES}) == []

@@ -389,6 +389,18 @@ class TestCobracket:
         assert cobracket_matches_coproduct([F1, F2, F3])
         assert cobracket_matches_coproduct([(1, 2, 0), (0, 1, 3), (1, 1, 1)])
 
+    def test_no_localisation(self):
+        # both routes fingerprint in ambient coordinates
+        from unittest import mock
+
+        from steinpoly.qlinalg import Subspace
+
+        with mock.patch.object(Subspace, "local_coords", side_effect=AssertionError):
+            assert cobracket_matches_coproduct([(1, 2, 0), (0, 1, 3), (1, 1, 1)], seed=3)
+            assert cobracket_matches_coproduct(
+                [(1, 0, 2, 0), (0, 1, -1, 1), (1, 1, 0, 2), (2, 0, 1, -1)], seed=4
+            )
+
 
 class TestCoxeter:
     def test_round_trip(self):

@@ -171,6 +171,11 @@ class TestResidue:
         assert residue(x, (0, 1)) == (-1) * make_apartment([(1,)], 1)
         assert not residue(x, (1, 1)).terms
 
+    def test_ambient_one(self):
+        x = Fraction(3, 2) * make_apartment([(-2,)], 1)
+        assert residue(x, (5,)) == St(0, {(): Fraction(3, 2)})
+        assert not residue(St.zero(1), (1,)).terms
+
     def test_scale_of_point_irrelevant(self):
         x = make_apartment([(1, 2), (3, 1)])
         assert residue(x, (2, 4)) == residue(x, (1, 2))
