@@ -33,6 +33,7 @@ from .steinberg import (
     LinComb,
     St,
     _acc,
+    _numerators,
     flag_expand,
     make_apartment,
     normalize_apartment,
@@ -238,16 +239,20 @@ def shuffle_span_reduce(x: Bar) -> Bar:
     through, and exponent groups stay apart.
     """
     _require_lines(x, "shuffle_span_reduce")
-    out = Bar.zero(x.ambient)
-    for (word, exps), c in x.terms.items():
+    # the extra factor lcm(1..longest) makes every division by a multiplicity exact
+    longest = max((len(word) for word, _exps in x.terms), default=0)
+    den, nums = _numerators(x.terms, lcm(*range(1, longest + 1)))
+    acc: dict = {}
+    for (word, exps), num in nums.items():
         if len(word) <= 1:
-            _acc(out.terms, (word, exps), c)
+            acc[(word, exps)] = acc.get((word, exps), 0) + num
             continue
         a = min(word)
-        c = c / word.count(a)
+        num //= word.count(a)
         for p, letter in enumerate(word):
             if letter == a:
-                s = -c if p % 2 else c
+                s = -num if p % 2 else num
                 for w in shuffle_words(word[:p][::-1], word[p + 1 :]):
-                    _acc(out.terms, ((a,) + w, exps), s)
-    return out
+                    key = ((a,) + w, exps)
+                    acc[key] = acc.get(key, 0) + s
+    return Bar(x.ambient, {k: Fraction(v, den) for k, v in acc.items() if v})

@@ -238,7 +238,10 @@ def _case_perturbation(case, ambient: int):
         return None, None
     if not isinstance(pert, dict):
         raise InputError(f"bad perturbation {pert!r}")
-    vecs = [_vec(v) for v in pert.get("vectors", ())]
+    rows = pert.get("vectors", [])
+    if not isinstance(rows, list):
+        raise InputError(f"perturbation 'vectors' must be a list, got {rows!r}")
+    vecs = [_vec(v) for v in rows]
     c = _frac(pert.get("coeff", "1"))
     if (
         len(vecs) != ambient
@@ -371,7 +374,11 @@ def cmd_verify(args) -> int:
         if not data["cases"]:
             raise InputError("fixture has no cases")
         cases = [(_case_basis(entry), entry) for entry in data["cases"]]
-        n = len(cases[0][0])
+        dims = sorted({len(basis) for basis, _entry in cases})
+        if len(dims) > 1:
+            # the report states one dimension for all cases
+            raise InputError(f"fixture mixes case dimensions {dims}")
+        n = dims[0]
     else:
         rng = split_seed(args.seed, f"verify-{args.suite}")
         cases = [(_rand_basis(rng, n), {}) for _ in range(args.cases)]

@@ -58,7 +58,10 @@ def cone_to_steinberg(generators: Sequence, ambient: int | None = None) -> St:
 
 @lru_cache(maxsize=None)
 def _dual_data(key: ApKey) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(A, D): D = det of the key and A_i the integer rows with <A_i, v_j> = D delta_ij."""
+    """(A, D): D = det of the key and A_i the integer rows with <A_i, v_j> = D delta_ij.
+
+    A key with dependent entries gives ((), 0).
+    """
     adj, dd = _int_adjugate(list(zip(*key)))
     return tuple(map(tuple, adj)), dd
 
@@ -74,7 +77,8 @@ def rho_term(key: ApKey, exps: Sequence[int], z: Sequence) -> Fraction:
         D^(d-1) e^(d+m) sum_mono C_mono prod k_i! P_i^(m-k_i) / prod P_i^(m+1),
     where C_mono are the integer coefficients of the expansion along the
     columns of A; for m = 0 it is D^(d-1) e^d / prod P_i. Some P_i = 0 is
-    a pole.
+    a pole. An apartment with dependent entries is the zero class and
+    evaluates to 0.
     """
     if all(type(x) is int for x in z):
         zint, e = z, 1
@@ -84,6 +88,8 @@ def rho_term(key: ApKey, exps: Sequence[int], z: Sequence) -> Fraction:
     if len(zint) != d:
         raise ValueError("evaluation point and apartment have different dimensions")
     adj, dd = _dual_data(key)
+    if not dd:
+        return ZERO
     pairings = [sum(map(mul, a, zint)) for a in adj]
     if 0 in pairings:
         raise PoleError(f"evaluation point on a pole hyperplane of {key}")

@@ -189,11 +189,11 @@ def _int_gauss_jordan(work: list[list[int]]) -> tuple[list[int], int, int]:
 
 
 def _int_adjugate(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """Adjugate and determinant of a nonsingular square integer matrix.
+    """Adjugate and determinant of a square integer matrix; ([], 0) if singular.
 
     Gauss-Jordan on [M | I] ends at [p I | p M^-1] with p = sign * det M,
     so the adjugate det M * M^-1 is the right block times the sign.
-    Raises ValueError on a singular or non-square matrix.
+    Raises ValueError on a non-square matrix.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
@@ -203,7 +203,7 @@ def _int_adjugate(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     pivots, prev, sign = _int_gauss_jordan(work)
     if pivots[n - 1 : n] != [n - 1]:
-        raise ValueError("matrix is singular")
+        return [], 0
     return [[sign * x for x in row[n:]] for row in work], sign * prev
 
 
@@ -234,6 +234,8 @@ def inverse(m: Mat) -> Mat:
     """
     rows, scales = zip(*map(_row_to_int, m)) if m else ((), ())
     adj, dd = _int_adjugate(rows)
+    if not dd:
+        raise ValueError("matrix is singular")
     return tuple(tuple(Fraction(x * s, dd) for x, s in zip(row, scales)) for row in adj)
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
 from typing import Sequence
 
 from .barcplx import Bar, p_H_project, shuffle_span_reduce
@@ -47,6 +48,7 @@ from .steinberg import (
     St,
     _acc,
     _cut_point,
+    _numerators,
     _perm_sign,
     flag_expand,
     normalize_apartment,
@@ -162,11 +164,13 @@ def embed_s(x: St2) -> Bar:
     result is a combination of words of d independent lines, carrying
     the sym exponents of the input along.
     """
-    out = Bar.zero(x.ambient)
-    for (ka, kb, exps), c in x.terms.items():
+    den, nums = _numerators(x.terms)
+    acc: dict = {}
+    for (ka, kb, exps), num in nums.items():
         for word, wc in _s_pair(ka, kb):
-            out.add_word(word, c * wc, exps)
-    return out
+            key = (word, exps)
+            acc[key] = acc.get(key, 0) + num * wc
+    return Bar(x.ambient, {k: Fraction(v, den) for k, v in acc.items() if v})
 
 
 # --------------------------------------------------------------- coproduct
@@ -461,38 +465,49 @@ def cobracket_L(vectors: Sequence, ambient: int | None = None):
     return terms
 
 
-def _wedge(pairs, seed: int) -> dict:
-    """Sum of c fp(a) ^ fp(b) over (c, a, b), keyed by (key of a, key of b).
-
-    The letters of each fingerprint word span the word's support, so
-    ambient keys keep factors on different supports apart.
-    """
-    acc: dict = {}
-    for c, a, b in pairs:
-        fpa = st_infty_fingerprint(a, seed)
-        fpb = st_infty_fingerprint(b, seed)
-        for ka, ca in fpa.items():
-            for kb, cb in fpb.items():
-                _acc(acc, (ka, kb), c * ca * cb)
-                _acc(acc, (kb, ka), -c * ca * cb)
-    return acc
-
-
 def cobracket_matches_coproduct(vectors: Sequence, seed: int = 0) -> bool:
     """Cross-check of the cyclic cobracket against the coproduct route.
 
     Expands both sides into ambient fingerprint coordinates of their
     factors and compares exactly. The coproduct route antisymmetrizes
     every split and keeps only the splits where both sides are nontrivial.
+
+    Each distinct factor (by its sorted terms) is fingerprinted once. The
+    letters of each fingerprint word span the word's support, so ambient
+    keys keep factors on different supports apart; each key gets a small
+    id. Both routes are sums of c fp(a) ^ fp(b), so route A minus route B
+    is kept on the pairs of ids ia < ib, with (ib, ia) folded in by sign
+    and ia = ib cancelling, in integers over one common denominator.
     """
     vecs = [qv(v) for v in vectors]
     n = len(vecs[0])
-    route_a = _wedge(
-        ((c, make_L(left, n), make_L(right, n)) for c, left, right in cobracket_L(vecs, n)), seed
-    )
-    splits = st2_coproduct(make_L(vecs, n))
-    route_b = _wedge(((ONE, left, right) for i, j, left, right in splits if i and j), seed)
-    return route_a == route_b
+    pairs = [(c, make_L(left, n), make_L(right, n)) for c, left, right in cobracket_L(vecs, n)]
+    pairs += [(-ONE, a, b) for i, j, a, b in st2_coproduct(make_L(vecs, n)) if i and j]
+    ids: dict = {}
+    fps: dict = {}
+
+    def fingerprint(x: St2) -> tuple[int, list[tuple[int, int]]]:
+        """(den, [(key id, numerator)]) of x's fingerprint, once per distinct x."""
+        fk = tuple(sorted(x.terms.items()))
+        if fk not in fps:
+            den, nums = _numerators(st_infty_fingerprint(x, seed))
+            fps[fk] = den, [(ids.setdefault(k, len(ids)), num) for k, num in nums.items()]
+        return fps[fk]
+
+    terms = [(c, fingerprint(a), fingerprint(b)) for c, a, b in pairs]
+    # each pair carries c / (den_a den_b); one lcm clears them all
+    den = lcm(*(c.denominator * da * db for c, (da, _na), (db, _nb) in terms))
+    acc: dict = {}
+    for c, (da, nums_a), (db, nums_b) in terms:
+        scale = c.numerator * (den // (c.denominator * da * db))
+        for ia, na in nums_a:
+            s = scale * na
+            for ib, nb in nums_b:
+                if ia < ib:
+                    acc[(ia, ib)] = acc.get((ia, ib), 0) + s * nb
+                elif ib < ia:
+                    acc[(ib, ia)] = acc.get((ib, ia), 0) - s * nb
+    return not any(acc.values())
 
 
 # ------------------------------------------------------ generic pair solve

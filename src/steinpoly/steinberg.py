@@ -60,6 +60,16 @@ def _acc(d: dict, key, c) -> None:
         d.pop(key, None)
 
 
+def _numerators(terms: dict, scale: int = 1) -> tuple[int, dict]:
+    """(den, {key: num}) with terms[key] = num / den, den = scale * lcm of the denominators.
+
+    Kernels that multiply rational coefficients by integers sum these
+    numerators in int and build one Fraction(sum, den) per output key.
+    """
+    den = scale * lcm(*(c.denominator for c in terms.values()))
+    return den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
+
+
 def _poly_times_linear(poly: dict, vec: Sequence) -> dict:
     """Product of a monomial dict {exponents: coeff} with the form sum_i vec[i] X_i."""
     out: dict = {}
@@ -342,13 +352,11 @@ def flag_expand(x: St, flag: Flag | None = None) -> St:
         raise ValueError("flag length must match the ambient dimension")
     else:
         frows = _flag_rows(flag, x.ambient)
-    # numerators over one common denominator, so the sums stay in int
-    den = lcm(*(c.denominator for c in x.terms.values()))
+    den, nums = _numerators(x.terms)
     acc: dict[ApKey, int] = {}
-    for key, c in x.terms.items():
+    for key, num in nums.items():
         if len(key) != x.ambient:
             raise ValueError("flag expansion needs full-length apartments")
-        num = c.numerator * (den // c.denominator)
         for k2, c2 in _flag_expand_apartment(key, frows):
             acc[k2] = acc.get(k2, 0) + num * c2
     return St(x.ambient, {k: Fraction(v, den) for k, v in acc.items() if v})

@@ -1,18 +1,33 @@
-"""Reference cobracket check, kept for tests only.
+"""Reference cobracket checks, kept for tests only.
 
-This is the localised route that the ambient fingerprints in
-``steinpoly.st2`` replaced: every factor is moved into the echelon basis
-of its support with ``Subspace.local_coords`` before the s-map, the
-projection and the shuffle-span reduction, and the wedge keys carry a
-small id per support. Unlike the kernel, it takes the list of cobracket
-terms as an argument, so tests can feed both routes the same mutated
-terms and require the same verdict.
+``cobracket_matches_coproduct`` is the localised route that the ambient
+fingerprints in ``steinpoly.st2`` replaced: every factor is moved into the
+echelon basis of its support with ``Subspace.local_coords`` before the
+s-map, the projection and the shuffle-span reduction, and the wedge keys
+carry a small id per support.
+
+``wedge_matches_coproduct`` is the ambient route as it was before it
+fingerprinted each distinct factor once and summed in integers: ``_wedge``
+fingerprints both factors of every pair and builds each route's whole
+antisymmetric ``Fraction`` dictionary, and the two are compared.
+
+Unlike the kernel, both take the list of cobracket terms as an argument,
+so tests can feed every route the same mutated terms and require the same
+verdict.
 """
 from fractions import Fraction
 
 from steinpoly.barcplx import p_H_project, shuffle_span_reduce
 from steinpoly.qlinalg import Subspace, qv
-from steinpoly.st2 import St2, _h_functional, embed_s, make_L, make_pair, st2_coproduct
+from steinpoly.st2 import (
+    St2,
+    _h_functional,
+    embed_s,
+    make_L,
+    make_pair,
+    st2_coproduct,
+    st_infty_fingerprint as ambient_fingerprint,
+)
 from steinpoly.steinberg import _acc
 
 ONE = Fraction(1)
@@ -77,4 +92,31 @@ def cobracket_matches_coproduct(vectors, terms, seed=0):
         fpa = st_infty_fingerprint(left, wa, seed)
         fpb = st_infty_fingerprint(right, wb, seed)
         _wedge_expand(route_b, ids, ONE, wa, fpa, wb, fpb)
+    return route_a == route_b
+
+
+def _wedge(pairs, seed):
+    """Sum of c fp(a) ^ fp(b) over (c, a, b), keyed by (key of a, key of b).
+
+    The letters of each fingerprint word span the word's support, so
+    ambient keys keep factors on different supports apart.
+    """
+    acc: dict = {}
+    for c, a, b in pairs:
+        fpa = ambient_fingerprint(a, seed)
+        fpb = ambient_fingerprint(b, seed)
+        for ka, ca in fpa.items():
+            for kb, cb in fpb.items():
+                _acc(acc, (ka, kb), c * ca * cb)
+                _acc(acc, (kb, ka), -c * ca * cb)
+    return acc
+
+
+def wedge_matches_coproduct(vectors, terms, seed=0):
+    """Compare the cobracket terms (c, left, right) with the coproduct of L(vectors)."""
+    vecs = [qv(v) for v in vectors]
+    n = len(vecs[0])
+    route_a = _wedge(((c, make_L(left, n), make_L(right, n)) for c, left, right in terms), seed)
+    splits = st2_coproduct(make_L(vecs, n))
+    route_b = _wedge(((ONE, left, right) for i, j, left, right in splits if i and j), seed)
     return route_a == route_b

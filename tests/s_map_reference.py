@@ -3,13 +3,16 @@
 These are the Fraction-based routines the integer walks in
 ``steinpoly.st2`` replaced: the flat loop over all pairs of permutations
 with letters from ``Subspace.intersect`` and an independence test by
-``Subspace.add``, and the coproduct whose splits and cut lines come from
-``Subspace`` spans. Tests require the kernel to agree with them exactly.
+``Subspace.add``, the coproduct whose splits and cut lines come from
+``Subspace`` spans, and ``embed_s`` adding one ``Fraction`` per word of
+every term (the kernel now sums integer numerators over one common
+denominator). Tests require the kernel to agree with them exactly.
 """
 from itertools import combinations, permutations
 
+from steinpoly.barcplx import Bar
 from steinpoly.qlinalg import Subspace, canonical_point, qv
-from steinpoly.st2 import _subset_front_sign, _unit_st2, make_pair, zero_exps
+from steinpoly.st2 import _s_pair, _subset_front_sign, _unit_st2, make_pair, zero_exps
 from steinpoly.steinberg import _perm_sign
 
 
@@ -61,6 +64,20 @@ def s_pair(key_a, key_b):
                 w = tuple(letters)
                 words[w] = words.get(w, 0) + sgn_s * _perm_sign(tau)
     return tuple(sorted((w, c) for w, c in words.items() if c))
+
+
+def embed_s(x):
+    """Bar-word expansion of a tensor of apartment pairs.
+
+    Terms where the two flags are not in general position drop out; the
+    result is a combination of words of d independent lines, carrying
+    the sym exponents of the input along.
+    """
+    out = Bar.zero(x.ambient)
+    for (ka, kb, exps), c in x.terms.items():
+        for word, wc in _s_pair(ka, kb):
+            out.add_word(word, c * wc, exps)
+    return out
 
 
 def st2_coproduct(x):

@@ -1,17 +1,23 @@
-"""Reference shuffle-span reduction, kept for tests only.
+"""Reference shuffle-span reductions, kept for tests only.
 
-This is the dense elimination the least-letter Dynkin projection in
-``steinpoly.barcplx.shuffle_span_reduce`` replaced: for each letter
-multiset it lists all words, row-reduces the span of every shuffle
+``shuffle_span_reduce`` is the dense elimination the least-letter Dynkin
+projection in ``steinpoly.barcplx.shuffle_span_reduce`` replaced: for each
+letter multiset it lists all words, row-reduces the span of every shuffle
 product over ``Fraction`` with lex-first pivots, and returns the lex
 remainder. Tests require the kernel to give the same zero verdicts and
 the same classes as this one.
+
+``dynkin_reduce`` is that Dynkin projection as it was before its sums
+moved to integer numerators: one ``Fraction`` division by the least
+letter's multiplicity per word and one ``Fraction`` addition per output
+word. Tests require the kernel to give exactly its output.
 """
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 
 from steinpoly.barcplx import Bar, Point, _require_lines, shuffle_words
+from steinpoly.steinberg import _acc
 
 ZERO = Fraction(0)
 
@@ -92,4 +98,33 @@ def shuffle_span_reduce(x: Bar) -> Bar:
         for w, a in zip(words, vec):
             if a:
                 out.add_word(w, a, exps)
+    return out
+
+
+def dynkin_reduce(x: Bar) -> Bar:
+    """Canonical representative of x modulo the shuffle ideal.
+
+    The Dynkin adjoint D^T(w) = sum_p (-1)^p w_p (rev(w_<p) sh w_>p) of
+    left-normed bracketing kills exactly the shuffle products in length
+    >= 2 (Ree's theorem), and its summand at each position p is congruent
+    to w. Keeping the summands at the m occurrences of w's least letter a,
+    divided by m, therefore gives a representative of w's class on words
+    that begin with a, and the map still kills the shuffle products: the
+    output is zero exactly when x is a combination of shuffle products,
+    and reducing it again returns it unchanged. Words of length <= 1 pass
+    through, and exponent groups stay apart.
+    """
+    _require_lines(x, "shuffle_span_reduce")
+    out = Bar.zero(x.ambient)
+    for (word, exps), c in x.terms.items():
+        if len(word) <= 1:
+            _acc(out.terms, (word, exps), c)
+            continue
+        a = min(word)
+        c = c / word.count(a)
+        for p, letter in enumerate(word):
+            if letter == a:
+                s = -c if p % 2 else c
+                for w in shuffle_words(word[:p][::-1], word[p + 1 :]):
+                    _acc(out.terms, ((a,) + w, exps), s)
     return out

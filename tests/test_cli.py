@@ -189,11 +189,23 @@ class TestVerify:
         [[[1, 0], [0, 1]]],
         [{"basis": [[int(i == j) for j in range(MAX_DIM + 1)] for i in range(MAX_DIM + 1)]}],
         [{"basis": [[1, 0], [0, 1]], "perturb": {"vectors": [[0, 1], [1]]}}],
+        [{"basis": [[1, 0], [0, 1]], "perturb": {"vectors": 5}}],
     ])
     def test_malformed_fixture_exits_2(self, tmp_path, cases):
         path = write(tmp_path, "fix.json", {"cases": cases})
         code, text = run(tmp_path, "verify", "duality", path)
         assert code == 2 and text == ""
+
+    @pytest.mark.parametrize("suite", ["shuffle", "dihedral", "duality"])
+    def test_mixed_dimension_fixture_exits_2(self, tmp_path, capsys, suite):
+        # the report has one "dim" field, which would name the first case's size only
+        path = write(tmp_path, "fix.json", {"cases": [
+            {"basis": [[1, 0], [0, 1]]},
+            {"basis": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+        ]})
+        code, text = run(tmp_path, "verify", suite, path)
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err.startswith("error: fixture mixes case dimensions [2, 3]")
 
     def test_perturbed_cobracket_fixture_exits_2(self, tmp_path):
         # the cobracket suite takes no perturbation: bad input, not a FAIL

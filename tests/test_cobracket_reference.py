@@ -1,15 +1,18 @@
-"""The ambient cobracket check against the localised reference.
+"""The ambient cobracket check against its two earlier routes.
 
-``cobracket_reference`` keeps the route that moved every factor into the
-echelon basis of its support before fingerprinting it. On random bases
-both routes must accept the true cobracket terms, and both must reject
-the same terms with one sign flipped, one term dropped or one term's
-sides swapped. The kernel reads its terms from ``st2.cobracket_L``, so
-the mutated terms are fed to it by patching that name; they then go
-through ``st2._wedge`` like the true ones.
+``cobracket_reference`` keeps the localised route, which moved every
+factor into the echelon basis of its support before fingerprinting it,
+and the ambient ``_wedge`` route, which fingerprinted both factors of
+every pair and compared two antisymmetric ``Fraction`` dictionaries. On
+random bases all three must accept the true cobracket terms, and all three
+must reject the same terms with one sign flipped, one term dropped or one
+term's sides swapped. The kernel reads its terms from ``st2.cobracket_L``,
+so the mutated terms are fed to it by patching that name. The kernel
+fingerprints each distinct factor once.
 """
 from unittest import mock
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -46,6 +49,7 @@ def kernel_verdict(vecs, terms, seed):
 def test_both_routes_accept_the_cobracket(vecs, seed):
     terms = st2.cobracket_L(vecs)
     assert ref.cobracket_matches_coproduct(vecs, terms, seed=seed)
+    assert ref.wedge_matches_coproduct(vecs, terms, seed=seed)
     assert st2.cobracket_matches_coproduct(vecs, seed=seed)
 
 
@@ -55,4 +59,31 @@ def test_both_routes_reject_mutated_terms(vecs, seed, kind, data):
     terms = st2.cobracket_L(vecs)
     bad = mutate(terms, kind, data.draw(st.integers(0, len(terms) - 1)))
     assert not ref.cobracket_matches_coproduct(vecs, bad, seed=seed)
+    assert not ref.wedge_matches_coproduct(vecs, bad, seed=seed)
     assert not kernel_verdict(vecs, bad, seed)
+
+
+def factor_keys(vecs):
+    """Sorted terms of every factor the kernel fingerprints, with repeats."""
+    n = len(vecs)
+    factors = [st2.make_L(side, n) for _c, a, b in st2.cobracket_L(vecs) for side in (a, b)]
+    for i, j, left, right in st2.st2_coproduct(st2.make_L(vecs, n)):
+        if i and j:
+            factors += [left, right]
+    return [tuple(sorted(x.terms.items())) for x in factors]
+
+
+@pytest.mark.parametrize("vecs", [
+    [(1, 0), (1, 2)],
+    [(1, 0, 2), (0, 1, -1), (1, 1, 2)],
+    [(2, 1, 0, 0), (0, 1, -1, 1), (1, 0, 1, 0), (0, 0, 1, 3)],
+])
+def test_each_distinct_factor_is_fingerprinted_once(vecs):
+    keys = factor_keys(vecs)
+    with mock.patch.object(st2, "st_infty_fingerprint", wraps=st2.st_infty_fingerprint) as spy:
+        assert st2.cobracket_matches_coproduct(vecs, seed=3)
+    seen = [tuple(sorted(call.args[0].terms.items())) for call in spy.call_args_list]
+    assert len(seen) == len(set(seen)) and set(seen) == set(keys)
+    if len(vecs) > 2:
+        # factors repeat across the cyclic terms and the splits
+        assert len(keys) > len(seen)

@@ -1,7 +1,10 @@
 """Rational-function evaluation and lattice coefficient checks."""
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steinpoly.cones import (
     PoleError,
@@ -16,9 +19,9 @@ from steinpoly.cones import (
     st_equality_oracle,
     truncated_fourier_sum,
 )
-from steinpoly.qlinalg import split_seed
+from steinpoly.qlinalg import canonical_point, split_seed
 from steinpoly.st2 import make_I, make_L, st2_product
-from steinpoly.steinberg import St, flag_expand, make_apartment
+from steinpoly.steinberg import St, _perm_sign, flag_expand, is_zero, make_apartment
 
 
 class TestRho:
@@ -92,6 +95,57 @@ class TestOracles:
         x = make_L([(1, 0), (0, 1)], 2, exps=(1, 0))
         y = make_L([(1, 0), (0, 1)], 2, exps=(0, 1))
         assert not st2_equality_oracle(x, y)
+
+
+COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+
+
+@st.composite
+def st_sums(draw):
+    """Random St sums mixing independent, dependent and relation terms.
+
+    Dependent vectors drop out of make_apartment; a raw key with dependent
+    entries is added as is. Boundary relations and permuted, rescaled
+    copies of a term make many sums zero without them being empty.
+    """
+    n = draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(-2, 2)] * n).filter(any)
+    x = St.zero(n)
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["apartment", "raw dependent", "boundary", "cancel"]))
+        c = draw(COEFFS)
+        if kind == "apartment":
+            x += c * make_apartment(draw(st.lists(vec, min_size=n, max_size=n)), n)
+        elif kind == "raw dependent":
+            if n > 1:  # the last entry is a multiple of another one
+                head = draw(st.lists(vec, min_size=n - 1, max_size=n - 1))
+                scale = draw(st.sampled_from([-2, 1, 3]))
+                last = tuple(scale * e for e in draw(st.sampled_from(head)))
+                x.add_term(tuple(sorted(canonical_point(v) for v in head + [last])), c)
+        elif kind == "boundary":
+            u = draw(st.lists(vec, min_size=n + 1, max_size=n + 1))
+            for i in range(n + 1):
+                x += (-1) ** i * c * make_apartment(u[:i] + u[i + 1 :], n)
+        else:
+            vecs = draw(st.lists(vec, min_size=n, max_size=n))
+            perm = draw(st.sampled_from(list(permutations(range(n)))))
+            scales = draw(st.lists(st.sampled_from([-3, -1, 2]), min_size=n, max_size=n))
+            moved = [tuple(scales[i] * e for e in vecs[p]) for i, p in enumerate(perm)]
+            x += c * make_apartment(vecs, n)
+            x -= c * _perm_sign(perm) * make_apartment(moved, n)
+    return x
+
+
+@given(st_sums())
+@settings(max_examples=150, deadline=None)
+def test_flag_zero_test_agrees_with_evaluation_oracle(x):
+    assert is_zero(x) == st_equality_oracle(x, St.zero(x.ambient))
+
+
+def test_raw_dependent_key_is_zero_on_both_routes():
+    x = St(2, {((1, 2), (2, 4)): Fraction(3)})
+    assert is_zero(x) and st_equality_oracle(x, St.zero(2))
+    assert rho_term(((1, 2), (2, 4)), (0, 0), (5, 7)) == 0
 
 
 class TestConeMap:

@@ -1,9 +1,11 @@
 """The integer s-map walk and coproduct cuts against the Fraction reference.
 
 ``s_map_reference`` keeps the flat loop over all pairs of permutations with
-``Subspace`` letters, and the coproduct with ``Subspace`` splits; the kernel
-must agree with them exactly, also for pairs of rank below the ambient
-dimension, pairs of different spans and pairs sharing entries.
+``Subspace`` letters, the coproduct with ``Subspace`` splits, and the
+``embed_s`` that added one ``Fraction`` per word; the kernel must agree with
+them exactly, also for pairs of rank below the ambient dimension, pairs of
+different spans and pairs sharing entries, and for sums whose terms have
+different denominators and exponent tuples.
 """
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 import flag_reference
 import s_map_reference as ref
+from steinpoly.barcplx import Bar
 from steinpoly.st2 import St2, _s_pair, embed_s, make_I, make_L, make_pair, st2_coproduct
 
 COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
@@ -30,9 +33,9 @@ def key_of(vecs, n):
 
 
 @st.composite
-def pairs(draw):
-    d = draw(st.integers(1, 4))
-    n = d + draw(st.integers(0, 2))
+def pairs(draw, d=None, n=None):
+    d = d or draw(st.integers(1, 4))
+    n = n or d + draw(st.integers(0, 2))
     key_a = key_of(draw(vectors(n, d)), n)
     if draw(st.booleans()):
         vecs_b = draw(vectors(n, d))
@@ -66,6 +69,35 @@ def st2_sums(draw):
             x = x + kind(draw(vectors(d, d)), d, c=c)
     assume(x.terms)
     return x
+
+
+@given(st2_sums(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_embed_s_matches_reference(x, data):
+    assert embed_s(x) == ref.embed_s(x)
+    # the same terms spread over several exponent groups
+    n = x.ambient
+    spread = St2.zero(n)
+    for (key_a, key_b, _e), c in x.terms.items():
+        exps = data.draw(st.sampled_from([(0,) * n, (1,) + (0,) * (n - 1), (0,) * (n - 1) + (2,)]))
+        spread.add_term(key_a, key_b, c, exps)
+    assert embed_s(spread) == ref.embed_s(spread)
+
+
+@given(st.integers(1, 4), st.integers(0, 2), st.data())
+@settings(max_examples=60, deadline=None)
+def test_embed_s_below_ambient_rank_matches_reference(d, extra, data):
+    n = d + extra
+    x = St2.zero(n)
+    for _ in range(data.draw(st.integers(1, 3))):
+        key_a, key_b = data.draw(pairs(d, n))
+        x.add_term(key_a, key_b, data.draw(COEFFS))
+    assert embed_s(x) == ref.embed_s(x)
+
+
+def test_embed_s_of_zero_matches_reference():
+    for n in (1, 3):
+        assert embed_s(St2.zero(n)) == ref.embed_s(St2.zero(n)) == Bar.zero(n)
 
 
 @given(st2_sums())

@@ -6,6 +6,10 @@ they are compared as classes: the same zero verdict, each one's output
 reducing to the other's, and the projection fixing its own output. Words
 repeat letters, including multisets in which every letter repeats, and
 terms carry different exponent groups.
+
+``shuffle_reference.dynkin_reduce`` keeps the same projection with its
+sums in ``Fraction``; the kernel's integer sums over one common
+denominator must give exactly its output.
 """
 from itertools import permutations
 
@@ -57,6 +61,27 @@ def test_same_verdict_and_class_as_reference(x):
     assert ref.shuffle_span_reduce(new) == old
     assert shuffle_span_reduce(old) == new
     assert shuffle_span_reduce(new) == new
+
+
+@given(bars())
+@settings(max_examples=200, deadline=None)
+def test_integer_sums_equal_fraction_reference(x):
+    assert shuffle_span_reduce(x) == ref.dynkin_reduce(x)
+
+
+@given(st.lists(st.integers(0, 6), min_size=2, max_size=5, unique=True), st.data())
+@settings(max_examples=60, deadline=None)
+def test_mixed_word_lengths_equal_fraction_reference(lengths, data):
+    # one lcm(1..longest) scale serves every length and every multiplicity
+    x = Bar.zero(3)
+    for n in lengths:
+        word = tuple(data.draw(st.lists(st.sampled_from(LETTERS), min_size=n, max_size=n)))
+        x.add_word(word, data.draw(COEFFS), data.draw(st.sampled_from(EXPS)))
+    assert shuffle_span_reduce(x) == ref.dynkin_reduce(x)
+
+
+def test_zero_equals_fraction_reference():
+    assert shuffle_span_reduce(Bar.zero(3)) == ref.dynkin_reduce(Bar.zero(3)) == Bar.zero(3)
 
 
 @given(multisets().filter(lambda m: len(m) >= 2), st.data())
