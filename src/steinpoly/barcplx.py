@@ -1,14 +1,15 @@
 """Bar-complex words over the algebra of apartment classes.
 
 A word is an ordered tuple of letters. Letters of the basic words are
-lines (canonical integer points of the ambient space); the differential
-merges adjacent letters into classes on higher-dimensional subspaces,
-so merged letters carry a subspace together with a flag-normalized
-class in that subspace's local coordinates. Merged letters only appear
-in differential outputs, which live in the same Bar terms as every other
-word: their letters are tagged, ("L", point) for a line and ("S", rows,
-key) for a merged class. The projection and shuffle-reduction operators
-work on all-lines words and refuse tagged input.
+lines (canonical integer points of the ambient space). The differential
+merges adjacent letters into classes on higher-dimensional subspaces W,
+and every letter of its output is an apartment key in ambient
+coordinates: a line p becomes the one-point key (p,), and a merged letter
+is a key of the flag basis of W, whose flag is spanned by the canonical
+integer points of W's RREF rows. Merged letters only appear in
+differential outputs, which live in the same Bar terms as every other
+word. The projection and shuffle-reduction operators work on all-lines
+words and refuse key-letter input.
 
 Each term carries a full-length exponent tuple (a coordinate monomial of
 the ambient space) recording a symmetric-power factor, zero_exps when
@@ -30,18 +31,16 @@ from typing import Iterable, Sequence
 
 from .qlinalg import Subspace, canonical_point, qv
 from .steinberg import (
+    ApKey,
     LinComb,
-    St,
     _acc,
+    _flag_expand_apartment,
     _numerators,
-    flag_expand,
-    make_apartment,
     normalize_apartment,
     zero_exps,
 )
 
 Point = tuple[int, ...]
-Letter = tuple  # ('L', point) or ('S', rows, key)
 Word = tuple[Point, ...]
 
 
@@ -53,8 +52,8 @@ class Bar(LinComb):
     """Combination of bar words, each with a symmetric-power exponent tuple.
 
     terms: {(word, exps): coeff}. Letters are lines (canonical points),
-    except in bar_differential outputs, whose words hold tagged letters
-    ("L", point) and ("S", rows, key); exps defaults to zero_exps.
+    except in bar_differential outputs, whose letters are apartment keys
+    in ambient coordinates; exps defaults to zero_exps.
     """
 
     __slots__ = ()
@@ -75,66 +74,38 @@ def bar_word(points: Sequence[Sequence], ambient: int | None = None, c=1, exps=N
 # ----------------------------------------------------------------- letters
 
 
-def _letter_subspace(letter: Letter, ambient: int) -> Subspace:
-    if letter[0] == "L":
-        return Subspace.span([letter[1]], ambient)
-    return Subspace(ambient, letter[1])
-
-
-def _letter_ambient_terms(letter: Letter, ambient: int) -> dict:
-    """Letter as {apartment key in ambient coords: coeff}."""
-    if letter[0] == "L":
-        return {(letter[1],): Fraction(1)}
-    w = Subspace(ambient, letter[1])
-    pts = [w.from_local(q) for q in letter[2]]
-    return dict(make_apartment(pts, ambient).terms)
-
-
-def _expand_letters(w: Subspace, ambient_terms: dict) -> list[tuple[Letter, Fraction]]:
-    """Flag-basis letters of a class supported on w, with coefficients.
+def _merge_letters(a: ApKey, b: ApKey) -> tuple[tuple[ApKey, int], ...]:
+    """Flag-basis letters of the product of two letters, with coefficients.
 
     A merged letter must be a single basis element, not a whole class:
     words are multilinear in their letters, so classes have to expand
-    for cross-term cancellation to happen.
+    for cross-term cancellation to happen. The flag is the canonical
+    integer points of the RREF rows of the span W, which depend on W
+    alone, so equal letters get equal keys.
     """
-    k = w.dim
-    local = St.zero(k)
-    for key, c in ambient_terms.items():
-        local += c * make_apartment([w.local_coords(p) for p in key], k)
-    local = flag_expand(local)
-    return [(("S", w.rows, key), c) for key, c in sorted(local.terms.items())]
+    norm = normalize_apartment(a + b)
+    if norm is None:
+        return ()
+    key, sign = norm
+    frows = tuple(canonical_point(r) for r in Subspace.span(key).rows)
+    return tuple((k, sign * c) for k, c in _flag_expand_apartment(key, frows))
 
 
-def _merge_letters(a: Letter, b: Letter, ambient: int) -> list[tuple[Letter, Fraction]]:
-    wa = _letter_subspace(a, ambient)
-    wb = _letter_subspace(b, ambient)
-    ta = _letter_ambient_terms(a, ambient)
-    tb = _letter_ambient_terms(b, ambient)
-    prod: dict = {}
-    for ka, ca in ta.items():
-        for kb, cb in tb.items():
-            piece = make_apartment(ka + kb, ambient)
-            for k2, s in piece.terms.items():
-                _acc(prod, k2, ca * cb * s)
-    if not prod:
-        return []
-    return _expand_letters(wa.add(wb), prod)
-
-
-def _is_tagged(word: tuple) -> bool:
-    return bool(word) and type(word[0][0]) is str
+def _is_keyed(word: tuple) -> bool:
+    return bool(word) and type(word[0][0]) is tuple
 
 
 def bar_differential(x: Bar) -> Bar:
     """Sum of adjacent-letter merges with alternating signs.
 
-    Output words hold tagged letters, so the result can be fed back in.
+    Output words hold apartment-key letters, so the result can be fed
+    back in; a line p of an input word is the letter (p,).
     """
     out = Bar.zero(x.ambient)
     for (word, exps), c in x.terms.items():
-        letters = word if _is_tagged(word) else tuple(("L", p) for p in word)
+        letters = word if _is_keyed(word) else tuple((p,) for p in word)
         for j in range(len(letters) - 1):
-            for merged, mc in _merge_letters(letters[j], letters[j + 1], x.ambient):
+            for merged, mc in _merge_letters(letters[j], letters[j + 1]):
                 new_word = letters[:j] + (merged,) + letters[j + 2 :]
                 out.add_word(new_word, c * mc * (-1) ** j, exps)
     return out
@@ -148,7 +119,7 @@ def is_zero_bar(x: Bar) -> bool:
 
 
 def _require_lines(x: Bar, op: str) -> None:
-    if any(_is_tagged(word) for word, _ in x.terms):
+    if any(_is_keyed(word) for word, _ in x.terms):
         raise ValueError(f"{op} is only defined on all-lines words")
 
 

@@ -405,14 +405,6 @@ class Subspace:
             raise ValueError("ambient dimensions differ")
         return Subspace.span(self.rows + other.rows, self.ambient)
 
-    def local_coords(self, v: Sequence) -> Vec:
-        """Coordinates of v in the RREF-row basis; raises if v is outside."""
-        w = qv(v)
-        coeffs = tuple(w[p] for p in self.pivots)
-        if self.from_local(coeffs) != w:
-            raise ValueError("vector is not in the subspace")
-        return coeffs
-
     def from_local(self, coeffs: Sequence) -> Vec:
         cs = qv(coeffs)
         if len(cs) != self.dim:

@@ -50,6 +50,7 @@ from .steinberg import (
     _cut_point,
     _numerators,
     _perm_sign,
+    _spanning_cols,
     flag_expand,
     normalize_apartment,
     zero_exps,
@@ -121,14 +122,9 @@ def _s_pair(key_a: ApKey, key_b: ApKey) -> tuple[tuple[tuple[Point, ...], int], 
     minors are taken on d coordinates where A has a nonzero maximal minor.
     """
     d = len(key_a)
-    n = len(key_a[0])
-    cols = None
-    if d < n:
-        if _int_rank(key_a + key_b) != d:
-            return ()
-        cols = next(
-            c for c in combinations(range(n), d) if _int_det([[p[j] for j in c] for p in key_a])
-        )
+    if d < len(key_a[0]) and _int_rank(key_a + key_b) != d:
+        return ()
+    cols = _spanning_cols(key_a)
     cuts: dict[tuple[tuple[int, ...], int, tuple[int, ...]], Point | None] = {}
     words: dict[tuple[Point, ...], int] = {}
     letters: list[Point] = []
@@ -478,8 +474,13 @@ def cobracket_matches_coproduct(vectors: Sequence, seed: int = 0) -> bool:
     id. Both routes are sums of c fp(a) ^ fp(b), so route A minus route B
     is kept on the pairs of ids ia < ib, with (ib, ia) folded in by sign
     and ia = ib cancelling, in integers over one common denominator.
+
+    Raises ValueError on a dependent basis, where L(vectors) is zero but
+    the cobracket terms on its independent sub-tuples are not.
     """
     vecs = [qv(v) for v in vectors]
+    if rank(vecs) < len(vecs):
+        raise ValueError("cobracket check needs independent vectors")
     n = len(vecs[0])
     pairs = [(c, make_L(left, n), make_L(right, n)) for c, left, right in cobracket_L(vecs, n)]
     pairs += [(-ONE, a, b) for i, j, a, b in st2_coproduct(make_L(vecs, n)) if i and j]

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import isqrt, lcm
 from operator import mul
 from typing import Sequence
@@ -266,6 +267,18 @@ def _flag_rows(flag: Flag, n: int) -> FlagRows:
     return tuple(rows)
 
 
+def _spanning_cols(rows: Sequence[Point]) -> tuple[int, ...] | None:
+    """First d coordinates on which d independent rows have a nonzero maximal minor.
+
+    The rows' span projects injectively onto those coordinates. None when
+    the rows span the whole space.
+    """
+    d, n = len(rows), len(rows[0])
+    if d == n:
+        return None
+    return next(c for c in combinations(range(n), d) if _int_det([[p[j] for j in c] for p in rows]))
+
+
 def _cut_point(frows: Sequence[Point], vecs: Sequence[Point], cols: Sequence[int] | None = None) -> Point | None:
     """Canonical point of span(frows) cut with span(vecs), len(frows) + len(vecs) = d + 1.
 
@@ -304,8 +317,14 @@ def _flag_expand_apartment(key: ApKey, frows: FlagRows) -> tuple[tuple[ApKey, in
     every chain through it. The points of a chain are independent exactly
     when no point lies in the previous flag step, which _cut_point tests,
     so every chain that reaches a leaf contributes.
+
+    The flag may have fewer rows than the ambient space: a rank-k key in
+    the span W of k flag rows expands inside W, in the flag basis of W,
+    with the minors read on k coordinates onto which W projects
+    injectively, and its output keys stay in ambient coordinates.
     """
     d = len(key)
+    cols = _spanning_cols(frows)
     cuts: dict[tuple[int, ...], Point | None] = {}
     results: dict[ApKey, int] = {}
     lines: list[Point] = []
@@ -313,7 +332,7 @@ def _flag_expand_apartment(key: ApKey, frows: FlagRows) -> tuple[tuple[ApKey, in
     def walk(suffix: tuple[int, ...], sign: int) -> None:
         if suffix not in cuts:
             step = d - len(suffix) + 1
-            cuts[suffix] = _cut_point(frows[:step], [key[j] for j in suffix])
+            cuts[suffix] = _cut_point(frows[:step], [key[j] for j in suffix], cols)
         line = cuts[suffix]
         if line is None:
             return

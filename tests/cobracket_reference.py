@@ -2,7 +2,7 @@
 
 ``cobracket_matches_coproduct`` is the localised route that the ambient
 fingerprints in ``steinpoly.st2`` replaced: every factor is moved into the
-echelon basis of its support with ``Subspace.local_coords`` before the
+echelon basis of its support with ``local_coords`` before the
 s-map, the projection and the shuffle-span reduction, and the wedge keys
 carry a small id per support.
 
@@ -17,6 +17,7 @@ verdict.
 """
 from fractions import Fraction
 
+from barcplx_reference import local_coords
 from steinpoly.barcplx import p_H_project, shuffle_span_reduce
 from steinpoly.qlinalg import Subspace, qv
 from steinpoly.st2 import (
@@ -46,7 +47,7 @@ def st_infty_fingerprint(x, w, seed=0):
     local = St2.zero(k)
     for (key_a, key_b, _exps), c in x.terms.items():
         local += make_pair(
-            [w.local_coords(p) for p in key_a], [w.local_coords(p) for p in key_b], k, c
+            [local_coords(w, p) for p in key_a], [local_coords(w, p) for p in key_b], k, c
         )
     return _fingerprint_local(local, w, seed)
 
@@ -77,8 +78,8 @@ def cobracket_matches_coproduct(vectors, terms, seed=0):
     for c, left, right in terms:
         wa = Subspace.span(left, n)
         wb = Subspace.span(right, n)
-        la = make_L([wa.local_coords(v) for v in left], wa.dim)
-        lb = make_L([wb.local_coords(v) for v in right], wb.dim)
+        la = make_L([local_coords(wa, v) for v in left], wa.dim)
+        lb = make_L([local_coords(wb, v) for v in right], wb.dim)
         fpa = _fingerprint_local(la, wa, seed)
         fpb = _fingerprint_local(lb, wb, seed)
         _wedge_expand(route_a, ids, c, wa, fpa, wb, fpb)

@@ -34,12 +34,21 @@ class TestDifferential:
         assert len(d.terms) == 1
         ((letters, exps),) = d.terms.keys()
         assert exps == (0, 0, 0)
-        assert len(letters) == 1
-        kind, rows, key = letters[0]
-        assert kind == "S"
-        # lex-sorted key storage folds a swap sign into the coefficient
-        assert key == ((0, 1), (1, 0))
+        # the merged letter is an ambient apartment key; its lex-sorted
+        # storage folds a swap sign into the coefficient
+        assert letters == (((0, 1, 0), (1, 0, 0)),)
         assert list(d.terms.values()) == [Fraction(-1)]
+
+    def test_merged_letters_are_flag_basis_keys_of_the_span(self):
+        # [e1+e2, e2] = [e1, e2] - [e1, e1+e2]: a merge onto span(e1, e2)
+        # is written in the letters of that span's flag basis, whatever the
+        # merged lines were
+        e12 = (1, 1, 0)
+        d = bar_differential(bar_word([e12, E2], 3))
+        assert d.terms == {
+            (((E2, E1),), (0, 0, 0)): Fraction(-1),
+            (((E1, e12),), (0, 0, 0)): Fraction(-1),
+        }
 
     def test_adjacent_equal_lines_merge_to_zero(self):
         d = bar_differential(bar_word([E1, E1], 3))

@@ -3,6 +3,8 @@
 ``flag_reference`` keeps the flat permutation walk over ``Subspace`` cuts
 and the per-term outer-product normal form; the kernel must agree with
 them exactly, on generic keys and on keys where some cuts are not lines.
+A rank-k key inside Q^n must expand as its coordinates in the flag rows
+do in Q^k.
 """
 from fractions import Fraction
 
@@ -10,9 +12,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import flag_reference as ref
-from steinpoly.qlinalg import Flag, _int_rank, qv, rank
+from steinpoly.qlinalg import Flag, _int_rank, canonical_point, qv, rank, solve
 from steinpoly.st2 import St2, make_I, make_L, st2_normal_form
-from steinpoly.steinberg import St, flag_expand, normalize_apartment
+from steinpoly.steinberg import (
+    St,
+    _flag_expand_apartment,
+    _sort_sign,
+    flag_expand,
+    make_apartment,
+    normalize_apartment,
+)
 
 COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
 
@@ -105,3 +114,35 @@ def test_st2_normal_form_dim5_matches_reference():
     basis = [(1, 2, 0, 1, -1), (0, 1, 1, 0, 2), (1, 0, -1, 1, 0), (2, 1, 0, 0, 1), (0, 0, 1, 1, 1)]
     x = make_L(basis) - make_I(list(reversed(basis)), c=Fraction(1, 2))
     assert st2_normal_form(x) == ref.st2_normal_form(x)
+
+
+@st.composite
+def subspace_keys(draw):
+    """k < n independent flag rows in Q^n and a rank-k key in their span."""
+    n = draw(st.integers(2, 5))
+    k = draw(st.integers(1, n - 1))
+    rows = draw(vectors(n, k))
+    if draw(st.booleans()):
+        # the first k columns are singular, so the minors must skip ahead
+        rows = [(0,) + r[1:] for r in rows]
+    assume(_int_rank(rows) == k)
+    coeffs = draw(vectors(k, k))
+    pts = [tuple(sum(c * r[j] for c, r in zip(cs, rows)) for j in range(n)) for cs in coeffs]
+    norm = normalize_apartment(pts, n)
+    assume(norm is not None)
+    return tuple(rows), norm[0]
+
+
+@given(subspace_keys())
+@settings(max_examples=120, deadline=None)
+def test_rank_k_flag_expand_matches_local_flag_expand(case):
+    rows, key = case
+    n, k = len(rows[0]), len(rows)
+    cols = tuple(tuple(qv(r[j] for r in rows)) for j in range(n))
+    local = make_apartment([solve(cols, qv(p)) for p in key], k)
+    want: dict = {}
+    for lkey, c in flag_expand(local).terms.items():
+        pts = [canonical_point([sum(q * r[j] for q, r in zip(lp, rows)) for j in range(n)]) for lp in lkey]
+        akey, sign = _sort_sign(pts)
+        want[akey] = want.get(akey, 0) + sign * c
+    assert dict(_flag_expand_apartment(key, rows)) == want

@@ -283,13 +283,6 @@ class TestSubspace:
             # dimension formula
             assert a.dim + b.dim == c.dim + a.add(b).dim
 
-    def test_local_coords_roundtrip(self):
-        w = Subspace.span(qm([[1, 2, 0], [0, 0, 1]]))
-        v = qv([3, 6, -2])
-        assert w.from_local(w.local_coords(v)) == v
-        with pytest.raises(ValueError):
-            w.local_coords(qv([1, 0, 0]))
-
     def test_flag_validation(self):
         Flag.from_basis(qm([[1, 0], [1, 1]]))
         with pytest.raises(ValueError):

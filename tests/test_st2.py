@@ -268,6 +268,7 @@ class TestCoproduct:
     def test_kills_defining_relation(self):
         # the alternating sum over dropped entries is zero, so its split
         # expansion must cancel termwise after normal-forming the factors
+        from barcplx_reference import local_coords
         from steinpoly.qlinalg import Subspace
         from steinpoly.steinberg import flag_expand
 
@@ -276,8 +277,8 @@ class TestCoproduct:
             w = Subspace.span(pts, n)
             out = {}
             for (ka, kb, _e), c in x.terms.items():
-                la = make_apartment([w.local_coords(qv(p)) for p in ka], w.dim)
-                lb = make_apartment([w.local_coords(qv(p)) for p in kb], w.dim)
+                la = make_apartment([local_coords(w, p) for p in ka], w.dim)
+                lb = make_apartment([local_coords(w, p) for p in kb], w.dim)
                 for k1, c1 in flag_expand(la).terms.items():
                     for k2, c2 in flag_expand(lb).terms.items():
                         key = (w.rows, k1, k2)
@@ -388,18 +389,17 @@ class TestCobracket:
         assert cobracket_matches_coproduct([(1, 2), (1, -1)])
         assert cobracket_matches_coproduct([F1, F2, F3])
         assert cobracket_matches_coproduct([(1, 2, 0), (0, 1, 3), (1, 1, 1)])
+        assert cobracket_matches_coproduct([(1, 2, 0), (0, 1, 3), (1, 1, 1)], seed=3)
+        assert cobracket_matches_coproduct(
+            [(1, 0, 2, 0), (0, 1, -1, 1), (1, 1, 0, 2), (2, 0, 1, -1)], seed=4
+        )
 
-    def test_no_localisation(self):
-        # both routes fingerprint in ambient coordinates
-        from unittest import mock
-
-        from steinpoly.qlinalg import Subspace
-
-        with mock.patch.object(Subspace, "local_coords", side_effect=AssertionError):
-            assert cobracket_matches_coproduct([(1, 2, 0), (0, 1, 3), (1, 1, 1)], seed=3)
-            assert cobracket_matches_coproduct(
-                [(1, 0, 2, 0), (0, 1, -1, 1), (1, 1, 0, 2), (2, 0, 1, -1)], seed=4
-            )
+    def test_dependent_basis_rejected(self):
+        # L of a dependent basis is zero, but its cobracket terms are not
+        with pytest.raises(ValueError, match="independent"):
+            cobracket_matches_coproduct([(1, 0, 2), (0, 1, -1), (1, 1, 1)])
+        with pytest.raises(ValueError, match="independent"):
+            cobracket_matches_coproduct([(1, 2), (2, 4)])
 
 
 class TestCoxeter:
