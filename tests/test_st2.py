@@ -389,10 +389,20 @@ class TestCobracket:
         assert cobracket_matches_coproduct([(1, 2), (1, -1)])
         assert cobracket_matches_coproduct([F1, F2, F3])
         assert cobracket_matches_coproduct([(1, 2, 0), (0, 1, 3), (1, 1, 1)])
-        assert cobracket_matches_coproduct([(1, 2, 0), (0, 1, 3), (1, 1, 1)], seed=3)
-        assert cobracket_matches_coproduct(
-            [(1, 0, 2, 0), (0, 1, -1, 1), (1, 1, 0, 2), (2, 0, 1, -1)], seed=4
-        )
+
+    def test_no_localisation(self):
+        # both routes fingerprint in ambient coordinates: no local chart of a
+        # subspace is read or written on the way
+        from unittest import mock
+
+        from steinpoly.qlinalg import Subspace
+
+        assert not hasattr(Subspace, "local_coords")
+        with mock.patch.object(Subspace, "from_local", side_effect=AssertionError):
+            assert cobracket_matches_coproduct([(1, 2, 0), (0, 1, 3), (1, 1, 1)], seed=3)
+            assert cobracket_matches_coproduct(
+                [(1, 0, 2, 0), (0, 1, -1, 1), (1, 1, 0, 2), (2, 0, 1, -1)], seed=4
+            )
 
     def test_dependent_basis_rejected(self):
         # L of a dependent basis is zero, but its cobracket terms are not
