@@ -5,6 +5,7 @@ its output, and is byte-reproducible for fixed seed and inputs.  Exit
 codes: 0 pass, 1 mathematical failure, 2 malformed input.
 """
 import argparse
+import functools
 import io
 import json
 import sys
@@ -579,6 +580,7 @@ def cmd_fourier(args) -> int:
 # ------------------------------------------------------------------- main
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="steinpoly",

@@ -20,7 +20,6 @@ from typing import Iterable, Sequence
 
 from .barcplx import Bar, shuffle_words
 from .qlinalg import (
-    _int_det,
     _int_rank,
     _minor_gcd,
     _row_to_int,
@@ -32,7 +31,6 @@ from .qlinalg import (
     mat_vec,
     qm,
     qv,
-    saturation_index,
     solve,
 )
 from .st2 import St2, bar_infty_reduce, embed_s, make_L, make_pair
@@ -151,8 +149,16 @@ def std_li(*ns: int) -> LiGen:
 class PushedLi:
     """coeff * (A . Li_{n_1..n_k}) for A in GL_d(Q).
 
-    The matrix is stored as its primitive integral representative; the
-    positive rational scale acts through the weight character and is
+    For integral A with columns a_1..a_d, let N be the index of the
+    lattice of a_1..a_k in its saturation (|det A| when k = d).  Then
+
+        A . Li_ns = N^{n-d-1} sum_{j in (Z/N)^d} Li_ns(zeta_N^{<a_l, j>} x^{a_l / N})_l,
+
+    N^d phase tuples at N^{n-d-1} (pushed_expand lists them).  A only
+    reaches the generator through its first k columns, so a matrix
+    fixing e_1..e_k fixes it at every depth.  The matrix is stored as
+    its primitive integral representative; the positive rational scale
+    s acts as s^{n-k}, through the degree of the symmetric tail, and is
     folded into the coefficient on construction, so equal actions get
     equal fields.
     """
@@ -176,8 +182,7 @@ class PushedLi:
         content = gcd(*[abs(e) for row in ints for e in row])
         scale = Fraction(content, denom)  # a = scale * primitive, scale > 0
         self.matrix = tuple(tuple(e // content for e in row) for row in ints)
-        n = sum(self.ns)
-        self.coeff = Fraction(coeff) * scale ** (n - d)
+        self.coeff = Fraction(coeff) * scale ** (sum(self.ns) - len(self.ns))
 
     @property
     def depth(self) -> int:
@@ -218,35 +223,17 @@ def gl_act(a: Sequence[Sequence], x: PushedLi) -> PushedLi:
     return PushedLi(x.coeff, mat_mul(qm(a), qm(x.matrix)), x.ns)
 
 
-def _pushed_root(p: PushedLi) -> tuple[Fraction, int, list]:
-    """(prefactor N^{n-d-1} coeff, N = |det A|, exponent columns / N)."""
-    d = p.ambient
-    nn = abs(_int_det(p.matrix))
-    pref = p.coeff * Fraction(nn) ** (p.weight - d - 1)
-    cols = [[Fraction(p.matrix[i][l], nn) for i in range(d)] for l in range(p.depth)]
-    return pref, nn, cols
-
-
 def pushed_expand(p: PushedLi) -> list[tuple[Fraction, LiGen]]:
     """Root expansion of the action into honest generators.
 
-    N-th roots of all d coordinates contribute N^d phase tuples; the
-    l-th argument picks up phase sum_i A_{il} j_i / N on the exponent
-    vector (column l)/N.  The N^d generators share their coefficient
-    and their exponent vectors and differ only in phase, so any map
+    alpha of the first k columns of the matrix, each coefficient times
+    the generator's own: N^d generators at p.coeff * N^{n-d-1}.  They
+    share their exponent vectors and differ only in phase, so any map
     that is linear and blind to phase (the symbol recursion) takes N^d
     times its value on the zero-phase generator, the first one listed.
     """
-    d = p.ambient
-    pref, nn, cols = _pushed_root(p)
-    out = []
-    for js in iproduct(range(nn), repeat=d):
-        args = []
-        for l, col in enumerate(cols):
-            phase = sum(Fraction(p.matrix[i][l] * js[i], nn) for i in range(d))
-            args.append(Monomial(phase, col))
-        out.append((pref, LiGen(p.ns, args)))
-    return out
+    cols = list(zip(*p.matrix))[: p.depth]
+    return [(p.coeff * c, LiGen(p.ns, slots)) for c, slots in alpha(cols, p.ns)]
 
 
 # ------------------------------------------------------ depth-one normal form
@@ -407,28 +394,38 @@ def sigma(factors: Sequence[DepthOneNF], ambient: int) -> Bar:
     return _sigma_emit(acc, ambient)
 
 
+def _root_expansion(vectors: Sequence[Sequence[int]], weights: Sequence[int]) -> tuple:
+    """(N^{n-d-1}, N, vectors / N) for independent integral vectors in Z^d.
+
+    N is the index of their lattice in its saturation, the gcd of their
+    maximal minors (|det| of d vectors in Z^d).
+    """
+    nn = _minor_gcd(vectors)
+    if not nn:
+        raise ValueError("root expansion of dependent vectors")
+    pref = Fraction(nn) ** (sum(weights) - len(vectors[0]) - 1)
+    return pref, nn, [[Fraction(e, nn) for e in v] for v in vectors]
+
+
 def alpha(vectors: Sequence[Sequence[int]], weights: Sequence[int]) -> list:
     """Root expansion of a bar word with symmetric tail into depth-one tensors.
 
-    Integral direction vectors only; N is the index of their span lattice
-    in its saturation, and all d coordinates acquire N-th roots, giving
-    N^d phase tuples of coefficient N^{n-d-1}.
+    Integral direction vectors only.  N is the index of their lattice in
+    its saturation; all d coordinates acquire N-th roots, giving N^d
+    phase tuples of coefficient N^{n-d-1}, and the slot of v has phase
+    sum_i v_i j_i / N on the exponent vector v / N.
     """
     vecs = [qv(v) for v in vectors]
     if any(e.denominator != 1 for v in vecs for e in v):
         raise ValueError("alpha expects integral vectors")
-    d = len(vecs[0])
-    n = sum(weights)
-    nn = int(saturation_index(vecs))
-    pref = Fraction(nn) ** (n - d - 1)
+    ints = [[int(e) for e in v] for v in vecs]
+    pref, nn, roots = _root_expansion(ints, weights)
+    d = len(ints[0])
     out = []
     for js in iproduct(range(nn), repeat=d):
         slots = tuple(
-            Monomial(
-                sum(Fraction(int(v[i]) * js[i], nn) for i in range(d)),
-                [Fraction(int(e), nn) for e in v],
-            )
-            for v in vecs
+            Monomial(sum(Fraction(v[i] * js[i], nn) for i in range(d)), root)
+            for v, root in zip(ints, roots)
         )
         out.append((pref, slots))
     return out
@@ -512,9 +509,9 @@ def recursion_symbol_bar(g) -> Bar:
     test, covolume and tail then run once per distinct key.
     """
     if isinstance(g, PushedLi):
-        pref, nn, cols = _pushed_root(g)
-        gen = LiGen(g.ns, [Monomial(0, col) for col in cols])
-        return (pref * nn**g.ambient) * recursion_symbol_bar(gen)
+        pref, nn, roots = _root_expansion(list(zip(*g.matrix))[: g.depth], g.ns)
+        gen = LiGen(g.ns, [Monomial(0, root) for root in roots])
+        return (g.coeff * pref * nn**g.ambient) * recursion_symbol_bar(gen)
     acc: dict = {}
     for slots in _iterated_top(g):
         _sigma_acc(acc, slots)

@@ -20,11 +20,13 @@ from steinpoly.cones import (
     truncated_fourier_sum,
 )
 from steinpoly.mpl import (
+    LiGen,
     PushedLi,
     bar_gl_act,
     goncharov_symbol_bar,
     identity_terms_from_json,
     recursion_symbol_bar,
+    std_args,
     std_li,
     truncated_symbol,
     truncated_symbol_closed,
@@ -399,8 +401,8 @@ def test_criterion_12_gl_equivariance():
     t0 = time.monotonic()
     rng = split_seed(2026, "acc-gl")
     for n, count, tuples in (
-        (2, 20, [(1, 1), (2, 1), (1, 2), (3, 1), (2, 2), (1, 3)]),
-        (3, 6, [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2)]),
+        (2, 20, [(1,), (2,), (4,), (1, 1), (2, 1), (1, 2), (3, 1), (2, 2), (1, 3)]),
+        (3, 6, [(1,), (3,), (1, 1), (2, 1), (1, 3), (1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2)]),
     ):
         mats = []
         while len(mats) < count:
@@ -411,7 +413,8 @@ def test_criterion_12_gl_equivariance():
         for a in mats:
             for ns in tuples:
                 lhs = recursion_symbol_bar(PushedLi(1, a, ns))
-                rhs = bar_gl_act(a, recursion_symbol_bar(std_li(*ns)))
+                std = LiGen(ns, std_args(n)[: len(ns)])
+                rhs = bar_gl_act(a, recursion_symbol_bar(std))
                 assert lhs.terms == rhs.terms, (a, ns)
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0, f"equivariance suite took {elapsed:.2f}s"

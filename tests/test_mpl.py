@@ -326,6 +326,34 @@ class TestDistribution:
 
 
 class TestPushforward:
+    """Pushforwards A . Li; below full depth, hand-derived ones of Li_n(x_1) in Q^2.
+
+    With a the first column of the integral matrix A and N the content
+    of a (the index of Z a in its saturation), the root expansion reads
+
+        A . Li_n(x_1) = N^{n-3} sum_{j in (Z/N)^2} Li_n(zeta_N^{<a, j>} x^{a / N}).
+
+    diag(1, N): a = e_1, so N = 1 and the sum is the one term Li_n(x_1);
+    A fixes the only coordinate the generator sees.  Taking N = |det A|
+    instead also takes N-th roots of x_2, on which nothing depends: the
+    j_2 sum gives a factor N and leaves N^{n-2} sum_{j_1} Li_n(zeta^{j_1}
+    x_1^{1/N}).  The distribution relation
+
+        Li_n(y^N) = N^{n-1} sum_{zeta^N = 1} Li_n(zeta y)
+
+    at y = x_1^{1/N} turns that into N^{n-2} N^{1-n} Li_n(x_1), which is
+    1/N times the generator instead of the generator.
+
+    diag(N, 1): a = N e_1, so the index is N, every phase zeta_N^{N j_1}
+    is 1 and x^{a/N} = x_1: N^2 equal terms at N^{n-3}, so N^{n-1}
+    Li_n(x_1).  This is what the diagonal action on bar words gives too,
+    since the tail e_1^{n-1} goes to (N e_1)^{n-1}.
+
+    A scalar s acts as s^{n-1} by the same count (the index of s a is s
+    times that of a), so s I . Li_n(x_1) is s^{n-1} Li_n(x_1), not the
+    s^{n-2} of the full-depth weight character.
+    """
+
     def test_scalar_folding(self):
         assert PushedLi(1, [[3]], (2,)) == PushedLi(3, [[1]], (2,))
         assert PushedLi(1, [[F(1, 2)]], (3,)) == PushedLi(F(1, 4), [[1]], (3,))
@@ -357,10 +385,40 @@ class TestPushforward:
             ([[1, 0], [-1, 2]], (3, 1)),
             ([[2, 1], [1, 1]], (2, 2)),
             ([[1, -1], [0, 1]], (2, 1)),
+            # below full depth
+            ([[1, 0], [0, 2]], (2,)),
+            ([[2, 1], [1, 2]], (2,)),
+            ([[1, -1, 0], [1, 1, 0], [0, 0, 1]], (3,)),
+            ([[1, 1, 0], [0, 1, 1], [1, 0, 2]], (2, 1)),
+            ([[2, 0, 1], [1, 1, 0], [0, 1, 1]], (1, 2)),
         ]:
             p = PushedLi(1, a, ns)
             via_st2 = embed_s(truncated_symbol(p))
-            assert via_st2.terms == recursion_symbol_bar(p).terms
+            assert via_st2.terms == recursion_symbol_bar(p).terms, (a, ns)
+
+    @pytest.mark.parametrize("nn", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_scaling_an_unused_coordinate_is_trivial(self, nn, n):
+        lhs = recursion_symbol_bar(PushedLi(1, [[1, 0], [0, nn]], (n,)))
+        assert lhs.terms == recursion_symbol_bar(LiGen((n,), (X1,))).terms
+
+    @pytest.mark.parametrize("nn", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_scaling_the_used_coordinate(self, nn, n):
+        lhs = recursion_symbol_bar(PushedLi(1, [[nn, 0], [0, 1]], (n,)))
+        want = F(nn) ** (n - 1) * recursion_symbol_bar(LiGen((n,), (X1,)))
+        assert lhs.terms == want.terms
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_scalar_matrix(self, n):
+        p = PushedLi(1, [[2, 0], [0, 2]], (n,))
+        assert p == PushedLi(F(2) ** (n - 1), [[1, 0], [0, 1]], (n,))
+        want = F(2) ** (n - 1) * recursion_symbol_bar(LiGen((n,), (X1,)))
+        assert recursion_symbol_bar(p).terms == want.terms
+
+    def test_expand_unused_coordinate(self):
+        p = PushedLi(1, [[1, 0], [0, 2]], (1,))
+        assert pushed_expand(p) == [(F(1), LiGen((1,), (X1,)))]
 
 
 class TestGLEquivariance:

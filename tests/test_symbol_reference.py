@@ -21,6 +21,7 @@ from steinpoly.mpl import (
     bar_gl_act,
     goncharov_symbol_bar,
     recursion_symbol_bar,
+    std_args,
     std_li,
     truncated_symbol,
 )
@@ -40,12 +41,12 @@ def _tuples(k_max, w_max):
 
 
 @st.composite
-def pushforwards(draw, full_depth=False):
-    """c * (A . Li_ns) with d <= 3, 0 < |det A| <= 4, depth 1..d (or d), n_i <= 3."""
+def pushforwards(draw):
+    """c * (A . Li_ns) with d <= 3, 0 < |det A| <= 4, depth 1..d, n_i <= 3."""
     d = draw(st.integers(1, 3))
     a = [[draw(st.integers(-2, 2)) for _ in range(d)] for _ in range(d)]
     assume(0 < abs(_int_det(a)) <= 4)
-    k = d if full_depth else draw(st.integers(1, d))
+    k = draw(st.integers(1, d))
     ns = [draw(st.integers(1, 3)) for _ in range(k)]
     c = F(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
     return PushedLi(c, a, ns)
@@ -78,10 +79,11 @@ def test_pushforward_symbol_equals_reference(p):
 
 
 @SETTINGS
-@given(pushforwards(full_depth=True))
+@given(pushforwards())
 def test_pushforward_symbol_is_gl_equivariant(p):
+    std = LiGen(p.ns, std_args(p.ambient)[: p.depth])
     lhs = recursion_symbol_bar(p)
-    rhs = p.coeff * bar_gl_act(p.matrix, recursion_symbol_bar(std_li(*p.ns)))
+    rhs = p.coeff * bar_gl_act(p.matrix, recursion_symbol_bar(std))
     assert lhs.terms == rhs.terms
 
 
