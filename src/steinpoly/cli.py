@@ -26,6 +26,7 @@ from .qlinalg import (
     dual_basis,
     frac_from_str,
     frac_to_str,
+    positive_int_from_json,
     rank,
     split_seed,
     vec_to_json,
@@ -90,10 +91,10 @@ def _vec(data) -> tuple:
 
 
 def _positive_int(value, what: str) -> int:
-    f = _frac(value)
-    if f.denominator != 1 or f < 1:
-        raise InputError(f"{what} must be a positive integer, got {value!r}")
-    return int(f)
+    try:
+        return positive_int_from_json(value, what)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _check_dim(n: int, what: str) -> None:
@@ -350,18 +351,18 @@ def _suite_ashrudolph(basis, n, seed, points, extra):
 
 
 _SUITES = {
-    "shuffle": (_suite_shuffle, "st2"),
-    "dihedral": (_suite_dihedral, "st2"),
-    "cobracket": (_suite_cobracket, "none"),
-    "duality": (_suite_duality, "st2"),
-    "ashrudolph": (_suite_ashrudolph, "st"),
+    "shuffle": (_suite_shuffle, "st2", 2),
+    "dihedral": (_suite_dihedral, "st2", 1),
+    "cobracket": (_suite_cobracket, "none", 2),
+    "duality": (_suite_duality, "st2", 1),
+    "ashrudolph": (_suite_ashrudolph, "st", 1),
 }
 
 
 def cmd_verify(args) -> int:
     if args.suite not in _SUITES:
         raise InputError(f"unknown suite {args.suite!r}")
-    run, pert_kind = _SUITES[args.suite]
+    run, pert_kind, min_dim = _SUITES[args.suite]
     _check_dim(args.dim, "--dim")
     if args.cases < 1:
         raise InputError(f"--cases must be at least 1, got {args.cases}")
@@ -383,6 +384,8 @@ def cmd_verify(args) -> int:
     else:
         rng = split_seed(args.seed, f"verify-{args.suite}")
         cases = [(_rand_basis(rng, n), {}) for _ in range(args.cases)]
+    if n < min_dim:
+        raise InputError(f"{args.suite} checks no relation below dimension {min_dim}, got {n}")
     failures = []
     for i, (basis, entry) in enumerate(cases):
         pvecs, pc = _case_perturbation(entry, len(basis))
@@ -431,13 +434,11 @@ def cmd_st(args) -> int:
         residual = li_identity_residual(terms, seed=args.seed)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    weights = set()
-    for t in terms:
-        weights.add(t[1] if t[0] == "product" else t[1].weight)
     report = {
         "seed": args.seed,
         "terms": len(terms),
-        "weight": max(weights) if weights else None,
+        # li_identity_residual refuses mixed weights
+        "weight": generators[0].weight,
         "verdict": "PASS" if not residual.terms else "FAIL",
     }
     if residual.terms:

@@ -6,8 +6,8 @@ rewrite in this file is phase arithmetic plus lattice bookkeeping.  The
 depth-one quotient has an explicit basis (primitive lexicographically
 positive directions at a covering level), and the top component of the
 reduced coproduct drives a recursion whose endpoint is a bar word with a
-symmetric-power tail.  Solving back against Coxeter generators lands the
-result in the Steinberg tensor square, giving two independent routes to
+symmetric-power tail.  Peeling its words off against L generators lands
+the result in the Steinberg tensor square, giving two independent routes to
 the truncated symbol; a third, coarser route goes through formal
 iterated integrals and the full coproduct.
 """
@@ -29,9 +29,9 @@ from .qlinalg import (
     frac_to_str,
     mat_mul,
     mat_vec,
+    positive_int_from_json,
     qm,
     qv,
-    solve,
 )
 from .st2 import St2, bar_infty_reduce, embed_s, make_L, make_pair
 from .steinberg import _acc, _poly_times_linear
@@ -742,61 +742,44 @@ def truncated_symbol_closed(ns: Sequence[int], ambient: int | None = None) -> St
     return make_L(vecs, d, c=c, exps=exps)
 
 
-def _bar_slice_to_st2(slice_terms: dict, exps: tuple, ambient: int) -> St2:
-    """Solve a bar-word slice back into the Steinberg tensor square.
+def _bar_to_st2(bar: Bar) -> St2:
+    """Peel a bar-word symbol back into the Steinberg tensor square.
 
-    Candidates are L generators on each word read right to left.  Each
-    candidate embeds to its own word with coefficient 1, so the system
-    is restricted to the slice's own words: one row per word and at most
-    one column per word, a square system (15 x 15 at depth 3, 105 x 105
-    at depth 4) in place of every word the candidates embed to (6,929
-    rows at depth 4).  Words outside the slice are not constrained by
-    the solve; the result is guarded by re-embedding, so failure raises
-    instead of returning a wrong element.
+    L on a word read right to left embeds to that word with coefficient 1.
+    Sweeps in sorted order move each bar word's mass onto its candidate and
+    subtract the candidate's embedding, so the rest is bar - embed_s(out)
+    and must end empty.  On the recursion's symbols the candidates' graph
+    is acyclic, so the sweeps end.
     """
-    cands: dict = {}
-    for word in slice_terms:
-        vecs = tuple(qv(p) for p in reversed(word))
-        cand = make_L(vecs, ambient, exps=exps)
-        key = tuple(sorted(cand.terms))
-        if key not in cands:
-            cands[key] = cand
-    family = list(cands.values())
-    fam_bars = [embed_s(c) for c in family]
-    words = sorted(slice_terms)
-    rows = [[fb.terms.get((w, exps), ZERO) for fb in fam_bars] for w in words]
-    rhs = [slice_terms[w] for w in words]
-    coeffs = solve(rows, rhs) if family else None
-    if coeffs is None:
-        raise ArithmeticError("bar slice not in the L-generator span")
-    out = St2.zero(ambient)
-    for c, cand in zip(coeffs, family):
-        out += c * cand
-    check = embed_s(out)
-    want = {(w, exps): c for w, c in slice_terms.items()}
-    if check.terms != want:
-        raise ArithmeticError("solve-back failed to reproduce the bar slice")
+    out = St2.zero(bar.ambient)
+    rest = dict(bar.terms)
+    words = sorted(rest)
+    for _ in words:  # an acyclic graph needs one sweep per word at most
+        if rest.keys().isdisjoint(words):
+            break
+        for word, exps in words:
+            c = rest.get((word, exps))
+            if c is not None:
+                cand = make_L([qv(p) for p in reversed(word)], bar.ambient, exps=exps)
+                out += c * cand
+                for key, v in embed_s(cand).terms.items():
+                    _acc(rest, key, -c * v)
+    if rest:
+        raise ArithmeticError("bar symbol not in the span of its L candidates")
     return out
 
 
 def truncated_symbol(g) -> St2:
     """Truncated symbol in the Steinberg tensor square.
 
-    Standard generators go through the coproduct recursion and a
-    solve-back; pushforwards act on the closed form by their matrix.
+    Standard generators go through the coproduct recursion and are
+    peeled off their bar words; pushforwards act on the closed form by
+    their matrix.
     """
     if isinstance(g, PushedLi):
         base = truncated_symbol_closed(g.ns, g.ambient)
         return g.coeff * st2_gl_act(g.matrix, base)
-    bar = recursion_symbol_bar(g)
-    d = g.ambient
-    slices: dict = {}
-    for (word, exps), c in bar.terms.items():
-        slices.setdefault(exps, {})[word] = c
-    out = St2.zero(d)
-    for exps in sorted(slices):
-        out += _bar_slice_to_st2(slices[exps], exps, d)
-    return out
+    return _bar_to_st2(recursion_symbol_bar(g))
 
 
 # --------------------------------------------------------- identity checking
@@ -858,11 +841,14 @@ def identity_terms_from_json(data) -> list:
     out = []
     for entry in data:
         c = frac_from_str(entry["coeff"])
-        if "product" in entry:
-            out.append(("product", sum(int(w) for w in entry["product"])))
+        key = "product" if "product" in entry else "exponents"
+        if not isinstance(entry[key], list):
+            raise ValueError(f"{key} must be a list, got {entry[key]!r}")
+        ns = tuple(positive_int_from_json(n, f"{key} entry") for n in entry[key])
+        if key == "product":
+            out.append(("product", sum(ns)))
             continue
         matrix = [[frac_from_str(str(e)) for e in row] for row in entry["matrix"]]
-        ns = tuple(int(n) for n in entry["exponents"])
         out.append((c, PushedLi(ONE, matrix, ns)))
     return out
 

@@ -482,6 +482,17 @@ def frac_from_str(s) -> Fraction:
     raise ValueError(f"cannot parse rational from {s!r}")
 
 
+def positive_int_from_json(value, what: str) -> int:
+    """A positive integer read through its exact rational, so 3.9, true and "3/2" are refused."""
+    try:
+        f = Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        f = None
+    if f is None or f.denominator != 1 or f < 1:
+        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+    return int(f)
+
+
 def vec_to_json(v: Sequence[Fraction]) -> list[str]:
     return [frac_to_str(x) for x in v]
 

@@ -238,6 +238,21 @@ class TestVerify:
         assert code == 1
         assert report["failures"][0]["witness"]["relation"] == "evaluation mismatch"
 
+    @pytest.mark.parametrize("suite", ["shuffle", "cobracket"])
+    def test_dimension_one_checks_nothing_exits_2(self, tmp_path, suite):
+        # both suites split the basis into two nonempty parts, which one
+        # vector does not have: a PASS would verify nothing
+        code, text = run(tmp_path, "verify", suite, "--dim", "1")
+        assert code == 2 and text == ""
+        path = write(tmp_path, "fix.json", {"cases": [{"basis": [[2]]}]})
+        code, text = run(tmp_path, "verify", suite, path)
+        assert code == 2 and text == ""
+
+    @pytest.mark.parametrize("suite", ["dihedral", "duality", "ashrudolph"])
+    def test_dimension_one_still_checked(self, tmp_path, suite):
+        code, report = run_json(tmp_path, "verify", suite, "--dim", "1", "--cases", "2")
+        assert code == 0 and report["verdict"] == "PASS"
+
     def test_unknown_suite_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "nonsense"])
@@ -288,6 +303,28 @@ class TestSt:
         ])
         code, _ = run(tmp_path, "st", path)
         assert code == 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("exponents", [3.9, 1]),
+        ("exponents", "31"),
+        ("exponents", [True, 3]),
+        ("exponents", ["3/2", 1]),
+        ("product", [2.5, 2]),
+        ("product", "22"),
+    ], ids=["float", "string", "bool", "rational", "product-float", "product-string"])
+    def test_non_integral_exponents_exit_2(self, tmp_path, field, value):
+        # none is a list of positive integers; int() would read most of
+        # them as a plausible weight-4 term
+        data = json.load(open(FIXTURE))
+        next(entry for entry in data if field in entry)[field] = value
+        code, text = run(tmp_path, "st", write(tmp_path, "bad.json", data))
+        assert code == 2 and text == ""
+
+    def test_integral_strings_accepted(self, tmp_path):
+        data = json.load(open(FIXTURE))
+        data[1]["exponents"] = ["3", "2/2"]
+        code, report = run_json(tmp_path, "st", write(tmp_path, "str.json", data))
+        assert code == 0 and report["verdict"] == "PASS"
 
     def test_zero_denominator_coeff_exits_2(self, tmp_path):
         data = json.load(open(FIXTURE))

@@ -2,22 +2,25 @@
 
 recursion_symbol_bar expands one zero-phase generator per pushforward and
 runs sigma's per-tuple work once per distinct direction tuple;
-_bar_slice_to_st2 solves only on the slice's own words. Both must give
-exactly what symbol_reference.py gives: the same Bar terms, the same St2
-terms, and an ArithmeticError exactly where the reference raises one.
+_bar_to_st2 peels the bar's own words off one candidate at a time. Both
+must give exactly what symbol_reference.py gives: the same Bar terms, the
+same St2 terms, and an ArithmeticError exactly where the reference raises
+one.
 """
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import symbol_reference as ref
+from steinpoly.barcplx import Bar
 from steinpoly.mpl import (
     LiGen,
     Monomial,
     PushedLi,
-    _bar_slice_to_st2,
+    _bar_to_st2,
     bar_gl_act,
     goncharov_symbol_bar,
     recursion_symbol_bar,
@@ -107,6 +110,20 @@ def test_standard_truncated_symbol_equals_reference(ns):
     assert truncated_symbol(g).terms == ref.truncated_symbol(g).terms
 
 
+def test_standard_truncated_symbol_solves_no_system():
+    # the candidates' graph is acyclic, so the peel needs no elimination
+    import steinpoly.mpl as mpl
+    import steinpoly.qlinalg as qlinalg
+
+    assert not hasattr(mpl, "solve") and not hasattr(mpl, "rref")
+    with (
+        mock.patch.object(qlinalg, "solve", side_effect=AssertionError),
+        mock.patch.object(qlinalg, "rref", side_effect=AssertionError),
+    ):
+        for ns in [t for t in _tuples(5, 5) if len(t) >= 2]:
+            assert truncated_symbol(std_li(*ns)).terms, ns
+
+
 @settings(max_examples=30, deadline=None)
 @given(li_gens(min_depth=2))
 def test_nonstandard_truncated_symbol_equals_reference(g):
@@ -134,9 +151,10 @@ def test_goncharov_route_equals_recursion_on_standard(ns):
     ids=["one-word", "two-words"],
 )
 def test_solve_back_guard_raises_on_unreproducible_slice(slice_terms):
-    # L on each word also embeds to words outside the slice, which the
-    # square system leaves unconstrained; the re-embedding catches them
+    # L on each word also embeds to words outside the slice, which no
+    # bar word's candidate can peel off, so the rest stays nonempty
+    bar = Bar(2, {(w, (0, 0)): c for w, c in slice_terms.items()})
     with pytest.raises(ArithmeticError):
-        _bar_slice_to_st2(slice_terms, (0, 0), 2)
+        _bar_to_st2(bar)
     with pytest.raises(ArithmeticError):
         ref._bar_slice_to_st2(slice_terms, (0, 0), 2)
