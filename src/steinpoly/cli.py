@@ -104,10 +104,10 @@ def _check_dim(n: int, what: str) -> None:
 
 def _st_from_json(data):
     try:
-        dim = int(data["dim"])
-        terms = data["terms"]
-    except (KeyError, TypeError, ValueError) as exc:
+        dim, terms = data["dim"], data["terms"]
+    except (KeyError, TypeError) as exc:
         raise InputError("element needs 'dim' and 'terms'") from exc
+    dim = _positive_int(dim, "element dimension")
     _check_dim(dim, "element dimension")
     if not isinstance(terms, list) or not terms:
         raise InputError("element 'terms' must be a non-empty list")
@@ -522,13 +522,13 @@ def _study_shuffle(cfg, box, seed):
 
 
 def _study_cone(cfg, box, seed):
-    try:
-        gens = [_vec(g) for g in cfg["generators"]]
-        forms = [_vec(u) for u in cfg["forms"]]
-        ns = [_positive_int(n, "exponent") for n in cfg["exponents"]]
-        points = [[_frac(e) for e in p] for p in cfg["points"]]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"cone study needs generators/forms/exponents/points: {exc}")
+    fields = ("generators", "forms", "exponents", "points")
+    if any(not isinstance(cfg.get(f), list) for f in fields):
+        raise InputError(f"cone study needs lists {'/'.join(fields)}")
+    gens = [_vec(g) for g in cfg["generators"]]
+    forms = [_vec(u) for u in cfg["forms"]]
+    ns = [_positive_int(n, "exponent") for n in cfg["exponents"]]
+    points = [_vec(p) for p in cfg["points"]]
     if not gens:
         raise InputError("cone study needs at least one generator")
     n = len(gens[0])

@@ -16,7 +16,8 @@ The s-map walks pairs (prefix of the first factor's entries, suffix of the
 second's) depth first; the coproduct tests each split with one determinant.
 Both take their cut lines from signed maximal minors of stacked integer
 rows (steinberg._cut_point, Bareiss determinants), so neither does Fraction
-arithmetic on the apartment keys.
+arithmetic on the apartment keys. The L and I generators scale their
+vectors by one common denominator, so their keys are built from ints too.
 """
 from __future__ import annotations
 
@@ -232,9 +233,21 @@ def _unit_st2(n: int, c) -> St2:
 # ------------------------------------------------------------- generators
 
 
+def _cleared(vectors: Sequence) -> list[Point]:
+    """The vectors times the lcm of all their denominators, as int tuples.
+
+    One common scale keeps every line spanned by sums and differences of
+    the vectors, so the generators below build the same apartment keys
+    on the int path of normalize_apartment.
+    """
+    vecs = [qv(v) for v in vectors]
+    den = lcm(*(x.denominator for v in vecs for x in v))
+    return [tuple(x.numerator * (den // x.denominator) for x in v) for v in vecs]
+
+
 def make_L(vectors: Sequence, ambient: int | None = None, c=1, exps=None) -> St2:
     """Pair of the reversed-suffix-sum apartment against the reversed one."""
-    vecs = [qv(v) for v in vectors]
+    vecs = _cleared(vectors)
     n = ambient if ambient is not None else len(vecs[0])
     sums = []
     acc = None
@@ -246,7 +259,7 @@ def make_L(vectors: Sequence, ambient: int | None = None, c=1, exps=None) -> St2
 
 def make_I(vectors: Sequence, ambient: int | None = None, c=1, exps=None) -> St2:
     """Companion generator: reversed tuple against consecutive differences."""
-    vecs = [qv(v) for v in vectors]
+    vecs = _cleared(vectors)
     n = ambient if ambient is not None else len(vecs[0])
     d = len(vecs)
     second = [vecs[-1]]
@@ -353,26 +366,34 @@ def symbol_I(vectors: Sequence, ambient: int | None = None) -> Bar:
 
 
 def st2_normal_form(x: St2) -> dict:
-    """Canonical coordinates: flag-expand the second factors, then the first.
+    """Canonical coordinates: flag-expand both tensor factors.
 
-    Terms sharing a first factor and exponents expand their second
-    factors in one flag_expand call; the results are regrouped by second
-    basis apartment and their first factors expanded the same way.
+    Terms are grouped by the side with fewer distinct (key, exps) pairs,
+    and each group's sum on the other side is expanded in one flag_expand
+    call, so its terms cancel before the second expansion. The results
+    are regrouped by that basis apartment and the grouped side expanded
+    the same way. Ties group by the first factor. The output
+    {(ka, kb, exps): c} does not depend on the order: both orders give
+    the bilinear expansion term by term.
     """
     n = x.ambient
-    by_a: dict = {}
+    firsts = {(key_a, exps) for key_a, _kb, exps in x.terms}
+    seconds = {(key_b, exps) for _ka, key_b, exps in x.terms}
+    swap = len(seconds) < len(firsts)
+    groups: dict = {}
     for (key_a, key_b, exps), c in x.terms.items():
         if len(key_a) != n:
             raise ValueError("normal form needs full-rank terms")
-        by_a.setdefault((key_a, exps), St(n)).add_term(key_b, c)
-    by_b: dict = {}
-    for (key_a, exps), second in by_a.items():
-        for kb, cb in flag_expand(second).terms.items():
-            by_b.setdefault((kb, exps), St(n)).add_term(key_a, cb)
+        outer, inner = (key_b, key_a) if swap else (key_a, key_b)
+        groups.setdefault((outer, exps), St(n)).add_term(inner, c)
+    regrouped: dict = {}
+    for (outer, exps), inner_sum in groups.items():
+        for ki, ci in flag_expand(inner_sum).terms.items():
+            regrouped.setdefault((ki, exps), St(n)).add_term(outer, ci)
     out: dict = {}
-    for (kb, exps), first in by_b.items():
-        for ka, ca in flag_expand(first).terms.items():
-            out[(ka, kb, exps)] = ca
+    for (ki, exps), outer_sum in regrouped.items():
+        for ko, co in flag_expand(outer_sum).terms.items():
+            out[(ki, ko, exps) if swap else (ko, ki, exps)] = co
     return out
 
 

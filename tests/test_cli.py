@@ -79,6 +79,23 @@ class TestReduce:
         code, _ = run(tmp_path, "reduce", path)
         assert code == 2
 
+    @pytest.mark.parametrize("dim", [2.7, True, "5/2", "two"])
+    def test_non_integral_dimension_exits_2(self, tmp_path, dim):
+        path = write(tmp_path, "frac.json", {
+            "dim": dim,
+            "terms": [{"apartment": [[0, 1], [1, 1]], "coeff": "1"}],
+        })
+        code, text = run(tmp_path, "reduce", path)
+        assert code == 2 and text == ""
+
+    def test_integral_string_dimension_accepted(self, tmp_path):
+        path = write(tmp_path, "str.json", {
+            "dim": "2",
+            "terms": [{"apartment": [[0, 1], [1, 1]], "coeff": "1"}],
+        })
+        code, report = run_json(tmp_path, "reduce", path)
+        assert code == 0 and report["dim"] == 2
+
     def test_degenerate_apartment_exits_2(self, tmp_path):
         path = write(tmp_path, "deg.json", {
             "dim": 2,
@@ -425,6 +442,13 @@ class TestFourier:
         pytest.param({"exponents": [1, 1, 2]}, id="more-exponents-than-forms"),
         pytest.param({"forms": [[1, 0]]}, id="fewer-forms-than-exponents"),
         pytest.param({"m_max": 1001}, id="points-above-cap"),  # 1001 ** 2 lattice points
+        # a string is not read as the list of its characters
+        pytest.param({"exponents": "11"}, id="exponents-string"),
+        pytest.param({"generators": "10"}, id="generators-string"),
+        pytest.param({"forms": {"a": [1, 0]}}, id="forms-dict"),
+        pytest.param({"points": "12"}, id="points-string"),
+        pytest.param({"points": ["12"]}, id="point-string"),
+        pytest.param({"exponents": None}, id="exponents-null"),
     ])
     def test_malformed_cone_study_exits_2(self, tmp_path, change):
         cfg = {

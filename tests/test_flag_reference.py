@@ -2,7 +2,9 @@
 
 ``flag_reference`` keeps the flat permutation walk over ``Subspace`` cuts
 and the per-term outer-product normal form; the kernel must agree with
-them exactly, on generic keys and on keys where some cuts are not lines.
+them exactly, on generic keys and on keys where some cuts are not lines,
+and on elements sharing one factor, which the normal form groups by
+either side.
 A rank-k key inside Q^n must expand as its coordinates in the flag rows
 do in Q^k.
 """
@@ -73,9 +75,50 @@ def test_flag_expand_matches_reference(case):
     assert flag_expand(x, flag).terms == want
 
 
+@st.composite
+def shared_factor_elements(draw):
+    """St2 elements whose terms share one factor, so either grouping order runs.
+
+    "first" and "second" share a key in that slot against several keys in
+    the other; "tie" pairs as many keys on each side. The shared key is
+    also drawn into the other side now and then, and the exponents come
+    from a pool of two, so both sides' distinct (key, exps) counts vary.
+    """
+    d = draw(st.integers(2, 4))
+    shape = draw(st.sampled_from(["first", "second", "tie"]))
+    shared = draw(keys(d))
+    others = draw(st.lists(keys(d) | st.just(shared), min_size=1, max_size=4))
+    pool = draw(st.lists(st.tuples(*[st.integers(0, 1)] * d), min_size=1, max_size=2))
+    x = St2.zero(d)
+    for other in others:
+        if shape == "tie":
+            pair = (other, draw(keys(d)))
+        else:
+            pair = (shared, other) if shape == "first" else (other, shared)
+        x.add_term(*pair, draw(COEFFS), draw(st.sampled_from(pool)))
+    return x
+
+
 @given(st2_elements())
 @settings(max_examples=40, deadline=None)
 def test_st2_normal_form_matches_reference(x):
+    assert st2_normal_form(x) == ref.st2_normal_form(x)
+
+
+@given(shared_factor_elements())
+@settings(max_examples=60, deadline=None)
+def test_shared_factor_normal_form_matches_reference(x):
+    assert st2_normal_form(x) == ref.st2_normal_form(x)
+
+
+def test_shuffle_residual_groups_by_the_shared_second_factor():
+    """An L shuffle residual has one second factor and many first factors."""
+    basis = [(1, 2, 0, -1), (0, 1, 1, 2), (2, -1, 1, 0), (1, 0, -1, 1)]
+    x = St2.zero(4)
+    for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
+        rest = [k for k in range(4) if k not in (i, j)]
+        x += make_L([basis[k] for k in (i, j, *rest)], c=i + j + 1)
+    assert len({kb for _ka, kb, _e in x.terms}) == 1 < len({ka for ka, _kb, _e in x.terms})
     assert st2_normal_form(x) == ref.st2_normal_form(x)
 
 
