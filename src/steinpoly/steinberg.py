@@ -21,25 +21,26 @@ ints; cut lines come from signed maximal minors (Bareiss determinants), so
 the walk does no Fraction arithmetic.
 
 ash_rudolph_reduce rewrites an integral apartment as a sum of unimodular
-ones. In rank 2 it splits [a, b] = [a, w] + [w, b] at a pivot w whose child
-determinants are at most ceil(sqrt|det|); the admissible pivots form a
-rank-2 lattice of index |det|, and the pivot is read off its Lagrange-reduced
-basis in O(log |det|) steps instead of a scan of a box of side 2 sqrt|det|.
-Higher rank uses residue/coresidue descent in unimodular integer charts.
-The whole reduction runs on int keys and int coefficients.
+ones by one Ash-Rudolph step at every rank: [v_1..v_n] = sum_i [v_1..w..v_n]
+(w in slot i) at an integral pivot w = sum_i c_i v_i / det whose numerators
+c_i, the child determinants, have the least sup norm. The admissible c form
+a lattice of index |det|^(n-1); its minimum, at most |det|^((n-1)/n) by
+Minkowski, is enumerated exactly from an LLL-reduced basis. The whole
+reduction runs on int keys and int coefficients.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import isqrt, lcm
+from math import lcm
 from operator import mul
 from typing import Sequence
 
 from .qlinalg import (
     Flag,
     Mat,
+    _int_adjugate,
     _int_det,
     _int_rank,
     canonical_point,
@@ -393,19 +394,25 @@ def residue(x: St, p: Sequence) -> St:
 
     Keeps only apartments with an entry on the line, removes that entry
     with the sign of its slot, and pushes the rest to the quotient
-    Q^n / <p>, written in the unimodular chart of _line_chart(p) (the
-    one the Ash-Rudolph descent uses). In Q^1 the one apartment [p] goes
-    to the empty apartment of Q^0.
+    Q^n / <p>, written in the integer coordinates of the unimodular chart
+    _line_chart(p). In Q^1 the one apartment [p] goes to the empty
+    apartment of Q^0.
     """
     p_can = canonical_point(qv(p))
     if len(p_can) != x.ambient:
         raise ValueError("point length does not match ambient dimension")
     if x.ambient == 1:
         return St(0, {(): c for c in x.terms.values()})
-    return St(x.ambient - 1, _delta_line(x.terms, p_can, _line_chart(p_can)[1], False))
-
-
-# --------------------------------------------------- Ash-Rudolph style reduction
+    t_mat = _line_chart(p_can)
+    out: dict[ApKey, Fraction] = {}
+    for key, c in x.terms.items():
+        if p_can in key:
+            slot = key.index(p_can)
+            rest = [_chart_coords(t_mat, q) for q in key[:slot] + key[slot + 1 :]]
+            norm = normalize_apartment(rest, x.ambient - 1)
+            if norm is not None:
+                _acc(out, norm[0], c * (-1) ** slot * norm[1])
+    return St(x.ambient - 1, out)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -421,54 +428,50 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 @lru_cache(maxsize=None)
-def _line_chart(p: Point) -> tuple[Mat, Mat]:
-    """Unimodular U with U e_1 = p, plus T = U^{-1}; lattice-exact chart.
+def _line_chart(p: Point) -> Mat:
+    """Unimodular T with T p = e_1; lattice-exact chart of Z^n / Z p.
 
     T is built from the bottom up by 2 x 2 xgcd steps of determinant 1 on
-    rows i-1, i, and U by the inverse steps on columns i-1, i in the same
-    order, so both are integer matrices and no inverse is solved for.
+    rows i-1, i, so it is an integer matrix and no inverse is solved for.
     """
     n = len(p)
     t_rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    u_cols = [[int(i == j) for j in range(n)] for i in range(n)]
     w = list(p)
     for i in range(n - 1, 0, -1):
         a, b = w[i - 1], w[i]
         if b == 0:
             continue
         g, sa, sb = _xgcd(a, b)
-        ag, bg = a // g, -b // g
-        # rows go by [[sa, sb], [-b/g, a/g]], columns by its inverse [[a/g, -sb], [b/g, sa]]
+        # rows go by [[sa, sb], [-b/g, a/g]]
         ra, rb = t_rows[i - 1], t_rows[i]
         t_rows[i - 1] = [sa * x + sb * y for x, y in zip(ra, rb)]
-        t_rows[i] = [bg * x + ag * y for x, y in zip(ra, rb)]
-        ca, cb = u_cols[i - 1], u_cols[i]
-        u_cols[i - 1] = [ag * x - bg * y for x, y in zip(ca, cb)]
-        u_cols[i] = [sa * y - sb * x for x, y in zip(ca, cb)]
+        t_rows[i] = [(-b // g) * x + (a // g) * y for x, y in zip(ra, rb)]
         w[i - 1], w[i] = g, 0
     if w[0] == -1:
         t_rows[0] = [-x for x in t_rows[0]]
-        u_cols[0] = [-x for x in u_cols[0]]
         w[0] = 1
     assert w[0] == 1 and not any(w[1:])
-    return tuple(zip(*u_cols)), tuple(tuple(r) for r in t_rows)
+    return tuple(tuple(r) for r in t_rows)
 
 
 def _chart_coords(t_mat: Mat, v: Point) -> Point:
-    """Integer coordinates of v in Z^n / Z p, for T = _line_chart(p)[1]."""
+    """Integer coordinates of v in Z^n / Z p, for T = _line_chart(p)."""
     return tuple(sum(map(mul, row, v)) for row in t_mat[1:])
+
+
+# --------------------------------------------------- Ash-Rudolph reduction
 
 
 def ash_rudolph_reduce(vectors: Sequence[Sequence]) -> St:
     """Express an integral apartment as a sum of unimodular apartments.
 
-    The rank-2 case subdivides [a, b] = [a, w] + [w, b] at the pivot of
-    _ar_pivot, whose child determinants are at most ceil(sqrt|det|), so the
-    recursion is shallow and each node costs O(log |det|); higher rank
-    peels boundary components at one line at a time and rebuilds the
-    element from unimodular lifts, level by level, in integer charts.
+    Every rank takes the same Ash-Rudolph step at the pivot of
+    _least_pivot (see _ar_apartment); each child determinant is at most
+    |det|^((n-1)/n), so the recursion is shallow.
     """
     vecs = [qv(v) for v in vectors]
+    if not vecs:
+        raise ValueError("ash_rudolph_reduce needs at least one vector")
     for v in vecs:
         for x in v:
             if x.denominator != 1:
@@ -477,12 +480,8 @@ def ash_rudolph_reduce(vectors: Sequence[Sequence]) -> St:
     if len(vecs) != n:
         raise ValueError("apartment must have as many vectors as coordinates")
     start = make_apartment([tuple(int(x) for x in v) for v in vecs], n)
-    return _ar_elem(start)
-
-
-def _ar_elem(x: St) -> St:
-    out = St.zero(x.ambient)
-    for key, c in x.terms.items():
+    out = St.zero(n)
+    for key, c in start.terms.items():
         for k2, c2 in _ar_apartment(key):
             out.add_term(k2, c * c2)
     return out
@@ -490,153 +489,133 @@ def _ar_elem(x: St) -> St:
 
 @lru_cache(maxsize=None)
 def _ar_apartment(key: ApKey) -> tuple[tuple[ApKey, int], ...]:
-    """Unimodular reduction of one apartment, with integer coefficients."""
-    d = len(key)
+    """Unimodular reduction of one apartment, with integer coefficients.
+
+    With D = det(key) and the pivot w = sum_i c_i key[i] / D of
+    _least_pivot, the boundary relation of (w, key[0], ..., key[n-1])
+    gives [key] = sum_i [key with key[i] replaced by w]. The i-th child
+    has determinant c_i, so children with c_i = 0 are degenerate and
+    every other one is reduced in turn.
+    """
     dd = _int_det(key)
-    if d == 1 or abs(dd) == 1:
+    if abs(dd) == 1:
         return ((key, 1),)
-    if d == 2:
-        terms = _ar_rank2(key, dd)
-    else:
-        terms = _ar_descent(key)
-    return tuple(sorted(terms.items()))
+    w, nums = _least_pivot(key, dd)
+    w = int_point(w)
+    out: dict[ApKey, int] = {}
+    for i, ci in enumerate(nums):
+        if ci:
+            child, sign = _sort_sign(key[:i] + (w,) + key[i + 1 :])
+            for k2, c2 in _ar_apartment(child):
+                _acc(out, k2, sign * c2)
+    return tuple(sorted(out.items()))
 
 
-def _add_apartment(out: dict, vectors: Sequence[Point], c: int, ambient: int, reduce: bool) -> None:
-    """out += c [vectors], or c times its unimodular reduction when reduce."""
-    norm = normalize_apartment(vectors, ambient)
-    if norm is None:
-        return
-    key, sign = norm
-    for k2, c2 in _ar_apartment(key) if reduce else ((key, 1),):
-        _acc(out, k2, c * sign * c2)
+def _least_pivot(key: ApKey, dd: int) -> tuple[Point, list[int]]:
+    """Pivot w = sum_i c_i key[i] / dd of the Ash-Rudolph step, and its c.
 
-
-def _lagrange_reduce(u: Point, v: Point) -> tuple[Point, Point]:
-    """Gauss-Lagrange reduced basis of u Z + v Z in Z^2: |u| <= |v|, 2|u.v| <= |u|^2."""
-    nu, nv = u[0] * u[0] + u[1] * u[1], v[0] * v[0] + v[1] * v[1]
-    if nv < nu:
-        u, v, nu, nv = v, u, nv, nu
-    while True:
-        q = (2 * (u[0] * v[0] + u[1] * v[1]) + nu) // (2 * nu)  # nearest to u.v / |u|^2
-        v = (v[0] - q * u[0], v[1] - q * u[1])
-        nv = v[0] * v[0] + v[1] * v[1]
-        if nv >= nu:
-            return u, v
-        u, v, nu, nv = v, u, nv, nu
-
-
-def _short_vectors(u: Point, v: Point, bound: int):
-    """Every alpha u + beta v of squared length at most bound, u, v reduced.
-
-    For fixed beta the squared length is ((uu alpha + uv beta)^2 + G beta^2) / uu
-    with G = uu vv - uv^2, so beta^2 <= bound uu / G and
-    |uu alpha + uv beta| <= isqrt(uu bound - G beta^2); both bounds are exact.
+    The c making w integral are the row lattice of adj(key) (w is the
+    coefficient vector), of index |dd|^(n-1). Among its nonzero points
+    this takes the one minimising (max |c_i|, sum |c_i|, w), which by
+    Minkowski has max |c_i| <= |dd|^((n-1)/n) < |dd| and, the rows of key
+    being primitive, at least two nonzero c_i (Ash-Rudolph 1979). The
+    search LLL-reduces the lattice basis B, takes as radius r the least
+    sup norm of a reduced row, and visits the c = z B with
+    |z_j| <= r sum_i |B^-1_ij|, which holds for every c of sup norm at
+    most r; the minimum is thus exact however good the reduction is
+    (Gunnells 2000 finds modular-symbol pivots the same way).
     """
-    uu, uv, vv = u[0] * u[0] + u[1] * u[1], u[0] * v[0] + u[1] * v[1], v[0] * v[0] + v[1] * v[1]
-    gram = uu * vv - uv * uv
-    top = isqrt(bound * uu // gram)
-    for beta in range(-top, top + 1):
-        root = isqrt(uu * bound - gram * beta * beta)
-        lo, hi = -((uv * beta + root) // uu), (root - uv * beta) // uu
-        for alpha in range(lo, hi + 1):
-            yield alpha * u[0] + beta * v[0], alpha * u[1] + beta * v[1]
-
-
-def _ar_pivot(a: Point, b: Point, dd: int) -> Point:
-    """Pivot w = (t a + s b) / dd of the rank-2 step [a, b] = [a, w] + [w, b].
-
-    Among the integral w with 0 < |s|, |t| < |dd| and max(|s|, |t|) at most
-    r = ceil(sqrt|dd|), it takes the one minimising
-    (max(|s|, |t|), |s| + |t|, w). The child determinants are s and t.
-    The admissible (t, s) form the lattice adj[a; b] Z^2 of index |dd|,
-    with basis (b_2, -a_2), (-b_1, a_1) (and w is the coefficient vector
-    in it). After Lagrange reduction an admissible point among u, v, u + v,
-    u - v bounds the sup norm of the minimiser, and only the few lattice
-    points in the disc around that sup-norm box are visited, so the step
-    costs O(log |dd|) (Ash-Rudolph 1979; Cohen 1993, section 1.3).
-    """
+    basis, _ = _int_adjugate(key)
+    cols = [list(col) for col in zip(*key)]
+    _lll(basis, cols)
     absd = abs(dd)
-    r = isqrt(absd)
-    if r * r < absd:
-        r += 1
-    u, v = _lagrange_reduce((b[1], -a[1]), (-b[0], a[0]))
+    n = len(key)
+    radius = min(max(map(abs, b)) for b in basis)
+    # basis * cols = dd I, so z = c B^-1 has z_j = <c, cols[j]> / dd
+    bounds = [radius * sum(map(abs, col)) // absd for col in cols]
+    # the most that rows j.. can add to coordinate i
+    slack = [[0] * n for _ in range(n + 1)]
+    for j in range(n - 1, -1, -1):
+        slack[j] = [s + bounds[j] * abs(x) for s, x in zip(slack[j + 1], basis[j])]
+    best = None  # (max |c_i|, sum |c_i|, w, c)
 
-    def norm(p: Point) -> int | None:
-        t, s = p
-        m = max(abs(t), abs(s))
-        return m if t and s and m <= r and m < absd else None
-
-    radius = r
-    for p in (u, v, (u[0] + v[0], u[1] + v[1]), (u[0] - v[0], u[1] - v[1])):
-        m = norm(p)
-        if m is not None:
-            radius = min(radius, m)
-    best = None
-    for t, s in _short_vectors(u, v, 2 * radius * radius):
-        m = norm((t, s))
-        if m is None or m > radius:
-            continue
-        w = tuple((t * ai + s * bi) // dd for ai, bi in zip(a, b))
-        cand = (m, abs(s) + abs(t), w)
-        if best is None or cand < best:
-            best = cand
-    assert best is not None, "no admissible pivot; determinant box too small"
-    return best[2]
-
-
-def _ar_rank2(key: ApKey, dd: int) -> dict[ApKey, int]:
-    a, b = key
-    w = _ar_pivot(a, b, dd)
-    out: dict[ApKey, int] = {}
-    _add_apartment(out, (a, w), 1, 2, True)
-    _add_apartment(out, (w, b), 1, 2, True)
-    return out
-
-
-def _ar_descent(key: ApKey) -> dict[ApKey, int]:
-    d = len(key)
-    # reduced boundary targets of the input, one per line with nonzero height
-    targets = {p: _delta_line({key: 1}, p, _line_chart(p)[1], True) for p in key if p[-1] != 0}
-
-    x: dict[ApKey, int] = {}
-    processed: set[Point] = set()
-    while True:
-        live: set[Point] = {p for p in targets if p not in processed}
-        for ap in x:
-            for pt in ap:
-                if pt[-1] != 0 and pt not in processed:
-                    live.add(pt)
-        if not live:
-            break
-        k_level = max(abs(p[-1]) for p in live)
-        lines = sorted(p for p in live if abs(p[-1]) == k_level)
-        for p_line in lines:
-            processed.add(p_line)
-            u_mat, t_mat = _line_chart(p_line)
-            need: dict[ApKey, int] = dict(targets.get(p_line, {}))
-            for k2, c2 in _delta_line(x, p_line, t_mat, False).items():
-                _acc(need, k2, -c2)
-            if not need:
+    def walk(j: int, part: list[int]) -> None:
+        nonlocal best, radius
+        # the z keeping every coordinate within reach of the box
+        row, lo, hi = basis[j], -bounds[j], bounds[j]
+        for x, y, s in zip(part, row, slack[j + 1]):
+            if y < 0:
+                x, y = -x, -y
+            if y:
+                lo, hi = max(lo, -((radius + s + x) // y)), min(hi, (radius + s - x) // y)
+            elif abs(x) > radius + s:
+                return
+        if not any(part):  # of c and -c, visit the one whose first nonzero z is positive
+            lo = max(lo, 0)
+        for z in range(lo, hi + 1):
+            c = [x + z * y for x, y in zip(part, row)]
+            if j + 1 < n:
+                walk(j + 1, c)
                 continue
-            step = p_line if p_line[-1] > 0 else tuple(-c for c in p_line)
-            for q_ap, c in need.items():
-                lifts = []
-                for q in q_ap:
-                    u0 = [sum(map(mul, row, (0,) + q)) for row in u_mat]
-                    shift = u0[-1] // k_level
-                    lifts.append(tuple(a - shift * b for a, b in zip(u0, step)))
-                _add_apartment(x, (p_line, *lifts), c, d, False)
-    return x
+            m, s = max(map(abs, c)), sum(map(abs, c))
+            if m and (best is None or (m, s) <= best[:2]):
+                w = tuple(sum(ci * p[k] for ci, p in zip(c, key)) // dd for k in range(n))
+                neg = tuple(-x for x in w)
+                if neg < w:
+                    w, c = neg, [-x for x in c]
+                if best is None or (m, s, w) < best[:3]:
+                    best, radius = (m, s, w, c), m
+
+    walk(0, [0] * n)
+    return best[2], best[3]
 
 
-def _delta_line(x: dict[ApKey, int], p: Point, t_mat: Mat, reduce: bool) -> dict[ApKey, int]:
-    """Residue of x at the line p in the chart T = t_mat, reduced when reduce."""
-    out: dict[ApKey, int] = {}
-    for ap, c in x.items():
-        for slot, pt in enumerate(ap):
-            if pt == p:
-                rest = [_chart_coords(t_mat, q) for q in ap[:slot] + ap[slot + 1 :]]
-                _add_apartment(out, rest, c * (-1) ** slot, len(p) - 1, reduce)
-                break
-    return out
+def _lll(basis: list[list[int]], cols: list[list[int]]) -> None:
+    """LLL-reduce the integer rows of basis in place, with delta = 99/100.
+
+    The integral algorithm of Cohen 1993, Alg. 2.6.7: the Gram
+    determinants d and the scaled Gram-Schmidt coefficients lam stay
+    integers. Each row step b_k -= q b_l is mirrored on cols as
+    cols[l] += q cols[k], and each row swap as a column swap, so a
+    product basis * cols keeps its value.
+    """
+    n = len(basis)
+    d = [1] * (n + 1)  # d[i + 1] is the Gram determinant of rows 0..i
+    lam = [[0] * n for _ in range(n)]  # lam[k][j] = d[j + 1] mu_kj
+
+    k, k_max = 1, 0
+    d[1] = sum(x * x for x in basis[0])
+    while k < n:
+        if k > k_max:
+            k_max = k
+            for j in range(k + 1):
+                u = sum(map(mul, basis[k], basis[j]))
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                else:
+                    d[k + 1] = u
+        for l in range(k - 1, -1, -1):  # size reduction
+            if 2 * abs(lam[k][l]) > d[l + 1]:
+                q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+                basis[k] = [x - q * y for x, y in zip(basis[k], basis[l])]
+                cols[l] = [x + q * y for x, y in zip(cols[l], cols[k])]
+                lam[k][l] -= q * d[l + 1]
+                for i in range(l):
+                    lam[k][i] -= q * lam[l][i]
+        if 100 * d[k + 1] * d[k - 1] < 99 * d[k] ** 2 - 100 * lam[k][k - 1] ** 2:
+            basis[k - 1], basis[k] = basis[k], basis[k - 1]
+            cols[k - 1], cols[k] = cols[k], cols[k - 1]
+            for j in range(k - 1):
+                lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+            mu = lam[k][k - 1]
+            b = (d[k - 1] * d[k + 1] + mu * mu) // d[k]
+            for i in range(k + 1, k_max + 1):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - mu * t) // d[k]
+                lam[i][k - 1] = (b * t + mu * lam[i][k]) // d[k + 1]
+            d[k] = b
+            k = max(1, k - 1)
+        else:
+            k += 1

@@ -1,7 +1,8 @@
-"""Reference lattice kernels: the box-search Ash-Rudolph reduction and the
-Fraction truncated Fourier sum, kept verbatim from before the integer
-rewrite so tests can check that the faster kernels agree with them bit for
-bit.
+"""Reference lattice kernels: the Ash-Rudolph reduction by box search in
+rank 2 and by line-by-line descent above, and the Fraction truncated
+Fourier sum, kept verbatim from before the integer rewrite so tests can
+check that the faster kernels agree with them (bit for bit, and as classes
+where the reduction above rank 2 picks other terms).
 
 The box search visits every (s, t) with max(|s|, |t|) <= ceil(sqrt|det|),
 so it costs O(|det|) per node; the Fourier sum builds Fraction dot products

@@ -377,6 +377,14 @@ def test_criterion_10_unimodular_reduction():
         assert len(out.terms) <= 4 * math.log2(dd) + 4
         assert st_equality_oracle(out, make_apartment(vecs), seed=done, points=5)
         done += 1
+    # one pivot rule at every rank: a rank-6 case reduced line by line did
+    # not finish in 9 minutes
+    for n in (5, 6):
+        vecs = rand_basis(rng, n, bound=3)
+        out = ash_rudolph_reduce(vecs)
+        for key in out.terms:
+            assert abs(det(qm(key))) == 1
+        assert st_equality_oracle(out, make_apartment(vecs), seed=n, points=5)
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0, f"reduction suite took {elapsed:.2f}s"
 

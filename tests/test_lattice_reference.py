@@ -1,12 +1,16 @@
-"""The integer lattice kernels against the seed's box search and Fraction sum.
+"""The integer lattice kernels against the seed's box search, the Fraction
+descent and the Fraction sum.
 
-ash_rudolph_reduce finds its rank-2 pivot in a reduced rank-2 lattice and
-works in integer charts; truncated_fourier_sum runs in integers. Both must
-give exactly what the references in lattice_reference.py give: the same
-pivot, the same reduction term for term, and the same complex float bit
-for bit.
+ash_rudolph_reduce takes one pivot rule at every rank, with the pivot
+enumerated from an LLL-reduced lattice; truncated_fourier_sum runs in
+integers. In rank 2 both must give exactly what the references in
+lattice_reference.py give: the same pivot as the box search and the same
+reduction term for term. In ranks 3 and 4 the reference descends line by
+line instead, so there the reductions must be equal classes. The Fourier
+sum must give the same complex float bit for bit.
 """
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -16,7 +20,7 @@ from hypothesis import strategies as st
 import lattice_reference as ref
 from steinpoly.cones import PoleError, truncated_fourier_sum
 from steinpoly.qlinalg import _int_det
-from steinpoly.steinberg import _ar_pivot, _line_chart, ash_rudolph_reduce, int_point
+from steinpoly.steinberg import _least_pivot, _line_chart, ash_rudolph_reduce, int_point, is_zero
 
 F = Fraction
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -46,7 +50,7 @@ def rank2_pairs(draw, max_det=20_000):
 @given(rank2_pairs())
 def test_pivot_equals_box_search(pair):
     a, b, dd = pair
-    assert _ar_pivot(a, b, dd) == ref.box_pivot(a, b, dd)
+    assert _least_pivot((a, b), dd)[0] == ref.box_pivot(a, b, dd)
 
 
 @SETTINGS
@@ -57,21 +61,43 @@ def test_rank2_reduction_equals_reference(pair):
     assert list(new.terms.items()) == list(old.terms.items())
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(3, 4).flatmap(
-        lambda d: st.lists(
-            st.lists(st.integers(-3, 3) if d == 3 else st.integers(-2, 2), min_size=d, max_size=d),
-            min_size=d,
-            max_size=d,
-        )
+small_square_rows = st.integers(3, 4).flatmap(
+    lambda d: st.lists(
+        st.lists(st.integers(-3, 3) if d == 3 else st.integers(-2, 2), min_size=d, max_size=d),
+        min_size=d,
+        max_size=d,
     )
 )
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_square_rows)
+def test_pivot_is_least_above_rank_2(rows):
+    # every admissible numerator vector c in the box of the pivot's own sup
+    # norm m, by brute force: none may come before it
+    assume(all(any(r) for r in rows))
+    key = tuple(int_point(r) for r in rows)
+    dd, n = _int_det(key), len(key)
+    assume(1 < abs(dd) <= (30 if n == 3 else 12))
+    w, c = _least_pivot(key, dd)
+    m = max(map(abs, c))
+    least = None
+    for cand in product(range(-m, m + 1), repeat=n):
+        num = [sum(ci * p[k] for ci, p in zip(cand, key)) for k in range(n)]
+        if any(cand) and not any(x % dd for x in num):
+            order = (max(map(abs, cand)), sum(map(abs, cand)), tuple(x // dd for x in num))
+            least = order if least is None else min(least, order)
+    assert (m, sum(map(abs, c)), w) == least
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_square_rows)
 def test_descent_equals_reference(rows):
     dd = _int_det(rows)
     assume(dd != 0 and abs(dd) <= 60)
     new, old = ash_rudolph_reduce(rows), ref.ash_rudolph_reduce(rows)
-    assert list(new.terms.items()) == list(old.terms.items())
+    assert all(abs(_int_det(key)) == 1 for key in new.terms)
+    assert is_zero(new - old)
 
 
 @SETTINGS
@@ -79,10 +105,9 @@ def test_descent_equals_reference(rows):
 def test_line_chart_equals_reference(v):
     assume(any(v))
     p = int_point(v)
-    u, t = _line_chart(p)
-    ru, rt = ref._line_chart(p)
-    assert u == ru and t == rt
-    assert all(type(x) is int for m in (u, t) for row in m for x in row)
+    t = _line_chart(p)
+    assert t == ref._line_chart(p)[1]
+    assert all(type(x) is int for row in t for x in row)
 
 
 rationals = st.builds(F, st.integers(-9, 9), st.sampled_from((1, 1, 2, 3, 7)))
