@@ -785,7 +785,7 @@ def truncated_symbol(g) -> St2:
 # --------------------------------------------------------- identity checking
 
 
-def li_identity_residual(terms: Sequence, seed: int = 0) -> Bar:
+def li_identity_residual(terms: Sequence) -> Bar:
     """Stable-quotient residual of a polylogarithm identity.
 
     Terms are (coefficient, pushforward generator) pairs or
@@ -823,11 +823,11 @@ def li_identity_residual(terms: Sequence, seed: int = 0) -> Bar:
         if p.depth < ambient:
             continue
         total += c * embed_s(truncated_symbol(p))
-    return bar_infty_reduce(total, seed)
+    return bar_infty_reduce(total)
 
 
-def verify_li_identity(terms: Sequence, seed: int = 0) -> bool:
-    return not li_identity_residual(terms, seed).terms
+def verify_li_identity(terms: Sequence) -> bool:
+    return not li_identity_residual(terms).terms
 
 
 def identity_terms_from_json(data) -> list:

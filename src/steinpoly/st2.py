@@ -9,8 +9,8 @@ routes give equal Bars. Products are slotwise concatenation; the
 coproduct splits the ambient space into a piece of each tensor factor.
 The two distinguished generator families L and I, their symbol
 recursions, duality, and the cyclic cobracket all live here, together
-with the projected zero test for the quotient by shuffle products (the
-"stable" quotient below, in which decomposables vanish).
+with the zero test for the quotient by shuffle products (the "stable"
+quotient below, in which decomposables vanish).
 
 The s-map walks pairs (prefix of the first factor's entries, suffix of the
 second's) depth first; the coproduct tests each split with one determinant.
@@ -27,9 +27,8 @@ from itertools import combinations
 from math import lcm
 from typing import Sequence
 
-from .barcplx import Bar, p_H_project, shuffle_span_reduce
+from .barcplx import Bar, shuffle_span_reduce
 from .qlinalg import (
-    Subspace,
     Vec,
     _int_det,
     _int_rank,
@@ -38,7 +37,6 @@ from .qlinalg import (
     qv,
     rank,
     solve,
-    split_seed,
     vec_add,
     vec_sub,
 )
@@ -401,59 +399,30 @@ def is_zero_st2(x: St2) -> bool:
     return not st2_normal_form(x)
 
 
-def _h_functional(seed: int, dim: int, lines=(), label: str = "") -> Point:
-    """Seeded functional with small positive entries, avoiding the given lines.
-
-    Any nonzero functional gives a faithful projection on the stable
-    quotient; avoiding the occurring lines just keeps witnesses fat.
-    """
-    rng = split_seed(seed, f"h:{dim}:{label}")
-    h = tuple(rng.randint(1, 97) for _ in range(dim))
-    for _ in range(64):
-        if all(sum(x * y for x, y in zip(h, p, strict=True)) for p in lines):
-            break
-        h = tuple(rng.randint(1, 97) for _ in range(dim))
-    return h
-
-
-def bar_infty_reduce(x: Bar, seed: int = 0) -> Bar:
+def bar_infty_reduce(x: Bar) -> Bar:
     """Canonical remainder of a bar element in the stable quotient.
 
-    Projects along a seeded functional transverse to every letter, then
-    reduces modulo the shuffle span; empty output certifies zero.
+    Projecting along a functional h that is nonzero on the support of x
+    (barcplx.p_H_project) is faithful on the quotient, and one transverse
+    to every letter of x keeps every word, so the remainder is x reduced
+    modulo the shuffle span; empty output certifies zero.
     """
-    lines = sorted({p for (word, _exps) in x.terms for p in word})
-    h = _h_functional(seed, x.ambient, lines=tuple(lines))
-    return shuffle_span_reduce(p_H_project(x, h))
+    return shuffle_span_reduce(x)
 
 
-def is_zero_st_infty(x: St2, seed: int = 0) -> bool:
-    """Zero test in the quotient where shuffle products vanish.
-
-    Reduces the s-image with bar_infty_reduce; the projection is faithful
-    on the quotient for any choice of functional, so the verdict does not
-    depend on the seed.
-    """
-    return not bar_infty_reduce(embed_s(x), seed).terms
+def is_zero_st_infty(x: St2) -> bool:
+    """Zero test in the quotient where shuffle products vanish."""
+    return not bar_infty_reduce(embed_s(x)).terms
 
 
-def st_infty_fingerprint(x: St2, seed: int = 0) -> dict:
+def st_infty_fingerprint(x: St2) -> dict:
     """Canonical class coordinates of a tensor, read in ambient coordinates.
 
-    w is the span of the first factors' points. The functional is the one
-    drawn from (seed, w) in w's echelon coordinates, with its entries
-    placed at w's pivot columns: each RREF row of w has a 1 at its pivot
-    and the other rows vanish there, so for every p in w the ambient
-    pairing <h, p> equals the pairing of h's local entries with p's
-    echelon coordinates. The s-image is projected along h and reduced to
-    the representative of barcplx.shuffle_span_reduce; equal classes on
-    the same support give equal dictionaries regardless of presentation.
+    The s-image reduced modulo the shuffle span by bar_infty_reduce: equal
+    classes give equal dictionaries regardless of presentation. The
+    letters of each word span the support of the pair it came from.
     """
-    w = Subspace.span([p for key_a, _kb, _e in x.terms for p in key_a], x.ambient)
-    h = [0] * x.ambient
-    for p, hi in zip(w.pivots, _h_functional(seed, w.dim, label=repr(w.rows))):
-        h[p] = hi
-    return dict(shuffle_span_reduce(p_H_project(embed_s(x), h)).terms)
+    return dict(bar_infty_reduce(embed_s(x)).terms)
 
 
 # -------------------------------------------------------------- cobracket
@@ -482,12 +451,14 @@ def cobracket_L(vectors: Sequence, ambient: int | None = None):
     return terms
 
 
-def cobracket_matches_coproduct(vectors: Sequence, seed: int = 0) -> bool:
+def cobracket_matches_coproduct(vectors: Sequence) -> bool:
     """Cross-check of the cyclic cobracket against the coproduct route.
 
-    Expands both sides into ambient fingerprint coordinates of their
-    factors and compares exactly. The coproduct route antisymmetrizes
-    every split and keeps only the splits where both sides are nontrivial.
+    Expands both sides into the stable-quotient fingerprints of their
+    factors (st_infty_fingerprint: the s-image modulo the shuffle span,
+    in ambient coordinates) and compares exactly. The coproduct route
+    antisymmetrizes every split and keeps only the splits where both
+    sides are nontrivial.
 
     Each distinct factor (by its sorted terms) is fingerprinted once. The
     letters of each fingerprint word span the word's support, so ambient
@@ -512,7 +483,7 @@ def cobracket_matches_coproduct(vectors: Sequence, seed: int = 0) -> bool:
         """(den, [(key id, numerator)]) of x's fingerprint, once per distinct x."""
         fk = tuple(sorted(x.terms.items()))
         if fk not in fps:
-            den, nums = _numerators(st_infty_fingerprint(x, seed))
+            den, nums = _numerators(st_infty_fingerprint(x))
             fps[fk] = den, [(ids.setdefault(k, len(ids)), num) for k, num in nums.items()]
         return fps[fk]
 

@@ -11,6 +11,9 @@ fingerprinted each distinct factor once and summed in integers: ``_wedge``
 fingerprints both factors of every pair and builds each route's whole
 antisymmetric ``Fraction`` dictionary, and the two are compared.
 
+Both project along the seeded functionals of ``stable_reference``, as
+the kernel did before it reduced modulo the shuffle span directly.
+
 Unlike the kernel, both take the list of cobracket terms as an argument,
 so tests can feed every route the same mutated terms and require the same
 verdict.
@@ -18,17 +21,10 @@ verdict.
 from fractions import Fraction
 
 from barcplx_reference import local_coords
+from stable_reference import _h_functional, st_infty_fingerprint as ambient_fingerprint
 from steinpoly.barcplx import p_H_project, shuffle_span_reduce
 from steinpoly.qlinalg import Subspace, qv
-from steinpoly.st2 import (
-    St2,
-    _h_functional,
-    embed_s,
-    make_L,
-    make_pair,
-    st2_coproduct,
-    st_infty_fingerprint as ambient_fingerprint,
-)
+from steinpoly.st2 import St2, embed_s, make_L, make_pair, st2_coproduct
 from steinpoly.steinberg import _acc
 
 ONE = Fraction(1)

@@ -1,6 +1,7 @@
 """End-to-end checks of the command line: formats, exit codes, determinism."""
 import json
 from importlib import resources
+from unittest import mock
 
 import pytest
 
@@ -312,6 +313,17 @@ class TestSt:
         code, text = run(tmp_path, "st", path)
         assert code == 2 and text == ""
         assert 4 <= MAX_WEIGHT < 90
+
+    @pytest.mark.parametrize("matrix, exponents", [
+        ([[str(int(i == j)) for j in range(MAX_DIM + 1)] for i in range(MAX_DIM + 1)], [2]),
+        # a generator would raise its scale 2 to the power 10**8 on construction
+        ([["2", "0"], ["0", "2"]], [10**8, 1]),
+    ], ids=["matrix", "weight"])
+    def test_bounds_come_before_any_generator(self, tmp_path, matrix, exponents):
+        path = write(tmp_path, "big.json", [{"coeff": "1", "matrix": matrix, "exponents": exponents}])
+        with mock.patch("steinpoly.mpl.det", side_effect=AssertionError("generator built")):
+            code, text = run(tmp_path, "st", path)
+        assert code == 2 and text == ""
 
     def test_mixed_weight_file_exits_2(self, tmp_path):
         path = write(tmp_path, "mixed.json", [
