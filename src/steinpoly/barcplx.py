@@ -29,7 +29,7 @@ from itertools import combinations
 from math import lcm
 from typing import Iterable, Sequence
 
-from .qlinalg import Subspace, canonical_point, qv
+from .qlinalg import _int_gauss_jordan, _row_to_int, canonical_point, int_point, qv
 from .steinberg import (
     ApKey,
     LinComb,
@@ -81,13 +81,16 @@ def _merge_letters(a: ApKey, b: ApKey) -> tuple[tuple[ApKey, int], ...]:
     words are multilinear in their letters, so classes have to expand
     for cross-term cancellation to happen. The flag is the canonical
     integer points of the RREF rows of the span W, which depend on W
-    alone, so equal letters get equal keys.
+    alone, so equal letters get equal keys; fraction-free Gauss-Jordan
+    leaves those rows times its last pivot.
     """
     norm = normalize_apartment(a + b)
     if norm is None:
         return ()
     key, sign = norm
-    frows = tuple(canonical_point(r) for r in Subspace.span(key).rows)
+    work = [list(p) for p in key]
+    _int_gauss_jordan(work)
+    frows = tuple(map(int_point, work))
     return tuple((k, sign * c) for k, c in _flag_expand_apartment(key, frows))
 
 
@@ -179,8 +182,7 @@ def p_H_project(x: Bar, h: Sequence) -> Bar:
     if len(hv) != x.ambient:
         raise ValueError("functional length does not match ambient dimension")
     # h with its denominators cleared pairs with the integer letters in int
-    m = lcm(*(f.denominator for f in hv))
-    hi = [f.numerator * (m // f.denominator) for f in hv]
+    hi, _ = _row_to_int(hv)
     live: dict[Point, bool] = {}
     out = Bar.zero(x.ambient)
     for key, c in x.terms.items():

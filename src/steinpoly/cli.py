@@ -492,7 +492,7 @@ def _tolerance(value) -> float | None:
         raise InputError(f"tolerance {value!r} is out of range") from exc
 
 
-def _study_bernoulli(cfg, box, seed):
+def _study_bernoulli(cfg, box):
     weights = [_positive_int(n, "weight") for n in _nonempty_list(cfg, "weights", [1, 2, 3])]
     points = [_frac(x) for x in _nonempty_list(cfg, "points", ["1/3", "1/5", "2/7"])]
     tol = _tolerance(cfg.get("tolerance"))
@@ -529,14 +529,14 @@ def _study_bernoulli(cfg, box, seed):
     return header, rows, ok
 
 
-def _study_shuffle(cfg, box, seed):
+def _study_shuffle(cfg, box):
     size = box or _positive_int(cfg.get("box", 25), "box")
     _check_points(size, 2)
     good = coefficient_shuffle_check(size)
     return ["box", "status"], [[str(size), "pass" if good else "fail"]], good
 
 
-def _study_cone(cfg, box, seed):
+def _study_cone(cfg, box):
     fields = ("generators", "forms", "exponents", "points")
     if any(not isinstance(cfg.get(f), list) for f in fields):
         raise InputError(f"cone study needs lists {'/'.join(fields)}")
@@ -583,7 +583,7 @@ def cmd_fourier(args) -> int:
         raise InputError(f"unknown study {cfg['study']!r}")
     if args.box is not None and args.box < 1:
         raise InputError(f"--box must be at least 1, got {args.box}")
-    header, rows, ok = studies[cfg["study"]](cfg, args.box, args.seed)
+    header, rows, ok = studies[cfg["study"]](cfg, args.box)
     buf = io.StringIO()
     buf.write(f"# seed={args.seed}\n")
     buf.write(",".join(header) + "\n")

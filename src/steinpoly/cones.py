@@ -23,6 +23,7 @@ from operator import mul
 from typing import Sequence
 
 from .qlinalg import (
+    _cleared,
     _int_adjugate,
     _row_to_int,
     det,
@@ -32,7 +33,7 @@ from .qlinalg import (
     vec_dot,
 )
 from .st2 import St2
-from .steinberg import ApKey, St, _poly_times_linear, make_apartment
+from .steinberg import ApKey, St, _power_product, make_apartment, zero_exps
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -78,7 +79,8 @@ def rho_term(key: ApKey, exps: Sequence[int], z: Sequence) -> Fraction:
     where C_mono are the integer coefficients of the expansion along the
     columns of A; for m = 0 it is D^(d-1) e^d / prod P_i. Some P_i = 0 is
     a pole. An apartment with dependent entries is the zero class and
-    evaluates to 0.
+    evaluates to 0; the empty apartment of Q^0 is the unit and evaluates
+    to 1.
     """
     if all(type(x) is int for x in z):
         zint, e = z, 1
@@ -87,6 +89,8 @@ def rho_term(key: ApKey, exps: Sequence[int], z: Sequence) -> Fraction:
     d = len(key)
     if len(zint) != d:
         raise ValueError("evaluation point and apartment have different dimensions")
+    if not d:
+        return ONE
     adj, dd = _dual_data(key)
     if not dd:
         return ZERO
@@ -98,11 +102,7 @@ def rho_term(key: ApKey, exps: Sequence[int], z: Sequence) -> Fraction:
     if not m:
         return Fraction(scale, math.prod(pairings))
     # coordinates of D e_j in the apartment basis are the j-th entries of A
-    mono_dict: dict = {(0,) * d: 1}
-    for j, mj in enumerate(exps):
-        col = [a[j] for a in adj]
-        for _ in range(mj):
-            mono_dict = _poly_times_linear(mono_dict, col)
+    mono_dict = _power_product(list(zip(*adj)), exps, d)
     num = sum(
         c * math.prod(math.factorial(k) * p ** (m - k) for k, p in zip(mono, pairings))
         for mono, c in mono_dict.items()
@@ -112,7 +112,7 @@ def rho_term(key: ApKey, exps: Sequence[int], z: Sequence) -> Fraction:
 
 def rho_st(x: St, z: Sequence) -> Fraction:
     total = ZERO
-    zeros = (0,) * x.ambient
+    zeros = zero_exps(x.ambient)
     for key, c in x.terms.items():
         total += c * rho_term(key, zeros, z)
     return total
@@ -174,7 +174,7 @@ def st2_equality_oracle(x: St2, y: St2, seed: int = 0, points: int = 5) -> bool:
     if not diff.terms:
         return True
     rng = split_seed(seed, "st2-oracle")
-    zeros = (0,) * x.ambient
+    zeros = zero_exps(x.ambient)
 
     def vanishes() -> bool:
         z = _draw_point(rng, x.ambient)
@@ -244,8 +244,7 @@ def truncated_fourier_sum(
         raise ValueError("generators and x must have the same length")
     if len(forms) != len(ns):
         raise ValueError("one exponent per form")
-    gden = math.lcm(*(c.denominator for g in gens for c in g))
-    gint = [[c.numerator * (gden // c.denominator) for c in g] for g in gens]
+    gint, gden = _cleared(gens)
     scale_num = scale_den = 1
     pairings = []  # (U.G_j for each j, exponent)
     for u, m in zip(forms, ns):

@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 
 from .barcplx import Bar, shuffle_words
 from .qlinalg import (
+    _cleared,
     _int_rank,
     _minor_gcd,
     _row_to_int,
@@ -34,7 +35,7 @@ from .qlinalg import (
     qv,
 )
 from .st2 import St2, bar_infty_reduce, embed_s, make_L, make_pair
-from .steinberg import _acc, _poly_times_linear
+from .steinberg import _acc, _power_product
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -177,8 +178,7 @@ class PushedLi:
             raise ValueError("depth exceeds ambient dimension")
         if det(a) == 0:
             raise ValueError("matrix must be invertible")
-        denom = lcm(*[e.denominator for row in a for e in row])
-        ints = [[int(e * denom) for e in row] for row in a]
+        ints, denom = _cleared(a)
         content = gcd(*[abs(e) for row in ints for e in row])
         scale = Fraction(content, denom)  # a = scale * primitive, scale > 0
         self.matrix = tuple(tuple(e // content for e in row) for row in ints)
@@ -338,13 +338,9 @@ def depth1_nf(weight: int, items: Iterable[tuple]) -> DepthOneNF:
 
 def _sym_poly(vectors: Sequence[Sequence], weights: Sequence[int], d: int) -> dict:
     """Monomial expansion of prod v_i^{n_i - 1} / (n_i - 1)!."""
-    poly = {(0,) * d: ONE}
-    denom = 1
-    for v, n in zip(vectors, weights, strict=True):
-        denom *= factorial(n - 1)
-        for _ in range(n - 1):
-            poly = _poly_times_linear(poly, v)
-    return {e: c / denom for e, c in poly.items()}
+    poly = _power_product(vectors, [n - 1 for n in weights], d)
+    denom = prod(factorial(n - 1) for n in weights)
+    return {e: Fraction(c, denom) for e, c in poly.items()}
 
 
 def _sigma_acc(acc: dict, factors: Sequence[DepthOneNF], scale=ONE) -> None:
@@ -686,24 +682,14 @@ def goncharov_symbol_bar(g: LiGen) -> Bar:
 # ----------------------------------------------------------- group actions
 
 
-def _monomial_image(a, exps: tuple) -> dict:
-    """Image of a symmetric-tail monomial under a matrix on the variables."""
-    d = len(exps)
-    poly = {(0,) * d: ONE}
-    for j, e in enumerate(exps):
-        col = [a[i][j] for i in range(d)]
-        for _ in range(e):
-            poly = _poly_times_linear(poly, col)
-    return poly
-
-
 def bar_gl_act(a, x: Bar) -> Bar:
     """Diagonal action on bar words: letters and tail variables together."""
     am = qm(a)
+    cols = list(zip(*am))
     out = Bar.zero(x.ambient)
     for (word, exps), c in x.terms.items():
         new_word = tuple(canonical_point(mat_vec(am, qv(p))) for p in word)
-        for new_exps, pc in _monomial_image(am, exps).items():
+        for new_exps, pc in _power_product(cols, exps, x.ambient).items():
             out.add_word(new_word, c * pc, new_exps)
     return out
 
@@ -711,12 +697,13 @@ def bar_gl_act(a, x: Bar) -> Bar:
 def st2_gl_act(a, x: St2) -> St2:
     """Diagonal action on apartment pairs with symmetric tails."""
     am = qm(a)
+    cols = list(zip(*am))
     d = x.ambient
     out = St2.zero(d)
     for (key_a, key_b, exps), c in x.terms.items():
         va = [mat_vec(am, qv(p)) for p in key_a]
         vb = [mat_vec(am, qv(p)) for p in key_b]
-        for new_exps, pc in _monomial_image(am, exps).items():
+        for new_exps, pc in _power_product(cols, exps, d).items():
             out += make_pair(va, vb, d, c * pc, new_exps)
     return out
 

@@ -71,6 +71,17 @@ def _row_to_int(row: Sequence[Fraction]) -> tuple[list[int], int]:
     return [f.numerator * (m // f.denominator) for f in row], m
 
 
+def _cleared(rows: Sequence[Sequence[Fraction]]) -> tuple[list[tuple[int, ...]], int]:
+    """The rows times the lcm of all their denominators, as int tuples, and that lcm.
+
+    One common scale, unlike _rows_to_int, keeps every line spanned by
+    sums and differences of the rows, so generators built from them get
+    their apartment keys on the int path of normalize_apartment.
+    """
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return [tuple(x.numerator * (den // x.denominator) for x in row) for row in rows], den
+
+
 def _rows_to_int(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
     """Scale each rational row to integers; return (rows, product of multipliers)."""
     scaled = []
@@ -287,8 +298,7 @@ def canonical_point(v: Sequence) -> tuple[int, ...]:
 
 def rational_point(w: Sequence[Fraction]) -> tuple[int, ...]:
     """canonical_point of a nonzero vector of Fractions or ints, uncoerced."""
-    mult = lcm(*(f.denominator for f in w))
-    return int_point([f.numerator * (mult // f.denominator) for f in w])
+    return int_point(_row_to_int(w)[0])
 
 
 def int_point(v: Sequence[int]) -> tuple[int, ...]:
@@ -377,9 +387,6 @@ class Subspace:
         w = qv(v)
         return self.from_local(tuple(w[p] for p in self.pivots)) == w
 
-    def contains_sub(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.rows)
-
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise ValueError("ambient dimensions differ")
@@ -426,45 +433,6 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
-
-
-class Flag:
-    """A complete flag F_1 < F_2 < ... < F_k inside Q^n."""
-
-    __slots__ = ("steps",)
-
-    def __init__(self, steps: Sequence[Subspace]):
-        steps = tuple(steps)
-        for i, s in enumerate(steps):
-            if s.dim != i + 1:
-                raise ValueError("flag steps must have dimensions 1..k")
-            if i and not s.contains_sub(steps[i - 1]):
-                raise ValueError("flag steps must be nested")
-        self.steps = steps
-
-    @classmethod
-    def from_basis(cls, vectors: Sequence[Sequence]) -> "Flag":
-        vecs = qm(vectors)
-        ambient = len(vecs[0])
-        return cls(tuple(Subspace.span(vecs[: i + 1], ambient) for i in range(len(vecs))))
-
-    @classmethod
-    def standard(cls, k: int, ambient: int | None = None) -> "Flag":
-        n = ambient if ambient is not None else k
-        basis = [tuple(ONE if j == i else ZERO for j in range(n)) for i in range(k)]
-        return cls.from_basis(basis)
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def __getitem__(self, i: int) -> Subspace:
-        return self.steps[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Flag) and self.steps == other.steps
-
-    def __hash__(self) -> int:
-        return hash(self.steps)
 
 
 def frac_to_str(f: Fraction) -> str:

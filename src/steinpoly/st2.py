@@ -30,6 +30,7 @@ from typing import Sequence
 from .barcplx import Bar, shuffle_span_reduce
 from .qlinalg import (
     Vec,
+    _cleared,
     _int_det,
     _int_rank,
     canonical_point,
@@ -48,7 +49,7 @@ from .steinberg import (
     _acc,
     _cut_point,
     _numerators,
-    _perm_sign,
+    _sort_sign,
     _spanning_cols,
     flag_expand,
     normalize_apartment,
@@ -121,6 +122,8 @@ def _s_pair(key_a: ApKey, key_b: ApKey) -> tuple[tuple[tuple[Point, ...], int], 
     minors are taken on d coordinates where A has a nonzero maximal minor.
     """
     d = len(key_a)
+    if not d:  # the counit pair (), () is the empty word
+        return (((), 1),)
     if d < len(key_a[0]) and _int_rank(key_a + key_b) != d:
         return ()
     cols = _spanning_cols(key_a)
@@ -174,7 +177,7 @@ def embed_s(x: St2) -> Bar:
 def _subset_front_sign(subset: tuple[int, ...], d: int) -> int:
     """Parity of the permutation listing subset ascending, then the rest."""
     listing = list(subset) + [i for i in range(d) if i not in subset]
-    return _perm_sign(tuple(listing))
+    return _sort_sign(listing)[1]
 
 
 def st2_coproduct(x: St2) -> list[tuple[tuple[int, ...], tuple[int, ...], St2, St2]]:
@@ -231,21 +234,9 @@ def _unit_st2(n: int, c) -> St2:
 # ------------------------------------------------------------- generators
 
 
-def _cleared(vectors: Sequence) -> list[Point]:
-    """The vectors times the lcm of all their denominators, as int tuples.
-
-    One common scale keeps every line spanned by sums and differences of
-    the vectors, so the generators below build the same apartment keys
-    on the int path of normalize_apartment.
-    """
-    vecs = [qv(v) for v in vectors]
-    den = lcm(*(x.denominator for v in vecs for x in v))
-    return [tuple(x.numerator * (den // x.denominator) for x in v) for v in vecs]
-
-
 def make_L(vectors: Sequence, ambient: int | None = None, c=1, exps=None) -> St2:
     """Pair of the reversed-suffix-sum apartment against the reversed one."""
-    vecs = _cleared(vectors)
+    vecs, _ = _cleared([qv(v) for v in vectors])
     n = ambient if ambient is not None else len(vecs[0])
     sums = []
     acc = None
@@ -257,7 +248,7 @@ def make_L(vectors: Sequence, ambient: int | None = None, c=1, exps=None) -> St2
 
 def make_I(vectors: Sequence, ambient: int | None = None, c=1, exps=None) -> St2:
     """Companion generator: reversed tuple against consecutive differences."""
-    vecs = _cleared(vectors)
+    vecs, _ = _cleared([qv(v) for v in vectors])
     n = ambient if ambient is not None else len(vecs[0])
     d = len(vecs)
     second = [vecs[-1]]

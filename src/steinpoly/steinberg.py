@@ -12,13 +12,15 @@ sign of the permutation, rescaling any entry by a nonzero scalar, the
 canonical storage key is the lex-sorted tuple of canonical line points
 with the sort sign folded into the coefficient.
 
-flag_expand rewrites a class in the basis attached to a complete flag.
-It walks suffix chains S_1 > S_2 > ... of the apartment's entries depth
-first: step i cuts the i-th flag step with the span of S_i, a subset whose
-cut is no line prunes every chain through it, and the sign grows by the
-position of each dropped entry. Keys, flag rows and cut lines are plain
-ints; cut lines come from signed maximal minors (Bareiss determinants), so
-the walk does no Fraction arithmetic.
+flag_expand rewrites a class in the basis attached to the standard
+flag. Its kernel _flag_expand_apartment takes any flag as integer rows
+f_1..f_k, the i-th step being span(f_1..f_i), and walks suffix chains
+S_1 > S_2 > ... of the apartment's entries depth first: step i cuts the
+i-th flag step with the span of S_i, a subset whose cut is no line prunes
+every chain through it, and the sign grows by the position of each
+dropped entry. Keys, flag rows and cut lines are plain ints; cut lines
+come from signed maximal minors (Bareiss determinants), so the walk does
+no Fraction arithmetic.
 
 ash_rudolph_reduce rewrites an integral apartment as a sum of unimodular
 ones by one Ash-Rudolph step at every rank: [v_1..v_n] = sum_i [v_1..w..v_n]
@@ -38,7 +40,6 @@ from operator import mul
 from typing import Sequence
 
 from .qlinalg import (
-    Flag,
     Mat,
     _int_adjugate,
     _int_det,
@@ -72,20 +73,27 @@ def _numerators(terms: dict, scale: int = 1) -> tuple[int, dict]:
     return den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
 
 
-def _poly_times_linear(poly: dict, vec: Sequence) -> dict:
-    """Product of a monomial dict {exponents: coeff} with the form sum_i vec[i] X_i."""
-    out: dict = {}
-    for exps, c in poly.items():
-        for i, vi in enumerate(vec):
-            if vi:
-                key = exps[:i] + (exps[i] + 1,) + exps[i + 1 :]
-                _acc(out, key, c * vi)
-    return out
-
-
 def zero_exps(n: int) -> tuple[int, ...]:
     """The exponent tuple of "no symmetric tail" in ambient dimension n."""
     return (0,) * n
+
+
+def _power_product(forms: Sequence[Sequence], exps: Sequence[int], n: int) -> dict:
+    """prod_j (sum_i forms[j][i] X_i)^exps[j] as a monomial dict {exponents: coeff}.
+
+    The monomials are in n variables; no forms give the constant 1. Int
+    forms give int coefficients, Fraction forms Fraction ones.
+    """
+    poly: dict = {zero_exps(n): 1}
+    for form, e in zip(forms, exps, strict=True):
+        terms = [(i, a) for i, a in enumerate(form) if a]
+        for _ in range(e):
+            out: dict = {}
+            for mono, c in poly.items():
+                for i, a in terms:
+                    _acc(out, mono[:i] + (mono[i] + 1,) + mono[i + 1 :], c * a)
+            poly = out
+    return poly
 
 
 class LinComb:
@@ -247,25 +255,12 @@ def block_embed(x: St, offset: int, total: int) -> St:
 # ---------------------------------------------------------------- flag basis
 
 
-FlagRows = tuple[Point, ...]
+FlagRows = tuple[Point, ...]  # f_1..f_k, the i-th flag step being span(f_1..f_i)
 
 
 @lru_cache(maxsize=16)
 def _standard_rows(n: int) -> FlagRows:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def _flag_rows(flag: Flag, n: int) -> FlagRows:
-    """Integer basis f_1..f_k of the flag, with F_i = span(f_1..f_i)."""
-    rows: list[Point] = []
-    prev = None
-    for step in flag.steps:
-        if step.ambient != n:
-            raise ValueError("flag and apartments live in different ambient spaces")
-        row = next(r for r in step.rows if prev is None or not prev.contains(r))
-        rows.append(canonical_point(row))
-        prev = step
-    return tuple(rows)
 
 
 def _spanning_cols(rows: Sequence[Point]) -> tuple[int, ...] | None:
@@ -325,6 +320,8 @@ def _flag_expand_apartment(key: ApKey, frows: FlagRows) -> tuple[tuple[ApKey, in
     injectively, and its output keys stay in ambient coordinates.
     """
     d = len(key)
+    if not d:  # the empty apartment of Q^0 is its own basis
+        return (((), 1),)
     cols = _spanning_cols(frows)
     cuts: dict[tuple[int, ...], Point | None] = {}
     results: dict[ApKey, int] = {}
@@ -350,28 +347,15 @@ def _flag_expand_apartment(key: ApKey, frows: FlagRows) -> tuple[tuple[ApKey, in
     return tuple(sorted((k, c) for k, c in results.items() if c))
 
 
-def _perm_sign(tau: Sequence[int]) -> int:
-    sign = 1
-    for i in range(len(tau)):
-        for j in range(i + 1, len(tau)):
-            if tau[i] > tau[j]:
-                sign = -sign
-    return sign
+def flag_expand(x: St) -> St:
+    """Rewrite x in the basis of apartments adapted to the standard flag.
 
-
-def flag_expand(x: St, flag: Flag | None = None) -> St:
-    """Rewrite x in the basis of apartments adapted to the flag.
-
-    The default flag is the standard coordinate flag. Basis apartments
-    are exactly those whose first i entries span the i-th flag step, so
-    the expansion is idempotent and a zero test for the module.
+    Basis apartments are exactly those whose first i entries span the
+    first i coordinate vectors, so the expansion is idempotent and a zero
+    test for the module. _flag_expand_apartment takes any integer flag
+    rows.
     """
-    if flag is None:
-        frows = _standard_rows(x.ambient)
-    elif len(flag) != x.ambient:
-        raise ValueError("flag length must match the ambient dimension")
-    else:
-        frows = _flag_rows(flag, x.ambient)
+    frows = _standard_rows(x.ambient)
     den, nums = _numerators(x.terms)
     acc: dict[ApKey, int] = {}
     for key, num in nums.items():

@@ -16,7 +16,18 @@ from typing import Sequence
 from steinpoly.cones import ONE, ZERO, PoleError, _vanishes_at_samples
 from steinpoly.qlinalg import Vec, _int_det, dual_basis, qv, split_seed, vec_dot
 from steinpoly.st2 import St2
-from steinpoly.steinberg import ApKey, St, _poly_times_linear
+from steinpoly.steinberg import ApKey, St, _acc
+
+
+def _poly_times_linear(poly: dict, vec: Sequence) -> dict:
+    """Product of a monomial dict {exponents: coeff} with the form sum_i vec[i] X_i."""
+    out: dict = {}
+    for exps, c in poly.items():
+        for i, vi in enumerate(vec):
+            if vi:
+                key = exps[:i] + (exps[i] + 1,) + exps[i + 1 :]
+                _acc(out, key, c * vi)
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -10,8 +10,8 @@ kernel to agree with them exactly.
 from fractions import Fraction
 from itertools import permutations
 
-from steinpoly.qlinalg import Flag, Subspace, canonical_point, det, qv, rank
-from steinpoly.steinberg import _perm_sign, _sort_sign
+from steinpoly.qlinalg import Subspace, canonical_point, det, qv, rank
+from steinpoly.steinberg import _sort_sign
 
 
 def _acc(d, key, c):
@@ -43,8 +43,11 @@ def normalize_apartment(vectors, ambient=None):
     return _sort_sign(points)
 
 
-def flag_expand_apartment(key, flag):
-    """{basis key: Fraction} expansion of one apartment key in the flag's basis."""
+def flag_expand_apartment(key, steps):
+    """{basis key: Fraction} expansion of one apartment key in the basis of a flag.
+
+    steps[i] is the (i + 1)-dimensional step of the flag, a Subspace.
+    """
     d = len(key)
     results = {}
     w = [qv(p) for p in key]
@@ -63,7 +66,7 @@ def flag_expand_apartment(key, flag):
     def cut_line(i, ix):
         kk = (i, ix)
         if kk not in line_of:
-            inter = flag[i - 1].intersect(span_set(ix))
+            inter = steps[i - 1].intersect(span_set(ix))
             line_of[kk] = canonical_point(inter.rows[0]) if inter.dim == 1 else None
         return line_of[kk]
 
@@ -77,16 +80,22 @@ def flag_expand_apartment(key, flag):
         else:
             norm = normalize_apartment(lines)
             if norm is not None:
-                _acc(results, norm[0], Fraction(_perm_sign(tau) * norm[1]))
+                _acc(results, norm[0], Fraction(_sort_sign(tau)[1] * norm[1]))
     return results
 
 
-def flag_expand_terms(terms, ambient, flag=None):
-    """Reference flag_expand on a {key: coeff} dict."""
-    flag = flag if flag is not None else Flag.standard(ambient)
+def flag_expand_terms(terms, ambient, basis=None):
+    """Reference expansion of a {key: coeff} dict in the flag of a basis.
+
+    The i-th flag step is the span of the first i basis vectors; the
+    default basis is the standard one.
+    """
+    if basis is None:
+        basis = [[int(i == j) for j in range(ambient)] for i in range(ambient)]
+    steps = [Subspace.span(basis[: i + 1], ambient) for i in range(ambient)]
     out = {}
     for key, c in terms.items():
-        for k2, c2 in flag_expand_apartment(key, flag).items():
+        for k2, c2 in flag_expand_apartment(key, steps).items():
             _acc(out, k2, c * c2)
     return out
 

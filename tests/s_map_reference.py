@@ -13,7 +13,7 @@ from itertools import combinations, permutations
 from steinpoly.barcplx import Bar
 from steinpoly.qlinalg import Subspace, canonical_point, qv
 from steinpoly.st2 import _s_pair, _subset_front_sign, _unit_st2, make_pair, zero_exps
-from steinpoly.steinberg import _perm_sign
+from steinpoly.steinberg import _sort_sign
 
 
 def s_pair(key_a, key_b):
@@ -46,7 +46,7 @@ def s_pair(key_a, key_b):
 
     words = {}
     for sigma in permutations(range(d)):
-        sgn_s = _perm_sign(sigma)
+        sgn_s = _sort_sign(sigma)[1]
         prefs = [frozenset(sigma[:i]) for i in range(1, d + 1)]
         for tau in permutations(range(d)):
             letters = []
@@ -62,7 +62,7 @@ def s_pair(key_a, key_b):
                 letters.append(line)
             else:
                 w = tuple(letters)
-                words[w] = words.get(w, 0) + sgn_s * _perm_sign(tau)
+                words[w] = words.get(w, 0) + sgn_s * _sort_sign(tau)[1]
     return tuple(sorted((w, c) for w, c in words.items() if c))
 
 

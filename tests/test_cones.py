@@ -20,8 +20,8 @@ from steinpoly.cones import (
     truncated_fourier_sum,
 )
 from steinpoly.qlinalg import canonical_point, split_seed
-from steinpoly.st2 import make_I, make_L, st2_product
-from steinpoly.steinberg import St, _perm_sign, flag_expand, is_zero, make_apartment
+from steinpoly.st2 import St2, _unit_st2, make_I, make_L, st2_product
+from steinpoly.steinberg import St, _sort_sign, flag_expand, is_zero, make_apartment
 
 
 class TestRho:
@@ -79,6 +79,13 @@ class TestOracles:
                     continue
                 assert st_equality_oracle(x, flag_expand(x))
 
+    def test_rank_zero(self):
+        # the empty apartment of Q^0 is the unit: it evaluates to 1
+        unit = St(0, {(): Fraction(1)})
+        assert rho_term((), (), ()) == 1
+        assert not st_equality_oracle(unit, St.zero(0))
+        assert not st2_equality_oracle(_unit_st2(0, 1), St2.zero(0))
+
     def test_detects_inequality(self):
         x = make_apartment([(1, 0), (0, 1)], 2)
         y = 2 * make_apartment([(1, 0), (0, 1)], 2)
@@ -132,7 +139,7 @@ def st_sums(draw):
             scales = draw(st.lists(st.sampled_from([-3, -1, 2]), min_size=n, max_size=n))
             moved = [tuple(scales[i] * e for e in vecs[p]) for i, p in enumerate(perm)]
             x += c * make_apartment(vecs, n)
-            x -= c * _perm_sign(perm) * make_apartment(moved, n)
+            x -= c * _sort_sign(perm)[1] * make_apartment(moved, n)
     return x
 
 

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinpoly.qlinalg import (
-    Flag,
     Subspace,
     canonical_point,
     det,
@@ -282,22 +281,6 @@ class TestSubspace:
                 assert a.contains(r) and b.contains(r)
             # dimension formula
             assert a.dim + b.dim == c.dim + a.add(b).dim
-
-    def test_flag_validation(self):
-        Flag.from_basis(qm([[1, 0], [1, 1]]))
-        with pytest.raises(ValueError):
-            Flag(
-                (
-                    Subspace.span(qm([[1, 0, 0]])),
-                    Subspace.span(qm([[0, 1, 0], [0, 0, 1]])),
-                )
-            )
-
-    def test_standard_flag(self):
-        f = Flag.standard(3)
-        assert [s.dim for s in f.steps] == [1, 2, 3]
-        assert f[1].contains(qv([1, 1, 0]))
-        assert not f[1].contains(qv([0, 0, 1]))
 
 
 class TestJson:

@@ -41,6 +41,7 @@ from steinpoly.st2 import (
     st2_coproduct,
     st2_normal_form,
     st2_product,
+    st_infty_fingerprint,
     symbol_I,
     symbol_L,
 )
@@ -264,6 +265,17 @@ class TestCoproduct:
         splits = st2_coproduct(x)
         units = [t for t in splits if not t[0] or not t[1]]
         assert len(units) == 2
+
+    def test_counit_pieces_embed_to_the_empty_word(self):
+        for i_set, j_set, left, right in st2_coproduct(make_L([E1, E2])):
+            if i_set and j_set:
+                continue
+            unit = right if i_set else left
+            ((_ka, _kb, exps), c), = unit.terms.items()
+            assert embed_s(unit).terms == {((), exps): c}
+            assert not is_zero_st_infty(unit)
+            assert st_infty_fingerprint(unit) == {((), exps): c}
+            assert is_zero_st_infty(unit - unit)
 
     def test_kills_defining_relation(self):
         # the alternating sum over dropped entries is zero, so its split
