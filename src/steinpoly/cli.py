@@ -445,6 +445,9 @@ def cmd_st(args) -> int:
     generators = [t[1] for t in terms if t[0] != "product"]
     if not generators:
         raise InputError("identity file has no generator terms")
+    if all(g.depth < g.ambient for g in generators):
+        # li_identity_residual drops these, so any coefficients would PASS
+        raise InputError("identity file has no generator of full depth (depth = matrix size)")
     try:
         residual = li_identity_residual(terms)
     except ValueError as exc:
@@ -557,7 +560,7 @@ def _study_cone(cfg, box):
     for p in points:
         try:
             val = truncated_fourier_sum(gens, forms, ns, p, m_max)
-        except PoleError as exc:
+        except (PoleError, ValueError) as exc:
             raise InputError(str(exc)) from exc
         rows.append(
             [

@@ -25,6 +25,7 @@ from typing import Sequence
 from .qlinalg import (
     _cleared,
     _int_adjugate,
+    _int_rank,
     _row_to_int,
     det,
     qv,
@@ -223,9 +224,12 @@ def fourier_coefficient(
 def truncated_fourier_sum(
     generators: Sequence, forms: Sequence, ns: Sequence[int], x: Sequence, m_max: int
 ) -> complex:
-    """Partial exponential sum over the open cone's lattice points.
+    """Partial exponential sum over nu = sum_j lam_j G_j, lam in [1, m_max]^k.
 
-    Runs the generator multiples over 1..m_max each; the phase at nu is
+    Those nu are the open cone's lattice points (truncated) only when the
+    generators G_j form a basis of their lattice; they must at least be
+    independent, or a point would be counted once per way of writing it,
+    so dependent generators raise ValueError. The phase at nu is
     exp(2 pi i <x, nu>) with <x, nu> reduced mod 1 exactly first.
 
     The sum runs in integers. With the denominators of the generators
@@ -245,6 +249,8 @@ def truncated_fourier_sum(
     if len(forms) != len(ns):
         raise ValueError("one exponent per form")
     gint, gden = _cleared(gens)
+    if _int_rank(gint) < len(gint):
+        raise ValueError("cone generators are dependent")
     scale_num = scale_den = 1
     pairings = []  # (U.G_j for each j, exponent)
     for u, m in zip(forms, ns):

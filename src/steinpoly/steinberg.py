@@ -18,9 +18,12 @@ f_1..f_k, the i-th step being span(f_1..f_i), and walks suffix chains
 S_1 > S_2 > ... of the apartment's entries depth first: step i cuts the
 i-th flag step with the span of S_i, a subset whose cut is no line prunes
 every chain through it, and the sign grows by the position of each
-dropped entry. Keys, flag rows and cut lines are plain ints; cut lines
-come from signed maximal minors (Bareiss determinants), so the walk does
-no Fraction arithmetic.
+dropped entry. Keys, flag rows and cut lines are plain ints. The key is
+written once in flag coordinates, and every cut line is read off one
+table of its tail minors, each a Laplace sum over minors one size
+smaller, so the walk computes no determinant and no Fraction. The lines
+of a chain are kept sorted as it grows, with the sign carried along, so
+no leaf is sorted.
 
 ash_rudolph_reduce rewrites an integral apartment as a sum of unimodular
 ones by one Ash-Rudolph step at every rank: [v_1..v_n] = sum_i [v_1..w..v_n]
@@ -32,6 +35,8 @@ reduction runs on int keys and int coefficients.
 """
 from __future__ import annotations
 
+from bisect import bisect
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -43,6 +48,7 @@ from .qlinalg import (
     Mat,
     _int_adjugate,
     _int_det,
+    _int_gauss_jordan,
     _int_rank,
     canonical_point,
     int_point,
@@ -301,6 +307,42 @@ def _cut_point(frows: Sequence[Point], vecs: Sequence[Point], cols: Sequence[int
     return int_point([sum(y * f[j] for y, f in zip(ys, frows)) for j in range(len(frows[0]))])
 
 
+def _flag_coords(key: ApKey, frows: FlagRows) -> list[list[int]]:
+    """The key's entries in the basis f_1..f_d of the flag rows, all times one nonzero scalar.
+
+    On the coordinates _spanning_cols picks, the flag rows form an
+    invertible F and the coordinates C satisfy C F = key. Fraction-free
+    Gauss-Jordan takes [F^T | key^T] to [p I | p F^-T key^T], whose right
+    block is p C^T.
+    """
+    d = len(frows)
+    cols = _spanning_cols(frows) or range(d)
+    work = [[f[c] for f in frows] + [p[c] for p in key] for c in cols]
+    _int_gauss_jordan(work)
+    return [[row[j] for row in work] for j in range(d, 2 * d)]
+
+
+def _tail_minors(coords: Sequence[Sequence[int]]) -> list[int]:
+    """T[S] = det coords[S, last |S| columns] for every row subset S, indexed by bitmask.
+
+    Laplace along the first of those columns gives
+    T(S) = sum_t (-1)^t coords[S_t][d - |S|] T(S - S_t) with T({}) = 1;
+    a mask minus one bit is smaller, so increasing masks see their
+    subsets first.
+    """
+    d = len(coords)
+    minors = [1] * (1 << d)
+    for mask in range(1, 1 << d):
+        col = d - mask.bit_count()
+        total, sign = 0, 1
+        for t in range(d):
+            if mask >> t & 1:
+                total += sign * coords[t][col] * minors[mask ^ 1 << t]
+                sign = -sign
+        minors[mask] = total
+    return minors
+
+
 @lru_cache(maxsize=None)
 def _flag_expand_apartment(key: ApKey, frows: FlagRows) -> tuple[tuple[ApKey, int], ...]:
     """Flag-basis expansion of one apartment, walking suffix chains.
@@ -310,40 +352,65 @@ def _flag_expand_apartment(key: ApKey, frows: FlagRows) -> tuple[tuple[ApKey, in
     tau; that sign is the product over the steps of (-1)^(position of
     tau_i in sorted S_i). The cut at step i depends on S_i alone, so it is
     computed once per subset, and a subset whose cut is not a line prunes
-    every chain through it. The points of a chain are independent exactly
-    when no point lies in the previous flag step, which _cut_point tests,
-    so every chain that reaches a leaf contributes.
+    every chain through it.
+
+    In the flag coordinates C of the key (_flag_coords), the cut of S at
+    step i = d - |S| + 1 is where flag coordinates i+1..d vanish on
+    span(S). With T the tail minors of C (_tail_minors), Cramer puts it at
+    sum_t (-1)^t T(S - S_t) key[S_t]: its flag coordinates beyond i are
+    Laplace sums of minors with a repeated column, and its i-th is T(S).
+    So the cut is a line outside F_{i-1} exactly when T(S) != 0, the
+    points of a chain that reaches a leaf are independent, and the walk
+    computes no determinant.
+
+    The lines of a chain are kept sorted: a line inserted before k of them
+    flips the sign by (-1)^k, so a leaf reads its key and sign off the list.
 
     The flag may have fewer rows than the ambient space: a rank-k key in
     the span W of k flag rows expands inside W, in the flag basis of W,
-    with the minors read on k coordinates onto which W projects
-    injectively, and its output keys stay in ambient coordinates.
+    and its output keys stay in ambient coordinates.
     """
     d = len(key)
     if not d:  # the empty apartment of Q^0 is its own basis
         return (((), 1),)
-    cols = _spanning_cols(frows)
-    cuts: dict[tuple[int, ...], Point | None] = {}
-    results: dict[ApKey, int] = {}
+    n = len(frows[0])
+    coords = key if frows == _standard_rows(n) else _flag_coords(key, frows)
+    minors = _tail_minors(coords)
+
+    def cut(suffix: tuple[int, ...], mask: int) -> Point | None:
+        if not minors[mask]:
+            return None
+        point = [0] * n
+        sign = 1
+        for t in suffix:
+            sub = sign * minors[mask ^ 1 << t]
+            if sub:
+                point = [x + sub * y for x, y in zip(point, key[t])]
+            sign = -sign
+        return int_point(point)
+
+    cuts: dict[int, Point | None] = {}
+    results: defaultdict[ApKey, int] = defaultdict(int)
     lines: list[Point] = []
 
-    def walk(suffix: tuple[int, ...], sign: int) -> None:
-        if suffix not in cuts:
-            step = d - len(suffix) + 1
-            cuts[suffix] = _cut_point(frows[:step], [key[j] for j in suffix], cols)
-        line = cuts[suffix]
+    def walk(suffix: tuple[int, ...], mask: int, sign: int) -> None:
+        if mask not in cuts:
+            cuts[mask] = cut(suffix, mask)
+        line = cuts[mask]
         if line is None:
             return
-        lines.append(line)
+        at = bisect(lines, line)
+        if (len(lines) - at) % 2:
+            sign = -sign
+        lines.insert(at, line)
         if len(suffix) == 1:
-            k2, s2 = _sort_sign(lines)
-            results[k2] = results.get(k2, 0) + sign * s2
+            results[tuple(lines)] += sign
         else:
-            for pos in range(len(suffix)):
-                walk(suffix[:pos] + suffix[pos + 1 :], -sign if pos % 2 else sign)
-        lines.pop()
+            for pos, t in enumerate(suffix):
+                walk(suffix[:pos] + suffix[pos + 1 :], mask ^ 1 << t, -sign if pos % 2 else sign)
+        del lines[at]
 
-    walk(tuple(range(d)), 1)
+    walk(tuple(range(d)), (1 << d) - 1, 1)
     return tuple(sorted((k, c) for k, c in results.items() if c))
 
 
@@ -357,12 +424,12 @@ def flag_expand(x: St) -> St:
     """
     frows = _standard_rows(x.ambient)
     den, nums = _numerators(x.terms)
-    acc: dict[ApKey, int] = {}
+    acc: defaultdict[ApKey, int] = defaultdict(int)
     for key, num in nums.items():
         if len(key) != x.ambient:
             raise ValueError("flag expansion needs full-length apartments")
         for k2, c2 in _flag_expand_apartment(key, frows):
-            acc[k2] = acc.get(k2, 0) + num * c2
+            acc[k2] += num * c2
     return St(x.ambient, {k: Fraction(v, den) for k, v in acc.items() if v})
 
 

@@ -299,6 +299,14 @@ class TestSt:
             code, text = run(tmp_path, "st", write(tmp_path, "empty.json", data))
             assert code == 2 and text == ""
 
+    @pytest.mark.parametrize("coeff", ["1", "5/7"])
+    def test_no_full_depth_generator_exits_2(self, tmp_path, coeff):
+        # a depth-1 generator in Q^2 dies in the stable quotient, so no
+        # coefficient could make this file FAIL: there is nothing to check
+        data = [{"coeff": coeff, "matrix": [["1", "0"], ["0", "1"]], "exponents": [2]}]
+        code, text = run(tmp_path, "st", write(tmp_path, "shallow.json", data))
+        assert code == 2 and text == ""
+
     def test_matrix_above_max_dim_exits_2(self, tmp_path):
         # depth 1 keeps the case cheap should the bound ever be missing
         m = [[str(int(i == j)) for j in range(MAX_DIM + 1)] for i in range(MAX_DIM + 1)]
@@ -454,6 +462,8 @@ class TestFourier:
         pytest.param({"exponents": [1, 1, 2]}, id="more-exponents-than-forms"),
         pytest.param({"forms": [[1, 0]]}, id="fewer-forms-than-exponents"),
         pytest.param({"m_max": 1001}, id="points-above-cap"),  # 1001 ** 2 lattice points
+        # each lattice point would be counted once per way of writing it
+        pytest.param({"generators": [[1, 0], [1, 0]]}, id="dependent-generators"),
         # a string is not read as the list of its characters
         pytest.param({"exponents": "11"}, id="exponents-string"),
         pytest.param({"generators": "10"}, id="generators-string"),

@@ -1,0 +1,109 @@
+"""The minor-table flag walk against the determinant walk it replaced.
+
+``flag_walk_reference`` keeps the walk that cut every line from Bareiss
+determinants and re-sorted every leaf. The kernel must give exactly its
+output on keys with entries in {-1, 0, 1}, where many tail minors vanish,
+for standard flags, random full flags, and the RREF rank-k flags that
+``barcplx._merge_letters`` builds for a merged letter.
+"""
+import random
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import flag_walk_reference as ref
+from steinpoly import steinberg
+from steinpoly.qlinalg import _int_det, _int_gauss_jordan, _int_rank, int_point
+from steinpoly.steinberg import (
+    _flag_coords,
+    _flag_expand_apartment,
+    _standard_rows,
+    _tail_minors,
+    normalize_apartment,
+)
+
+walk = _flag_expand_apartment.__wrapped__  # the kernel itself, not its cache
+
+
+def rows(n, count, bound=1):
+    return st.lists(
+        st.tuples(*[st.integers(-bound, bound)] * n), min_size=count, max_size=count
+    )
+
+
+@st.composite
+def full_cases(draw):
+    """A dim-d key and the standard flag or a random full flag of Q^d."""
+    d = draw(st.integers(1, 5))
+    norm = normalize_apartment(draw(rows(d, d)))
+    assume(norm is not None)
+    if draw(st.booleans()):
+        return norm[0], _standard_rows(d)
+    frows = tuple(draw(rows(d, d, bound=2)))
+    assume(_int_rank(frows) == d)
+    return norm[0], frows
+
+
+@st.composite
+def rank_k_cases(draw):
+    """A rank-k key in Q^n, k < n, with the RREF flag of its span, as _merge_letters builds it."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(k + 1, min(k + 2, 6)))
+    span = draw(rows(n, k))
+    assume(_int_rank(span) == k)
+    coeffs = draw(rows(k, k))
+    pts = [tuple(sum(c * r[j] for c, r in zip(cs, span)) for j in range(n)) for cs in coeffs]
+    norm = normalize_apartment(pts, n)
+    assume(norm is not None)
+    work = [list(p) for p in norm[0]]
+    _int_gauss_jordan(work)
+    return norm[0], tuple(map(int_point, work))
+
+
+@given(st.one_of(full_cases(), rank_k_cases()))
+@settings(max_examples=300, deadline=None)
+def test_walk_equals_determinant_walk(case):
+    key, frows = case
+    assert walk(key, frows) == ref.flag_expand_apartment(key, frows)
+
+
+def test_tail_minors_are_determinants():
+    rng = random.Random(19)
+    for d in range(1, 6):
+        for _ in range(5):
+            coords = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
+            minors = _tail_minors(coords)
+            for mask in range(1 << d):
+                sub = [t for t in range(d) if mask >> t & 1]
+                want = _int_det([coords[t][d - len(sub):] for t in sub])
+                assert minors[mask] == want, (coords, sub)
+
+
+@pytest.mark.parametrize("key, frows", [
+    (((1, 0, 0, 0), (0, 1, -1, 2), (1, 1, 0, 0), (0, 0, 1, 3)),
+     ((1, 2, 0, 1), (0, 1, 1, 0), (2, 0, 1, 1), (1, 1, 1, 2))),
+    # a rank-2 key in Q^4 whose flag rows vanish on the first coordinate
+    (((0, 1, 1, 2), (0, 1, -1, 0)), ((0, 1, 0, 1), (0, 0, 1, 1))),
+], ids=["full", "rank-2"])
+def test_flag_coords_are_coordinates_up_to_one_scalar(key, frows):
+    coords = _flag_coords(key, frows)
+    images = [[sum(y * f[j] for y, f in zip(c, frows)) for j in range(len(p))] for p, c in zip(key, coords)]
+    j = next(j for j, x in enumerate(key[0]) if x)
+    scale = Fraction(images[0][j], key[0][j])
+    assert scale and images == [[scale * x for x in p] for p in key]
+
+
+@pytest.mark.parametrize("frows", [
+    _standard_rows(4),
+    ((1, 2, 0, 1), (0, 1, 1, 0), (2, 0, 1, 1), (1, 1, 1, 2)),
+], ids=["standard", "full"])
+def test_walk_takes_no_determinant_and_sorts_no_leaf(frows):
+    key = normalize_apartment([(1, 0, 2, -1), (0, 1, -1, 2), (2, 1, 0, 1), (1, -1, 1, 0)])[0]
+    want = ref.flag_expand_apartment(key, frows)
+    boom = mock.Mock(side_effect=AssertionError("called"))
+    with mock.patch.multiple(steinberg, _int_det=boom, _cut_point=boom, _sort_sign=boom):
+        got = walk(key, frows)
+    assert got == want and len(got) > 1

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import lattice_reference as ref
 from steinpoly.cones import PoleError, truncated_fourier_sum
-from steinpoly.qlinalg import _int_det
+from steinpoly.qlinalg import _int_det, qv, rank
 from steinpoly.steinberg import _least_pivot, _line_chart, ash_rudolph_reduce, int_point, is_zero
 
 F = Fraction
@@ -124,6 +124,7 @@ def cone_sums(draw):
     n = draw(st.integers(d, d + 1))
     vec = st.lists(rationals, min_size=n, max_size=n)
     gens = draw(st.lists(vec, min_size=d, max_size=d))
+    assume(rank([qv(g) for g in gens]) == d)  # dependent generators are refused, see below
     forms = draw(st.lists(vec, min_size=0, max_size=2))
     ns = draw(st.lists(st.sampled_from((1, 2, 3, 0, -1)), min_size=len(forms), max_size=len(forms)))
     x = draw(st.lists(st.one_of(rationals, big_den), min_size=n, max_size=n))
@@ -143,6 +144,13 @@ def _sum_or_pole(fn, args):
 def test_fourier_sum_bit_equal(args):
     # repr tells apart every two floats, -0.0 and 0.0 included
     assert _sum_or_pole(truncated_fourier_sum, args) == _sum_or_pole(ref.truncated_fourier_sum, args)
+
+
+@pytest.mark.parametrize("gens", [[(1, 0), (1, 0)], [(1, 2), (F(-1, 2), -1)], [(0, 0), (0, 1)], [(0,)]])
+def test_fourier_sum_refuses_dependent_generators(gens):
+    # lam in [1, m]^k would reach a lattice point once per way of writing it
+    with pytest.raises(ValueError, match="dependent"):
+        truncated_fourier_sum(gens, [], [], (F(1, 3),) * len(gens[0]), 5)
 
 
 @pytest.mark.parametrize("x", [F(1, 3), F(2, 7), F(123_456_789, 999_999_937)])
