@@ -13,11 +13,13 @@ with the zero test for the quotient by shuffle products (the "stable"
 quotient below, in which decomposables vanish).
 
 The s-map walks pairs (prefix of the first factor's entries, suffix of the
-second's) depth first; the coproduct tests each split with one determinant.
-Both take their cut lines from signed maximal minors of stacked integer
-rows (steinberg._cut_point, Bareiss determinants), so neither does Fraction
-arithmetic on the apartment keys. The L and I generators scale their
-vectors by one common denominator, so their keys are built from ints too.
+second's) depth first; the coproduct tests each split with one minor. Both
+write the second factor once in the basis of the first and read every test
+and every cut line off one table of its minors by one Cramer rule
+(steinberg._Minors and _cut_line, as in the flag walk), so neither computes
+a determinant or does Fraction arithmetic on the apartment keys. The L and
+I generators scale their vectors by one common denominator, so their keys
+are built from ints too.
 """
 from __future__ import annotations
 
@@ -31,8 +33,6 @@ from .barcplx import Bar, shuffle_span_reduce
 from .qlinalg import (
     Vec,
     _cleared,
-    _int_det,
-    _int_rank,
     canonical_point,
     dual_basis,
     qv,
@@ -47,10 +47,11 @@ from .steinberg import (
     Point,
     St,
     _acc,
-    _cut_point,
+    _cut_line,
+    _flag_coords,
+    _Minors,
     _numerators,
     _sort_sign,
-    _spanning_cols,
     flag_expand,
     normalize_apartment,
     zero_exps,
@@ -111,47 +112,50 @@ def _s_pair(key_a: ApKey, key_b: ApKey) -> tuple[tuple[tuple[Point, ...], int], 
     independent lines. The walk builds sigma and tau one entry at a time:
     step i takes an unused A-entry s, signed by its position among the
     unused entries, and after the letter drops one B-entry, signed by its
-    position among the remaining ones. The earlier letters span a[P] for
-    the prefix P, so letter i is independent of them exactly when the cut
-    is a line outside span(a[P]), which is the one minor _cut_point tests
-    first; a failed cut prunes every continuation. Each cut is computed
-    once per (P, s, suffix).
+    position among the remaining ones.
+
+    In the coordinates C of B in the basis A (_flag_coords), letter i is
+    where span(b[S]), S the suffix, has zero coordinates on the unused
+    entries other than s: the cut of S off unused - s (_cut_line). The
+    earlier letters span a[P] for the prefix P, so letter i is independent
+    of them exactly when its s-coordinate, +-M(S, unused), is nonzero. That
+    minor does not depend on s, so it prunes every continuation before the
+    loop over s. Each cut is computed once per (S, unused - s).
 
     All letters lie in span A and span B, so pairs of different spans give
-    no words. When the common span is smaller than the ambient space the
-    minors are taken on d coordinates where A has a nonzero maximal minor.
+    no words.
     """
     d = len(key_a)
     if not d:  # the counit pair (), () is the empty word
         return (((), 1),)
-    if d < len(key_a[0]) and _int_rank(key_a + key_b) != d:
+    coords = _flag_coords(key_b, key_a)
+    if coords is None:
         return ()
-    cols = _spanning_cols(key_a)
-    cuts: dict[tuple[tuple[int, ...], int, tuple[int, ...]], Point | None] = {}
+    minors = _Minors(coords)
+    cuts: dict[tuple[int, int], Point] = {}
     words: dict[tuple[Point, ...], int] = {}
     letters: list[Point] = []
 
-    def walk(prefix: list[Point], unused: tuple[int, ...], suffix: tuple[int, ...], sign: int) -> None:
+    def walk(unused: tuple[int, ...], umask: int, suffix: tuple[int, ...], smask: int, sign: int) -> None:
+        if not minors[smask, umask]:
+            return
         for pos, s in enumerate(unused):
             sgn = -sign if pos % 2 else sign
-            front = prefix + [key_a[s]]
-            ck = (unused, s, suffix)
-            if ck not in cuts:
-                cuts[ck] = _cut_point(front, [key_b[j] for j in suffix], cols)
-            line = cuts[ck]
-            if line is None:
-                continue
-            letters.append(line)
+            cols = umask ^ 1 << s
+            if (smask, cols) not in cuts:
+                cuts[smask, cols] = _cut_line(minors, key_b, smask, cols)
+            letters.append(cuts[smask, cols])
             if len(suffix) == 1:
                 w = tuple(letters)
                 words[w] = words.get(w, 0) + sgn
             else:
                 rest = unused[:pos] + unused[pos + 1 :]
-                for k in range(len(suffix)):
-                    walk(front, rest, suffix[:k] + suffix[k + 1 :], -sgn if k % 2 else sgn)
+                for k, j in enumerate(suffix):
+                    walk(rest, cols, suffix[:k] + suffix[k + 1 :], smask ^ 1 << j, -sgn if k % 2 else sgn)
             letters.pop()
 
-    walk([], tuple(range(d)), tuple(range(d)), 1)
+    full = (1 << d) - 1
+    walk(tuple(range(d)), full, tuple(range(d)), full, 1)
     return tuple(sorted((w, c) for w, c in words.items() if c))
 
 
@@ -189,10 +193,16 @@ def st2_coproduct(x: St2) -> list[tuple[tuple[int, ...], tuple[int, ...], St2, S
     ambient coordinates. Signs and coefficients are folded into left.
     Counit pieces (I or J empty) are included.
 
-    A split (I, J) counts when det[a_I; b_J] != 0. Then a_I + b_J is the
-    whole space, so the cuts a_I with span(b_J, b_j) and b_J with
-    span(a_I, a_i) are always lines; each is the kernel line of d + 1
-    stacked rows whose minor without b_j (a_i) is that determinant.
+    In the coordinates C of B in the basis A (_flag_coords), a split
+    (I, J) counts when M(J, not I) = det C[J, not I] != 0, which is
+    det[a_I; b_J] != 0 up to det A. Then a_I + b_J is the whole space, so
+    the cuts a_I with span(b_J, b_j) and b_J with span(a_I, a_i) are always
+    lines: b[J + j] cut off not I, and b[J] cut off not I - i (_cut_line).
+    Projecting along b_J maps the b_j, j not in J, onto a basis of a_I, and
+    the left lines are their images, so they are independent; so are the
+    right lines, by projecting along a_I. Each factor is therefore only
+    sorted, with no rank test, and a split with I or J empty gives the
+    empty pair on that side.
     """
     out: list[tuple[tuple[int, ...], tuple[int, ...], St2, St2]] = []
     n = x.ambient
@@ -202,32 +212,24 @@ def st2_coproduct(x: St2) -> list[tuple[tuple[int, ...], tuple[int, ...], St2, S
         d = len(key_a)
         if d != n:
             raise ValueError("coproduct needs full-rank terms")
+        minors = _Minors(_flag_coords(key_b, key_a))
         for k in range(d + 1):
             for i_set in combinations(range(d), k):
-                a_i = [key_a[i] for i in i_set]
+                not_i = (1 << d) - 1 - sum(1 << i for i in i_set)
                 for j_set in combinations(range(d), d - k):
-                    b_j = [key_b[j] for j in j_set]
-                    if not _int_det(a_i + b_j):
+                    j_mask = sum(1 << j for j in j_set)
+                    if not minors[j_mask, not_i]:
                         continue
                     j_comp = tuple(j for j in range(d) if j not in j_set)
                     i_comp = tuple(i for i in range(d) if i not in i_set)
                     sign = _subset_front_sign(i_set, d) * _subset_front_sign(j_comp, d)
                     # left: A-entries at I, against lines cut out of A_I
-                    left_b_lines = [_cut_point(b_j + [key_b[j]], a_i) for j in j_comp]
-                    right_a_lines = [_cut_point(a_i + [key_a[i]], b_j) for i in i_comp]
-                    left = make_pair(
-                        a_i, left_b_lines, n, c=c * sign
-                    ) if i_set else _unit_st2(n, c * sign)
-                    right = make_pair(right_a_lines, b_j, n) if j_set else _unit_st2(n, 1)
-                    if not left.terms or not right.terms:
-                        continue
+                    key_l, sign_l = _sort_sign([_cut_line(minors, key_b, j_mask | 1 << j, not_i) for j in j_comp])
+                    key_r, sign_r = _sort_sign([_cut_line(minors, key_b, j_mask, not_i ^ 1 << i) for i in i_comp])
+                    left, right = St2.zero(n), St2.zero(n)
+                    left.add_term(tuple(key_a[i] for i in i_set), key_l, c * sign * sign_l)
+                    right.add_term(key_r, tuple(key_b[j] for j in j_set), sign_r)
                     out.append((i_set, j_set, left, right))
-    return out
-
-
-def _unit_st2(n: int, c) -> St2:
-    out = St2.zero(n)
-    out.add_term((), (), c)
     return out
 
 

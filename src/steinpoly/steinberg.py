@@ -20,10 +20,11 @@ i-th flag step with the span of S_i, a subset whose cut is no line prunes
 every chain through it, and the sign grows by the position of each
 dropped entry. Keys, flag rows and cut lines are plain ints. The key is
 written once in flag coordinates, and every cut line is read off one
-table of its tail minors, each a Laplace sum over minors one size
-smaller, so the walk computes no determinant and no Fraction. The lines
-of a chain are kept sorted as it grows, with the sign carried along, so
-no leaf is sorted.
+table of its minors (_Minors, each a Laplace sum over minors one size
+smaller) by one Cramer rule (_cut_line), so the walk computes no
+determinant and no Fraction; the s-map and the coproduct of st2 cut their
+lines with the same table and rule. The lines of a chain are kept sorted
+as it grows, with the sign carried along, so no leaf is sorted.
 
 ash_rudolph_reduce rewrites an integral apartment as a sum of unimodular
 ones by one Ash-Rudolph step at every rank: [v_1..v_n] = sum_i [v_1..w..v_n]
@@ -39,7 +40,6 @@ from bisect import bisect
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import lcm
 from operator import mul
 from typing import Sequence
@@ -269,78 +269,69 @@ def _standard_rows(n: int) -> FlagRows:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def _spanning_cols(rows: Sequence[Point]) -> tuple[int, ...] | None:
-    """First d coordinates on which d independent rows have a nonzero maximal minor.
+def _flag_coords(key_b: Sequence[Point], key_a: Sequence[Point]) -> list[list[int]] | None:
+    """B written in the basis A, all times one nonzero scalar; None when B leaves span A.
 
-    The rows' span projects injectively onto those coordinates. None when
-    the rows span the whole space.
+    The rows of A are independent. Fraction-free Gauss-Jordan takes the n
+    coordinate rows of [A^T | B^T] to [p I | p C^T] over n - |A| zero rows,
+    where C A = B. A pivot in the right block means some entry of B is
+    outside span A.
     """
-    d, n = len(rows), len(rows[0])
-    if d == n:
+    d = len(key_a)
+    work = [[a[c] for a in key_a] + [b[c] for b in key_b] for c in range(len(key_a[0]))]
+    if len(_int_gauss_jordan(work)[0]) > d:
         return None
-    return next(c for c in combinations(range(n), d) if _int_det([[p[j] for j in c] for p in rows]))
+    return [[row[j] for row in work[:d]] for j in range(d, d + len(key_b))]
 
 
-def _cut_point(frows: Sequence[Point], vecs: Sequence[Point], cols: Sequence[int] | None = None) -> Point | None:
-    """Canonical point of span(frows) cut with span(vecs), len(frows) + len(vecs) = d + 1.
+class _Minors(dict):
+    """det C[R, Q] for row and column bitmasks R, Q of equal size, keyed (R, Q).
 
-    Both row sets are independent and lie in a d-dimensional space; cols
-    names d coordinates on which that space projects injectively (all of
-    them by default). The stacked d+1 rows [f_1..f_i; vecs], read on cols,
-    have the signed maximal minors y_r = (-1)^r det(rows without r) in
-    their left kernel, so y_0 f_1 + ... + y_{i-1} f_i lies in the cut.
-    Returns None unless the cut is a line outside span(f_1..f_{i-1}),
-    which holds exactly when y_{i-1} != 0 (all minors vanish when the cut
-    is not a line).
+    Each entry is filled on first use by Laplace along the first column q
+    of Q: M(R, Q) = sum_t (-1)^t C[R_t][q] M(R - R_t, Q - q), M(0, 0) = 1.
     """
-    i = len(frows)
-    stacked = [*frows, *vecs]
-    if cols is not None:
-        stacked = [[r[c] for c in cols] for r in stacked]
-    last = _int_det(stacked[: i - 1] + stacked[i:])
-    if not last:
-        return None
-    if len(vecs) == 1:  # span(frows) is the whole space
-        return int_point(vecs[0])
-    ys = [_int_det(stacked[:r] + stacked[r + 1 :]) * (-1) ** r for r in range(i - 1)]
-    ys.append(last * (-1) ** (i - 1))
-    return int_point([sum(y * f[j] for y, f in zip(ys, frows)) for j in range(len(frows[0]))])
+
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: Sequence[Sequence[int]]):
+        super().__init__({(0, 0): 1})
+        self.coords = coords
+
+    def __missing__(self, rq: tuple[int, int]) -> int:
+        rows, cols = rq
+        low = cols & -cols
+        q, rest = low.bit_length() - 1, cols ^ low
+        total, sign, left = 0, 1, rows
+        while left:
+            bit = left & -left
+            left ^= bit
+            x = self.coords[bit.bit_length() - 1][q]
+            if x:
+                total += sign * x * self[rows ^ bit, rest]
+            sign = -sign
+        self[rq] = total
+        return total
 
 
-def _flag_coords(key: ApKey, frows: FlagRows) -> list[list[int]]:
-    """The key's entries in the basis f_1..f_d of the flag rows, all times one nonzero scalar.
+def _cut_line(minors: _Minors, vecs: Sequence[Point], rows: int, cols: int) -> Point:
+    """The line where span(vecs[rows]) meets {coordinates cols = 0}, |cols| = |rows| - 1.
 
-    On the coordinates _spanning_cols picks, the flag rows form an
-    invertible F and the coordinates C satisfy C F = key. Fraction-free
-    Gauss-Jordan takes [F^T | key^T] to [p I | p F^-T key^T], whose right
-    block is p C^T.
+    The coordinates are those of the minors' table, one row per vec. By
+    Cramer the line is sum_t (-1)^t M(rows - rows_t, cols) vecs[rows_t]:
+    each coordinate in cols is a Laplace sum of a minor with a repeated
+    column. The caller knows the sum is nonzero: for a column c outside
+    cols, its c-th coordinate is +-M(rows, cols + c).
     """
-    d = len(frows)
-    cols = _spanning_cols(frows) or range(d)
-    work = [[f[c] for f in frows] + [p[c] for p in key] for c in cols]
-    _int_gauss_jordan(work)
-    return [[row[j] for row in work] for j in range(d, 2 * d)]
-
-
-def _tail_minors(coords: Sequence[Sequence[int]]) -> list[int]:
-    """T[S] = det coords[S, last |S| columns] for every row subset S, indexed by bitmask.
-
-    Laplace along the first of those columns gives
-    T(S) = sum_t (-1)^t coords[S_t][d - |S|] T(S - S_t) with T({}) = 1;
-    a mask minus one bit is smaller, so increasing masks see their
-    subsets first.
-    """
-    d = len(coords)
-    minors = [1] * (1 << d)
-    for mask in range(1, 1 << d):
-        col = d - mask.bit_count()
-        total, sign = 0, 1
-        for t in range(d):
-            if mask >> t & 1:
-                total += sign * coords[t][col] * minors[mask ^ 1 << t]
-                sign = -sign
-        minors[mask] = total
-    return minors
+    point = None
+    sign = 1
+    for t, v in enumerate(vecs):
+        if rows >> t & 1:
+            sub = minors[rows ^ 1 << t, cols]
+            if sub:
+                sub *= sign
+                point = [sub * y for y in v] if point is None else [x + sub * y for x, y in zip(point, v)]
+            sign = -sign
+    return int_point(point)
 
 
 @lru_cache(maxsize=None)
@@ -356,12 +347,11 @@ def _flag_expand_apartment(key: ApKey, frows: FlagRows) -> tuple[tuple[ApKey, in
 
     In the flag coordinates C of the key (_flag_coords), the cut of S at
     step i = d - |S| + 1 is where flag coordinates i+1..d vanish on
-    span(S). With T the tail minors of C (_tail_minors), Cramer puts it at
-    sum_t (-1)^t T(S - S_t) key[S_t]: its flag coordinates beyond i are
-    Laplace sums of minors with a repeated column, and its i-th is T(S).
-    So the cut is a line outside F_{i-1} exactly when T(S) != 0, the
-    points of a chain that reaches a leaf are independent, and the walk
-    computes no determinant.
+    span(S): _cut_line of S off the last |S| - 1 columns. Its i-th flag
+    coordinate is the tail minor M(S, last |S| columns), so the cut is a
+    line outside F_{i-1} exactly when that minor is nonzero, the points of
+    a chain that reaches a leaf are independent, and the walk computes no
+    determinant.
 
     The lines of a chain are kept sorted: a line inserted before k of them
     flips the sign by (-1)^k, so a leaf reads its key and sign off the list.
@@ -375,27 +365,15 @@ def _flag_expand_apartment(key: ApKey, frows: FlagRows) -> tuple[tuple[ApKey, in
         return (((), 1),)
     n = len(frows[0])
     coords = key if frows == _standard_rows(n) else _flag_coords(key, frows)
-    minors = _tail_minors(coords)
-
-    def cut(suffix: tuple[int, ...], mask: int) -> Point | None:
-        if not minors[mask]:
-            return None
-        point = [0] * n
-        sign = 1
-        for t in suffix:
-            sub = sign * minors[mask ^ 1 << t]
-            if sub:
-                point = [x + sub * y for x, y in zip(point, key[t])]
-            sign = -sign
-        return int_point(point)
-
+    minors = _Minors(coords)
     cuts: dict[int, Point | None] = {}
     results: defaultdict[ApKey, int] = defaultdict(int)
     lines: list[Point] = []
 
     def walk(suffix: tuple[int, ...], mask: int, sign: int) -> None:
         if mask not in cuts:
-            cuts[mask] = cut(suffix, mask)
+            tail = ((1 << len(suffix)) - 1) << (d - len(suffix))
+            cuts[mask] = _cut_line(minors, key, mask, tail & (tail - 1)) if minors[mask, tail] else None
         line = cuts[mask]
         if line is None:
             return

@@ -12,7 +12,7 @@ from itertools import combinations, permutations
 
 from steinpoly.barcplx import Bar
 from steinpoly.qlinalg import Subspace, canonical_point, qv
-from steinpoly.st2 import _s_pair, _subset_front_sign, _unit_st2, make_pair, zero_exps
+from steinpoly.st2 import St2, _s_pair, _subset_front_sign, make_pair, zero_exps
 from steinpoly.steinberg import _sort_sign
 
 
@@ -77,6 +77,12 @@ def embed_s(x):
     for (ka, kb, exps), c in x.terms.items():
         for word, wc in _s_pair(ka, kb):
             out.add_word(word, c * wc, exps)
+    return out
+
+
+def _unit_st2(n, c):
+    out = St2.zero(n)
+    out.add_term((), (), c)
     return out
 
 

@@ -20,7 +20,7 @@ from steinpoly.cones import (
     truncated_fourier_sum,
 )
 from steinpoly.qlinalg import canonical_point, split_seed
-from steinpoly.st2 import St2, _unit_st2, make_I, make_L, st2_product
+from steinpoly.st2 import St2, make_I, make_L, st2_product
 from steinpoly.steinberg import St, _sort_sign, flag_expand, is_zero, make_apartment
 
 
@@ -84,7 +84,7 @@ class TestOracles:
         unit = St(0, {(): Fraction(1)})
         assert rho_term((), (), ()) == 1
         assert not st_equality_oracle(unit, St.zero(0))
-        assert not st2_equality_oracle(_unit_st2(0, 1), St2.zero(0))
+        assert not st2_equality_oracle(St2(0, {((), (), ()): Fraction(1)}), St2.zero(0))
 
     def test_detects_inequality(self):
         x = make_apartment([(1, 0), (0, 1)], 2)

@@ -20,8 +20,8 @@ from steinpoly.qlinalg import _int_det, _int_gauss_jordan, _int_rank, int_point
 from steinpoly.steinberg import (
     _flag_coords,
     _flag_expand_apartment,
+    _Minors,
     _standard_rows,
-    _tail_minors,
     normalize_apartment,
 )
 
@@ -70,16 +70,21 @@ def test_walk_equals_determinant_walk(case):
     assert walk(key, frows) == ref.flag_expand_apartment(key, frows)
 
 
-def test_tail_minors_are_determinants():
+def test_minors_are_determinants():
+    """Every equal-size minor, the flag walk's tail minors among them."""
     rng = random.Random(19)
     for d in range(1, 6):
         for _ in range(5):
             coords = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
-            minors = _tail_minors(coords)
-            for mask in range(1 << d):
-                sub = [t for t in range(d) if mask >> t & 1]
-                want = _int_det([coords[t][d - len(sub):] for t in sub])
-                assert minors[mask] == want, (coords, sub)
+            minors = _Minors(coords)
+            for rows in range(1 << d):
+                for cols in range(1 << d):
+                    if rows.bit_count() != cols.bit_count():
+                        continue
+                    sub_r = [t for t in range(d) if rows >> t & 1]
+                    sub_c = [q for q in range(d) if cols >> q & 1]
+                    want = _int_det([[coords[t][q] for q in sub_c] for t in sub_r])
+                    assert minors[rows, cols] == want, (coords, sub_r, sub_c)
 
 
 @pytest.mark.parametrize("key, frows", [
@@ -94,6 +99,10 @@ def test_flag_coords_are_coordinates_up_to_one_scalar(key, frows):
     j = next(j for j, x in enumerate(key[0]) if x)
     scale = Fraction(images[0][j], key[0][j])
     assert scale and images == [[scale * x for x in p] for p in key]
+    # a point off the flag's span has no flag coordinates
+    if len(frows) < len(key[0]):
+        off = next(p for p in _standard_rows(len(key[0])) if _int_rank(frows + (p,)) > len(frows))
+        assert _flag_coords(key + (off,), frows) is None
 
 
 @pytest.mark.parametrize("frows", [
@@ -104,6 +113,6 @@ def test_walk_takes_no_determinant_and_sorts_no_leaf(frows):
     key = normalize_apartment([(1, 0, 2, -1), (0, 1, -1, 2), (2, 1, 0, 1), (1, -1, 1, 0)])[0]
     want = ref.flag_expand_apartment(key, frows)
     boom = mock.Mock(side_effect=AssertionError("called"))
-    with mock.patch.multiple(steinberg, _int_det=boom, _cut_point=boom, _sort_sign=boom):
+    with mock.patch.multiple(steinberg, _int_det=boom, _int_rank=boom, _sort_sign=boom):
         got = walk(key, frows)
     assert got == want and len(got) > 1

@@ -8,12 +8,14 @@ different spans and pairs sharing entries, and for sums whose terms have
 different denominators and exponent tuples.
 """
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import flag_reference
 import s_map_reference as ref
+from steinpoly import st2, steinberg
 from steinpoly.barcplx import Bar
 from steinpoly.st2 import St2, _s_pair, embed_s, make_I, make_L, make_pair, st2_coproduct
 
@@ -106,11 +108,37 @@ def test_st2_coproduct_matches_reference(x):
     assert st2_coproduct(x) == ref.st2_coproduct(x)
 
 
+DIM5_BASIS = [(1, 2, 0, 1, -1), (0, 1, 1, 0, 2), (1, 0, -1, 1, 0), (2, 1, 0, 0, 1), (0, 0, 1, 1, 1)]
+
+
 def test_embed_s_dim5_matches_reference():
-    basis = [(1, 2, 0, 1, -1), (0, 1, 1, 0, 2), (1, 0, -1, 1, 0), (2, 1, 0, 0, 1), (0, 0, 1, 1, 1)]
-    x = make_L(basis, c=Fraction(2, 3))
+    x = make_L(DIM5_BASIS, c=Fraction(2, 3))
     ((key_a, key_b, _), c), = x.terms.items()
     want = ref.s_pair(key_a, key_b)
     assert len(want) == 945
     assert _s_pair(key_a, key_b) == want
     assert embed_s(x).terms == {(w, (0,) * 5): c * wc for w, wc in want}
+
+
+def test_st2_coproduct_dim5_matches_reference():
+    x = make_L(DIM5_BASIS)
+    want = ref.st2_coproduct(x)
+    assert len(want) == 89
+    assert st2_coproduct(x) == want
+
+
+def test_s_map_and_coproduct_take_no_determinant():
+    """Every cut and every split test comes from the minor table, with no rank test either."""
+    x = make_L([(1, 0, 2, -1), (0, 1, -1, 2), (2, 1, 0, 1), (1, -1, 1, 0)])
+    ((key_a, key_b, _), _c), = x.terms.items()
+    other = make_pair([(1, 0, 1, 0), (0, 1, 0, 1)], [(1, 1, 1, 1), (1, -1, 1, -1)], 4)
+    ((low_a, low_b, _), _c), = other.terms.items()
+    outside = (low_a, ((0, 1, 0, 1), (1, 0, 0, 0)))
+    pairs = [(key_a, key_b), (low_a, low_b), outside]
+    want = [ref.s_pair(*p) for p in pairs], ref.st2_coproduct(x)
+    boom = mock.Mock(side_effect=AssertionError("called"))
+    with mock.patch.multiple(steinberg, _int_det=boom, _int_rank=boom), \
+            mock.patch.multiple(st2, _int_det=boom, _int_rank=boom, create=True):
+        got = [_s_pair.__wrapped__(*p) for p in pairs], st2_coproduct(x)
+    assert got == want
+    assert len(want[0][0]) > 1 and len(want[0][1]) > 1 and want[0][2] == ()
