@@ -12,14 +12,16 @@ recursions, duality, and the cyclic cobracket all live here, together
 with the zero test for the quotient by shuffle products (the "stable"
 quotient below, in which decomposables vanish).
 
-The s-map walks pairs (prefix of the first factor's entries, suffix of the
-second's) depth first; the coproduct tests each split with one minor. Both
+The s-map is steinberg._walk with the prefix of the first factor's entries
+free: it walks (suffix of the second factor, unused entries of the first)
+depth first and keeps each word in order, where the flag basis holds the
+prefix fixed and sorts. The coproduct tests each split with one minor. Both
 write the second factor once in the basis of the first and read every test
 and every cut line off one table of its minors by one Cramer rule
-(steinberg._Minors and _cut_line, as in the flag walk), so neither computes
-a determinant or does Fraction arithmetic on the apartment keys. The L and
-I generators scale their vectors by one common denominator, so their keys
-are built from ints too.
+(steinberg._Minors and _cut_line), so neither computes a determinant or
+does Fraction arithmetic on the apartment keys. The L and I generators
+scale their vectors by one common denominator, so their keys are built
+from ints too.
 """
 from __future__ import annotations
 
@@ -52,6 +54,7 @@ from .steinberg import (
     _Minors,
     _numerators,
     _sort_sign,
+    _walk,
     flag_expand,
     normalize_apartment,
     zero_exps,
@@ -77,9 +80,9 @@ class St2(LinComb):
 
 
 def make_pair(vecs_a: Sequence, vecs_b: Sequence, ambient: int | None = None, c=1, exps=None) -> St2:
+    na = normalize_apartment(vecs_a, ambient)
     n = ambient if ambient is not None else len(vecs_a[0])
     out = St2.zero(n)
-    na = normalize_apartment(vecs_a, n)
     nb = normalize_apartment(vecs_b, n) if na is not None else None
     if nb is None:
         return out
@@ -104,59 +107,13 @@ def st2_product(x: St2, y: St2) -> St2:
 
 @lru_cache(maxsize=None)
 def _s_pair(key_a: ApKey, key_b: ApKey) -> tuple[tuple[tuple[Point, ...], int], ...]:
-    """Bar words of a pair of apartments, walking (prefix of A, suffix of B).
-
-    A pair of permutations (sigma, tau) contributes the word whose i-th
-    letter is span(a[sigma_1..sigma_i]) cut with span(b[tau_i..tau_d]),
-    with the sign of sigma times the sign of tau, when the d letters are
-    independent lines. The walk builds sigma and tau one entry at a time:
-    step i takes an unused A-entry s, signed by its position among the
-    unused entries, and after the letter drops one B-entry, signed by its
-    position among the remaining ones.
-
-    In the coordinates C of B in the basis A (_flag_coords), letter i is
-    where span(b[S]), S the suffix, has zero coordinates on the unused
-    entries other than s: the cut of S off unused - s (_cut_line). The
-    earlier letters span a[P] for the prefix P, so letter i is independent
-    of them exactly when its s-coordinate, +-M(S, unused), is nonzero. That
-    minor does not depend on s, so it prunes every continuation before the
-    loop over s. Each cut is computed once per (S, unused - s).
+    """Bar words of a pair of apartments: the free steinberg._walk of A against B.
 
     All letters lie in span A and span B, so pairs of different spans give
     no words.
     """
-    d = len(key_a)
-    if not d:  # the counit pair (), () is the empty word
-        return (((), 1),)
     coords = _flag_coords(key_b, key_a)
-    if coords is None:
-        return ()
-    minors = _Minors(coords)
-    cuts: dict[tuple[int, int], Point] = {}
-    words: dict[tuple[Point, ...], int] = {}
-    letters: list[Point] = []
-
-    def walk(unused: tuple[int, ...], umask: int, suffix: tuple[int, ...], smask: int, sign: int) -> None:
-        if not minors[smask, umask]:
-            return
-        for pos, s in enumerate(unused):
-            sgn = -sign if pos % 2 else sign
-            cols = umask ^ 1 << s
-            if (smask, cols) not in cuts:
-                cuts[smask, cols] = _cut_line(minors, key_b, smask, cols)
-            letters.append(cuts[smask, cols])
-            if len(suffix) == 1:
-                w = tuple(letters)
-                words[w] = words.get(w, 0) + sgn
-            else:
-                rest = unused[:pos] + unused[pos + 1 :]
-                for k, j in enumerate(suffix):
-                    walk(rest, cols, suffix[:k] + suffix[k + 1 :], smask ^ 1 << j, -sgn if k % 2 else sgn)
-            letters.pop()
-
-    full = (1 << d) - 1
-    walk(tuple(range(d)), full, tuple(range(d)), full, 1)
-    return tuple(sorted((w, c) for w, c in words.items() if c))
+    return () if coords is None else _walk(coords, key_b, False)
 
 
 def embed_s(x: St2) -> Bar:
@@ -239,25 +196,23 @@ def st2_coproduct(x: St2) -> list[tuple[tuple[int, ...], tuple[int, ...], St2, S
 def make_L(vectors: Sequence, ambient: int | None = None, c=1, exps=None) -> St2:
     """Pair of the reversed-suffix-sum apartment against the reversed one."""
     vecs, _ = _cleared([qv(v) for v in vectors])
-    n = ambient if ambient is not None else len(vecs[0])
     sums = []
     acc = None
     for v in reversed(vecs):
         acc = v if acc is None else vec_add(acc, v)
         sums.append(acc)
-    return make_pair(sums, list(reversed(vecs)), n, c=c, exps=exps)
+    return make_pair(sums, list(reversed(vecs)), ambient, c=c, exps=exps)
 
 
 def make_I(vectors: Sequence, ambient: int | None = None, c=1, exps=None) -> St2:
     """Companion generator: reversed tuple against consecutive differences."""
     vecs, _ = _cleared([qv(v) for v in vectors])
-    n = ambient if ambient is not None else len(vecs[0])
     d = len(vecs)
-    second = [vecs[-1]]
+    second = vecs[-1:]
     for j in range(d - 2, -1, -1):
         second.append(vec_sub(vecs[j], vecs[j + 1]))
     sign = (-1) ** d
-    return make_pair(list(reversed(vecs)), second, n, c=Fraction(c) * sign, exps=exps)
+    return make_pair(list(reversed(vecs)), second, ambient, c=Fraction(c) * sign, exps=exps)
 
 
 def make_corr(vectors: Sequence, ambient: int | None = None, c=1) -> St2:
@@ -395,10 +350,8 @@ def is_zero_st2(x: St2) -> bool:
 def bar_infty_reduce(x: Bar) -> Bar:
     """Canonical remainder of a bar element in the stable quotient.
 
-    Projecting along a functional h that is nonzero on the support of x
-    (barcplx.p_H_project) is faithful on the quotient, and one transverse
-    to every letter of x keeps every word, so the remainder is x reduced
-    modulo the shuffle span; empty output certifies zero.
+    This is barcplx.shuffle_span_reduce under the name that mpl and the
+    benchmark's traced spans use; empty output certifies zero.
     """
     return shuffle_span_reduce(x)
 

@@ -14,17 +14,18 @@ with the sort sign folded into the coefficient.
 
 flag_expand rewrites a class in the basis attached to the standard
 flag. Its kernel _flag_expand_apartment takes any flag as integer rows
-f_1..f_k, the i-th step being span(f_1..f_i), and walks suffix chains
-S_1 > S_2 > ... of the apartment's entries depth first: step i cuts the
-i-th flag step with the span of S_i, a subset whose cut is no line prunes
-every chain through it, and the sign grows by the position of each
-dropped entry. Keys, flag rows and cut lines are plain ints. The key is
-written once in flag coordinates, and every cut line is read off one
-table of its minors (_Minors, each a Laplace sum over minors one size
-smaller) by one Cramer rule (_cut_line), so the walk computes no
-determinant and no Fraction; the s-map and the coproduct of st2 cut their
-lines with the same table and rule. The lines of a chain are kept sorted
-as it grows, with the sign carried along, so no leaf is sorted.
+f_1..f_k, the i-th step being span(f_1..f_i); it is the s-map of st2
+with the prefix held at the flag, and one walk (_walk) serves both. The
+walk goes down suffix chains S_1 > S_2 > ... of the apartment's entries:
+step i cuts the i-th flag step with the span of S_i, a state whose cut is
+no line prunes every chain through it, and the sign grows by the
+position of each dropped entry. Keys, flag rows and cut lines are plain
+ints. The key is written once in flag coordinates, and every cut line is
+read off one table of its minors (_Minors, each a Laplace sum over minors
+one size smaller) by one Cramer rule (_cut_line), so the walk computes no
+determinant and no Fraction; the coproduct of st2 cuts its lines with the
+same table and rule. The lines of a chain are kept sorted as it grows,
+with the sign carried along, so no leaf is sorted.
 
 ash_rudolph_reduce rewrites an integral apartment as a sum of unimodular
 ones by one Ash-Rudolph step at every rank: [v_1..v_n] = sum_i [v_1..w..v_n]
@@ -227,9 +228,8 @@ class St(LinComb):
 
 def make_apartment(vectors: Sequence[Sequence], ambient: int | None = None) -> St:
     vecs = list(vectors)
-    n = ambient if ambient is not None else len(qv(vecs[0]))
-    norm = normalize_apartment(vecs, n)
-    out = St.zero(n)
+    norm = normalize_apartment(vecs, ambient)
+    out = St.zero(ambient if ambient is not None else len(qv(vecs[0])))
     if norm is not None:
         key, sign = norm
         out.add_term(key, Fraction(sign))
@@ -275,11 +275,11 @@ def _flag_coords(key_b: Sequence[Point], key_a: Sequence[Point]) -> list[list[in
     The rows of A are independent. Fraction-free Gauss-Jordan takes the n
     coordinate rows of [A^T | B^T] to [p I | p C^T] over n - |A| zero rows,
     where C A = B. A pivot in the right block means some entry of B is
-    outside span A.
+    outside span A. The rank-0 pair has no coordinate rows and gives [].
     """
     d = len(key_a)
-    work = [[a[c] for a in key_a] + [b[c] for b in key_b] for c in range(len(key_a[0]))]
-    if len(_int_gauss_jordan(work)[0]) > d:
+    work = [list(col) for col in zip(*key_a, *key_b)]
+    if work and len(_int_gauss_jordan(work)[0]) > d:
         return None
     return [[row[j] for row in work[:d]] for j in range(d, d + len(key_b))]
 
@@ -334,62 +334,97 @@ def _cut_line(minors: _Minors, vecs: Sequence[Point], rows: int, cols: int) -> P
     return int_point(point)
 
 
+Word = tuple[Point, ...]
+Step = tuple[Point, int, list[int] | None]
+
+
+def _walk(coords: Sequence[Sequence[int]], vecs: Sequence[Point], fixed: bool) -> tuple[tuple[Word, int], ...]:
+    """Signed words of a pair of apartments A, B = vecs, walking (suffix of B, unused A-entries).
+
+    A pair of permutations (sigma, tau) gives the word whose i-th letter is
+    span(a[sigma_1..sigma_i]) cut with span(b[tau_i..tau_d]), with the sign
+    of sigma times the sign of tau, when the d letters are independent
+    lines. The walk builds sigma and tau one entry at a time. A state is
+    the suffix S of B and the set U of unused A-entries, as the int
+    S << d | U of two bitmasks. Its step takes an A-entry s of U, signed by
+    its position in U, and after the letter drops one entry of S, signed
+    by its position in S.
+
+    In the coordinates C of B in the basis A (coords, one row per entry
+    of B), the letter is where span(b[S]) has zero coordinates on U - s:
+    _cut_line of S off U - s. The earlier letters span a[not U], so the
+    letter is independent of them exactly when its s-coordinate,
+    +-M(S, U), is nonzero. That minor does not depend on s, so it prunes
+    the state before any s is tried, and the walk computes no
+    determinant. Each state's steps and each cut are computed once.
+
+    With fixed, sigma is the identity: s is the lowest entry of U, and
+    the letters are kept sorted, a letter inserted before k of them
+    flipping the sign by (-1)^k, so a leaf reads an apartment key and its
+    sign off the list. With A the rows of a flag this is the flag basis.
+    Otherwise s runs over U and the letters stay in order, as bar words.
+    """
+    d = len(vecs)
+    if not d:  # the rank-0 pair is the empty word
+        return (((), 1),)
+    minors = _Minors(coords)
+    full = (1 << d) - 1
+    cuts: dict[int, Point] = {}
+    states: dict[int, list[Step]] = {}
+    words: defaultdict[Word, int] = defaultdict(int)
+    letters: list[Point] = []
+
+    def steps(state: int) -> list[Step]:
+        """(letter, parity of s, child states or None at a leaf) for each s; [] when M(S, U) = 0."""
+        suffix, unused = state >> d, state & full
+        if not minors[suffix, unused]:
+            return []
+        out = []
+        left = unused
+        while left:
+            s = left & -left
+            left ^= s
+            cut = state ^ s  # S << d | U - s: the cut's key; each child drops one entry of its S
+            line = cuts.get(cut)
+            if line is None:
+                line = cuts[cut] = _cut_line(minors, vecs, suffix, unused ^ s)
+            kids = [cut ^ 1 << t for t in range(d, 2 * d) if cut >> t & 1] if suffix & (suffix - 1) else None
+            out.append((line, len(out) % 2, kids))
+            if fixed:
+                break
+        return out
+
+    def visit(state: int, sign: int) -> None:
+        todo = states.get(state)
+        if todo is None:
+            todo = states[state] = steps(state)
+        for line, odd, kids in todo:
+            at = bisect(letters, line) if fixed else len(letters)
+            sgn = -sign if (len(letters) - at + odd) % 2 else sign
+            letters.insert(at, line)
+            if kids is None:
+                words[tuple(letters)] += sgn
+            else:
+                for k, kid in enumerate(kids):
+                    visit(kid, -sgn if k % 2 else sgn)
+            del letters[at]
+
+    visit(full << d | full, 1)
+    return tuple(sorted((w, c) for w, c in words.items() if c))
+
+
 @lru_cache(maxsize=None)
 def _flag_expand_apartment(key: ApKey, frows: FlagRows) -> tuple[tuple[ApKey, int], ...]:
-    """Flag-basis expansion of one apartment, walking suffix chains.
+    """Flag-basis expansion of one apartment: the fixed _walk of the flag rows against the key.
 
-    A permutation tau of the entries contributes the points cut from F_i
-    by the span of the suffix S_i = {tau_i, ..., tau_d}, with the sign of
-    tau; that sign is the product over the steps of (-1)^(position of
-    tau_i in sorted S_i). The cut at step i depends on S_i alone, so it is
-    computed once per subset, and a subset whose cut is not a line prunes
-    every chain through it.
-
-    In the flag coordinates C of the key (_flag_coords), the cut of S at
-    step i = d - |S| + 1 is where flag coordinates i+1..d vanish on
-    span(S): _cut_line of S off the last |S| - 1 columns. Its i-th flag
-    coordinate is the tail minor M(S, last |S| columns), so the cut is a
-    line outside F_{i-1} exactly when that minor is nonzero, the points of
-    a chain that reaches a leaf are independent, and the walk computes no
-    determinant.
-
-    The lines of a chain are kept sorted: a line inserted before k of them
-    flips the sign by (-1)^k, so a leaf reads its key and sign off the list.
-
-    The flag may have fewer rows than the ambient space: a rank-k key in
-    the span W of k flag rows expands inside W, in the flag basis of W,
-    and its output keys stay in ambient coordinates.
+    The basis apartment cut from the i-th flag step by the suffix
+    S = {tau_i, ..., tau_d} is where flag coordinates i+1..d vanish on
+    span(key[S]); the standard flag needs no change of coordinates. The
+    flag may have fewer rows than the ambient space: a rank-k key in the
+    span W of k flag rows expands inside W, in the flag basis of W, and
+    its output keys stay in ambient coordinates.
     """
-    d = len(key)
-    if not d:  # the empty apartment of Q^0 is its own basis
-        return (((), 1),)
-    n = len(frows[0])
-    coords = key if frows == _standard_rows(n) else _flag_coords(key, frows)
-    minors = _Minors(coords)
-    cuts: dict[int, Point | None] = {}
-    results: defaultdict[ApKey, int] = defaultdict(int)
-    lines: list[Point] = []
-
-    def walk(suffix: tuple[int, ...], mask: int, sign: int) -> None:
-        if mask not in cuts:
-            tail = ((1 << len(suffix)) - 1) << (d - len(suffix))
-            cuts[mask] = _cut_line(minors, key, mask, tail & (tail - 1)) if minors[mask, tail] else None
-        line = cuts[mask]
-        if line is None:
-            return
-        at = bisect(lines, line)
-        if (len(lines) - at) % 2:
-            sign = -sign
-        lines.insert(at, line)
-        if len(suffix) == 1:
-            results[tuple(lines)] += sign
-        else:
-            for pos, t in enumerate(suffix):
-                walk(suffix[:pos] + suffix[pos + 1 :], mask ^ 1 << t, -sign if pos % 2 else sign)
-        del lines[at]
-
-    walk(tuple(range(d)), (1 << d) - 1, 1)
-    return tuple(sorted((k, c) for k, c in results.items() if c))
+    return _walk(key if frows == _standard_rows(len(frows)) else _flag_coords(key, frows), key, True)
 
 
 def flag_expand(x: St) -> St:

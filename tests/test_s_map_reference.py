@@ -17,7 +17,9 @@ import flag_reference
 import s_map_reference as ref
 from steinpoly import st2, steinberg
 from steinpoly.barcplx import Bar
+from steinpoly.qlinalg import _int_gauss_jordan, _int_rank, int_point
 from steinpoly.st2 import St2, _s_pair, embed_s, make_I, make_L, make_pair, st2_coproduct
+from steinpoly.steinberg import _flag_expand_apartment, _sort_sign, _standard_rows
 
 COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
 
@@ -56,6 +58,42 @@ def pairs(draw, d=None, n=None):
 def test_s_pair_matches_reference(pair):
     key_a, key_b = pair
     assert _s_pair(key_a, key_b) == ref.s_pair(key_a, key_b)
+
+
+@st.composite
+def flag_cases(draw):
+    """A rank-d key and a flag of its span: standard, random full, or RREF rows as _merge_letters builds them."""
+    d = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["standard", "full", "rank-k"]))
+    if kind == "rank-k":
+        n = d + draw(st.integers(1, 2))
+        span = draw(vectors(n, d))
+        assume(_int_rank(span) == d)
+        combos = draw(vectors(d, d))
+        key = key_of([tuple(sum(c * r[j] for c, r in zip(cs, span)) for j in range(n)) for cs in combos], n)
+        work = [list(p) for p in key]
+        _int_gauss_jordan(work)
+        return key, tuple(map(int_point, work))
+    key = key_of(draw(vectors(d, d)), d)
+    if kind == "standard":
+        return key, _standard_rows(d)
+    frows = tuple(draw(vectors(d, d)))
+    assume(_int_rank(frows) == d)
+    return key, frows
+
+
+@given(flag_cases())
+@settings(max_examples=100, deadline=None)
+def test_flag_basis_is_the_s_map_with_the_prefix_fixed(case):
+    """The words of the s-map of (flag rows, key) with sigma = id, each sorted, sum to the flag expansion."""
+    key, frows = case
+    want: dict = {}
+    for word, c in ref.s_pair(frows, key):
+        # letter i lies in the i-th flag step exactly when sigma_1..sigma_i = 1..i
+        if all(_int_rank(frows[: i + 1] + (line,)) == i + 1 for i, line in enumerate(word)):
+            sorted_key, sign = _sort_sign(word)
+            want[sorted_key] = want.get(sorted_key, 0) + sign * c
+    assert {k: c for k, c in want.items() if c} == dict(_flag_expand_apartment(key, frows))
 
 
 @st.composite

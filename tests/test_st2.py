@@ -104,6 +104,16 @@ class TestGenerators:
             rhs = make_I(tails, 3, c=(-1) ** 3)
             assert is_zero_st2(lhs - rhs)
 
+    @pytest.mark.parametrize("build", [
+        lambda: make_apartment([]),
+        lambda: make_pair([], []),
+        lambda: make_L([]),
+        lambda: make_I([]),
+    ], ids=["make_apartment", "make_pair", "make_L", "make_I"])
+    def test_empty_input_is_an_empty_apartment(self, build):
+        with pytest.raises(ValueError, match="empty apartment"):
+            build()
+
     def test_corr_requires_zero_sum(self):
         with pytest.raises(ValueError):
             make_corr([E1, E2, E1])
