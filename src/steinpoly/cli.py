@@ -5,6 +5,7 @@ its output, and is byte-reproducible for fixed seed and inputs.  Exit
 codes: 0 pass, 1 mathematical failure, 2 malformed input.
 """
 import argparse
+import heapq
 import io
 import json
 import sys
@@ -149,7 +150,7 @@ def _bar_to_json(x: Bar) -> list:
 
 def _st2_nf_to_json(nf: dict, limit: int = 8) -> list:
     rows = []
-    for (key_a, key_b, exps), c in sorted(nf.items())[:limit]:
+    for (key_a, key_b, exps), c in heapq.nsmallest(limit, nf.items()):
         rows.append(
             {
                 "coeff": frac_to_str(c),

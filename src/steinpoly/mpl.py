@@ -1,21 +1,27 @@
 """Formal multiple polylogarithms on split tori and their truncated symbols.
 
 Arguments are monomials zeta * x_1^{a_1} ... x_d^{a_d} with an exact
-root-of-unity phase in Q/Z and a rational exponent vector, so every
-rewrite in this file is phase arithmetic plus lattice bookkeeping.  The
-depth-one quotient has an explicit basis (primitive lexicographically
-positive directions at a covering level), and the top component of the
-reduced coproduct drives a recursion whose endpoint is a bar word with a
-symmetric-power tail.  Peeling its words off against L generators lands
-the result in the Steinberg tensor square, giving two independent routes to
-the truncated symbol; a third, coarser route goes through formal
-iterated integrals and the full coproduct.
+root-of-unity phase in Q/Z and a rational exponent vector.  The depth-one
+quotient has an explicit basis (primitive lexicographically positive
+directions at a covering level, phases kept).  The symbol forgets phases,
+so the recursion route never carries them: it writes a generator's
+exponent vectors once as integer rows over one common denominator W, runs
+the top component of the reduced coproduct on (weights, rows) keys with
+integer binomial signs, and sums each depth-one right factor over its
+phases as it is built.  Its endpoint is a bar word with a symmetric-power
+tail, summed in int over one denominator.  Peeling its words off against
+L generators lands the result in the Steinberg tensor square, giving two
+independent routes to the truncated symbol; a third, coarser route goes
+through formal iterated integrals, the full coproduct and the phased
+depth-one normal forms, so it shares no reduction with the recursion.
+The GL_d(Q) action on bar words acts by the matrix cleared to integers.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 from math import comb, factorial, gcd, lcm, prod
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .barcplx import Bar, shuffle_words
@@ -24,10 +30,10 @@ from .qlinalg import (
     _int_rank,
     _minor_gcd,
     _row_to_int,
-    canonical_point,
     det,
     frac_from_str,
     frac_to_str,
+    int_point,
     mat_mul,
     mat_vec,
     positive_int_from_json,
@@ -35,7 +41,7 @@ from .qlinalg import (
     qv,
 )
 from .st2 import St2, bar_infty_reduce, embed_s, make_L, make_pair
-from .steinberg import _acc, _power_product
+from .steinberg import _acc, _numerators, _power_product
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -266,6 +272,16 @@ class DepthOneNF:
             for (phase, vec), c in sorted(self.terms.items())
         ]
 
+    def forget_phases(self) -> tuple:
+        """(weight, level, {direction: coeff}), each direction summed over its phases.
+
+        This is all of the class that sigma reads.
+        """
+        terms: dict = {}
+        for (_phase, vec), c in self.terms.items():
+            _acc(terms, vec, c)
+        return self.weight, self.level, terms
+
     def rescale(self, new_level: int) -> "DepthOneNF":
         if new_level % self.level:
             raise ValueError("covering levels must be nested")
@@ -336,27 +352,20 @@ def depth1_nf(weight: int, items: Iterable[tuple]) -> DepthOneNF:
 # --------------------------------------------------------- sigma and alpha
 
 
-def _sym_poly(vectors: Sequence[Sequence], weights: Sequence[int], d: int) -> dict:
-    """Monomial expansion of prod v_i^{n_i - 1} / (n_i - 1)!."""
-    poly = _power_product(vectors, [n - 1 for n in weights], d)
-    denom = prod(factorial(n - 1) for n in weights)
-    return {e: Fraction(c, denom) for e, c in poly.items()}
-
-
-def _sigma_acc(acc: dict, factors: Sequence[DepthOneNF], scale=ONE) -> None:
+def _sigma_acc(acc: dict, factors: Sequence[tuple], scale=1) -> None:
     """Add scale * (one slot tuple) into acc, keyed (weights, levels, directions).
 
-    sigma forgets phases, so every phase combination of one direction
-    tuple lands on the same key; the per-key work waits for _sigma_emit.
-    A direction stays the primitive lex-positive integer vector p of its
-    depth-one key, standing for p / W at the factor's level W.
+    Factors are phase-free (weight, level, {direction: coeff}) triples,
+    a direction being the primitive lex-positive integer vector p that
+    stands for p / W at the factor's level W.  The per-key work waits
+    for _sigma_emit.
     """
-    head = (tuple(f.weight for f in factors), tuple(f.level for f in factors))
-    for combo in iproduct(*[f.terms.items() for f in factors]):
+    weights, levels, terms = zip(*factors)
+    for combo in iproduct(*[t.items() for t in terms]):
         coeff = scale
-        for _key, c in combo:
+        for _vec, c in combo:
             coeff *= c
-        _acc(acc, head + (tuple(vec for (_phase, vec), _c in combo),), coeff)
+        _acc(acc, (weights, levels, tuple(vec for vec, _c in combo)), coeff)
 
 
 def _sigma_emit(acc: dict, ambient: int) -> Bar:
@@ -365,17 +374,26 @@ def _sigma_emit(acc: dict, ambient: int) -> Bar:
     The letters p_i are already canonical points.  The covolume of the
     p_i / W_i is g / prod W_i, g the gcd of the maximal minors of the p_i
     (0 exactly when they are dependent), and the tail of p_i / W_i is
-    that of p_i over prod W_i^(n_i - 1).
+    prod p_i^(n_i - 1) over prod W_i^(n_i - 1) (n_i - 1)!.  Each key's
+    coefficient is put over one common denominator, the numerators are
+    summed in int, and one Fraction is built per output word.
     """
-    out = Bar.zero(ambient)
-    for (weights, levels, word), coeff in acc.items():
+    keys = []
+    den = 1
+    for (weights, levels, word), c in acc.items():
         g = _minor_gcd(word)
-        if not g:
-            continue
-        c = coeff * Fraction(g, prod(w**n for w, n in zip(levels, weights)))
-        for exps, pc in _sym_poly(word, weights, ambient).items():
-            out.add_word(word, c * pc, exps)
-    return out
+        if g:
+            key_den = c.denominator * prod(
+                w**n * factorial(n - 1) for w, n in zip(levels, weights)
+            )
+            den = lcm(den, key_den)
+            keys.append((weights, word, c.numerator * g, key_den))
+    nums: dict = {}
+    for weights, word, num, key_den in keys:
+        num *= den // key_den
+        for exps, pc in _power_product(word, [n - 1 for n in weights], ambient).items():
+            _acc(nums, (word, exps), num * pc)
+    return Bar(ambient, {key: Fraction(v, den) for key, v in nums.items()})
 
 
 def sigma(factors: Sequence[DepthOneNF], ambient: int) -> Bar:
@@ -386,7 +404,7 @@ def sigma(factors: Sequence[DepthOneNF], ambient: int) -> Bar:
     and constant slots contribute nothing.
     """
     acc: dict = {}
-    _sigma_acc(acc, factors)
+    _sigma_acc(acc, [f.forget_phases() for f in factors])
     return _sigma_emit(acc, ambient)
 
 
@@ -430,50 +448,71 @@ def alpha(vectors: Sequence[Sequence[int]], weights: Sequence[int]) -> list:
 # ------------------------------------------------- top coproduct component
 
 
-def delta_top(g: LiGen) -> list:
-    """Top component of the reduced coproduct, right factors depth one.
+def _top_buckets(ns: tuple, rows: tuple) -> dict:
+    """Top component of the reduced coproduct of Li_ns at x^(rows / W), phases dropped.
 
-    Returns (LiGen of depth k-1, DepthOneNF) pairs with distinct left
-    generators.  The head drops the first slot; the merged-argument
-    families carry binomial weights, with signs fixed against the
-    weight-(2,1) display.
+    Maps each left generator (ns, rows) of depth k-1 to the (c, row)
+    items of its depth-one right factor, whose weight is the weight
+    missing from the left.  The head drops the first slot; the
+    merged-argument families carry binomial weights, with signs fixed
+    against the weight-(2,1) display.  The rows are integer rows over
+    one denominator W, which the merges keep.
     """
-    k = g.depth
-    if k < 2:
-        raise ValueError("depth-one generators have no top component")
-    ns = g.ns
-    args = g.args
-    buckets: dict = {}
-    order: list = []
-
-    def push(left: LiGen, c: Fraction, weight: int, arg: Monomial) -> None:
-        key = left.key()
-        if key not in buckets:
-            buckets[key] = (left, weight, [])
-            order.append(key)
-        buckets[key][2].append((c, arg))
-
-    push(LiGen(ns[1:], args[1:]), ONE, ns[0], args[0])
-    for i in range(k - 1):
-        merged = args[i] * args[i + 1]
+    buckets: dict = {(ns[1:], rows[1:]): [(1, rows[0])]}
+    for i in range(len(ns) - 1):
         rest_ns = ns[:i] + ns[i + 2 :]
-        rest_args = args[:i] + (merged,) + args[i + 2 :]
+        rest_rows = rows[:i] + (tuple(map(add, rows[i], rows[i + 1])),) + rows[i + 2 :]
         for a in range(ns[i + 1]):
             npr = ns[i + 1] - a
-            c2 = -Fraction((-1) ** (npr - 1)) * comb(ns[i] + npr - 2, ns[i] - 1)
-            left = LiGen(rest_ns[:i] + (a + 1,) + rest_ns[i:], rest_args)
-            push(left, c2, ns[i] + npr - 1, args[i])
+            c2 = (-1) ** npr * comb(ns[i] + npr - 2, ns[i] - 1)
+            left = (rest_ns[:i] + (a + 1,) + rest_ns[i:], rest_rows)
+            buckets.setdefault(left, []).append((c2, rows[i]))
         for b in range(ns[i]):
             npp = ns[i] - b
-            c3 = Fraction((-1) ** (npp - 1)) * comb(npp + ns[i + 1] - 2, ns[i + 1] - 1)
-            left = LiGen(rest_ns[:i] + (b + 1,) + rest_ns[i:], rest_args)
-            push(left, c3, npp + ns[i + 1] - 1, args[i + 1])
+            c3 = (-1) ** (npp - 1) * comb(npp + ns[i + 1] - 2, ns[i + 1] - 1)
+            left = (rest_ns[:i] + (b + 1,) + rest_ns[i:], rest_rows)
+            buckets.setdefault(left, []).append((c3, rows[i + 1]))
+    return buckets
+
+
+def _directions(n: int, items: list) -> dict:
+    """{direction: coeff} of sum c Li_n(x^(row / W)) at level W, phases summed out.
+
+    The sums of depth1_nf followed by forget_phases, but read at the
+    level W of the rows, not at their least common one: sigma divides a
+    factor at level L by L^n, and its content there is L / W times that
+    of the row, so L cancels.  A lex-negative row flips with (-1)^(n-1),
+    and a row of content m splits into m copies at m^(n-1), which sum to
+    m^n once their phases are forgotten.  Zero rows are constants, which
+    sigma ignores.
+    """
+    terms: dict = {}
+    for c, row in items:
+        g = gcd(*row)
+        if not g:
+            continue
+        if next(e for e in row if e) < 0:
+            c *= (-1) ** (n - 1)
+            g = -g
+        _acc(terms, tuple(e // g for e in row), c * abs(g) ** n)
+    return terms
+
+
+def _top_slots(ns: tuple, rows: tuple, w: int) -> list:
+    """Phase-free slot tuples of the fully iterated top coproduct, first split last.
+
+    Every factor is a (weight, W, {direction: coeff}) triple.
+    """
+    if len(ns) == 1:
+        return [((ns[0], w, _directions(ns[0], [(1, rows[0])])),)]
+    n = sum(ns)
     out = []
-    for key in order:
-        left, weight, items = buckets[key]
-        nf = depth1_nf(weight, items)
-        if not nf.is_zero():
-            out.append((left, nf))
+    for (left_ns, left_rows), items in _top_buckets(ns, rows).items():
+        weight = n - sum(left_ns)
+        terms = _directions(weight, items)
+        if terms:
+            right = (weight, w, terms)
+            out.extend(slots + (right,) for slots in _top_slots(left_ns, left_rows, w))
     return out
 
 
@@ -481,37 +520,31 @@ def _nf_of_gen(g: LiGen) -> DepthOneNF:
     return depth1_nf(g.ns[0], [(ONE, g.args[0])])
 
 
-def _iterated_top(g: LiGen) -> list:
-    """Slot tuples of the fully iterated top coproduct, first split last."""
-    if g.depth == 1:
-        return [(_nf_of_gen(g),)]
-    out = []
-    for left, right in delta_top(g):
-        for slots in _iterated_top(left):
-            out.append(slots + (right,))
-    return out
-
-
 def recursion_symbol_bar(g) -> Bar:
     """Bar-word symbol through the iterated top coproduct and sigma.
 
-    delta_top, depth1_nf and sigma are linear, and a phase only labels
-    their keys: it never changes a coefficient, a direction or a weight,
-    and sigma forgets it.  So the symbol does not depend on the phases
-    of the arguments, and the N^d generators of a pushforward, which
-    differ only in phase, all have the symbol of the zero-phase one.
-    Every slot tuple of the iterated coproduct is summed into one map
-    (weights, levels, direction tuple) -> coefficient, and sigma's rank
-    test, covolume and tail then run once per distinct key.
+    The top coproduct, the depth-one normal form and sigma are linear,
+    and a phase only labels their keys: it never changes a coefficient,
+    a direction or a weight, and sigma forgets it.  So the recursion
+    drops phases from the start and runs on integer exponent rows over
+    one denominator W.  A LiGen's rows are its exponent vectors cleared
+    together; a pushforward's N^d generators differ only in phase, so it
+    is N^d times its zero-phase generator, whose rows are the first k
+    matrix columns over W = N.  Every slot tuple is summed into one map
+    (weights, levels, direction tuple) -> int coefficient, and sigma's
+    rank test, covolume and tail then run once per distinct key.
     """
     if isinstance(g, PushedLi):
-        pref, nn, roots = _root_expansion(list(zip(*g.matrix))[: g.depth], g.ns)
-        gen = LiGen(g.ns, [Monomial(0, root) for root in roots])
-        return (g.coeff * pref * nn**g.ambient) * recursion_symbol_bar(gen)
+        cols = tuple(zip(*g.matrix))[: g.depth]
+        nn = _minor_gcd(cols)
+        rows, w, scale = cols, nn, g.coeff * nn ** (g.weight - 1)
+    else:
+        cleared, w = _cleared([a.exps for a in g.args])
+        rows, scale = tuple(cleared), 1
     acc: dict = {}
-    for slots in _iterated_top(g):
+    for slots in _top_slots(g.ns, rows, w):
         _sigma_acc(acc, slots)
-    return _sigma_emit(acc, g.ambient)
+    return scale * _sigma_emit(acc, g.ambient)
 
 
 # -------------------------------------------------- formal iterated integrals
@@ -675,7 +708,7 @@ def goncharov_symbol_bar(g: LiGen) -> Bar:
                 continue
             nf_left = divergent_reduce(left)
             nf_gap = divergent_reduce(gap)
-            _sigma_acc(acc, (nf_left, nf_gap), c0)
+            _sigma_acc(acc, (nf_left.forget_phases(), nf_gap.forget_phases()), c0)
     return _sigma_emit(acc, d)
 
 
@@ -683,15 +716,34 @@ def goncharov_symbol_bar(g: LiGen) -> Bar:
 
 
 def bar_gl_act(a, x: Bar) -> Bar:
-    """Diagonal action on bar words: letters and tail variables together."""
-    am = qm(a)
-    cols = list(zip(*am))
-    out = Bar.zero(x.ambient)
-    for (word, exps), c in x.terms.items():
-        new_word = tuple(canonical_point(mat_vec(am, qv(p))) for p in word)
-        for new_exps, pc in _power_product(cols, exps, x.ambient).items():
-            out.add_word(new_word, c * pc, new_exps)
-    return out
+    """Diagonal action on bar words: letters and tail variables together.
+
+    With A = M / s, M integral, a letter p goes to the canonical point of
+    M p, and a tail of degree e to that of M over s^e.  Every output
+    coefficient is put over s^T times the lcm of the input denominators,
+    T the top tail degree, and built as one Fraction per output key.
+    """
+    m, s = _cleared(qm(a))
+    cols = list(zip(*m))
+    top = max((sum(exps) for _word, exps in x.terms), default=0)
+    den, nums = _numerators(x.terms, s**top)
+    points: dict = {}
+    tails: dict = {}
+    out: dict = {}
+    for (word, exps), num in nums.items():
+        for p in word:
+            if p not in points:
+                image = [sum(map(mul, row, p)) for row in m]
+                if not any(image):
+                    raise ValueError("canonical_point of the zero vector")
+                points[p] = int_point(image)
+        if exps not in tails:
+            tails[exps] = _power_product(cols, exps, x.ambient)
+        num //= s ** sum(exps)
+        new_word = tuple(points[p] for p in word)
+        for new_exps, pc in tails[exps].items():
+            _acc(out, (new_word, new_exps), num * pc)
+    return Bar(x.ambient, {key: Fraction(v, den) for key, v in out.items()})
 
 
 def st2_gl_act(a, x: St2) -> St2:

@@ -218,24 +218,21 @@ def make_I(vectors: Sequence, ambient: int | None = None, c=1, exps=None) -> St2
 def make_corr(vectors: Sequence, ambient: int | None = None, c=1) -> St2:
     """Correlator on d+1 vectors summing to zero; equals make_L of the tail."""
     vecs = [qv(v) for v in vectors]
-    n = ambient if ambient is not None else len(vecs[0])
-    total = vecs[0]
-    for v in vecs[1:]:
-        total = vec_add(total, v)
-    if any(x != 0 for x in total):
+    if any(sum(col) for col in zip(*vecs, strict=True)):
         raise ValueError("correlator vectors must sum to zero")
-    return make_L(vecs[1:], n, c=c)
+    return make_L(vecs[1:], ambient, c=c)
 
 
 def make_corr_colon(points: Sequence, ambient: int | None = None, c=1) -> St2:
     """Correlator in homogeneous arguments [u_0 : ... : u_d]."""
     pts = [qv(p) for p in points]
-    n = ambient if ambient is not None else len(pts[0])
+    if not pts:
+        raise ValueError("empty apartment")
     d = len(pts) - 1
     diffs = [vec_sub(pts[i], pts[(i + 1) % (d + 1)]) for i in range(d + 1)]
     if rank(diffs[1:]) != d:
         raise ValueError("points are not affinely independent")
-    return make_L(diffs[1:], n, c=c)
+    return make_L(diffs[1:], ambient, c=c)
 
 
 def dualize(x: St2) -> St2:

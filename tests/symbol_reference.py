@@ -1,15 +1,20 @@
-"""Reference symbol routes: the per-generator coproduct recursion and the
-full-system solve-back, kept verbatim from before the phase-free rewrite so
-tests can check that the faster routes agree with them bit for bit.
+"""Reference symbol routes, kept verbatim from before the faster rewrites
+so tests can check that the faster routes agree with them bit for bit.
 
 recursion_symbol_bar sums the symbol of every root-expanded generator of a
 pushforward (N^d of them) and runs sigma once per slot tuple;
 _bar_slice_to_st2 solves against every word the candidates embed to, not
-only the slice's own words.
+only the slice's own words.  delta_top and _iterated_top are the phased
+top coproduct over Monomial arguments; with _sigma_acc and _sigma_emit
+they make phased_symbol_bar, the recursion as it ran before its integer,
+phase-free rewrite.  goncharov_symbol_bar and bar_gl_act are the Fraction
+kernels from before that rewrite too.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product as iproduct
+from math import comb, factorial, prod
 from typing import Sequence
 
 from steinpoly.barcplx import Bar
@@ -17,15 +22,195 @@ from steinpoly.mpl import (
     ONE,
     ZERO,
     DepthOneNF,
+    LiGen,
+    Monomial,
     PushedLi,
-    _iterated_top,
-    _sym_poly,
+    _nf_of_gen,
+    _root_expansion,
+    _nonzero_middles,
+    depth1_nf,
+    divergent_reduce,
+    goncharov_coproduct,
+    li_to_ii,
     pushed_expand,
     st2_gl_act,
     truncated_symbol_closed,
 )
-from steinpoly.qlinalg import canonical_point, qm, qv, rank, saturation_index, solve
+from steinpoly.qlinalg import (
+    _minor_gcd,
+    canonical_point,
+    mat_vec,
+    qm,
+    qv,
+    rank,
+    saturation_index,
+    solve,
+)
 from steinpoly.st2 import St2, embed_s, make_L
+from steinpoly.steinberg import _acc, _power_product
+
+
+def _sym_poly(vectors: Sequence[Sequence], weights: Sequence[int], d: int) -> dict:
+    """Monomial expansion of prod v_i^{n_i - 1} / (n_i - 1)!."""
+    poly = _power_product(vectors, [n - 1 for n in weights], d)
+    denom = prod(factorial(n - 1) for n in weights)
+    return {e: Fraction(c, denom) for e, c in poly.items()}
+
+
+def _sigma_acc(acc: dict, factors: Sequence[DepthOneNF], scale=ONE) -> None:
+    """Add scale * (one slot tuple) into acc, keyed (weights, levels, directions).
+
+    sigma forgets phases, so every phase combination of one direction
+    tuple lands on the same key; the per-key work waits for _sigma_emit.
+    A direction stays the primitive lex-positive integer vector p of its
+    depth-one key, standing for p / W at the factor's level W.
+    """
+    head = (tuple(f.weight for f in factors), tuple(f.level for f in factors))
+    for combo in iproduct(*[f.terms.items() for f in factors]):
+        coeff = scale
+        for _key, c in combo:
+            coeff *= c
+        _acc(acc, head + (tuple(vec for (_phase, vec), _c in combo),), coeff)
+
+
+def _sigma_emit(acc: dict, ambient: int) -> Bar:
+    """Bar words of accumulated direction tuples, one rank test per key.
+
+    The letters p_i are already canonical points.  The covolume of the
+    p_i / W_i is g / prod W_i, g the gcd of the maximal minors of the p_i
+    (0 exactly when they are dependent), and the tail of p_i / W_i is
+    that of p_i over prod W_i^(n_i - 1).
+    """
+    out = Bar.zero(ambient)
+    for (weights, levels, word), coeff in acc.items():
+        g = _minor_gcd(word)
+        if not g:
+            continue
+        c = coeff * Fraction(g, prod(w**n for w, n in zip(levels, weights)))
+        for exps, pc in _sym_poly(word, weights, ambient).items():
+            out.add_word(word, c * pc, exps)
+    return out
+
+
+def delta_top(g: LiGen) -> list:
+    """Top component of the reduced coproduct, right factors depth one.
+
+    Returns (LiGen of depth k-1, DepthOneNF) pairs with distinct left
+    generators.  The head drops the first slot; the merged-argument
+    families carry binomial weights, with signs fixed against the
+    weight-(2,1) display.
+    """
+    k = g.depth
+    if k < 2:
+        raise ValueError("depth-one generators have no top component")
+    ns = g.ns
+    args = g.args
+    buckets: dict = {}
+    order: list = []
+
+    def push(left: LiGen, c: Fraction, weight: int, arg: Monomial) -> None:
+        key = left.key()
+        if key not in buckets:
+            buckets[key] = (left, weight, [])
+            order.append(key)
+        buckets[key][2].append((c, arg))
+
+    push(LiGen(ns[1:], args[1:]), ONE, ns[0], args[0])
+    for i in range(k - 1):
+        merged = args[i] * args[i + 1]
+        rest_ns = ns[:i] + ns[i + 2 :]
+        rest_args = args[:i] + (merged,) + args[i + 2 :]
+        for a in range(ns[i + 1]):
+            npr = ns[i + 1] - a
+            c2 = -Fraction((-1) ** (npr - 1)) * comb(ns[i] + npr - 2, ns[i] - 1)
+            left = LiGen(rest_ns[:i] + (a + 1,) + rest_ns[i:], rest_args)
+            push(left, c2, ns[i] + npr - 1, args[i])
+        for b in range(ns[i]):
+            npp = ns[i] - b
+            c3 = Fraction((-1) ** (npp - 1)) * comb(npp + ns[i + 1] - 2, ns[i + 1] - 1)
+            left = LiGen(rest_ns[:i] + (b + 1,) + rest_ns[i:], rest_args)
+            push(left, c3, npp + ns[i + 1] - 1, args[i + 1])
+    out = []
+    for key in order:
+        left, weight, items = buckets[key]
+        nf = depth1_nf(weight, items)
+        if not nf.is_zero():
+            out.append((left, nf))
+    return out
+
+
+def _iterated_top(g: LiGen) -> list:
+    """Slot tuples of the fully iterated top coproduct, first split last."""
+    if g.depth == 1:
+        return [(_nf_of_gen(g),)]
+    out = []
+    for left, right in delta_top(g):
+        for slots in _iterated_top(left):
+            out.append(slots + (right,))
+    return out
+
+
+def phased_symbol_bar(g) -> Bar:
+    """Bar-word symbol through the iterated top coproduct and sigma.
+
+    delta_top, depth1_nf and sigma are linear, and a phase only labels
+    their keys: it never changes a coefficient, a direction or a weight,
+    and sigma forgets it.  So the symbol does not depend on the phases
+    of the arguments, and the N^d generators of a pushforward, which
+    differ only in phase, all have the symbol of the zero-phase one.
+    Every slot tuple of the iterated coproduct is summed into one map
+    (weights, levels, direction tuple) -> coefficient, and sigma's rank
+    test, covolume and tail then run once per distinct key.
+    """
+    if isinstance(g, PushedLi):
+        pref, nn, roots = _root_expansion(list(zip(*g.matrix))[: g.depth], g.ns)
+        gen = LiGen(g.ns, [Monomial(0, root) for root in roots])
+        return (g.coeff * pref * nn**g.ambient) * phased_symbol_bar(gen)
+    acc: dict = {}
+    for slots in _iterated_top(g):
+        _sigma_acc(acc, slots)
+    return _sigma_emit(acc, g.ambient)
+
+
+def goncharov_symbol_bar(g: LiGen) -> Bar:
+    """Bar-word symbol through the full iterated-integral coproduct.
+
+    Independent of the top-component recursion; depth at most two.  Terms
+    whose factors are not single-row integrals of positive weight carry
+    no reduced-word content and are dropped.
+    """
+    d = g.ambient
+    if g.depth == 1:
+        return sigma((_nf_of_gen(g),), d)
+    if g.depth != 2:
+        raise ValueError("iterated-integral route covers depth <= 2")
+    acc: dict = {}
+    for ii, c0 in li_to_ii(g).items():
+        for left, gaps in goncharov_coproduct(ii):
+            if left.weight == 0:
+                continue
+            positive = [gp for gp in gaps if gp.weight > 0]
+            if len(positive) != 1:
+                continue
+            gap = positive[0]
+            if _nonzero_middles(left) != 1 or _nonzero_middles(gap) != 1:
+                continue
+            nf_left = divergent_reduce(left)
+            nf_gap = divergent_reduce(gap)
+            _sigma_acc(acc, (nf_left, nf_gap), c0)
+    return _sigma_emit(acc, d)
+
+
+def bar_gl_act(a, x: Bar) -> Bar:
+    """Diagonal action on bar words: letters and tail variables together."""
+    am = qm(a)
+    cols = list(zip(*am))
+    out = Bar.zero(x.ambient)
+    for (word, exps), c in x.terms.items():
+        new_word = tuple(canonical_point(mat_vec(am, qv(p))) for p in word)
+        for new_exps, pc in _power_product(cols, exps, x.ambient).items():
+            out.add_word(new_word, c * pc, new_exps)
+    return out
 
 
 def sigma(factors: Sequence[DepthOneNF], ambient: int) -> Bar:

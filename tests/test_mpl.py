@@ -15,7 +15,6 @@ from steinpoly.mpl import (
     alpha,
     bar_gl_act,
     bar_infty_reduce,
-    delta_top,
     depth1_nf,
     divergent_reduce,
     gl_act,
@@ -40,6 +39,7 @@ from steinpoly.mpl import (
 )
 from steinpoly.qlinalg import qm, qv, split_seed
 from steinpoly.st2 import embed_s, is_zero_st2, make_L
+from symbol_reference import _sym_poly, delta_top
 
 F = Fraction
 X1, X2 = std_args(2)
@@ -170,8 +170,6 @@ class TestSigmaAlpha:
         assert a.terms == b.terms
 
     def test_sigma_alpha_round_trip(self):
-        from steinpoly.mpl import _sym_poly
-
         cases = [
             ([(1, 1), (0, 2)], (2, 1)),
             ([(2, 0), (0, 1)], (1, 1)),

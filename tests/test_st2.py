@@ -109,7 +109,10 @@ class TestGenerators:
         lambda: make_pair([], []),
         lambda: make_L([]),
         lambda: make_I([]),
-    ], ids=["make_apartment", "make_pair", "make_L", "make_I"])
+        lambda: make_corr([]),
+        lambda: make_corr_colon([]),
+    ], ids=["make_apartment", "make_pair", "make_L", "make_I", "make_corr",
+            "make_corr_colon"])
     def test_empty_input_is_an_empty_apartment(self, build):
         with pytest.raises(ValueError, match="empty apartment"):
             build()

@@ -1,11 +1,12 @@
-"""The phase-free symbol routes against the per-generator references.
+"""The integer, phase-free symbol routes against the references.
 
-recursion_symbol_bar expands one zero-phase generator per pushforward and
-runs sigma's per-tuple work once per distinct direction tuple;
-_bar_to_st2 peels the bar's own words off one candidate at a time. Both
-must give exactly what symbol_reference.py gives: the same Bar terms, the
-same St2 terms, and an ArithmeticError exactly where the reference raises
-one.
+recursion_symbol_bar runs the top coproduct on integer exponent rows with
+no phases and runs sigma's per-tuple work once per distinct direction
+tuple; bar_gl_act acts by a cleared integer matrix; _bar_to_st2 peels the
+bar's own words off one candidate at a time. Each must give exactly what
+symbol_reference.py gives, either the per-generator routes or the phased
+Fraction kernels they replaced: the same Bar terms, the same St2 terms,
+and an ArithmeticError exactly where the reference raises one.
 """
 from fractions import Fraction
 from unittest import mock
@@ -28,7 +29,7 @@ from steinpoly.mpl import (
     std_li,
     truncated_symbol,
 )
-from steinpoly.qlinalg import _int_det, _int_rank
+from steinpoly.qlinalg import _int_det, _int_rank, det, int_point, qm
 
 F = Fraction
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -68,6 +69,55 @@ def li_gens(draw, min_depth=1, max_depth=3):
     return LiGen(ns, args)
 
 
+@st.composite
+def small_det_pushforwards(draw):
+    """c * (A . Li_ns) with d <= 4 and 0 < |det A| <= 3, A = L U built to that det."""
+    d = draw(st.integers(1, 4))
+    diag = [1] * d
+    diag[draw(st.integers(0, d - 1))] = draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+    lower = [[diag[i] if i == j else draw(st.integers(-2, 2)) if j < i else 0 for j in range(d)]
+             for i in range(d)]
+    upper = [[1 if i == j else draw(st.integers(-1, 1)) if j > i else 0 for j in range(d)]
+             for i in range(d)]
+    a = [[sum(lower[i][t] * upper[t][j] for t in range(d)) for j in range(d)] for i in range(d)]
+    k = draw(st.integers(1, d))
+    ns = [draw(st.integers(1, 3)) for _ in range(k)]
+    c = F(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+    return PushedLi(c, a, ns)
+
+
+@st.composite
+def rational_li_gens(draw, max_depth=3):
+    """Li_ns at monomials with some exponent denominator > 1 and every phase nonzero."""
+    k = draw(st.integers(1, max_depth))
+    d = draw(st.integers(k, max_depth))
+    ns = [draw(st.integers(1, 3)) for _ in range(k)]
+    ints = [[draw(st.integers(-2, 2)) for _ in range(d)] for _ in range(k)]
+    assume(_int_rank(ints) == k)
+    dens = [draw(st.sampled_from((1, 2, 3, 6))) for _ in ints]
+    args = [
+        Monomial(draw(PHASES.filter(bool)), [F(e, m) for e in row]) for row, m in zip(ints, dens)
+    ]
+    assume(any(e.denominator > 1 for a in args for e in a.exps))
+    return LiGen(ns, args)
+
+
+@st.composite
+def rational_actions(draw):
+    """(A, x): A invertible with a non-integral entry, x a Bar of mixed tail degrees."""
+    d = draw(st.integers(1, 3))
+    a = [[F(draw(st.integers(-3, 3)), draw(st.integers(1, 4))) for _ in range(d)] for _ in range(d)]
+    assume(det(qm(a)) != 0 and any(e.denominator > 1 for row in a for e in row))
+    nonzero = st.lists(st.integers(-2, 2), min_size=d, max_size=d).filter(any)
+    x = Bar.zero(d)
+    for _ in range(draw(st.integers(1, 6))):
+        word = [int_point(draw(nonzero)) for _ in range(draw(st.integers(1, d)))]
+        exps = tuple(draw(st.integers(0, 2)) for _ in range(d))
+        x.add_word(word, F(draw(st.integers(-5, 5)), draw(st.integers(1, 6))), exps)
+    assume(len({sum(e) for _w, e in x.terms}) > 1)
+    return a, x
+
+
 def _symbol_or_raise(route, g):
     try:
         return route(g).terms
@@ -88,6 +138,45 @@ def test_pushforward_symbol_is_gl_equivariant(p):
     lhs = recursion_symbol_bar(p)
     rhs = p.coeff * bar_gl_act(p.matrix, recursion_symbol_bar(std))
     assert lhs.terms == rhs.terms
+
+
+@SETTINGS
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+def test_standard_symbol_equals_phased_reference(ns):
+    g = std_li(*ns)
+    assert recursion_symbol_bar(g).terms == ref.phased_symbol_bar(g).terms
+
+
+@SETTINGS
+@given(small_det_pushforwards())
+def test_small_det_pushforward_equals_phased_reference(p):
+    assert recursion_symbol_bar(p).terms == ref.phased_symbol_bar(p).terms
+
+
+@SETTINGS
+@given(rational_li_gens())
+def test_rational_phased_symbol_equals_phased_reference(g):
+    assert recursion_symbol_bar(g).terms == ref.phased_symbol_bar(g).terms
+
+
+@SETTINGS
+@given(rational_actions())
+def test_rational_gl_action_equals_reference(case):
+    a, x = case
+    assert bar_gl_act(a, x).terms == ref.bar_gl_act(a, x).terms
+
+
+def test_gl_action_raises_on_a_letter_sent_to_zero():
+    x = Bar(2, {(((1, 1),), (1, 0)): F(1)})
+    for route in (bar_gl_act, ref.bar_gl_act):
+        with pytest.raises(ValueError):
+            route([[1, -1], [1, -1]], x)
+
+
+@SETTINGS
+@given(rational_li_gens(max_depth=2))
+def test_goncharov_route_equals_reference(g):
+    assert goncharov_symbol_bar(g).terms == ref.goncharov_symbol_bar(g).terms
 
 
 @pytest.mark.parametrize("ns", _tuples(3, 5), ids=str)
