@@ -44,10 +44,6 @@ Point = tuple[int, ...]
 Word = tuple[Point, ...]
 
 
-def line_letter(v: Sequence) -> Point:
-    return canonical_point(v)
-
-
 class Bar(LinComb):
     """Combination of bar words, each with a symmetric-power exponent tuple.
 
@@ -64,8 +60,13 @@ class Bar(LinComb):
 
 
 def bar_word(points: Sequence[Sequence], ambient: int | None = None, c=1, exps=None) -> Bar:
-    pts = [line_letter(p) for p in points]
+    """One word of lines; the empty word needs its ambient dimension given."""
+    pts = [canonical_point(p) for p in points]
+    if ambient is None and not pts:
+        raise ValueError("empty word needs an ambient dimension")
     n = ambient if ambient is not None else len(pts[0])
+    if any(len(p) != n for p in pts):
+        raise ValueError("mixed vector lengths in word")
     out = Bar.zero(n)
     out.add_word(pts, c, exps)
     return out

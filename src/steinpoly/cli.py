@@ -34,13 +34,12 @@ from .qlinalg import (
 from .st2 import (
     cobracket_matches_coproduct,
     dualize,
+    embed_s,
     is_zero_st_infty,
     make_I,
     make_L,
     st2_normal_form,
     st2_product,
-    symbol_I,
-    symbol_L,
 )
 from .steinberg import St, ash_rudolph_reduce, flag_expand, make_apartment
 
@@ -206,10 +205,11 @@ def cmd_symbol(args) -> int:
     if length != ambient:
         raise InputError(f"vectors need {ambient} coordinates, got {length}")
     if rank(vecs) < len(vecs):
-        # the generators vanish on dependent vectors; the recursions do not see that
+        # the generators vanish on dependent vectors; the command refuses
+        # them as bad input rather than print an empty symbol
         raise InputError("symbol vectors must be independent")
     try:
-        bar = (symbol_L if args.kind == "L" else symbol_I)(vecs, ambient)
+        bar = embed_s((make_L if args.kind == "L" else make_I)(vecs, ambient))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     report = {

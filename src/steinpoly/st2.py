@@ -3,14 +3,14 @@
 Elements here are combinations [A] (x) [B] of pairs of apartments of the
 same rank, each times a coordinate monomial recording a symmetric power:
 a full-length exponent tuple, zero_exps when there is none. The s-map
-embeds such a pair into bar words of lines, carrying the tuple along, and
-the symbol recursions write their words with the zero tuple, so the two
-routes give equal Bars. Products are slotwise concatenation; the
-coproduct splits the ambient space into a piece of each tensor factor.
-The two distinguished generator families L and I, their symbol
-recursions, duality, and the cyclic cobracket all live here, together
-with the zero test for the quotient by shuffle products (the "stable"
-quotient below, in which decomposables vanish).
+embeds such a pair into bar words of lines, carrying the tuple along; it
+is the one route to the symbols of the generators, embed_s(make_L(v)) and
+embed_s(make_I(v)), which vanish when the vectors v are dependent.
+Products are slotwise concatenation; the coproduct splits the ambient
+space into a piece of each tensor factor. The two distinguished generator
+families L and I, duality, and the cyclic cobracket all live here,
+together with the zero test for the quotient by shuffle products (the
+"stable" quotient below, in which decomposables vanish).
 
 The s-map is steinberg._walk with the prefix of the first factor's entries
 free: it walks (suffix of the second factor, unused entries of the first)
@@ -242,66 +242,6 @@ def dualize(x: St2) -> St2:
         if len(key_a) != x.ambient:
             raise ValueError("duality needs full-rank terms")
         out += make_pair(dual_basis(key_b), dual_basis(key_a), x.ambient, c, exps)
-    return out
-
-
-# ------------------------------------------------------- symbol recursions
-
-
-@lru_cache(maxsize=None)
-def _symbol_L(vecs: tuple[Vec, ...]) -> tuple[tuple[tuple[Point, ...], Fraction], ...]:
-    d = len(vecs)
-    if d == 1:
-        return (((canonical_point(vecs[0]),), ONE),)
-    out: dict = {}
-    for word, c in _symbol_L(vecs[1:]):
-        _acc(out, word + (canonical_point(vecs[0]),), c)
-    for i in range(d - 1):
-        merged = vecs[:i] + (vec_add(vecs[i], vecs[i + 1]),) + vecs[i + 2 :]
-        tail_plus = canonical_point(vecs[i + 1])
-        tail_minus = canonical_point(vecs[i])
-        for word, c in _symbol_L(merged):
-            _acc(out, word + (tail_plus,), c)
-            _acc(out, word + (tail_minus,), -c)
-    return tuple(sorted(out.items()))
-
-
-@lru_cache(maxsize=None)
-def _symbol_I(vecs: tuple[Vec, ...]) -> tuple[tuple[tuple[Point, ...], Fraction], ...]:
-    d = len(vecs)
-    if d == 1:
-        return (((canonical_point(vecs[0]),), -ONE),)
-    out: dict = {}
-    for word, c in _symbol_I(vecs[:-1]):
-        _acc(out, word + (canonical_point(vecs[-1]),), -c)
-    for i in range(d - 1):
-        drop_hi = vecs[: i + 1] + vecs[i + 2 :]
-        drop_lo = vecs[:i] + vecs[i + 1 :]
-        letter = canonical_point(vec_sub(vecs[i + 1], vecs[i]))
-        for word, c in _symbol_I(drop_hi):
-            _acc(out, word + (letter,), c)
-        for word, c in _symbol_I(drop_lo):
-            _acc(out, word + (letter,), -c)
-    return tuple(sorted(out.items()))
-
-
-def symbol_L(vectors: Sequence, ambient: int | None = None) -> Bar:
-    """Bar-word symbol of the L generator, by the contraction recursion."""
-    vecs = tuple(qv(v) for v in vectors)
-    n = ambient if ambient is not None else len(vecs[0])
-    out = Bar.zero(n)
-    for word, c in _symbol_L(vecs):
-        out.add_word(word, c)
-    return out
-
-
-def symbol_I(vectors: Sequence, ambient: int | None = None) -> Bar:
-    """Bar-word symbol of the I generator, by the omission recursion."""
-    vecs = tuple(qv(v) for v in vectors)
-    n = ambient if ambient is not None else len(vecs[0])
-    out = Bar.zero(n)
-    for word, c in _symbol_I(vecs):
-        out.add_word(word, c)
     return out
 
 

@@ -7,13 +7,23 @@ with letters from ``Subspace.intersect`` and an independence test by
 ``Subspace`` spans, and ``embed_s`` adding one ``Fraction`` per word of
 every term (the kernel now sums integer numerators over one common
 denominator). Tests require the kernel to agree with them exactly.
+
+symbol_L and symbol_I are the second route to the symbols of the L and I
+generators that the package carried before embed_s(make_L(v)) and
+embed_s(make_I(v)) became the only one: the contraction and omission
+recursions over Fraction vectors. On independent vectors they equal the
+s-map as whole Bars; on dependent ones they return words where the
+generators vanish, so tests compare them on independent input only.
 """
+from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
+from typing import Sequence
 
 from steinpoly.barcplx import Bar
-from steinpoly.qlinalg import Subspace, canonical_point, qv
+from steinpoly.qlinalg import ONE, Subspace, Vec, canonical_point, qv, vec_add, vec_sub
 from steinpoly.st2 import St2, _s_pair, _subset_front_sign, make_pair, zero_exps
-from steinpoly.steinberg import _sort_sign
+from steinpoly.steinberg import Point, _acc, _sort_sign
 
 
 def s_pair(key_a, key_b):
@@ -135,4 +145,61 @@ def st2_coproduct(x):
                     if not left.terms or not right.terms:
                         continue
                     out.append((i_set, j_set, left, right))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _symbol_L(vecs: tuple[Vec, ...]) -> tuple[tuple[tuple[Point, ...], Fraction], ...]:
+    d = len(vecs)
+    if d == 1:
+        return (((canonical_point(vecs[0]),), ONE),)
+    out: dict = {}
+    for word, c in _symbol_L(vecs[1:]):
+        _acc(out, word + (canonical_point(vecs[0]),), c)
+    for i in range(d - 1):
+        merged = vecs[:i] + (vec_add(vecs[i], vecs[i + 1]),) + vecs[i + 2 :]
+        tail_plus = canonical_point(vecs[i + 1])
+        tail_minus = canonical_point(vecs[i])
+        for word, c in _symbol_L(merged):
+            _acc(out, word + (tail_plus,), c)
+            _acc(out, word + (tail_minus,), -c)
+    return tuple(sorted(out.items()))
+
+
+@lru_cache(maxsize=None)
+def _symbol_I(vecs: tuple[Vec, ...]) -> tuple[tuple[tuple[Point, ...], Fraction], ...]:
+    d = len(vecs)
+    if d == 1:
+        return (((canonical_point(vecs[0]),), -ONE),)
+    out: dict = {}
+    for word, c in _symbol_I(vecs[:-1]):
+        _acc(out, word + (canonical_point(vecs[-1]),), -c)
+    for i in range(d - 1):
+        drop_hi = vecs[: i + 1] + vecs[i + 2 :]
+        drop_lo = vecs[:i] + vecs[i + 1 :]
+        letter = canonical_point(vec_sub(vecs[i + 1], vecs[i]))
+        for word, c in _symbol_I(drop_hi):
+            _acc(out, word + (letter,), c)
+        for word, c in _symbol_I(drop_lo):
+            _acc(out, word + (letter,), -c)
+    return tuple(sorted(out.items()))
+
+
+def symbol_L(vectors: Sequence, ambient: int | None = None) -> Bar:
+    """Bar-word symbol of the L generator, by the contraction recursion."""
+    vecs = tuple(qv(v) for v in vectors)
+    n = ambient if ambient is not None else len(vecs[0])
+    out = Bar.zero(n)
+    for word, c in _symbol_L(vecs):
+        out.add_word(word, c)
+    return out
+
+
+def symbol_I(vectors: Sequence, ambient: int | None = None) -> Bar:
+    """Bar-word symbol of the I generator, by the omission recursion."""
+    vecs = tuple(qv(v) for v in vectors)
+    n = ambient if ambient is not None else len(vecs[0])
+    out = Bar.zero(n)
+    for word, c in _symbol_I(vecs):
+        out.add_word(word, c)
     return out

@@ -12,7 +12,7 @@ from fractions import Fraction
 from importlib import resources
 from itertools import combinations
 
-from steinpoly.barcplx import bar_differential, is_zero_bar, line_letter
+from steinpoly.barcplx import bar_differential, is_zero_bar
 from steinpoly.cones import (
     bernoulli_reference,
     coefficient_shuffle_check,
@@ -33,6 +33,7 @@ from steinpoly.mpl import (
     verify_li_identity,
 )
 from steinpoly.qlinalg import (
+    canonical_point,
     det,
     inverse,
     qm,
@@ -54,7 +55,6 @@ from steinpoly.st2 import (
     make_pair,
     st2_normal_form,
     st2_product,
-    symbol_I,
 )
 from steinpoly.steinberg import (
     St,
@@ -167,6 +167,7 @@ def test_criterion_02_flag_basis_correctness():
 
 
 def test_criterion_03_s_map_displays_and_closedness():
+    t0 = time.monotonic()
     got = {w: c for (w, _e), c in embed_s(make_L([E1, E2])).terms.items()}
     assert got == {
         ((0, 1), (1, 0)): Fraction(1),
@@ -202,9 +203,9 @@ def test_criterion_03_s_map_displays_and_closedness():
         (1, (v1, d31, d32)),
         (-1, (v3, d31, d32)),
     ]
-    want = {tuple(line_letter(p) for p in w): Fraction(c) for c, w in stated}
+    want = {tuple(canonical_point(p) for p in w): Fraction(c) for c, w in stated}
     assert len(want) == 15
-    got = {w: c for (w, _e), c in symbol_I([F1, F2, F3]).terms.items()}
+    got = {w: c for (w, _e), c in embed_s(make_I([F1, F2, F3])).terms.items()}
     assert got == want
     rng = split_seed(2026, "acc-cocycle")
     for i in range(50):
@@ -212,6 +213,8 @@ def test_criterion_03_s_map_displays_and_closedness():
         make = make_L if i % 2 == 0 else make_I
         vecs = rand_basis(rng, n, bound=3)
         assert is_zero_bar(bar_differential(embed_s(make(vecs, n))))
+    elapsed = time.monotonic() - t0
+    assert elapsed < 3.0, f"s-map display suite took {elapsed:.2f}s"
 
 
 def test_criterion_04_double_shuffle():

@@ -28,6 +28,24 @@ def rand_word(rng, n, m):
             return pts
 
 
+class TestBarWord:
+    @pytest.mark.parametrize("points, ambient", [
+        ([(1, 0), (0, 1, 0)], 2),
+        ([(1, 0, 0), (0, 1)], None),
+        ([(1, 0)], 3),
+    ])
+    def test_letter_of_wrong_length_rejected(self, points, ambient):
+        with pytest.raises(ValueError):
+            bar_word(points, ambient)
+
+    def test_empty_word_needs_ambient(self):
+        with pytest.raises(ValueError):
+            bar_word([])
+        x = bar_word([], 2, c=3)
+        assert x.ambient == 2
+        assert x.terms == {((), (0, 0)): Fraction(3)}
+
+
 class TestDifferential:
     def test_two_letter_word_merges_once(self):
         d = bar_differential(bar_word([E1, E2], 3))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import s_map_reference as ref
 from steinpoly.barcplx import (
     bar_differential,
     bar_shuffle,
@@ -15,6 +16,7 @@ from steinpoly.barcplx import (
 )
 from steinpoly.mpl import bar_infty_reduce
 from steinpoly.qlinalg import (
+    canonical_point,
     inverse,
     qv,
     rank,
@@ -42,8 +44,6 @@ from steinpoly.st2 import (
     st2_normal_form,
     st2_product,
     st_infty_fingerprint,
-    symbol_I,
-    symbol_L,
 )
 from steinpoly.steinberg import make_apartment
 
@@ -168,8 +168,6 @@ class TestSMap:
         d21 = tuple(a - b for a, b in zip(v2, v1))
         d31 = tuple(a - b for a, b in zip(v3, v1))
         d32 = tuple(a - b for a, b in zip(v3, v2))
-        from steinpoly.barcplx import line_letter as ll
-
         stated = [
             (-1, (v1, v2, v3)),
             (1, (v1, d21, v3)),
@@ -187,19 +185,31 @@ class TestSMap:
             (1, (v1, d31, d32)),
             (-1, (v3, d31, d32)),
         ]
-        want = {tuple(ll(p) for p in w): Fraction(c) for c, w in stated}
+        want = {tuple(canonical_point(p) for p in w): Fraction(c) for c, w in stated}
         assert len(want) == 15
         want = {(w, (0, 0, 0)): c for w, c in want.items()}
-        assert symbol_I([F1, F2, F3]).terms == want
+        assert ref.symbol_I([F1, F2, F3]).terms == want
         assert embed_s(make_I([F1, F2, F3])).terms == want
+
+    @pytest.mark.parametrize("vecs", [
+        [(1, 0), (2, 0)],
+        [(1, 2, 0), (2, 4, 0), (0, 0, 1)],
+        [(1, 0, 0), (0, 1, 0), (1, 1, 0)],
+    ])
+    def test_generators_vanish_on_dependent_vectors(self, vecs):
+        n = len(vecs[0])
+        for make in (make_L, make_I):
+            x = make(vecs, n)
+            assert x == St2.zero(n)
+            assert not embed_s(x).terms
 
     def test_recursions_match_s_map(self):
         rng = split_seed(21, "rec")
         for n in (2, 3, 4):
             for _ in range(3 if n < 4 else 2):
                 vecs = rand_basis(rng, n)
-                assert symbol_L(vecs, n) == embed_s(make_L(vecs, n))
-                assert symbol_I(vecs, n) == embed_s(make_I(vecs, n))
+                assert ref.symbol_L(vecs, n) == embed_s(make_L(vecs, n))
+                assert ref.symbol_I(vecs, n) == embed_s(make_I(vecs, n))
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -213,8 +223,8 @@ class TestSMap:
                 lambda vs: rank([qv(v) for v in vs]) == d
             )
         )
-        assert symbol_L(vecs, n) == embed_s(make_L(vecs, n))
-        assert symbol_I(vecs, n) == embed_s(make_I(vecs, n))
+        assert ref.symbol_L(vecs, n) == embed_s(make_L(vecs, n))
+        assert ref.symbol_I(vecs, n) == embed_s(make_I(vecs, n))
 
     @pytest.mark.parametrize("vecs", [
         (F1, F2, F3),
@@ -222,8 +232,8 @@ class TestSMap:
         ((1, 1, 0), (0, 1, 2), (2, 0, 1)),
     ])
     def test_recursions_equal_s_map_in_stable_quotient(self, vecs):
-        assert not bar_infty_reduce(symbol_L(vecs, 3) - embed_s(make_L(vecs, 3))).terms
-        assert not bar_infty_reduce(symbol_I(vecs, 3) - embed_s(make_I(vecs, 3))).terms
+        assert not bar_infty_reduce(ref.symbol_L(vecs, 3) - embed_s(make_L(vecs, 3))).terms
+        assert not bar_infty_reduce(ref.symbol_I(vecs, 3) - embed_s(make_I(vecs, 3))).terms
 
     def test_s_image_is_closed(self):
         rng = split_seed(22, "cocycle")
