@@ -5,11 +5,11 @@ its output, and is byte-reproducible for fixed seed and inputs.  Exit
 codes: 0 pass, 1 mathematical failure, 2 malformed input.
 """
 import argparse
-import heapq
 import io
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .barcplx import Bar
@@ -135,21 +135,24 @@ def _st_to_json(x) -> list:
 
 
 def _bar_to_json(x: Bar) -> list:
+    # words repeat few distinct letters, so each is converted once and its
+    # list shared by the rows that use it
+    letter = lru_cache(maxsize=None)(vec_to_json)
     rows = []
     for (word, exps), c in sorted(x.terms.items()):
         rows.append(
             {
                 "coeff": frac_to_str(c),
                 "exp": [int(e) for e in exps],
-                "word": [vec_to_json(p) for p in word],
+                "word": [letter(p) for p in word],
             }
         )
     return rows
 
 
-def _st2_nf_to_json(nf: dict, limit: int = 8) -> list:
+def _st2_nf_to_json(nf: dict) -> list:
     rows = []
-    for (key_a, key_b, exps), c in heapq.nsmallest(limit, nf.items()):
+    for (key_a, key_b, exps), c in nf.items():
         rows.append(
             {
                 "coeff": frac_to_str(c),
@@ -282,7 +285,7 @@ def _suite_shuffle(vecs, n, seed, points, extra):
                 residual -= make(arranged, n)
             if extra is not None:
                 residual += extra
-            nf = st2_normal_form(residual)
+            nf = st2_normal_form(residual, 8)
             if nf:
                 return {
                     "relation": f"{make.__name__} split {d1}",
@@ -327,7 +330,7 @@ def _suite_duality(vecs, n, seed, points, extra):
     for name, residual in checks:
         if extra is not None:
             residual = residual + extra
-        nf = st2_normal_form(residual)
+        nf = st2_normal_form(residual, 8)
         if nf:
             return {"relation": name, "residual": _st2_nf_to_json(nf)}
     return None

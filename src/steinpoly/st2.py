@@ -22,12 +22,20 @@ and every cut line off one table of its minors by one Cramer rule
 does Fraction arithmetic on the apartment keys. The L and I generators
 scale their vectors by one common denominator, so their keys are built
 from ints too.
+
+The tensor normal form (st2_normal_form) flag-expands both factors with
+steinberg._flag_expand_apartment, in ints over one common denominator. It
+comes out in ascending key order, one block per first-factor basis
+apartment, and a block is summed only when it is reached, so a caller
+that needs only the least terms (a FAIL witness, the zero test) stops
+there instead of building the whole expansion.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from math import lcm
 from typing import Sequence
 
@@ -47,15 +55,15 @@ from .steinberg import (
     ApKey,
     LinComb,
     Point,
-    St,
     _acc,
     _cut_line,
     _flag_coords,
+    _flag_expand_apartment,
     _Minors,
     _numerators,
     _sort_sign,
+    _standard_rows,
     _walk,
-    flag_expand,
     normalize_apartment,
     zero_exps,
 )
@@ -248,40 +256,70 @@ def dualize(x: St2) -> St2:
 # ------------------------------------------------------------- zero tests
 
 
-def st2_normal_form(x: St2) -> dict:
-    """Canonical coordinates: flag-expand both tensor factors.
+def st2_normal_form(x: St2, limit: int | None = None) -> dict:
+    """Canonical coordinates in ascending (ka, kb, exps) order: flag-expand both factors.
 
-    Terms are grouped by the side with fewer distinct (key, exps) pairs,
-    and each group's sum on the other side is expanded in one flag_expand
-    call, so its terms cancel before the second expansion. The results
-    are regrouped by that basis apartment and the grouped side expanded
-    the same way. Ties group by the first factor. The output
-    {(ka, kb, exps): c} does not depend on the order: both orders give
-    the bilinear expansion term by term.
+    Terms are grouped by the side with fewer distinct (key, exps) pairs
+    (ties by the first factor), and each group's sum on the other side is
+    expanded first, so its terms cancel before the second expansion. Only
+    outer apartments whose group keeps a term are expanded. The result
+    comes in one block per first-factor basis apartment ka, in ascending
+    order: ka is a first-stage key when the grouped side is the second
+    factor, and a key of an outer expansion otherwise. A block's
+    (kb, exps) rows are summed and sorted only when it is reached, and
+    the output stops after limit terms (all when limit is None), so a
+    nonzero element is witnessed by its least terms without building the
+    rest. Everything is summed as ints over one common denominator, with
+    one Fraction per output term. The coordinates do not depend on the
+    grouping: both give the bilinear expansion term by term.
     """
     n = x.ambient
-    firsts = {(key_a, exps) for key_a, _kb, exps in x.terms}
-    seconds = {(key_b, exps) for _ka, key_b, exps in x.terms}
+    frows = _standard_rows(n)
+    den, nums = _numerators(x.terms)
+    firsts = {(key_a, exps) for key_a, _kb, exps in nums}
+    seconds = {(key_b, exps) for _ka, key_b, exps in nums}
     swap = len(seconds) < len(firsts)
-    groups: dict = {}
-    for (key_a, key_b, exps), c in x.terms.items():
+    groups: defaultdict = defaultdict(dict)
+    for (key_a, key_b, exps), num in nums.items():
         if len(key_a) != n:
             raise ValueError("normal form needs full-rank terms")
         outer, inner = (key_b, key_a) if swap else (key_a, key_b)
-        groups.setdefault((outer, exps), St(n)).add_term(inner, c)
-    regrouped: dict = {}
-    for (outer, exps), inner_sum in groups.items():
-        for ki, ci in flag_expand(inner_sum).terms.items():
-            regrouped.setdefault((ki, exps), St(n)).add_term(outer, ci)
-    out: dict = {}
-    for (ki, exps), outer_sum in regrouped.items():
-        for ko, co in flag_expand(outer_sum).terms.items():
-            out[(ki, ko, exps) if swap else (ko, ki, exps)] = co
-    return out
+        groups[outer, exps][inner] = num
+    kept: defaultdict = defaultdict(list)  # outer -> [(exps, {inner basis key: int})]
+    for (outer, exps), inner in groups.items():
+        acc: defaultdict = defaultdict(int)
+        for key, num in inner.items():
+            for k2, c2 in _flag_expand_apartment(key, frows):
+                acc[k2] += num * c2
+        stage1 = {k: v for k, v in acc.items() if v}
+        if stage1:
+            kept[outer].append((exps, stage1))
+    # ka -> [(scale, exps, second)]: second is an outer key still to expand
+    # when swapped, else the first stage's {kb: int}
+    blocks: defaultdict = defaultdict(list)
+    for outer, rows in kept.items():
+        if swap:
+            for exps, stage1 in rows:
+                for ka, v in stage1.items():
+                    blocks[ka].append((v, exps, outer))
+        else:
+            for ka, c in _flag_expand_apartment(outer, frows):
+                blocks[ka].extend((c, exps, stage1) for exps, stage1 in rows)
+
+    def terms():
+        for ka in sorted(blocks):
+            row: defaultdict = defaultdict(int)
+            for scale, exps, second in blocks[ka]:
+                for kb, c in _flag_expand_apartment(second, frows) if swap else second.items():
+                    row[kb, exps] += scale * c
+            for (kb, exps), v in sorted(item for item in row.items() if item[1]):
+                yield (ka, kb, exps), Fraction(v, den)
+
+    return dict(islice(terms(), limit))
 
 
 def is_zero_st2(x: St2) -> bool:
-    return not st2_normal_form(x)
+    return not st2_normal_form(x, 1)
 
 
 def bar_infty_reduce(x: Bar) -> Bar:

@@ -13,6 +13,7 @@ from importlib import resources
 from itertools import combinations
 
 from steinpoly.barcplx import bar_differential, is_zero_bar
+from steinpoly.cli import main
 from steinpoly.cones import (
     bernoulli_reference,
     coefficient_shuffle_check,
@@ -427,3 +428,27 @@ def test_criterion_12_gl_equivariance():
                 assert lhs.terms == rhs.terms, (a, ns)
     elapsed = time.monotonic() - t0
     assert elapsed < 3.0, f"equivariance suite took {elapsed:.2f}s"
+
+
+def test_criterion_13_failing_verdict_stops_at_its_witness(tmp_path):
+    """A perturbed rank-6 identity FAILs with the 8 least terms of its residual.
+
+    The residual's whole normal form has up to |FE(A)| |FE(B)| terms a
+    pair, about d!^2; the witness is its 8 least terms, so a failing case
+    stops there instead of building the rest.
+    """
+    rng = split_seed(2026, "acc-witness")
+    fixtures = []
+    for suite in ("duality", "shuffle"):
+        entry = {"basis": rand_basis(rng, 6, 3), "perturb": {"vectors": rand_basis(rng, 6, 3), "coeff": "3/2"}}
+        fixture = tmp_path / f"{suite}.json"
+        fixture.write_text(json.dumps({"cases": [entry]}))
+        fixtures.append((suite, fixture))
+    t0 = time.monotonic()
+    for suite, fixture in fixtures:
+        out = tmp_path / f"{suite}-report.json"
+        assert main(["verify", suite, str(fixture), "--out", str(out)]) == 1, suite
+        (failure,) = json.loads(out.read_text())["failures"]
+        assert len(failure["witness"]["residual"]) == 8, suite
+    elapsed = time.monotonic() - t0
+    assert elapsed < 1.0, f"perturbed rank-6 duality and shuffle took {elapsed:.2f}s"

@@ -1,11 +1,15 @@
 """End-to-end checks of the command line: formats, exit codes, determinism."""
 import json
+from fractions import Fraction
 from importlib import resources
 from unittest import mock
 
 import pytest
 
+import flag_reference
 from steinpoly.cli import MAX_DIM, MAX_FOURIER_POINTS, MAX_WEIGHT, main
+from steinpoly.qlinalg import dual_basis, frac_to_str, qv, vec_to_json
+from steinpoly.st2 import dualize, make_I, make_L, st2_product
 
 FIXTURE = str(resources.files("steinpoly").joinpath("data/weight4_depth2.json"))
 
@@ -275,6 +279,58 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "nonsense"])
         assert exc.value.code == 2
+
+
+class TestWitness:
+    """A FAIL residual lists the 8 least terms of the residual's normal form.
+
+    Each residual is rebuilt as its suite builds it and expanded by the
+    Fraction reference, which computes every term.
+    """
+
+    @staticmethod
+    def witness(tmp_path, suite, basis, perturb, coeff):
+        entry = {"basis": basis, "perturb": {"vectors": perturb, "coeff": coeff}}
+        code, report = run_json(tmp_path, "verify", suite, write(tmp_path, "fix.json", {"cases": [entry]}))
+        assert code == 1
+        return report["failures"][0]["witness"]
+
+    @staticmethod
+    def least_rows(residual):
+        nf = flag_reference.st2_normal_form(residual)
+        assert len(nf) > 8
+        return [
+            {
+                "coeff": frac_to_str(c),
+                "exp": list(exps),
+                "pair": [[vec_to_json(p) for p in key_a], [vec_to_json(p) for p in key_b]],
+            }
+            for (key_a, key_b, exps), c in sorted(nf.items())[:8]
+        ]
+
+    def test_perturbed_duality_dim5(self, tmp_path):
+        basis = [[2, 1, 0, 0, 1], [1, -1, 1, 0, 0], [0, 1, 2, 1, 0], [0, 0, 1, -1, 1], [1, 0, 0, 1, 2]]
+        perturb = [[1, 2, 0, 1, -1], [0, 1, 1, 0, 2], [1, 0, -1, 1, 0], [2, 1, 0, 0, 1], [0, 0, 1, 1, 1]]
+        witness = self.witness(tmp_path, "duality", basis, perturb, "-2/3")
+        assert witness["relation"] == "L to I"
+        # the suite's first check: dual(L(v)) = (-1)^n I(reversed dual basis of v)
+        vecs = [qv(v) for v in basis]
+        residual = dualize(make_L(vecs, 5)) - make_I(list(reversed(dual_basis(vecs))), 5, c=-1)
+        residual += Fraction(-2, 3) * make_L(perturb, 5)
+        assert witness["residual"] == self.least_rows(residual)
+
+    def test_perturbed_shuffle_dim4(self, tmp_path):
+        basis = [[1, 2, 0, -1], [0, 1, 1, 2], [2, -1, 1, 0], [1, 0, -1, 1]]
+        perturb = [[1, 1, 0, 0], [0, 1, 2, 0], [1, 0, 0, 1], [0, 0, 1, 3]]
+        witness = self.witness(tmp_path, "shuffle", basis, perturb, "5")
+        assert witness["relation"] == "make_L split 1"
+        # the suite's first check: L(v_1) L(v_2..v_4) minus the shuffles of v_1 into v_2..v_4
+        vecs = [qv(v) for v in basis]
+        residual = st2_product(make_L(vecs[:1], 4), make_L(vecs[1:], 4))
+        for pos in range(4):
+            residual -= make_L(vecs[1 : pos + 1] + vecs[:1] + vecs[pos + 1 :], 4)
+        residual += 5 * make_L(perturb, 4)
+        assert witness["residual"] == self.least_rows(residual)
 
 
 class TestSt:

@@ -4,20 +4,22 @@
 and the per-term outer-product normal form; the kernel must agree with
 them exactly, on generic keys and on keys where some cuts are not lines,
 and on elements sharing one factor, which the normal form groups by
-either side.
+either side. The normal form comes in ascending key order and stops after
+its limit, so its first terms are the reference's least ones.
 Flags other than the standard one go to the kernel as the integer rows
 of a basis, and the reference builds its steps from the same basis.
 A rank-k key inside Q^n must expand as its coordinates in the flag rows
 do in Q^k.
 """
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import flag_reference as ref
 from steinpoly.qlinalg import _int_rank, canonical_point, qv, rank, solve
-from steinpoly.st2 import St2, make_I, make_L, st2_normal_form
+from steinpoly.st2 import St2, is_zero_st2, make_I, make_L, st2_normal_form, st2_product
 from steinpoly.steinberg import (
     St,
     _flag_expand_apartment,
@@ -163,10 +165,57 @@ def test_flag_expand_dim5_matches_reference():
             assert expand(x, basis) == ref.flag_expand_terms(x.terms, 5, basis)
 
 
+DIM5_BASIS = [(1, 2, 0, 1, -1), (0, 1, 1, 0, 2), (1, 0, -1, 1, 0), (2, 1, 0, 0, 1), (0, 0, 1, 1, 1)]
+
+
 def test_st2_normal_form_dim5_matches_reference():
-    basis = [(1, 2, 0, 1, -1), (0, 1, 1, 0, 2), (1, 0, -1, 1, 0), (2, 1, 0, 0, 1), (0, 0, 1, 1, 1)]
-    x = make_L(basis) - make_I(list(reversed(basis)), c=Fraction(1, 2))
+    x = make_L(DIM5_BASIS) - make_I(list(reversed(DIM5_BASIS)), c=Fraction(1, 2))
     assert st2_normal_form(x) == ref.st2_normal_form(x)
+
+
+LIMITS = (0, 1, 3, 8, None)
+
+
+def assert_least_terms(x, want=None):
+    """Each limit gives the reference's least terms, in order; is_zero_st2 agrees."""
+    want = sorted((ref.st2_normal_form(x) if want is None else want).items())
+    for limit in LIMITS:
+        assert list(st2_normal_form(x, limit).items()) == want[:limit]
+    assert is_zero_st2(x) == (not want)
+
+
+@given(st2_elements())
+@settings(max_examples=40, deadline=None)
+def test_limited_normal_form_is_least_terms(x):
+    assert_least_terms(x)
+
+
+@given(shared_factor_elements())
+@settings(max_examples=60, deadline=None)
+def test_limited_shared_factor_normal_form_is_least_terms(x):
+    assert_least_terms(x)
+
+
+def test_limited_normal_form_dim5():
+    x = make_L(DIM5_BASIS) - make_I(list(reversed(DIM5_BASIS)), c=Fraction(1, 2))
+    want = ref.st2_normal_form(x)
+    assert len(want) > 8
+    assert_least_terms(x, want)
+
+
+def test_limited_normal_form_of_a_shuffle_relation_is_empty():
+    """L(v1 v2) L(v3 v4) minus its six shuffles: seven nonzero terms, zero normal form."""
+    basis = [(1, 2, 0, -1), (0, 1, 1, 2), (2, -1, 1, 0), (1, 0, -1, 1)]
+    x = st2_product(make_L(basis[:2], 4), make_L(basis[2:], 4))
+    for pos in combinations(range(4), 2):
+        rest = [k for k in range(4) if k not in pos]
+        arranged = [None] * 4
+        for k, p in enumerate(pos + tuple(rest)):
+            arranged[p] = basis[k]
+        x -= make_L(arranged, 4)
+    assert x.terms
+    assert_least_terms(x)
+    assert is_zero_st2(x)
 
 
 @st.composite
