@@ -562,13 +562,16 @@ def _study_cone(cfg, box):
     _check_points(m_max, len(gens))
     rows = []
     for p in points:
+        x = " ".join(frac_to_str(e) for e in p)
         try:
             val = truncated_fourier_sum(gens, forms, ns, p, m_max)
         except (PoleError, ValueError) as exc:
             raise InputError(str(exc)) from exc
+        except OverflowError as exc:
+            raise InputError(f"the cone sum at x = {x} has a coefficient too large for a float") from exc
         rows.append(
             [
-                " ".join(frac_to_str(e) for e in p),
+                x,
                 str(m_max),
                 f"{val.real:.12e}",
                 f"{val.imag:.12e}",

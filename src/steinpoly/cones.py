@@ -9,8 +9,11 @@ integers: with D = det [v_1..v_d] and A_i the integer adjugate rows, so
 D^(d-1) / prod_i <A_i, Z>, one Fraction per apartment. The same cones carry
 generating-function coefficients, giving the quasi-shuffle and
 Bernoulli checks at the lattice level. Truncated Fourier sums run in
-integers (denominators cleared once, phases memoised by residue) and give
-the same floats, bit for bit, as the exact Fraction sum rounded term by term.
+integers (denominators cleared once, phases memoised by residue), one row of
+the box at a time: along the last axis every pairing is an arithmetic
+progression and the phase residue runs through one cycle, so a row is lazy
+iterators over ranges, added up in the same order as before. They give the
+same floats, bit for bit, as the exact Fraction sum rounded term by term.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iproduct
+from itertools import cycle, islice, product as iproduct, repeat
 from operator import mul
 from typing import Sequence
 
@@ -238,8 +241,19 @@ def truncated_fourier_sum(
     k = sum_j lam_j (X.G_j) mod e g. So each coefficient is a fixed integer
     scale over a product of integer pairings; int / int true division
     rounds it exactly as float() of the Fraction, and exp(2 pi i k / (e g))
-    is memoised per residue k. The terms are added in the same order as
-    the Fraction sum, so the result is the same float bit for bit.
+    is memoised per residue k.
+
+    The box runs one row at a time: lam_1..lam_(k-1) in lexicographic
+    order, then t = lam_k = 1..m_max. Along a row every pairing is an
+    arithmetic progression b + r t, so the numerators and denominators are
+    products of powers of ranges, and the residue k repeats with period
+    e g / gcd(r_x, e g), so the phases are one cycle of memoised values.
+    All of these are lazy iterators, so only the residue memo can grow with
+    m_max. The loop adds num / den * phase on the same ints in the same
+    order as the Fraction sum, so the result is the same float bit for bit.
+    A zero denominator is a pole: the PoleError names the first one in
+    lexicographic order, and an earlier term too large for a float raises
+    OverflowError first.
     """
     gens = [qv(g) for g in generators]
     xv = qv(x)
@@ -266,24 +280,61 @@ def truncated_fourier_sum(
     xpair = [sum(map(mul, xrow, g)) for g in gint]
     period = xden * gden
     phases: dict[int, complex] = {}
+
+    def phase_at(k: int) -> complex:
+        value = phases.get(k)
+        if value is None:
+            value = phases[k] = cmath.exp(2j * math.pi * (k / period))
+        return value
+
+    # lam = outer + (t,); with no generators the one point is nu = 0, lam = ()
+    def split_last(row):
+        return (row[:-1], row[-1]) if gint else ((), 0)
+
+    den_factors = [(*split_last(row), m) for row, m in pairings if m > 0]
+    num_factors = [(*split_last(row), -m) for row, m in pairings if m < 0]
+    xhead, xr = split_last(xpair)
+    outers = iproduct(range(1, m_max + 1), repeat=len(gint) - 1) if gint else [()]
+    length = m_max if gint else 1
+    cycle_len = min(period // math.gcd(xr, period), length)
     total = 0j
-    for lam in iproduct(range(1, m_max + 1), repeat=len(gint)):
-        num, den = scale_num, scale_den
-        for row, m in pairings:
-            p = sum(map(mul, row, lam))
-            if m > 0:
-                den *= p**m
-            elif m < 0:
-                num *= p**-m
-        if not den:
+    for outer in outers:
+        kb = sum(map(mul, xhead, outer))
+        row_phases = (phase_at((kb + xr * t) % period) for t in range(1, cycle_len + 1))
+        if cycle_len < length:
+            row_phases = islice(cycle(row_phases), length)
+        nums = _row_product(scale_num, num_factors, outer, length)
+        dens = _row_product(scale_den, den_factors, outer, length)
+        try:
+            for num, den, phase in zip(nums, dens, row_phases):
+                total += num / den * phase
+        except ZeroDivisionError:
+            # the row's first zero denominator is the first pole in lex order
+            lam = outer
+            if gint:
+                starts = [(sum(map(mul, head, outer)), r) for head, r, _ in den_factors]
+                poles = (t for t in range(1, length + 1) if any(b + r * t == 0 for b, r in starts))
+                lam += (next(poles),)
             nu = ", ".join(str(Fraction(sum(map(mul, lam, col)), gden)) for col in zip(*gint))
-            raise PoleError(f"lattice point ({nu}) pairs to zero with a form")
-        k = sum(map(mul, xpair, lam)) % period
-        phase = phases.get(k)
-        if phase is None:
-            phase = phases[k] = cmath.exp(2j * math.pi * (k / period))
-        total += num / den * phase
+            raise PoleError(f"lattice point ({nu}) pairs to zero with a form") from None
     return total
+
+
+def _row_product(scale: int, factors, outer: tuple[int, ...], length: int):
+    """scale * prod (b + r t) ** m over the factors (head, r, m), t = 1..length, lazily.
+
+    b = <head, outer> is the factor's pairing at t = 0 of the row.
+    """
+    out = None
+    for head, r, m in factors:
+        b = sum(map(mul, head, outer))
+        run = range(b + r, b + r * (length + 1), r) if r else repeat(b, length)
+        if m != 1:
+            run = map(pow, run, repeat(m))
+        out = run if out is None else map(mul, out, run)
+    if out is None:
+        return repeat(scale)
+    return out if scale == 1 else map(mul, repeat(scale), out)
 
 
 def bernoulli_reference(n: int, x) -> complex:

@@ -452,3 +452,21 @@ def test_criterion_13_failing_verdict_stops_at_its_witness(tmp_path):
         assert len(failure["witness"]["residual"]) == 8, suite
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0, f"perturbed rank-6 duality and shuffle took {elapsed:.2f}s"
+
+
+def test_criterion_14_million_point_sums():
+    """Million-point Fourier sums take well under a second and give the same floats.
+
+    The sum runs one row of the box at a time, from lazy progressions along
+    the last axis and one cycle of phases; the values are those of the
+    point-by-point loop, bit for bit.
+    """
+    t0 = time.monotonic()
+    ray = truncated_fourier_sum([(1,)], [(1,)], [2], (Fraction(1, 3),), 10**6)
+    cone = truncated_fourier_sum(
+        [(1, 0), (1, 1)], [(1, 0), (0, 1)], [2, 3], (Fraction(1, 3), Fraction(2, 5)), 1000
+    )
+    elapsed = time.monotonic() - t0
+    assert repr(ray) == "(-0.5483113556160849+0.6766277376070392j)"
+    assert repr(cone) == "(0.15516905044364532+0.11623550458687416j)"
+    assert elapsed < 2.0, f"two million-point Fourier sums took {elapsed:.2f}s"

@@ -511,6 +511,18 @@ class TestFourier:
         code, _ = run(tmp_path, "fourier", path)
         assert code == 2
 
+    def test_coefficient_overflowing_a_float_exits_2(self, tmp_path, capsys):
+        # at lam = 1 the coefficient is 10^360, which int / int true
+        # division refuses with OverflowError: bad input, not a traceback
+        path = write(tmp_path, "big.json", {
+            "study": "cone", "generators": [[1]], "forms": [["1/1000000"]],
+            "exponents": [60], "points": [["1/3"]],
+        })
+        code, text = run(tmp_path, "fourier", path, "--box", "5")
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("change", [
         pytest.param({"generators": [[1, 0, 7], [0, 1]]}, id="ragged-generators"),
         pytest.param({"forms": [[1, 0], [0, 1, 1]]}, id="form-length"),

@@ -3,11 +3,12 @@ descent and the Fraction sum.
 
 ash_rudolph_reduce takes one pivot rule at every rank, with the pivot
 enumerated from an LLL-reduced lattice; truncated_fourier_sum runs in
-integers. In rank 2 both must give exactly what the references in
-lattice_reference.py give: the same pivot as the box search and the same
-reduction term for term. In ranks 3 and 4 the reference descends line by
+integers, one row of the box at a time. In rank 2 both must give exactly
+what the references in lattice_reference.py give: the same pivot as the box
+search and the same reduction term for term. In ranks 3 and 4 the reference descends line by
 line instead, so there the reductions must be equal classes. The Fourier
-sum must give the same complex float bit for bit.
+sum must give the same complex float bit for bit, from no generators (the
+one point 0) to three, and the same first pole.
 """
 from fractions import Fraction
 from itertools import product
@@ -120,7 +121,8 @@ big_den = st.builds(
 
 @st.composite
 def cone_sums(draw):
-    d = draw(st.integers(1, 2))
+    # d = 0 is the one point nu = 0; d = 3 runs the rows over two outer axes
+    d = draw(st.integers(0, 3))
     n = draw(st.integers(d, d + 1))
     vec = st.lists(rationals, min_size=n, max_size=n)
     gens = draw(st.lists(vec, min_size=d, max_size=d))
@@ -128,7 +130,7 @@ def cone_sums(draw):
     forms = draw(st.lists(vec, min_size=0, max_size=2))
     ns = draw(st.lists(st.sampled_from((1, 2, 3, 0, -1)), min_size=len(forms), max_size=len(forms)))
     x = draw(st.lists(st.one_of(rationals, big_den), min_size=n, max_size=n))
-    m_max = draw(st.integers(1, 60 if d == 1 else 8))
+    m_max = draw(st.integers(0, {0: 2, 1: 60, 2: 8, 3: 4}[d]))
     return gens, forms, ns, x, m_max
 
 
@@ -144,6 +146,24 @@ def _sum_or_pole(fn, args):
 def test_fourier_sum_bit_equal(args):
     # repr tells apart every two floats, -0.0 and 0.0 included
     assert _sum_or_pole(truncated_fourier_sum, args) == _sum_or_pole(ref.truncated_fourier_sum, args)
+
+
+@pytest.mark.parametrize(
+    "ns, want", [([], "(1+0j)"), ([-1], "0j"), ([0], "(1+0j)"), ([2], "pole")]
+)
+def test_fourier_sum_without_generators(ns, want):
+    # lam in [1, m]^0 is the one empty tuple: the single point nu = 0, where
+    # every form pairs to 0 and the phase is 1, whatever m is
+    args = ([], [(1,)] * len(ns), ns, (F(1, 3),), 5)
+    assert _sum_or_pole(truncated_fourier_sum, args) == want
+    assert _sum_or_pole(ref.truncated_fourier_sum, args) == want
+
+
+def test_fourier_sum_names_the_first_pole_off_the_first_row():
+    # 2 lam_1 - lam_2 first vanishes at lam = (1, 2), in the second row
+    with pytest.raises(PoleError) as exc:
+        truncated_fourier_sum([(1, 0), (0, 1)], [(2, -1)], [1], (F(1, 3), F(1, 5)), 3)
+    assert str(exc.value) == "lattice point (1, 2) pairs to zero with a form"
 
 
 @pytest.mark.parametrize("gens", [[(1, 0), (1, 0)], [(1, 2), (F(-1, 2), -1)], [(0, 0), (0, 1)], [(0,)]])
