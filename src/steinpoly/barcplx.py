@@ -20,13 +20,24 @@ matrix: shuffle_span_reduce sends each word to the part of its Dynkin
 adjoint that begins with the word's least letter. By Ree's theorem that
 map kills exactly the shuffle products and keeps each word's class, so
 its output is a canonical representative on words that start with the
-least letter of their multiset.
+least letter of their multiset. A shuffle permutes letters, so the
+quotient is a direct sum of blocks, one per (sorted letters, exps). The
+int kernel (_shuffle_quotient) reduces int combinations one group of
+blocks at a time, the groups of words with one least letter in
+ascending order, so the blocks come in ascending order and a zero test
+or a witness stops at the group of the first nonzero block. Every
+interleaving is read off a concatenated word by an index pattern cached
+per pair of lengths (_interleavings); shuffle_words uses the same
+patterns.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .qlinalg import _int_gauss_jordan, _row_to_int, canonical_point, int_point, qv
@@ -127,21 +138,35 @@ def _require_lines(x: Bar, op: str) -> None:
         raise ValueError(f"{op} is only defined on all-lines words")
 
 
-def shuffle_words(u: Word, v: Word) -> Iterable[Word]:
-    """All interleavings of u and v preserving the internal orders."""
-    lu, lv = len(u), len(v)
+@lru_cache(maxsize=None)
+def _interleavings(head: int, lu: int, lv: int) -> tuple[itemgetter, ...]:
+    """Index patterns reading each interleaving of u and v off w = h + u + v, len h = head.
+
+    Each pattern keeps the head in front and the internal orders of u and
+    v; they come in the order of the positions of u (combinations order).
+    head + lu + lv must be at least 2, so each pattern reads a tuple.
+    """
+    out = []
     for positions in combinations(range(lu + lv), lu):
-        pos_set = set(positions)
-        word: list = []
-        iu = iv = 0
+        idx = list(range(head))
+        iu, iv = head, head + lu
         for t in range(lu + lv):
-            if t in pos_set:
-                word.append(u[iu])
+            if iu - head < lu and positions[iu - head] == t:
+                idx.append(iu)
                 iu += 1
             else:
-                word.append(v[iv])
+                idx.append(iv)
                 iv += 1
-        yield tuple(word)
+        out.append(itemgetter(*idx))
+    return tuple(out)
+
+
+def shuffle_words(u: Word, v: Word) -> Iterable[Word]:
+    """All interleavings of u and v preserving the internal orders."""
+    w = tuple(u) + tuple(v)
+    if not u or not v:
+        return (w,)
+    return [g(w) for g in _interleavings(0, len(u), len(v))]
 
 
 def bar_shuffle(x: Bar, y: Bar) -> Bar:
@@ -199,6 +224,109 @@ def p_H_project(x: Bar, h: Sequence) -> Bar:
 # ------------------------------------------------- shuffle-span reduction
 
 
+class _Groups:
+    """The words of an int combination {(word, exps): int}, by least letter, each group reduced once.
+
+    Every word of a block (sorted letters, exps) has the block's least
+    letter, so a group holds whole blocks, and groups in ascending order
+    of their least letter hold the blocks in ascending order (the empty
+    word first). reduced(group) is the group's Dynkin projection times
+    scale = lcm(1, ..., longest word), so every division by a multiplicity
+    is exact: each occurrence of the least letter a at position p of a
+    word contributes (-1)^p a (rev(w_<p) sh w_>p), read off
+    a + rev(w_<p) + w_>p by the cached patterns. It is computed on first
+    use, with its zero entries dropped.
+    """
+
+    __slots__ = ("groups", "scale", "done")
+
+    def __init__(self, nums: Iterable[tuple[tuple[Word, tuple], int]]):
+        groups: defaultdict = defaultdict(list)
+        longest = 0
+        for (word, exps), num in nums:
+            if num:
+                # the empty word is its own group ()
+                groups[word and (min(word),)].append((word, exps, num))
+                if len(word) > longest:
+                    longest = len(word)
+        self.groups = groups
+        self.scale = lcm(*range(1, longest + 1))
+        self.done: dict = {}
+
+    def reduced(self, group: tuple) -> dict:
+        red = self.done.get(group)
+        if red is not None:
+            return red
+        acc: defaultdict = defaultdict(int)
+        a = group[0] if group else None
+        for word, exps, num in self.groups[group]:
+            num *= self.scale
+            if len(word) <= 1:
+                acc[word, exps] += num
+                continue
+            n = len(word) - 1
+            num //= word.count(a)
+            for p, letter in enumerate(word):
+                if letter == a:
+                    s = -num if p % 2 else num
+                    w = (a,) + word[p - 1 :: -1] + word[p + 1 :] if p else word
+                    for g in _interleavings(1, p, n - p):
+                        acc[g(w), exps] += s
+        red = self.done[group] = {k: v for k, v in acc.items() if v}
+        return red
+
+
+def _shuffle_quotient(sources: Sequence[tuple[int, _Groups]], limit: int | None = None) -> tuple[int, dict]:
+    """(scale, {(word, exps): int}): sum_t num_t source_t modulo the shuffle ideal, times scale.
+
+    The output is the least-letter Dynkin projection of the sum, blocks
+    (sorted letters, exps) in ascending order, and only its first limit
+    nonzero blocks (all when limit is None, else limit >= 1). The sum is
+    reduced one group of blocks at a time, groups in ascending order of
+    their least letter, and it stops at the group holding the limit-th
+    nonzero block, so a zero test takes limit 1 and stops at the group of
+    the first nonzero block. A block is zero exactly when its part of the
+    sum is a combination of shuffle products. scale is the lcm of the
+    sources' scales.
+    """
+    sources = [(num, src) for num, src in sources if num]
+    scale = lcm(*(src.scale for _num, src in sources))
+    rows: defaultdict = defaultdict(list)
+    for num, src in sources:
+        f = num * (scale // src.scale)
+        for group in src.groups:
+            rows[group].append((f, src))
+    out: dict = {}
+    found = 0
+    for group in sorted(rows):
+        row = rows[group]
+        if len(row) == 1:
+            f, src = row[0]
+            nonzero = src.reduced(group)
+            if f != 1:
+                nonzero = {k: f * v for k, v in nonzero.items()}
+        else:
+            acc: defaultdict = defaultdict(int)
+            for f, src in row:
+                for k, v in src.reduced(group).items():
+                    acc[k] += f * v
+            nonzero = {k: v for k, v in acc.items() if v}
+        if not nonzero:
+            continue
+        if limit is None:
+            out.update(nonzero)
+            continue
+        blocks: defaultdict = defaultdict(dict)
+        for (w, exps), v in nonzero.items():
+            blocks[tuple(sorted(w)), exps][w, exps] = v
+        for block in sorted(blocks):
+            out.update(blocks[block])
+            found += 1
+            if found == limit:
+                return scale, out
+    return scale, out
+
+
 def shuffle_span_reduce(x: Bar) -> Bar:
     """Canonical representative of x modulo the shuffle ideal.
 
@@ -210,23 +338,11 @@ def shuffle_span_reduce(x: Bar) -> Bar:
     that begin with a, and the map still kills the shuffle products: the
     output is zero exactly when x is a combination of shuffle products,
     and reducing it again returns it unchanged. Words of length <= 1 pass
-    through, and exponent groups stay apart.
+    through, and exponent groups stay apart. The sums run in ints, in
+    _shuffle_quotient.
     """
     _require_lines(x, "shuffle_span_reduce")
-    # the extra factor lcm(1..longest) makes every division by a multiplicity exact
-    longest = max((len(word) for word, _exps in x.terms), default=0)
-    den, nums = _numerators(x.terms, lcm(*range(1, longest + 1)))
-    acc: dict = {}
-    for (word, exps), num in nums.items():
-        if len(word) <= 1:
-            acc[(word, exps)] = acc.get((word, exps), 0) + num
-            continue
-        a = min(word)
-        num //= word.count(a)
-        for p, letter in enumerate(word):
-            if letter == a:
-                s = -num if p % 2 else num
-                for w in shuffle_words(word[:p][::-1], word[p + 1 :]):
-                    key = ((a,) + w, exps)
-                    acc[key] = acc.get(key, 0) + s
-    return Bar(x.ambient, {k: Fraction(v, den) for k, v in acc.items() if v})
+    den, nums = _numerators(x.terms)
+    scale, out = _shuffle_quotient([(1, _Groups(nums.items()))])
+    den *= scale
+    return Bar(x.ambient, {k: Fraction(v, den) for k, v in out.items()})

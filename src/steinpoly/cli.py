@@ -32,10 +32,10 @@ from .qlinalg import (
     vec_to_json,
 )
 from .st2 import (
+    _stable_ints,
     cobracket_matches_coproduct,
     dualize,
     embed_s,
-    is_zero_st_infty,
     make_I,
     make_L,
     st2_normal_form,
@@ -305,11 +305,20 @@ def _suite_dihedral(vecs, n, seed, points, extra):
         ("L reversal", L - make_L(list(reversed(vecs)), n, c=(-1) ** (n + 1))),
         ("I reversal", I - make_I(list(reversed(vecs)), n, c=(-1) ** (n + 1))),
     ]
-    for name, residual in checks:
+    # the stable class is linear in the terms, so one memo reduces each
+    # generator's words once across the checks and keeps a generator only
+    # while a later check uses it; a residual with no terms (negation, with
+    # canonical keys) is decided before any reduction
+    memo: dict = {}
+    for i, (name, residual) in enumerate(checks):
         if extra is not None:
             residual = residual + extra
-        if not is_zero_st_infty(residual):
-            return {"relation": name}
+        den, block = _stable_ints(residual, 1, memo)
+        if block:
+            least = sorted(block.items())[:8]
+            return {"relation": name, "residual": _bar_to_json(Bar(n, {k: Fraction(v, den) for k, v in least}))}
+        for term in memo.keys() - {t for _name, later in checks[i + 1 :] for t in later.terms}:
+            del memo[term]
     return None
 
 

@@ -241,16 +241,20 @@ def truncated_fourier_sum(
     k = sum_j lam_j (X.G_j) mod e g. So each coefficient is a fixed integer
     scale over a product of integer pairings; int / int true division
     rounds it exactly as float() of the Fraction, and exp(2 pi i k / (e g))
-    is memoised per residue k.
+    is memoised per residue k for the rows whose residues repeat.
 
     The box runs one row at a time: lam_1..lam_(k-1) in lexicographic
     order, then t = lam_k = 1..m_max. Along a row every pairing is an
     arithmetic progression b + r t, so the numerators and denominators are
     products of powers of ranges, and the residue k repeats with period
-    e g / gcd(r_x, e g), so the phases are one cycle of memoised values.
-    All of these are lazy iterators, so only the residue memo can grow with
-    m_max. The loop adds num / den * phase on the same ints in the same
-    order as the Fraction sum, so the result is the same float bit for bit.
+    e g / gcd(r_x, e g). When that period is shorter than the row, the
+    phases are one cycle of memoised values; otherwise no residue repeats
+    within the row, and each phase is computed as it is used, with no memo,
+    so a large exact denominator (a float x) keeps memory flat. All of
+    these are lazy iterators, so only the memo of the cycling rows, at most
+    one cycle a row, grows with the box. The loop adds num / den * phase on
+    the same ints in the same order as the Fraction sum, so the result is
+    the same float bit for bit.
     A zero denominator is a pole: the PoleError names the first one in
     lexicographic order, and an earlier term too large for a float raises
     OverflowError first.
@@ -300,9 +304,11 @@ def truncated_fourier_sum(
     total = 0j
     for outer in outers:
         kb = sum(map(mul, xhead, outer))
-        row_phases = (phase_at((kb + xr * t) % period) for t in range(1, cycle_len + 1))
         if cycle_len < length:
-            row_phases = islice(cycle(row_phases), length)
+            row_phases = islice(cycle([phase_at((kb + xr * t) % period) for t in range(1, cycle_len + 1)]), length)
+        else:
+            # no residue repeats within the row: each phase is used once here
+            row_phases = (cmath.exp(2j * math.pi * ((kb + xr * t) % period / period)) for t in range(1, length + 1))
         nums = _row_product(scale_num, num_factors, outer, length)
         dens = _row_product(scale_den, den_factors, outer, length)
         try:

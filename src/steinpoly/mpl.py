@@ -18,6 +18,7 @@ The GL_d(Q) action on bar words acts by the matrix cleared to integers.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 from math import comb, factorial, gcd, lcm, prod
@@ -35,13 +36,12 @@ from .qlinalg import (
     frac_to_str,
     int_point,
     mat_mul,
-    mat_vec,
     positive_int_from_json,
     qm,
     qv,
 )
-from .st2 import St2, bar_infty_reduce, embed_s, make_L, make_pair
-from .steinberg import _acc, _numerators, _power_product
+from .st2 import St2, _s_map, bar_infty_reduce, embed_s, make_L
+from .steinberg import _acc, _numerators, _power_product, normalize_apartment
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -746,18 +746,45 @@ def bar_gl_act(a, x: Bar) -> Bar:
     return Bar(x.ambient, {key: Fraction(v, den) for key, v in out.items()})
 
 
-def st2_gl_act(a, x: St2) -> St2:
-    """Diagonal action on apartment pairs with symmetric tails."""
-    am = qm(a)
-    cols = list(zip(*am))
+def _gl_ints(a, x: St2) -> tuple[int, dict]:
+    """(den, {(key_a, key_b, exps): int}): the diagonal action of a on x over one denominator.
+
+    With A = M / s, M integral, each distinct point goes to M p once and
+    each pair of a term is normalised once, its sort signs folded into the
+    term's numerator; a tail of degree e goes to that of M over s^e, as in
+    bar_gl_act. A pair whose image is degenerate drops out. Entries that
+    cancel stay in as zeros.
+    """
+    m, s = _cleared(qm(a))
     d = x.ambient
-    out = St2.zero(d)
-    for (key_a, key_b, exps), c in x.terms.items():
-        va = [mat_vec(am, qv(p)) for p in key_a]
-        vb = [mat_vec(am, qv(p)) for p in key_b]
-        for new_exps, pc in _power_product(cols, exps, d).items():
-            out += make_pair(va, vb, d, c * pc, new_exps)
-    return out
+    if len(m) != d or any(len(row) != d for row in m):
+        raise ValueError("matrix size does not match the ambient dimension")
+    cols = list(zip(*m))
+    top = max((sum(exps) for _ka, _kb, exps in x.terms), default=0)
+    den, nums = _numerators(x.terms, s**top)
+    points: dict = {}
+    tails: dict = {}
+    out: defaultdict = defaultdict(int)
+    for (key_a, key_b, exps), num in nums.items():
+        for p in key_a + key_b:
+            if p not in points:
+                points[p] = [sum(map(mul, row, p)) for row in m]
+        na = normalize_apartment([points[p] for p in key_a], d)
+        nb = normalize_apartment([points[p] for p in key_b], d) if na is not None else None
+        if nb is None:
+            continue
+        if exps not in tails:
+            tails[exps] = _power_product(cols, exps, d)
+        num = num // s ** sum(exps) * na[1] * nb[1]
+        for new_exps, pc in tails[exps].items():
+            out[na[0], nb[0], new_exps] += num * pc
+    return den, out
+
+
+def st2_gl_act(a, x: St2) -> St2:
+    """Diagonal action on apartment pairs with symmetric tails, in ints (_gl_ints)."""
+    den, out = _gl_ints(a, x)
+    return St2(x.ambient, {key: Fraction(v, den) for key, v in out.items() if v})
 
 
 # -------------------------------------------------------- truncated symbol
@@ -857,12 +884,24 @@ def li_identity_residual(terms: Sequence) -> Bar:
         pairs.append((Fraction(c), p))
     if ambient is None:
         return Bar.zero(1)
-    total = Bar.zero(ambient)
+    # each generator's truncated symbol in ints, then one common denominator;
+    # generators of equal exponents share their closed form
+    closed: dict = {}
+    images = []
     for c, p in pairs:
-        if p.depth < ambient:
-            continue
-        total += c * embed_s(truncated_symbol(p))
-    return bar_infty_reduce(total)
+        if p.depth == ambient:
+            if p.ns not in closed:
+                closed[p.ns] = truncated_symbol_closed(p.ns, ambient)
+            den, nums = _gl_ints(p.matrix, closed[p.ns])
+            images.append((c * p.coeff, den, nums))
+    den = lcm(*(c.denominator * dp for c, dp, _nums in images))
+    total: defaultdict = defaultdict(int)
+    for c, dp, nums in images:
+        scale = c.numerator * (den // (c.denominator * dp))
+        for key, num in nums.items():
+            total[key] += scale * num
+    words = _s_map(total)
+    return bar_infty_reduce(Bar(ambient, {k: Fraction(v, den) for k, v in words.items() if v}))
 
 
 def verify_li_identity(terms: Sequence) -> bool:

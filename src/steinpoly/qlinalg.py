@@ -304,9 +304,12 @@ def rational_point(w: Sequence[Fraction]) -> tuple[int, ...]:
 def int_point(v: Sequence[int]) -> tuple[int, ...]:
     """canonical_point of a nonzero integer vector, without Fractions."""
     g = gcd(*v)
-    if next(x for x in v if x) < 0:
-        g = -g
-    return tuple(x // g for x in v)
+    for x in v:
+        if x:
+            if x < 0:
+                g = -g
+            break
+    return tuple(v) if g == 1 else tuple([x // g for x in v])
 
 
 def dual_basis(basis: Sequence[Vec]) -> Mat:

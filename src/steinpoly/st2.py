@@ -29,6 +29,12 @@ comes out in ascending key order, one block per first-factor basis
 apartment, and a block is summed only when it is reached, so a caller
 that needs only the least terms (a FAIL witness, the zero test) stops
 there instead of building the whole expansion.
+
+The stable quotient is reached in ints too (_stable_ints): the tensor's
+numerators over one denominator go through the int s-map and
+barcplx._shuffle_quotient, so the zero test stops at the group of the
+first nonzero block and the cobracket fingerprints come out as int
+numerators, with no Fraction per word.
 """
 from __future__ import annotations
 
@@ -39,7 +45,7 @@ from itertools import combinations, islice
 from math import lcm
 from typing import Sequence
 
-from .barcplx import Bar, shuffle_span_reduce
+from .barcplx import Bar, _Groups, _shuffle_quotient, shuffle_span_reduce
 from .qlinalg import (
     Vec,
     _cleared,
@@ -124,6 +130,18 @@ def _s_pair(key_a: ApKey, key_b: ApKey) -> tuple[tuple[tuple[Point, ...], int], 
     return () if coords is None else _walk(coords, key_b, False)
 
 
+def _s_map(nums: dict) -> defaultdict:
+    """The s-image of an int combination {(key_a, key_b, exps): int}, as {(word, exps): int}.
+
+    Entries that cancel stay in as zeros.
+    """
+    acc: defaultdict = defaultdict(int)
+    for (ka, kb, exps), num in nums.items():
+        for word, wc in _s_pair(ka, kb):
+            acc[word, exps] += num * wc
+    return acc
+
+
 def embed_s(x: St2) -> Bar:
     """Bar-word expansion of a tensor of apartment pairs.
 
@@ -132,12 +150,7 @@ def embed_s(x: St2) -> Bar:
     the sym exponents of the input along.
     """
     den, nums = _numerators(x.terms)
-    acc: dict = {}
-    for (ka, kb, exps), num in nums.items():
-        for word, wc in _s_pair(ka, kb):
-            key = (word, exps)
-            acc[key] = acc.get(key, 0) + num * wc
-    return Bar(x.ambient, {k: Fraction(v, den) for k, v in acc.items() if v})
+    return Bar(x.ambient, {k: Fraction(v, den) for k, v in _s_map(nums).items() if v})
 
 
 # --------------------------------------------------------------- coproduct
@@ -331,19 +344,47 @@ def bar_infty_reduce(x: Bar) -> Bar:
     return shuffle_span_reduce(x)
 
 
+def _stable_ints(x: St2, limit: int | None = None, memo: dict | None = None) -> tuple[int, dict]:
+    """(den, {(word, exps): int}): the s-image of x modulo the shuffle span, over den.
+
+    The int route from the tensor to the stable class: x's numerators go
+    through the int s-map and barcplx's kernel, with no Fraction per word.
+    Only the first limit nonzero blocks (sorted letters, exps) are
+    returned (all when limit is None), and the reduction stops at the
+    group of words holding the last of them, so limit 1 decides zero. Each
+    term's s-image is grouped by least letter and reduced a group at a
+    time, and the terms are summed per group. A memo shared across calls
+    keeps those groups, keyed by the term, so every group of a term is
+    reduced once across the calls: the reduction is linear, so a generator
+    that several residuals share is reduced once.
+    """
+    den, nums = _numerators(x.terms)
+    memo = {} if memo is None else memo
+    sources = []
+    for term, num in nums.items():
+        src = memo.get(term)
+        if src is None:
+            ka, kb, exps = term
+            src = memo[term] = _Groups(((word, exps), c) for word, c in _s_pair(ka, kb))
+        sources.append((num, src))
+    scale, out = _shuffle_quotient(sources, limit)
+    return den * scale, out
+
+
 def is_zero_st_infty(x: St2) -> bool:
-    """Zero test in the quotient where shuffle products vanish."""
-    return not bar_infty_reduce(embed_s(x)).terms
+    """Zero test in the quotient where shuffle products vanish: no nonzero block."""
+    return not _stable_ints(x, 1)[1]
 
 
 def st_infty_fingerprint(x: St2) -> dict:
     """Canonical class coordinates of a tensor, read in ambient coordinates.
 
-    The s-image reduced modulo the shuffle span by bar_infty_reduce: equal
-    classes give equal dictionaries regardless of presentation. The
-    letters of each word span the support of the pair it came from.
+    The s-image reduced modulo the shuffle span: equal classes give equal
+    dictionaries regardless of presentation. The letters of each word
+    span the support of the pair it came from.
     """
-    return dict(bar_infty_reduce(embed_s(x)).terms)
+    den, out = _stable_ints(x)
+    return {k: Fraction(v, den) for k, v in out.items()}
 
 
 # -------------------------------------------------------------- cobracket
@@ -376,10 +417,10 @@ def cobracket_matches_coproduct(vectors: Sequence) -> bool:
     """Cross-check of the cyclic cobracket against the coproduct route.
 
     Expands both sides into the stable-quotient fingerprints of their
-    factors (st_infty_fingerprint: the s-image modulo the shuffle span,
-    in ambient coordinates) and compares exactly. The coproduct route
-    antisymmetrizes every split and keeps only the splits where both
-    sides are nontrivial.
+    factors (the s-image modulo the shuffle span, in ambient coordinates,
+    as _stable_ints gives it in ints over one denominator) and compares
+    exactly. The coproduct route antisymmetrizes every split and keeps
+    only the splits where both sides are nontrivial.
 
     Each distinct factor (by its sorted terms) is fingerprinted once. The
     letters of each fingerprint word span the word's support, so ambient
@@ -404,7 +445,7 @@ def cobracket_matches_coproduct(vectors: Sequence) -> bool:
         """(den, [(key id, numerator)]) of x's fingerprint, once per distinct x."""
         fk = tuple(sorted(x.terms.items()))
         if fk not in fps:
-            den, nums = _numerators(st_infty_fingerprint(x))
+            den, nums = _stable_ints(x)
             fps[fk] = den, [(ids.setdefault(k, len(ids)), num) for k, num in nums.items()]
         return fps[fk]
 

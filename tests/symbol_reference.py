@@ -8,7 +8,9 @@ only the slice's own words.  delta_top and _iterated_top are the phased
 top coproduct over Monomial arguments; with _sigma_acc and _sigma_emit
 they make phased_symbol_bar, the recursion as it ran before its integer,
 phase-free rewrite.  goncharov_symbol_bar and bar_gl_act are the Fraction
-kernels from before that rewrite too.
+kernels from before that rewrite too, and st2_gl_act is the Fraction action
+on apartment pairs from before it moved to a cleared integer matrix; the
+reference truncated_symbol uses it.
 """
 from __future__ import annotations
 
@@ -33,7 +35,6 @@ from steinpoly.mpl import (
     goncharov_coproduct,
     li_to_ii,
     pushed_expand,
-    st2_gl_act,
     truncated_symbol_closed,
 )
 from steinpoly.qlinalg import (
@@ -46,7 +47,7 @@ from steinpoly.qlinalg import (
     saturation_index,
     solve,
 )
-from steinpoly.st2 import St2, embed_s, make_L
+from steinpoly.st2 import St2, embed_s, make_L, make_pair
 from steinpoly.steinberg import _acc, _power_product
 
 
@@ -210,6 +211,20 @@ def bar_gl_act(a, x: Bar) -> Bar:
         new_word = tuple(canonical_point(mat_vec(am, qv(p))) for p in word)
         for new_exps, pc in _power_product(cols, exps, x.ambient).items():
             out.add_word(new_word, c * pc, new_exps)
+    return out
+
+
+def st2_gl_act(a, x: St2) -> St2:
+    """Diagonal action on apartment pairs with symmetric tails."""
+    am = qm(a)
+    cols = list(zip(*am))
+    d = x.ambient
+    out = St2.zero(d)
+    for (key_a, key_b, exps), c in x.terms.items():
+        va = [mat_vec(am, qv(p)) for p in key_a]
+        vb = [mat_vec(am, qv(p)) for p in key_b]
+        for new_exps, pc in _power_product(cols, exps, d).items():
+            out += make_pair(va, vb, d, c * pc, new_exps)
     return out
 
 

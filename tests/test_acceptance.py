@@ -470,3 +470,42 @@ def test_criterion_14_million_point_sums():
     assert repr(ray) == "(-0.5483113556160849+0.6766277376070392j)"
     assert repr(cone) == "(0.15516905044364532+0.11623550458687416j)"
     assert elapsed < 2.0, f"two million-point Fourier sums took {elapsed:.2f}s"
+
+
+# one perturbed rank-6 fixture, shared with the CI console-script step
+PERTURBED_DIHEDRAL_6 = {
+    "basis": [[-2, 3, 3, -2, 3, -2], [-3, -1, -1, 1, 2, 1], [-3, 0, 2, 0, -3, 2],
+              [1, 1, 3, 1, -1, -3], [3, -2, 0, -2, 2, -3], [3, 3, 0, -2, -3, 1]],
+    "perturb": {
+        "vectors": [[0, 1, 0, -2, 3, -1], [-1, -1, 0, -3, 1, -1], [0, 2, 2, -3, -1, -3],
+                    [2, -2, -3, 2, 0, 2], [0, 2, 3, 3, -3, 2], [0, -3, 3, 0, 2, 2]],
+        "coeff": "-2/3",
+    },
+}
+
+
+def test_criterion_15_failing_stable_verdict_stops_at_its_block(tmp_path):
+    """A perturbed rank-6 dihedral case FAILs at the least nonzero block of its residual.
+
+    The stable quotient is a direct sum of blocks, one per letter multiset;
+    the rotation residual is reduced block by block in ascending order and
+    the first nonzero block ends the case, with up to 8 of its reduced
+    words as the witness.
+    """
+    fixture = tmp_path / "dihedral.json"
+    fixture.write_text(json.dumps({"cases": [PERTURBED_DIHEDRAL_6]}))
+    out = tmp_path / "report.json"
+    t0 = time.monotonic()
+    assert main(["verify", "dihedral", str(fixture), "--out", str(out)]) == 1
+    elapsed = time.monotonic() - t0
+    (failure,) = json.loads(out.read_text())["failures"]
+    witness = failure["witness"]
+    assert witness["relation"] == "rotation"
+    assert 0 < len(witness["residual"]) <= 8
+    first = [tuple(map(Fraction, p)) for p in witness["residual"][0]["word"]]
+    for row in witness["residual"]:
+        word = [tuple(map(Fraction, p)) for p in row["word"]]
+        # one block: the same letters, and each word starts with the least one
+        assert sorted(word) == sorted(first) and word[0] == min(word)
+        assert Fraction(row["coeff"]) != 0
+    assert elapsed < 0.75, f"perturbed rank-6 dihedral took {elapsed:.2f}s"

@@ -9,7 +9,8 @@ kernel does not project. On random bases and seeds all three must accept
 the true cobracket terms, and all three must reject the same terms with
 one sign flipped, one term dropped or one term's sides swapped. The kernel reads its terms from ``st2.cobracket_L``,
 so the mutated terms are fed to it by patching that name. The kernel
-fingerprints each distinct factor once.
+fingerprints each distinct factor once, through the int route
+``st2._stable_ints``.
 """
 from unittest import mock
 
@@ -81,7 +82,7 @@ def factor_keys(vecs):
 ])
 def test_each_distinct_factor_is_fingerprinted_once(vecs):
     keys = factor_keys(vecs)
-    with mock.patch.object(st2, "st_infty_fingerprint", wraps=st2.st_infty_fingerprint) as spy:
+    with mock.patch.object(st2, "_stable_ints", wraps=st2._stable_ints) as spy:
         assert st2.cobracket_matches_coproduct(vecs)
     seen = [tuple(sorted(call.args[0].terms.items())) for call in spy.call_args_list]
     assert len(seen) == len(set(seen)) and set(seen) == set(keys)

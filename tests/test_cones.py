@@ -1,11 +1,16 @@
 """Rational-function evaluation and lattice coefficient checks."""
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import steinpoly
 from steinpoly.cones import (
     PoleError,
     bernoulli_reference,
@@ -199,3 +204,41 @@ class TestLattice:
 
         got = bernoulli_reference(2, Fraction(1, 3))
         assert abs(got - (-math.pi**2 / 9)) < 1e-12
+
+
+# VmHWM is the peak RSS of the interpreter itself; ru_maxrss would keep the
+# peak of the forking test process across exec
+RAY_PROCESS = """
+import re, sys
+from fractions import Fraction
+from steinpoly.cones import truncated_fourier_sum
+x = 1 / 3 if sys.argv[1] == "float" else Fraction(1, 3)
+value = truncated_fourier_sum([(1,)], [(1,)], [2], (x,), 10**6)
+with open("/proc/self/status") as f:
+    print(repr(value), re.search(r"VmHWM:\\s*(\\d+) kB", f.read()).group(1))
+"""
+
+
+def _ray_in_a_process(kind):
+    """(repr, peak RSS in MB) of the 10^6-point ray summed in a fresh interpreter."""
+    src = str(Path(steinpoly.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", RAY_PROCESS, kind], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    value, peak_kb = out.stdout.split()
+    return value, int(peak_kb) / 1024
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_ray_at_a_float_point_keeps_memory_flat():
+    """The float 1/3 is 6004799503160661 / 2^54: no residue repeats along the ray, so no phase is memoised.
+
+    A memo of every residue held one complex per lattice point, 122 MB at
+    10^6 points against 20 MB at Fraction(1, 3). The values are unchanged.
+    """
+    float_value, float_peak = _ray_in_a_process("float")
+    frac_value, frac_peak = _ray_in_a_process("fraction")
+    assert float_value == "(-0.548311355616085+0.6766277376070395j)"
+    assert frac_value == "(-0.5483113556160849+0.6766277376070392j)"
+    assert float_peak < frac_peak + 5, (float_peak, frac_peak)

@@ -9,15 +9,22 @@ terms carry different exponent groups.
 
 ``shuffle_reference.dynkin_reduce`` keeps the same projection with its
 sums in ``Fraction``; the kernel's integer sums over one common
-denominator must give exactly its output.
+denominator must give exactly its output. The int kernel itself,
+``barcplx._shuffle_quotient``, sums int combinations one group of blocks
+(sorted letters, exps) at a time and can stop after the first nonzero
+blocks: its output over its scale must be dynkin_reduce's, and a limited
+reduction must be the least nonzero blocks of the full one.
 """
+from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shuffle_reference as ref
-from steinpoly.barcplx import Bar, shuffle_span_reduce, shuffle_words
+from steinpoly.barcplx import Bar, _Groups, _shuffle_quotient, shuffle_span_reduce, shuffle_words
+from steinpoly.steinberg import _numerators
 
 COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
 LETTERS = [(0, 0, 1), (0, 1, 0), (1, 1, 0)]
@@ -78,6 +85,39 @@ def test_mixed_word_lengths_equal_fraction_reference(lengths, data):
         word = tuple(data.draw(st.lists(st.sampled_from(LETTERS), min_size=n, max_size=n)))
         x.add_word(word, data.draw(COEFFS), data.draw(st.sampled_from(EXPS)))
     assert shuffle_span_reduce(x) == ref.dynkin_reduce(x)
+
+
+def _block(key):
+    (word, exps) = key
+    return tuple(sorted(word)), exps
+
+
+@given(st.lists(st.tuples(st.integers(-3, 3), bars()), min_size=1, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_int_kernel_equals_fraction_reference(parts):
+    """sum_t num_t x_t through the kernel, one source a part, is dynkin_reduce of the sum."""
+    total = Bar.zero(3)
+    for num, x in parts:
+        total += num * x
+    # num_t x_t = num_t (den / den_t) nums_t / den over one common denominator
+    split = [(num, _numerators(x.terms)) for num, x in parts]
+    den = lcm(*(d for _num, (d, _nums) in split))
+    sources = [(num * (den // d), _Groups(nums.items())) for num, (d, nums) in split]
+    scale, out = _shuffle_quotient(sources)
+    assert all(type(v) is int and v for v in out.values())
+    assert {k: Fraction(v, den * scale) for k, v in out.items()} == ref.dynkin_reduce(total).terms
+
+
+@given(bars(), st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_limited_reduction_is_the_least_nonzero_blocks(x, limit):
+    full = shuffle_span_reduce(x)
+    blocks = sorted({_block(k) for k in full.terms})
+    least = set(blocks[:limit])
+    want = {k: c for k, c in full.terms.items() if _block(k) in least}
+    den, nums = _numerators(x.terms)
+    scale, out = _shuffle_quotient([(1, _Groups(nums.items()))], limit)
+    assert {k: Fraction(v, den * scale) for k, v in out.items()} == want
 
 
 def test_zero_equals_fraction_reference():

@@ -2,7 +2,9 @@
 
 recursion_symbol_bar runs the top coproduct on integer exponent rows with
 no phases and runs sigma's per-tuple work once per distinct direction
-tuple; bar_gl_act acts by a cleared integer matrix; _bar_to_st2 peels the
+tuple; bar_gl_act and st2_gl_act act by a cleared integer matrix, and
+li_identity_residual sums the integer images of its generators before one
+s-map and one reduction; _bar_to_st2 peels the
 bar's own words off one candidate at a time. Each must give exactly what
 symbol_reference.py gives, either the per-generator routes or the phased
 Fraction kernels they replaced: the same Bar terms, the same St2 terms,
@@ -23,13 +25,17 @@ from steinpoly.mpl import (
     PushedLi,
     _bar_to_st2,
     bar_gl_act,
+    bar_infty_reduce,
     goncharov_symbol_bar,
+    li_identity_residual,
     recursion_symbol_bar,
+    st2_gl_act,
     std_args,
     std_li,
     truncated_symbol,
 )
 from steinpoly.qlinalg import _int_det, _int_rank, det, int_point, qm
+from steinpoly.st2 import St2, embed_s, make_pair
 
 F = Fraction
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -164,6 +170,61 @@ def test_rational_phased_symbol_equals_phased_reference(g):
 def test_rational_gl_action_equals_reference(case):
     a, x = case
     assert bar_gl_act(a, x).terms == ref.bar_gl_act(a, x).terms
+
+
+@st.composite
+def st2_actions(draw):
+    """(A, x): A rational, possibly singular, x an St2 of pairs of mixed ranks and tail degrees."""
+    d = draw(st.integers(1, 3))
+    a = [[F(draw(st.integers(-3, 3)), draw(st.integers(1, 4))) for _ in range(d)] for _ in range(d)]
+    nonzero = st.lists(st.integers(-2, 2), min_size=d, max_size=d).filter(any)
+    x = St2.zero(d)
+    for _ in range(draw(st.integers(1, 6))):
+        k = draw(st.integers(1, d))
+        key_a, key_b = ([int_point(draw(nonzero)) for _ in range(k)] for _side in "ab")
+        assume(_int_rank(key_a) == k and _int_rank(key_b) == k)
+        exps = tuple(draw(st.integers(0, 2)) for _ in range(d))
+        x += make_pair(key_a, key_b, d, F(draw(st.integers(-5, 5)), draw(st.integers(1, 6))), exps)
+    return a, x
+
+
+@SETTINGS
+@given(st2_actions())
+def test_st2_gl_action_equals_reference(case):
+    a, x = case
+    got, want = st2_gl_act(a, x).terms, ref.st2_gl_act(a, x).terms
+    assert got == want
+    assert sorted(got.items()) == sorted(want.items())
+    assert all(type(c) is F for c in got.values())
+
+
+@st.composite
+def identities(draw):
+    """Terms c * (A . Li_ns) of one ambient dimension d <= 3 and one weight, full depth or not."""
+    d = draw(st.integers(1, 3))
+    weight = draw(st.integers(d, d + 2))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        a = [[draw(st.integers(-2, 2)) for _ in range(d)] for _ in range(d)]
+        assume(0 < abs(_int_det(a)) <= 4)
+        k = draw(st.integers(max(1, d - 1), d))
+        ns = [1] * k
+        for _ in range(weight - k):
+            ns[draw(st.integers(0, k - 1))] += 1
+        terms.append((F(draw(st.integers(-3, 3)), draw(st.integers(1, 3))), PushedLi(1, a, ns)))
+    return terms
+
+
+@settings(max_examples=30, deadline=None)
+@given(identities())
+def test_identity_residual_equals_the_fraction_route(terms):
+    """One int sum of the images, one s-map and one reduction give the Fraction route's residual."""
+    d = terms[0][1].ambient
+    want = Bar.zero(d)
+    for c, p in terms:
+        if p.depth == d:
+            want += c * embed_s(ref.truncated_symbol(p))
+    assert li_identity_residual(terms).terms == bar_infty_reduce(want).terms
 
 
 def test_gl_action_raises_on_a_letter_sent_to_zero():
