@@ -22,8 +22,9 @@ from .cones import (
 )
 from .mpl import identity_terms_from_json, li_identity_residual
 from .qlinalg import (
+    _cleared,
     _int_det,
-    dual_basis,
+    _int_rank,
     frac_from_str,
     frac_to_str,
     positive_int_from_json,
@@ -32,6 +33,7 @@ from .qlinalg import (
     vec_to_json,
 )
 from .st2 import (
+    _dual_lines,
     _stable_ints,
     cobracket_matches_coproduct,
     dualize,
@@ -77,6 +79,8 @@ def _load_json(path):
 
 
 def _frac(value) -> Fraction:
+    if type(value) is int:
+        return Fraction(value)
     try:
         return frac_from_str(str(value))
     except (ValueError, ZeroDivisionError) as exc:
@@ -258,6 +262,7 @@ def _case_perturbation(case, ambient: int):
 
 
 def _case_basis(entry) -> list:
+    """The case's basis: int tuples when it is integral, else Fraction tuples."""
     rows = entry.get("basis") if isinstance(entry, dict) else None
     if not isinstance(rows, list) or not rows:
         raise InputError(f"case needs a non-empty 'basis' list: {entry!r}")
@@ -265,9 +270,10 @@ def _case_basis(entry) -> list:
     if any(len(v) != len(basis) for v in basis):
         raise InputError("case basis must be square")
     _check_dim(len(basis), "case dimension")
-    if rank(basis) < len(basis):
+    ints, den = _cleared(basis)
+    if _int_rank(ints) < len(basis):
         raise InputError(f"case basis is degenerate: {rows!r}")
-    return basis
+    return ints if den == 1 else basis
 
 
 def _suite_shuffle(vecs, n, seed, points, extra):
@@ -332,8 +338,11 @@ def _suite_cobracket(basis, n, seed, points, extra):
 def _suite_duality(vecs, n, seed, points, extra):
     L = make_L(vecs, n)
     dual_L = dualize(L)
+    # one common denominator, so the dual lines share one scale and their
+    # differences in I are those of the dual basis
+    dual = _dual_lines(_cleared(vecs)[0])
     checks = [
-        ("L to I", dual_L - make_I(list(reversed(dual_basis(vecs))), n, c=(-1) ** n)),
+        ("L to I", dual_L - make_I(dual[::-1], n, c=(-1) ** n)),
         ("involution", dualize(dual_L) - L),
     ]
     for name, residual in checks:

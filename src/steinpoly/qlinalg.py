@@ -75,8 +75,9 @@ def _cleared(rows: Sequence[Sequence[Fraction]]) -> tuple[list[tuple[int, ...]],
     """The rows times the lcm of all their denominators, as int tuples, and that lcm.
 
     One common scale, unlike _rows_to_int, keeps every line spanned by
-    sums and differences of the rows, so generators built from them get
-    their apartment keys on the int path of normalize_apartment.
+    sums and differences of the rows, so the generators of st2 build
+    their apartment keys from the cleared rows, and the adjugate of a
+    cleared basis holds its dual basis at one common scale.
     """
     den = lcm(*(x.denominator for row in rows for x in row))
     return [tuple(x.numerator * (den // x.denominator) for x in row) for row in rows], den

@@ -19,9 +19,18 @@ prefix fixed and sorts. The coproduct tests each split with one minor. Both
 write the second factor once in the basis of the first and read every test
 and every cut line off one table of its minors by one Cramer rule
 (steinberg._Minors and _cut_line), so neither computes a determinant or
-does Fraction arithmetic on the apartment keys. The L and I generators
-scale their vectors by one common denominator, so their keys are built
-from ints too.
+does Fraction arithmetic on the apartment keys.
+
+Apartment pairs (make_pair) and the L and I generators take int vectors
+as they come and clear rational ones by one common denominator, so their
+keys are built from ints too. Each of the two apartments of L and I is
+the input, or a unitriangular image of it, up to order, so one rank test
+of the input decides whether the pair vanishes (a determinant when there
+are as many vectors as coordinates), and each key is then only
+canonicalised and sorted. Duality reads the
+dual lines of a key off the columns of its int adjugate, the dual basis
+times the determinant: one common scale, which the lines ignore and
+which keeps their differences in I those of the dual basis.
 
 The tensor normal form (st2_normal_form) flag-expands both factors with
 steinberg._flag_expand_apartment, in ints over one common denominator. It
@@ -41,16 +50,17 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import accumulate, combinations, islice
 from math import lcm
 from typing import Sequence
 
 from .barcplx import Bar, _Groups, _shuffle_quotient, shuffle_span_reduce
 from .qlinalg import (
-    Vec,
     _cleared,
-    canonical_point,
-    dual_basis,
+    _int_adjugate,
+    _int_det,
+    _int_rank,
+    int_point,
     qv,
     rank,
     solve,
@@ -70,7 +80,6 @@ from .steinberg import (
     _sort_sign,
     _standard_rows,
     _walk,
-    normalize_apartment,
     zero_exps,
 )
 
@@ -93,14 +102,54 @@ class St2(LinComb):
         _acc(self.terms, (key_a, key_b, e), Fraction(c))
 
 
+def _int_vectors(vectors: Sequence, ambient: int | None) -> tuple[list[Point], int]:
+    """(vectors as int tuples, n): ints as they come, rationals cleared by one common denominator.
+
+    n is the ambient dimension, every vector's length. One common scale
+    keeps every line spanned by sums and differences of the vectors, so
+    the generators build their keys from ints. Raises ValueError on empty
+    input and on mixed lengths.
+    """
+    if not vectors:
+        raise ValueError("empty apartment")
+    if all(type(x) is int for v in vectors for x in v):
+        vecs = [tuple(v) for v in vectors]
+    else:
+        vecs, _ = _cleared([qv(v) for v in vectors])
+    n = ambient if ambient is not None else len(vecs[0])
+    if any(len(v) != n for v in vecs):
+        raise ValueError("mixed vector lengths in apartment")
+    return vecs, n
+
+
+def _independent(vecs: Sequence[Point], n: int) -> bool:
+    """Whether the int vectors in Q^n are independent: one determinant or rank test."""
+    d = len(vecs)
+    if d == n:
+        return _int_det(vecs) != 0
+    return d < n and _int_rank(vecs) == d
+
+
+def _add_pair(out: St2, first: Sequence[Point], second: Sequence[Point], c, exps) -> None:
+    """out += c [first] (x) [second] for two tuples of independent int vectors.
+
+    Each factor is only canonicalised and sorted: the caller has decided
+    that both are independent.
+    """
+    key_a, sign_a = _sort_sign([int_point(v) for v in first])
+    key_b, sign_b = _sort_sign([int_point(v) for v in second])
+    c = Fraction(c)
+    out.add_term(key_a, key_b, c if sign_a == sign_b else -c, exps)
+
+
 def make_pair(vecs_a: Sequence, vecs_b: Sequence, ambient: int | None = None, c=1, exps=None) -> St2:
-    na = normalize_apartment(vecs_a, ambient)
-    n = ambient if ambient is not None else len(vecs_a[0])
+    """c [vecs_a] (x) [vecs_b]; zero unless each factor's vectors are independent."""
+    a, n = _int_vectors(vecs_a, ambient)
     out = St2.zero(n)
-    nb = normalize_apartment(vecs_b, n) if na is not None else None
-    if nb is None:
-        return out
-    out.add_term(na[0], nb[0], Fraction(c) * na[1] * nb[1], exps)
+    if _independent(a, n):
+        b, _ = _int_vectors(vecs_b, n)
+        if _independent(b, n):
+            _add_pair(out, a, b, c, exps)
     return out
 
 
@@ -215,25 +264,32 @@ def st2_coproduct(x: St2) -> list[tuple[tuple[int, ...], tuple[int, ...], St2, S
 
 
 def make_L(vectors: Sequence, ambient: int | None = None, c=1, exps=None) -> St2:
-    """Pair of the reversed-suffix-sum apartment against the reversed one."""
-    vecs, _ = _cleared([qv(v) for v in vectors])
-    sums = []
-    acc = None
-    for v in reversed(vecs):
-        acc = v if acc is None else vec_add(acc, v)
-        sums.append(acc)
-    return make_pair(sums, list(reversed(vecs)), ambient, c=c, exps=exps)
+    """Pair of the reversed-suffix-sum apartment against the reversed one.
+
+    Both apartments are unitriangular images of the vectors up to order,
+    so one rank test of the vectors decides whether the pair vanishes.
+    """
+    vecs, n = _int_vectors(vectors, ambient)
+    out = St2.zero(n)
+    if _independent(vecs, n):
+        rev = vecs[::-1]
+        sums = list(accumulate(rev, vec_add))
+        _add_pair(out, sums, rev, c, exps)
+    return out
 
 
 def make_I(vectors: Sequence, ambient: int | None = None, c=1, exps=None) -> St2:
-    """Companion generator: reversed tuple against consecutive differences."""
-    vecs, _ = _cleared([qv(v) for v in vectors])
-    d = len(vecs)
-    second = vecs[-1:]
-    for j in range(d - 2, -1, -1):
-        second.append(vec_sub(vecs[j], vecs[j + 1]))
-    sign = (-1) ** d
-    return make_pair(list(reversed(vecs)), second, ambient, c=Fraction(c) * sign, exps=exps)
+    """Companion generator: reversed tuple against consecutive differences.
+
+    As for make_L, one rank test of the vectors decides both apartments.
+    """
+    vecs, n = _int_vectors(vectors, ambient)
+    out = St2.zero(n)
+    if _independent(vecs, n):
+        rev = vecs[::-1]
+        second = rev[:1] + [vec_sub(a, b) for a, b in zip(rev[1:], rev)]
+        _add_pair(out, rev, second, Fraction(c) * (-1) ** len(vecs), exps)
+    return out
 
 
 def make_corr(vectors: Sequence, ambient: int | None = None, c=1) -> St2:
@@ -244,16 +300,16 @@ def make_corr(vectors: Sequence, ambient: int | None = None, c=1) -> St2:
     return make_L(vecs[1:], ambient, c=c)
 
 
-def make_corr_colon(points: Sequence, ambient: int | None = None, c=1) -> St2:
-    """Correlator in homogeneous arguments [u_0 : ... : u_d]."""
-    pts = [qv(p) for p in points]
-    if not pts:
-        raise ValueError("empty apartment")
-    d = len(pts) - 1
-    diffs = [vec_sub(pts[i], pts[(i + 1) % (d + 1)]) for i in range(d + 1)]
-    if rank(diffs[1:]) != d:
-        raise ValueError("points are not affinely independent")
-    return make_L(diffs[1:], ambient, c=c)
+def _dual_lines(basis: Sequence[Sequence[int]]) -> list[Point]:
+    """The dual basis of an int basis, each vector times det: the columns of its adjugate.
+
+    One common scale, so the lines and every sum and difference of them are
+    those of the dual basis. Raises ValueError on a singular basis.
+    """
+    adj, det = _int_adjugate(basis)
+    if not det:
+        raise ValueError("matrix is singular")
+    return list(zip(*adj))
 
 
 def dualize(x: St2) -> St2:
@@ -262,7 +318,7 @@ def dualize(x: St2) -> St2:
     for (key_a, key_b, exps), c in x.terms.items():
         if len(key_a) != x.ambient:
             raise ValueError("duality needs full-rank terms")
-        out += make_pair(dual_basis(key_b), dual_basis(key_a), x.ambient, c, exps)
+        _add_pair(out, _dual_lines(key_b), _dual_lines(key_a), c, exps)
     return out
 
 
@@ -466,47 +522,6 @@ def cobracket_matches_coproduct(vectors: Sequence) -> bool:
 
 
 # ------------------------------------------------------ generic pair solve
-
-
-def coxeter_to_basis(p_points: Sequence, q_points: Sequence) -> tuple[Vec, ...]:
-    """Recover the parameterizing basis of a generic incident pair of flags.
-
-    Given line representatives p_i, q_i with p_1 parallel to q_1 and
-    q_i in the span of p_{i-1} and p_i, returns v_1..v_d with
-    v_1 + ... + v_i on p_i and v_i on q_i. Raises with a diagnosis of
-    the first failing incidence or genericity condition.
-    """
-    ps = [qv(p) for p in p_points]
-    qs = [qv(q) for q in q_points]
-    d = len(ps)
-    n = len(ps[0])
-    if canonical_point(ps[0]) != canonical_point(qs[0]):
-        raise ValueError("first entries must span the same line")
-    vs: list[Vec] = [qv(canonical_point(qs[0]))]
-    partial = vs[0]
-    for i in range(1, d):
-        if canonical_point(ps[i]) == canonical_point(qs[i]):
-            raise ValueError(f"pair is non-generic at slot {i + 1}: equal lines")
-        # partial + alpha q_i = beta p_i
-        cols = tuple((qs[i][r], -ps[i][r]) for r in range(n))
-        rhs = tuple(-partial[r] for r in range(n))
-        sol = solve(cols, rhs)
-        if sol is None:
-            raise ValueError(
-                f"slot {i + 1} line of the second flag is outside the span of "
-                f"the neighboring first-flag lines"
-            )
-        alpha, beta = sol
-        if alpha == 0:
-            raise ValueError(f"degenerate incidence at slot {i + 1}: zero component")
-        v = tuple(alpha * x for x in qs[i])
-        vs.append(v)
-        partial = vec_add(partial, v)
-        if all(x == 0 for x in partial):
-            raise ValueError(f"partial sums collapse at slot {i + 1}")
-    if normalize_apartment(vs, n) is None:
-        raise ValueError("recovered vectors are dependent")
-    return tuple(vs)
 
 
 def span_solve(target: St2, family: Sequence[St2]):

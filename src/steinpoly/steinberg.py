@@ -121,17 +121,26 @@ class LinComb:
     def zero(cls, ambient: int):
         return cls(ambient)
 
-    def __iadd__(self, other: "LinComb"):
+    def _check(self, other: "LinComb") -> None:
+        """Refuse an operand of another type or ambient dimension."""
         if type(other) is not type(self):
             raise TypeError(f"cannot add {type(other).__name__} to {type(self).__name__}")
         if self.ambient != other.ambient:
             raise ValueError("ambient dimensions differ")
+
+    def __iadd__(self, other: "LinComb"):
+        self._check(other)
         for k, c in other.terms.items():
             _acc(self.terms, k, c)
         return self
 
     def __isub__(self, other: "LinComb"):
-        self += -other
+        self._check(other)
+        if other is self:
+            # x -= x: the loop below would shrink the dict it iterates
+            self.terms.clear()
+        for k, c in other.terms.items():
+            _acc(self.terms, k, -c)
         return self
 
     def __add__(self, other: "LinComb"):

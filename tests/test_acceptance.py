@@ -265,7 +265,7 @@ def test_criterion_05_dihedral_and_nongeneric():
         assert x.terms
         assert is_zero_st_infty(x)
     elapsed = time.monotonic() - t0
-    assert elapsed < 20.0, f"dihedral suite took {elapsed:.2f}s"
+    assert elapsed < 2.0, f"dihedral suite took {elapsed:.2f}s"
 
 
 def test_criterion_06_cobracket_matches_coproduct():
@@ -280,6 +280,7 @@ def test_criterion_06_cobracket_matches_coproduct():
 
 
 def test_criterion_07_duality():
+    t0 = time.monotonic()
     rng = split_seed(2026, "acc-duality")
     for i in range(50):
         n = 2 + i % 3
@@ -290,6 +291,8 @@ def test_criterion_07_duality():
         assert is_zero_st2(lhs - rhs)
         x = make_L(vecs, n) + 2 * make_I(rand_basis(rng, n), n)
         assert is_zero_st2(dualize(dualize(x)) - x)
+    elapsed = time.monotonic() - t0
+    assert elapsed < 1.0, f"duality suite took {elapsed:.2f}s"
 
 
 def test_criterion_08_truncated_symbol_routes():

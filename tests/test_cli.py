@@ -247,6 +247,17 @@ class TestVerify:
         assert code == 2 and text == ""
         assert capsys.readouterr().err.startswith("error: ashrudolph needs an integral basis")
 
+    def test_rational_duality_basis_passes(self, tmp_path):
+        # rows with different denominators: the dual basis read off the
+        # adjugate of the basis cleared row by row would scale its vectors
+        # apart, which changes the differences in I, and exit 1
+        path = write(tmp_path, "fix.json", {"cases": [
+            {"basis": [["1/2", 1, 0], [0, "2/3", 1], [1, 0, "3/4"]]},
+            {"basis": [[1, "1/3", 2], ["-2/5", 1, 0], [0, "7/2", 1]]},
+        ]})
+        code, report = run_json(tmp_path, "verify", "duality", path)
+        assert code == 0 and report["verdict"] == "PASS" and report["cases"] == 2
+
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_oracle_points_below_one_exits_2(self, tmp_path, points):
         # the only case is perturbed, so an oracle that skips every point would PASS

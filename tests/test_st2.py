@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import s_map_reference as ref
+from generator_reference import coxeter_to_basis, make_corr_colon
 from steinpoly.barcplx import (
     bar_differential,
     bar_shuffle,
@@ -29,7 +30,6 @@ from steinpoly.st2 import (
     St2,
     cobracket_L,
     cobracket_matches_coproduct,
-    coxeter_to_basis,
     dualize,
     embed_s,
     is_zero_st2,
@@ -37,7 +37,6 @@ from steinpoly.st2 import (
     make_I,
     make_L,
     make_corr,
-    make_corr_colon,
     make_pair,
     span_solve,
     st2_coproduct,

@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steinpoly.barcplx import bar_word
 from steinpoly.cli import _rand_basis
 from steinpoly.qlinalg import Subspace, canonical_point, det, qm, qv, split_seed
+from steinpoly.st2 import make_I, make_L
 from steinpoly.steinberg import (
     St,
     _flag_expand_apartment,
@@ -82,6 +84,48 @@ class TestRelations:
                     omitted = vecs[:i] + vecs[i + 1 :]
                     total = total + (-1) ** i * make_apartment(omitted)
                 assert is_zero(total), (d, vecs)
+
+
+# two combinations of each LinComb subclass, sharing one key, in Q^3
+PAIRS = {
+    "St": lambda: (
+        make_apartment([(1, 0, 0), (0, 1, 0), (0, 0, 1)]) + 2 * make_apartment([(1, 1, 0), (0, 1, 0), (0, 0, 1)]),
+        make_apartment([(1, 0, 0), (0, 1, 0), (0, 0, 1)]) - make_apartment([(1, 2, 3), (0, 1, 0), (0, 0, 1)]),
+    ),
+    "St2": lambda: (
+        make_L([(1, 0, 0), (0, 1, 0), (0, 0, 1)]) + make_I([(1, 2, 0), (0, 1, 0), (0, 0, 1)], c=F(1, 2)),
+        make_L([(1, 0, 0), (0, 1, 0), (0, 0, 1)]) + make_L([(1, 0, 0), (1, 1, 0), (0, 0, 1)]),
+    ),
+    "Bar": lambda: (
+        bar_word([(1, 0, 0), (0, 1, 0)]) + bar_word([(0, 0, 1)], c=3),
+        bar_word([(1, 0, 0), (0, 1, 0)], c=-2) + bar_word([(1, 1, 1)]),
+    ),
+}
+
+
+class TestLinComb:
+    @pytest.mark.parametrize("kind", sorted(PAIRS))
+    def test_subtracting_itself_gives_zero(self, kind):
+        x, _y = PAIRS[kind]()
+        assert len(x.terms) == 2
+        x -= x
+        assert not x and x == type(x).zero(3)
+
+    @pytest.mark.parametrize("kind", sorted(PAIRS))
+    def test_subtraction_in_place_leaves_the_right_operand(self, kind):
+        x, y = PAIRS[kind]()
+        want = x + (-1) * y
+        y_terms = dict(y.terms)
+        x -= y
+        assert x == want and x.terms == want.terms
+        assert y.terms == y_terms and x.terms is not y.terms
+
+    def test_subtraction_checks_type_and_ambient(self):
+        x = make_apartment([(1, 0), (0, 1)])
+        with pytest.raises(TypeError, match="cannot add"):
+            x -= bar_word([(1, 0)])
+        with pytest.raises(ValueError, match="ambient"):
+            x -= make_apartment([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 
 
 class TestHelpers:
