@@ -24,16 +24,13 @@ from .mpl import identity_terms_from_json, li_identity_residual
 from .qlinalg import (
     _cleared,
     _int_det,
-    _int_rank,
     frac_from_str,
     frac_to_str,
     positive_int_from_json,
-    rank,
     split_seed,
     vec_to_json,
 )
 from .st2 import (
-    _dual_lines,
     _stable_ints,
     cobracket_matches_coproduct,
     dualize,
@@ -43,7 +40,7 @@ from .st2 import (
     st2_normal_form,
     st2_product,
 )
-from .steinberg import St, ash_rudolph_reduce, flag_expand, make_apartment
+from .steinberg import St, _dual_lines, _independent, ash_rudolph_reduce, flag_expand, make_apartment
 
 ONE = Fraction(1)
 
@@ -125,9 +122,10 @@ def _st_from_json(data):
             raise InputError(f"apartment needs {dim} vectors, got {len(vecs)}")
         if any(len(v) != dim for v in vecs):
             raise InputError(f"apartment vectors need {dim} coordinates: {entry['apartment']!r}")
-        if rank(vecs) < dim:
+        term = make_apartment(vecs, dim)
+        if not term:
             raise InputError(f"degenerate apartment {entry['apartment']!r}")
-        out += c * make_apartment(vecs, dim)
+        out += c * term
     return out
 
 
@@ -211,12 +209,13 @@ def cmd_symbol(args) -> int:
     _check_dim(ambient, "ambient dimension")
     if length != ambient:
         raise InputError(f"vectors need {ambient} coordinates, got {length}")
-    if rank(vecs) < len(vecs):
-        # the generators vanish on dependent vectors; the command refuses
-        # them as bad input rather than print an empty symbol
-        raise InputError("symbol vectors must be independent")
     try:
-        bar = embed_s((make_L if args.kind == "L" else make_I)(vecs, ambient))
+        x = (make_L if args.kind == "L" else make_I)(vecs, ambient)
+        if not x:
+            # the generators vanish on dependent vectors; the command refuses
+            # them as bad input rather than print an empty symbol
+            raise InputError("symbol vectors must be independent")
+        bar = embed_s(x)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     report = {
@@ -237,7 +236,7 @@ def _rand_basis(rng, n: int, bound: int = 3) -> list:
         vecs = [
             tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(n)
         ]
-        if rank(vecs) == n:
+        if _independent(vecs, n):
             return vecs
 
 
@@ -250,12 +249,12 @@ def _case_perturbation(case, ambient: int):
     rows = pert.get("vectors", [])
     if not isinstance(rows, list):
         raise InputError(f"perturbation 'vectors' must be a list, got {rows!r}")
-    vecs = [_vec(v) for v in rows]
+    vecs, _ = _cleared([_vec(v) for v in rows])
     c = _frac(pert.get("coeff", "1"))
     if (
         len(vecs) != ambient
         or any(len(v) != ambient for v in vecs)
-        or rank(vecs) < ambient
+        or not _independent(vecs, ambient)
     ):
         raise InputError(f"perturbation needs an {ambient}-basis")
     return vecs, c
@@ -271,7 +270,7 @@ def _case_basis(entry) -> list:
         raise InputError("case basis must be square")
     _check_dim(len(basis), "case dimension")
     ints, den = _cleared(basis)
-    if _int_rank(ints) < len(basis):
+    if not _independent(ints, len(basis)):
         raise InputError(f"case basis is degenerate: {rows!r}")
     return ints if den == 1 else basis
 
@@ -340,7 +339,7 @@ def _suite_duality(vecs, n, seed, points, extra):
     dual_L = dualize(L)
     # one common denominator, so the dual lines share one scale and their
     # differences in I are those of the dual basis
-    dual = _dual_lines(_cleared(vecs)[0])
+    dual, _ = _dual_lines(_cleared(vecs)[0])
     checks = [
         ("L to I", dual_L - make_I(dual[::-1], n, c=(-1) ** n)),
         ("involution", dualize(dual_L) - L),

@@ -25,19 +25,18 @@ from itertools import cycle, islice, product as iproduct, repeat
 from operator import mul
 from typing import Sequence
 
-from .qlinalg import (
-    _cleared,
-    _int_adjugate,
-    _int_rank,
-    _row_to_int,
-    det,
-    qv,
-    solve,
-    split_seed,
-    vec_dot,
-)
+from .qlinalg import _cleared, _int_det, _row_to_int, qv, solve, split_seed, vec_dot
 from .st2 import St2
-from .steinberg import ApKey, St, _power_product, make_apartment, zero_exps
+from .steinberg import (
+    ApKey,
+    St,
+    _dual_lines,
+    _independent,
+    _int_vectors,
+    _power_product,
+    make_apartment,
+    zero_exps,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -52,23 +51,17 @@ def cone_to_steinberg(generators: Sequence, ambient: int | None = None) -> St:
 
     Lower-dimensional cones map to zero.
     """
-    gens = [qv(g) for g in generators]
-    n = ambient if ambient is not None else len(gens[0])
-    d = det(gens) if len(gens) == n else 0
+    gens, n = _int_vectors(generators, ambient)
+    d = _int_det(gens) if len(gens) == n else 0
     if d == 0:
         return St.zero(n)
     sign = 1 if d > 0 else -1
     return sign * make_apartment(gens, n)
 
 
-@lru_cache(maxsize=None)
-def _dual_data(key: ApKey) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(A, D): D = det of the key and A_i the integer rows with <A_i, v_j> = D delta_ij.
-
-    A key with dependent entries gives ((), 0).
-    """
-    adj, dd = _int_adjugate(list(zip(*key)))
-    return tuple(map(tuple, adj)), dd
+# (A, D) of a key: D its det and A_i the integer rows with <A_i, v_j> = D delta_ij,
+# ((), 0) for dependent entries
+_dual_data = lru_cache(maxsize=None)(_dual_lines)
 
 
 def rho_term(key: ApKey, exps: Sequence[int], z: Sequence) -> Fraction:
@@ -267,7 +260,7 @@ def truncated_fourier_sum(
     if len(forms) != len(ns):
         raise ValueError("one exponent per form")
     gint, gden = _cleared(gens)
-    if _int_rank(gint) < len(gint):
+    if not _independent(gint, n):
         raise ValueError("cone generators are dependent")
     scale_num = scale_den = 1
     pairings = []  # (U.G_j for each j, exponent)

@@ -28,9 +28,7 @@ from typing import Iterable, Sequence
 from .barcplx import Bar, shuffle_words
 from .qlinalg import (
     _cleared,
-    _int_rank,
     _minor_gcd,
-    _row_to_int,
     det,
     frac_from_str,
     frac_to_str,
@@ -41,7 +39,7 @@ from .qlinalg import (
     qv,
 )
 from .st2 import St2, _s_map, bar_infty_reduce, embed_s, make_L
-from .steinberg import _acc, _numerators, _power_product, normalize_apartment
+from .steinberg import _acc, _independent, _int_vectors, _numerators, _power_product, normalize_apartment
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -120,7 +118,7 @@ class LiGen:
             raise ValueError("exponent tuple and argument tuple must match")
         if any(n < 1 for n in self.ns):
             raise ValueError("weights must be positive")
-        if _int_rank([_row_to_int(a.exps)[0] for a in self.args]) != len(self.args):
+        if not _independent(*_int_vectors([a.exps for a in self.args], None)):
             raise ValueError("argument exponent vectors are dependent")
 
     @property

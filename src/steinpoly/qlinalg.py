@@ -2,10 +2,12 @@
 
 Vectors are tuples of Fraction, matrices are tuples of row vectors.
 Everything here is exact, no floats. Every elimination is fraction-free:
-rows are scaled to integers and reduced by Bareiss steps with exact
-division, and Fraction appears only in the output. Subspaces are kept in
-reduced row echelon form so that equality of subspaces is equality of the
-stored rows, and downstream modules can use them as dict keys.
+the rows are cleared to integers once, by the lcm of all their
+denominators (_cleared, the package's one clearing of a family of rows),
+and reduced by Bareiss steps with exact division, and Fraction appears
+only in the output. Subspaces are kept in reduced row echelon form so
+that equality of subspaces is equality of the stored rows, and
+downstream modules can use them as dict keys.
 """
 from __future__ import annotations
 
@@ -74,24 +76,14 @@ def _row_to_int(row: Sequence[Fraction]) -> tuple[list[int], int]:
 def _cleared(rows: Sequence[Sequence[Fraction]]) -> tuple[list[tuple[int, ...]], int]:
     """The rows times the lcm of all their denominators, as int tuples, and that lcm.
 
-    One common scale, unlike _rows_to_int, keeps every line spanned by
-    sums and differences of the rows, so the generators of st2 build
-    their apartment keys from the cleared rows, and the adjugate of a
-    cleared basis holds its dual basis at one common scale.
+    The one way rational rows become integer ones: a common scale keeps
+    every line spanned by sums and differences of the rows, so the
+    generators of st2 build their apartment keys from the cleared rows,
+    the adjugate of a cleared basis holds its dual basis at one common
+    scale, and every minor is the rational one times a power of the lcm.
     """
     den = lcm(*(x.denominator for row in rows for x in row))
     return [tuple(x.numerator * (den // x.denominator) for x in row) for row in rows], den
-
-
-def _rows_to_int(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """Scale each rational row to integers; return (rows, product of multipliers)."""
-    scaled = []
-    denom = 1
-    for row in rows:
-        irow, mult = _row_to_int(row)
-        scaled.append(irow)
-        denom *= mult
-    return scaled, denom
 
 
 def _int_det(rows: list[list[int]]) -> int:
@@ -157,8 +149,8 @@ def det(m: Sequence[Sequence[Fraction]]) -> Fraction:
         return ONE
     if any(len(r) != n for r in m):
         raise ValueError("determinant of a non-square matrix")
-    scaled, denom = _rows_to_int(m)
-    return Fraction(_int_det(scaled), denom)
+    scaled, den = _cleared(m)
+    return Fraction(_int_det(scaled), den**n)
 
 
 def _int_gauss_jordan(work: list[list[int]]) -> tuple[list[int], int, int]:
@@ -222,11 +214,11 @@ def _int_adjugate(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
 def rref(rows: Sequence[Vec]) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns).
 
-    The rows are scaled to integers and reduced by _int_gauss_jordan; one
+    The rows are cleared to integers and reduced by _int_gauss_jordan; one
     division per entry by the last pivot at the end gives the RREF, which
     is unique.
     """
-    work, _ = _rows_to_int(rows)
+    work, _ = _cleared(rows)
     if not work:
         return (), ()
     pivots, prev, _ = _int_gauss_jordan(work)
@@ -235,7 +227,7 @@ def rref(rows: Sequence[Vec]) -> tuple[Mat, tuple[int, ...]]:
 
 
 def rank(rows: Sequence[Vec]) -> int:
-    return _int_rank(_rows_to_int(rows)[0])
+    return _int_rank(_cleared(rows)[0])
 
 
 def inverse(m: Mat) -> Mat:
@@ -294,11 +286,6 @@ def canonical_point(v: Sequence) -> tuple[int, ...]:
     w = qv(v)
     if is_zero_vec(w):
         raise ValueError("canonical_point of the zero vector")
-    return rational_point(w)
-
-
-def rational_point(w: Sequence[Fraction]) -> tuple[int, ...]:
-    """canonical_point of a nonzero vector of Fractions or ints, uncoerced."""
     return int_point(_row_to_int(w)[0])
 
 
@@ -323,9 +310,9 @@ def saturation_index(vectors: Sequence[Vec]) -> Fraction:
     """Index of the span lattice of the rows inside its saturation.
 
     For k independent integral rows this is the gcd of all k x k minors
-    (the k-th determinantal divisor); rational rows are scaled to integers
-    first and the index rescales accordingly, so the result is a positive
-    rational. Raises on dependent rows.
+    (the k-th determinantal divisor); rational rows are cleared by one
+    common denominator first, which scales every minor by its k-th power,
+    so the result is a positive rational. Raises on dependent rows.
     """
     rows = qm(vectors)
     if not rows:
@@ -334,11 +321,11 @@ def saturation_index(vectors: Sequence[Vec]) -> Fraction:
     d = len(rows[0])
     if k > d:
         raise ValueError("more vectors than the ambient dimension")
-    scaled, denom = _rows_to_int(rows)
+    scaled, den = _cleared(rows)
     g = _minor_gcd(scaled)
     if g == 0:
         raise ValueError("saturation index of dependent vectors")
-    return Fraction(g, denom)
+    return Fraction(g, den**k)
 
 
 def _minor_gcd(rows: Sequence[Sequence[int]]) -> int:

@@ -21,15 +21,15 @@ and every cut line off one table of its minors by one Cramer rule
 (steinberg._Minors and _cut_line), so neither computes a determinant or
 does Fraction arithmetic on the apartment keys.
 
-Apartment pairs (make_pair) and the L and I generators take int vectors
-as they come and clear rational ones by one common denominator, so their
-keys are built from ints too. Each of the two apartments of L and I is
-the input, or a unitriangular image of it, up to order, so one rank test
-of the input decides whether the pair vanishes (a determinant when there
-are as many vectors as coordinates), and each key is then only
-canonicalised and sorted. Duality reads the
-dual lines of a key off the columns of its int adjugate, the dual basis
-times the determinant: one common scale, which the lines ignore and
+Apartment pairs (make_pair) and the L and I generators come in through
+steinberg's one way for rational vectors: _int_vectors takes ints as
+they come and clears rationals by one common denominator, and
+_independent tests them once. Each of the two apartments of L and I is
+the input, or a unitriangular image of it, up to order, so that one test
+of the input decides whether the pair vanishes, and each key is then
+only canonicalised and sorted. Duality reads the dual lines of a key off
+steinberg._dual_lines, the columns of its int adjugate: the dual basis
+times the determinant, one common scale, which the lines ignore and
 which keeps their differences in I those of the dual basis.
 
 The tensor normal form (st2_normal_form) flag-expands both factors with
@@ -55,26 +55,18 @@ from math import lcm
 from typing import Sequence
 
 from .barcplx import Bar, _Groups, _shuffle_quotient, shuffle_span_reduce
-from .qlinalg import (
-    _cleared,
-    _int_adjugate,
-    _int_det,
-    _int_rank,
-    int_point,
-    qv,
-    rank,
-    solve,
-    vec_add,
-    vec_sub,
-)
+from .qlinalg import int_point, qv, solve, vec_add, vec_sub
 from .steinberg import (
     ApKey,
     LinComb,
     Point,
     _acc,
     _cut_line,
+    _dual_lines,
     _flag_coords,
     _flag_expand_apartment,
+    _independent,
+    _int_vectors,
     _Minors,
     _numerators,
     _sort_sign,
@@ -100,34 +92,6 @@ class St2(LinComb):
             raise ValueError("tensor factors must have equal rank")
         e = tuple(exps) if exps else zero_exps(self.ambient)
         _acc(self.terms, (key_a, key_b, e), Fraction(c))
-
-
-def _int_vectors(vectors: Sequence, ambient: int | None) -> tuple[list[Point], int]:
-    """(vectors as int tuples, n): ints as they come, rationals cleared by one common denominator.
-
-    n is the ambient dimension, every vector's length. One common scale
-    keeps every line spanned by sums and differences of the vectors, so
-    the generators build their keys from ints. Raises ValueError on empty
-    input and on mixed lengths.
-    """
-    if not vectors:
-        raise ValueError("empty apartment")
-    if all(type(x) is int for v in vectors for x in v):
-        vecs = [tuple(v) for v in vectors]
-    else:
-        vecs, _ = _cleared([qv(v) for v in vectors])
-    n = ambient if ambient is not None else len(vecs[0])
-    if any(len(v) != n for v in vecs):
-        raise ValueError("mixed vector lengths in apartment")
-    return vecs, n
-
-
-def _independent(vecs: Sequence[Point], n: int) -> bool:
-    """Whether the int vectors in Q^n are independent: one determinant or rank test."""
-    d = len(vecs)
-    if d == n:
-        return _int_det(vecs) != 0
-    return d < n and _int_rank(vecs) == d
 
 
 def _add_pair(out: St2, first: Sequence[Point], second: Sequence[Point], c, exps) -> None:
@@ -300,25 +264,16 @@ def make_corr(vectors: Sequence, ambient: int | None = None, c=1) -> St2:
     return make_L(vecs[1:], ambient, c=c)
 
 
-def _dual_lines(basis: Sequence[Sequence[int]]) -> list[Point]:
-    """The dual basis of an int basis, each vector times det: the columns of its adjugate.
-
-    One common scale, so the lines and every sum and difference of them are
-    those of the dual basis. Raises ValueError on a singular basis.
-    """
-    adj, det = _int_adjugate(basis)
-    if not det:
-        raise ValueError("matrix is singular")
-    return list(zip(*adj))
-
-
 def dualize(x: St2) -> St2:
     """Swap the tensor factors and replace each apartment by its dual basis."""
     out = St2.zero(x.ambient)
     for (key_a, key_b, exps), c in x.terms.items():
         if len(key_a) != x.ambient:
             raise ValueError("duality needs full-rank terms")
-        _add_pair(out, _dual_lines(key_b), _dual_lines(key_a), c, exps)
+        (dual_a, det_a), (dual_b, det_b) = _dual_lines(key_a), _dual_lines(key_b)
+        if not det_a or not det_b:
+            raise ValueError("duality needs independent keys")
+        _add_pair(out, dual_b, dual_a, c, exps)
     return out
 
 
@@ -488,10 +443,9 @@ def cobracket_matches_coproduct(vectors: Sequence) -> bool:
     Raises ValueError on a dependent basis, where L(vectors) is zero but
     the cobracket terms on its independent sub-tuples are not.
     """
-    vecs = [qv(v) for v in vectors]
-    if rank(vecs) < len(vecs):
+    vecs, n = _int_vectors(vectors, None)
+    if not _independent(vecs, n):
         raise ValueError("cobracket check needs independent vectors")
-    n = len(vecs[0])
     pairs = [(c, make_L(left, n), make_L(right, n)) for c, left, right in cobracket_L(vecs, n)]
     pairs += [(-ONE, a, b) for i, j, a, b in st2_coproduct(make_L(vecs, n)) if i and j]
     ids: dict = {}

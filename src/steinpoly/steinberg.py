@@ -12,6 +12,16 @@ sign of the permutation, rescaling any entry by a nonzero scalar, the
 canonical storage key is the lex-sorted tuple of canonical line points
 with the sort sign folded into the coefficient.
 
+Since a class ignores the scale of each entry, rational vectors come in
+one way: _int_vectors takes int vectors as they come and clears rational
+ones once, by one common denominator, and _independent tests them once
+(one determinant, or one rank when there are fewer vectors than
+coordinates). normalize_apartment, the generators of st2, mpl's LiGen,
+the cones and the command line all go through the two. _dual_lines reads
+the dual basis of an int basis, times its determinant, off the columns
+of its adjugate; duality in st2 and, cached, the evaluation oracle of
+cones both use it.
+
 flag_expand rewrites a class in the basis attached to the standard
 flag. Its kernel _flag_expand_apartment takes any flag as integer rows
 f_1..f_k, the i-th step being span(f_1..f_i); it is the s-map of st2
@@ -25,7 +35,8 @@ read off one table of its minors (_Minors, each a Laplace sum over minors
 one size smaller) by one Cramer rule (_cut_line), so the walk computes no
 determinant and no Fraction; the coproduct of st2 cuts its lines with the
 same table and rule. The lines of a chain are kept sorted as it grows,
-with the sign carried along, so no leaf is sorted.
+with the sign carried along, so no leaf is sorted, and the words come out
+in the order the walk reaches them: every caller folds them into a dict.
 
 ash_rudolph_reduce rewrites an integral apartment as a sum of unimodular
 ones by one Ash-Rudolph step at every rank: [v_1..v_n] = sum_i [v_1..w..v_n]
@@ -47,6 +58,7 @@ from typing import Sequence
 
 from .qlinalg import (
     Mat,
+    _cleared,
     _int_adjugate,
     _int_det,
     _int_gauss_jordan,
@@ -54,7 +66,6 @@ from .qlinalg import (
     canonical_point,
     int_point,
     qv,
-    rational_point,
 )
 
 Point = tuple[int, ...]
@@ -199,31 +210,52 @@ def _sort_sign(points: Sequence[Point]) -> tuple[ApKey, int]:
     return tuple(points[i] for i in order), sign
 
 
-def normalize_apartment(vectors: Sequence[Sequence], ambient: int | None = None):
-    """Canonical (key, sign) for an apartment, or None when degenerate.
+def _int_vectors(vectors: Sequence, ambient: int | None) -> tuple[list[Point], int]:
+    """(vectors as int tuples, n): ints as they come, rationals cleared by one common denominator.
 
-    Vectors of plain ints (apartment keys, flag-walk points) skip the
-    conversion to Fraction.
+    n is the ambient dimension, every vector's length. A class ignores
+    the scale of each entry, and one common scale keeps every line
+    spanned by sums and differences of the vectors too, so every route
+    from rational vectors to keys goes through here and then works in
+    ints. Raises ValueError on empty input and on mixed lengths.
     """
     if not vectors:
         raise ValueError("empty apartment")
-    ints = all(type(x) is int for v in vectors for x in v)
-    vecs = vectors if ints else [qv(v) for v in vectors]
+    if all(type(x) is int for v in vectors for x in v):
+        vecs = [tuple(v) for v in vectors]
+    else:
+        vecs, _ = _cleared([qv(v) for v in vectors])
     n = ambient if ambient is not None else len(vecs[0])
     if any(len(v) != n for v in vecs):
         raise ValueError("mixed vector lengths in apartment")
-    if any(not any(v) for v in vecs):
+    return vecs, n
+
+
+def _independent(vecs: Sequence[Point], n: int) -> bool:
+    """Whether the int vectors in Q^n are independent: one determinant or rank test."""
+    d = len(vecs)
+    if d == n:
+        return _int_det(vecs) != 0
+    return d < n and _int_rank(vecs) == d
+
+
+def _dual_lines(basis: Sequence[Sequence[int]]) -> tuple[tuple[Point, ...], int]:
+    """(lines, det): the dual basis of an int basis times det, read off the columns of its adjugate.
+
+    One common scale, so the lines and every sum and difference of them
+    are those of the dual basis. A singular basis gives ((), 0). The
+    result is immutable, so a cache may hand it to every caller.
+    """
+    adj, det = _int_adjugate(basis)
+    return tuple(zip(*adj)), det
+
+
+def normalize_apartment(vectors: Sequence[Sequence], ambient: int | None = None):
+    """Canonical (key, sign) for an apartment, or None when degenerate."""
+    vecs, n = _int_vectors(vectors, ambient)
+    if not _independent(vecs, n):
         return None
-    points = [int_point(v) if ints else rational_point(v) for v in vecs]
-    k = len(points)
-    if k > n:
-        return None
-    if k == n:
-        if _int_det(points) == 0:
-            return None
-    elif _int_rank(points) < k:
-        return None
-    return _sort_sign(points)
+    return _sort_sign([int_point(v) for v in vecs])
 
 
 class St(LinComb):
@@ -419,7 +451,7 @@ def _walk(coords: Sequence[Sequence[int]], vecs: Sequence[Point], fixed: bool) -
             del letters[at]
 
     visit(full << d | full, 1)
-    return tuple(sorted((w, c) for w, c in words.items() if c))
+    return tuple((w, c) for w, c in words.items() if c)
 
 
 @lru_cache(maxsize=None)
@@ -542,17 +574,15 @@ def ash_rudolph_reduce(vectors: Sequence[Sequence]) -> St:
     _least_pivot (see _ar_apartment); each child determinant is at most
     |det|^((n-1)/n), so the recursion is shallow.
     """
-    vecs = [qv(v) for v in vectors]
+    vecs, den = _cleared([qv(v) for v in vectors])
     if not vecs:
         raise ValueError("ash_rudolph_reduce needs at least one vector")
-    for v in vecs:
-        for x in v:
-            if x.denominator != 1:
-                raise ValueError("ash_rudolph_reduce needs integral vectors")
+    if den != 1:
+        raise ValueError("ash_rudolph_reduce needs integral vectors")
     n = len(vecs[0])
     if len(vecs) != n:
         raise ValueError("apartment must have as many vectors as coordinates")
-    start = make_apartment([tuple(int(x) for x in v) for v in vecs], n)
+    start = make_apartment(vecs, n)
     out = St.zero(n)
     for key, c in start.terms.items():
         for k2, c2 in _ar_apartment(key):

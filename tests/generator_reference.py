@@ -1,8 +1,9 @@
 """Reference bodies of the apartment pair, the L and I generators and duality, kept for tests only.
 
-These build their apartments from the Fraction vectors as given, so
-``normalize_apartment`` canonicalises every entry through
-``rational_point`` and tests each apartment for degeneracy on its own.
+These build their apartments from the Fraction vectors as given: each
+apartment goes through ``normalize_apartment`` on its own, with its own
+clearing and its own degeneracy test (``test_flag_reference`` holds that
+to a per-entry ``canonical_point`` and a Fraction determinant).
 The kernels in ``steinpoly.st2`` take int vectors as they come (clearing
 rationals by one common denominator), decide the degeneracy of L and I by
 one rank test of the input, and read dual lines off an int adjugate;

@@ -1,17 +1,23 @@
-"""Reference Fraction elimination, kept for tests only.
+"""Reference Fraction elimination and per-row clearing, kept for tests only.
 
 ``rref`` is the Gauss-Jordan elimination over ``Fraction`` that the
 fraction-free one in ``steinpoly.qlinalg`` replaced; ``inverse``, ``solve``
 and ``nullspace`` are the unchanged routines, run on it. Tests require the
 kernel to give the same rows, pivots and solutions. Feed it Fraction
 entries only: on two ints its division would give a float.
+
+``det`` and ``saturation_index`` clear each row by its own denominators
+(``_rows_to_int``) and divide by the product of those scales, where the
+kernel clears all rows by one common denominator; tests require both
+routes to give the same rational.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-from steinpoly.qlinalg import Mat, Vec
+from steinpoly.qlinalg import Mat, Vec, _int_det, _minor_gcd, qm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -93,3 +99,39 @@ def nullspace(m: Mat) -> Mat:
             v[p] = -row[fc]
         basis.append(tuple(v))
     return tuple(basis)
+
+
+def _rows_to_int(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """Scale each rational row to integers on its own; return (rows, product of the scales)."""
+    scaled = []
+    denom = 1
+    for row in rows:
+        mult = lcm(*(f.denominator for f in row)) if row else 1
+        scaled.append([f.numerator * (mult // f.denominator) for f in row])
+        denom *= mult
+    return scaled, denom
+
+
+def det(m: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Determinant of a square rational matrix (Bareiss on a per-row scaled copy)."""
+    n = len(m)
+    if n == 0:
+        return ONE
+    if any(len(r) != n for r in m):
+        raise ValueError("determinant of a non-square matrix")
+    scaled, denom = _rows_to_int(m)
+    return Fraction(_int_det(scaled), denom)
+
+
+def saturation_index(vectors: Sequence[Vec]) -> Fraction:
+    """gcd of the k x k minors of k rational rows, each row scaled on its own first."""
+    rows = qm(vectors)
+    if not rows:
+        return ONE
+    if len(rows) > len(rows[0]):
+        raise ValueError("more vectors than the ambient dimension")
+    scaled, denom = _rows_to_int(rows)
+    g = _minor_gcd(scaled)
+    if g == 0:
+        raise ValueError("saturation index of dependent vectors")
+    return Fraction(g, denom)

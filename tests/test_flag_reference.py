@@ -18,11 +18,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import flag_reference as ref
-from steinpoly.qlinalg import _int_rank, canonical_point, qv, rank, solve
+from steinpoly.qlinalg import _int_rank, canonical_point, qm, qv, rank, solve
 from steinpoly.st2 import St2, is_zero_st2, make_I, make_L, st2_normal_form, st2_product
 from steinpoly.steinberg import (
     St,
     _flag_expand_apartment,
+    _independent,
+    _int_vectors,
     _sort_sign,
     flag_expand,
     make_apartment,
@@ -136,18 +138,46 @@ def test_shuffle_residual_groups_by_the_shared_second_factor():
     assert st2_normal_form(x) == ref.st2_normal_form(x)
 
 
-@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
-    st.just(n),
-    st.integers(1, n + 1).flatmap(lambda k: vectors(n, k)),
-    st.booleans(),
-)))
-@settings(max_examples=120, deadline=None)
+@st.composite
+def apartment_inputs(draw):
+    """(n, k vectors in Q^n): n <= 4, k <= n + 2, at most one zero vector, as ints or Fractions.
+
+    The Fractions divide every entry by 3, each vector by its own
+    denominator, or each entry by its own, so clearing by one common
+    denominator meets scales that differ between and within vectors.
+    """
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, n)) + draw(st.sampled_from([0, 0, 0, 1, 2]))
+    vecs = draw(vectors(n, k))
+    if draw(st.sampled_from([False, False, True])):
+        vecs[draw(st.integers(0, k - 1))] = (0,) * n
+    form = draw(st.sampled_from(["int", "common", "vector", "entry"]))
+    dens = st.integers(1, 12)
+    if form == "common":
+        return n, [tuple(Fraction(x, 3) for x in v) for v in vecs]
+    if form == "vector":
+        per_vector = draw(st.lists(dens, min_size=k, max_size=k))
+        return n, [tuple(Fraction(x, d) for x in v) for v, d in zip(vecs, per_vector)]
+    if form == "entry":
+        return n, [tuple(Fraction(x, draw(dens)) for x in v) for v in vecs]
+    return n, vecs
+
+
+@given(apartment_inputs())
+@settings(max_examples=200, deadline=None)
 def test_normalize_apartment_matches_reference(case):
-    n, vecs, as_fractions = case
-    assert _int_rank(vecs) == rank(tuple(qv(v) for v in vecs))
-    if as_fractions:
-        vecs = [tuple(Fraction(x, 3) for x in v) for v in vecs]
+    n, vecs = case
     assert normalize_apartment(vecs, n) == ref.normalize_apartment(vecs, n)
+
+
+@given(apartment_inputs())
+@settings(max_examples=200, deadline=None)
+def test_one_independence_test_is_full_rank(case):
+    n, vecs = case
+    ints, m = _int_vectors(vecs, n)
+    assert m == n and all(type(x) is int for v in ints for x in v)
+    assert _int_rank(ints) == rank(qm(vecs))
+    assert _independent(ints, n) == (rank(qm(vecs)) == len(vecs))
 
 
 DIM5_KEYS = [

@@ -1,18 +1,21 @@
 """The fraction-free elimination against the Fraction Gauss-Jordan it replaced.
 
-``qlinalg_reference`` keeps the old ``rref`` and the routines built on it.
-The kernel must return the same rows, pivots, ranks, inverses, solutions
-and kernel bases, with Fraction entries, on matrices with zero rows, zero
-columns, dependent rows, and integer, Fraction or mixed entries whose
-denominators reach 10**9 + 7.
+``qlinalg_reference`` keeps the old ``rref`` and the routines built on it,
+and the per-row clearing that ``det`` and ``saturation_index`` used before
+the kernel cleared all rows by one common denominator. The kernel must
+return the same rows, pivots, ranks, inverses, solutions, kernel bases,
+determinants and saturation indices, with Fraction entries, on matrices
+with zero rows, zero columns, dependent rows, and integer, Fraction or
+mixed entries whose denominators reach 10**9 + 7.
 """
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qlinalg_reference as ref
-from steinpoly.qlinalg import Subspace, inverse, nullspace, qm, rank, rref, solve
+from steinpoly.qlinalg import Subspace, det, inverse, nullspace, qm, rank, rref, saturation_index, solve
 
 BIG = 10**9 + 7
 
@@ -103,3 +106,30 @@ def test_inverse_matches_reference(rows):
     assert got == want
     if got is not None:
         assert all_fractions(got)
+
+
+@given(square())
+@settings(max_examples=200, deadline=None)
+def test_det_matches_per_row_clearing(rows):
+    got = det(rows)
+    assert got == ref.det(qm(rows)) and type(got) is Fraction
+
+
+@st.composite
+def wide(draw):
+    """k rows in Q^d with k <= d, so only dependent rows have no index."""
+    ncols = draw(st.integers(1, 8))
+    return draw(matrices(draw(st.integers(1, ncols)), ncols))
+
+
+@given(wide())
+@settings(max_examples=200, deadline=None)
+def test_saturation_index_matches_per_row_clearing(rows):
+    try:
+        want = ref.saturation_index(rows)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            saturation_index(rows)
+        return
+    got = saturation_index(rows)
+    assert got == want and got > 0

@@ -3,7 +3,7 @@
 ``s_map_reference`` keeps the flat loop over all pairs of permutations with
 ``Subspace`` letters, the coproduct with ``Subspace`` splits, and the
 ``embed_s`` that added one ``Fraction`` per word; the kernel must agree with
-them exactly, also for pairs of rank below the ambient dimension, pairs of
+them exactly (its words in any order, as the walk leaves them), also for pairs of rank below the ambient dimension, pairs of
 different spans and pairs sharing entries, and for sums whose terms have
 different denominators and exponent tuples.
 """
@@ -57,7 +57,7 @@ def pairs(draw, d=None, n=None):
 @settings(max_examples=150, deadline=None)
 def test_s_pair_matches_reference(pair):
     key_a, key_b = pair
-    assert _s_pair(key_a, key_b) == ref.s_pair(key_a, key_b)
+    assert sorted(_s_pair(key_a, key_b)) == sorted(ref.s_pair(key_a, key_b))
 
 
 @st.composite
@@ -154,7 +154,7 @@ def test_embed_s_dim5_matches_reference():
     ((key_a, key_b, _), c), = x.terms.items()
     want = ref.s_pair(key_a, key_b)
     assert len(want) == 945
-    assert _s_pair(key_a, key_b) == want
+    assert sorted(_s_pair(key_a, key_b)) == sorted(want)
     assert embed_s(x).terms == {(w, (0,) * 5): c * wc for w, wc in want}
 
 
@@ -177,6 +177,6 @@ def test_s_map_and_coproduct_take_no_determinant():
     boom = mock.Mock(side_effect=AssertionError("called"))
     with mock.patch.multiple(steinberg, _int_det=boom, _int_rank=boom), \
             mock.patch.multiple(st2, _int_det=boom, _int_rank=boom, create=True):
-        got = [_s_pair.__wrapped__(*p) for p in pairs], st2_coproduct(x)
-    assert got == want
+        got = [sorted(_s_pair.__wrapped__(*p)) for p in pairs], st2_coproduct(x)
+    assert got == ([sorted(words) for words in want[0]], want[1])
     assert len(want[0][0]) > 1 and len(want[0][1]) > 1 and want[0][2] == ()
