@@ -40,7 +40,7 @@ from math import lcm
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .qlinalg import _int_gauss_jordan, _row_to_int, canonical_point, int_point, qv
+from .qlinalg import _cleared, _int_gauss_jordan, canonical_point, int_point, qv
 from .steinberg import (
     ApKey,
     LinComb,
@@ -208,7 +208,7 @@ def p_H_project(x: Bar, h: Sequence) -> Bar:
     if len(hv) != x.ambient:
         raise ValueError("functional length does not match ambient dimension")
     # h with its denominators cleared pairs with the integer letters in int
-    hi, _ = _row_to_int(hv)
+    (hi,), _ = _cleared([hv])
     live: dict[Point, bool] = {}
     out = Bar.zero(x.ambient)
     for key, c in x.terms.items():

@@ -25,7 +25,7 @@ from itertools import cycle, islice, product as iproduct, repeat
 from operator import mul
 from typing import Sequence
 
-from .qlinalg import _cleared, _int_det, _row_to_int, qv, solve, split_seed, vec_dot
+from .qlinalg import _cleared, _int_det, qv, solve, split_seed, vec_dot
 from .st2 import St2
 from .steinberg import (
     ApKey,
@@ -82,7 +82,7 @@ def rho_term(key: ApKey, exps: Sequence[int], z: Sequence) -> Fraction:
     if all(type(x) is int for x in z):
         zint, e = z, 1
     else:
-        zint, e = _row_to_int(qv(z))
+        (zint,), e = _cleared([qv(z)])
     d = len(key)
     if len(zint) != d:
         raise ValueError("evaluation point and apartment have different dimensions")
@@ -265,7 +265,7 @@ def truncated_fourier_sum(
     scale_num = scale_den = 1
     pairings = []  # (U.G_j for each j, exponent)
     for u, m in zip(forms, ns):
-        urow, uden = _row_to_int(qv(u))
+        (urow,), uden = _cleared([qv(u)])
         if len(urow) != n:
             raise ValueError("forms and x must have the same length")
         if m > 0:
@@ -273,7 +273,7 @@ def truncated_fourier_sum(
         elif m < 0:
             scale_den *= (uden * gden) ** -m
         pairings.append(([sum(map(mul, urow, g)) for g in gint], m))
-    xrow, xden = _row_to_int(xv)
+    (xrow,), xden = _cleared([xv])
     xpair = [sum(map(mul, xrow, g)) for g in gint]
     period = xden * gden
     phases: dict[int, complex] = {}

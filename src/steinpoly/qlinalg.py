@@ -67,12 +67,6 @@ def transpose(m: Mat) -> Mat:
     return tuple(zip(*m, strict=True)) if m else ()
 
 
-def _row_to_int(row: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Scale a rational row to integers; return (row, multiplier)."""
-    m = lcm(*(f.denominator for f in row)) if row else 1
-    return [f.numerator * (m // f.denominator) for f in row], m
-
-
 def _cleared(rows: Sequence[Sequence[Fraction]]) -> tuple[list[tuple[int, ...]], int]:
     """The rows times the lcm of all their denominators, as int tuples, and that lcm.
 
@@ -233,14 +227,14 @@ def rank(rows: Sequence[Vec]) -> int:
 def inverse(m: Mat) -> Mat:
     """Inverse of a square rational matrix; raises ValueError on singular input.
 
-    Row i is scaled to integers by s_i, M' = S m, so m^-1 = M'^-1 S and
-    entry (i, j) is adj(M')[i][j] * s_j / det M'.
+    The rows are cleared once (_cleared), M' = s m for the common scale s,
+    so m^-1 = s M'^-1 and entry (i, j) is adj(M')[i][j] * s / det M'.
     """
-    rows, scales = zip(*map(_row_to_int, m)) if m else ((), ())
+    rows, scale = _cleared(m)
     adj, dd = _int_adjugate(rows)
     if not dd:
         raise ValueError("matrix is singular")
-    return tuple(tuple(Fraction(x * s, dd) for x, s in zip(row, scales)) for row in adj)
+    return tuple(tuple(Fraction(x * scale, dd) for x in row) for row in adj)
 
 
 def solve(m: Mat, rhs: Vec) -> Vec | None:
@@ -286,7 +280,7 @@ def canonical_point(v: Sequence) -> tuple[int, ...]:
     w = qv(v)
     if is_zero_vec(w):
         raise ValueError("canonical_point of the zero vector")
-    return int_point(_row_to_int(w)[0])
+    return int_point(_cleared([w])[0][0])
 
 
 def int_point(v: Sequence[int]) -> tuple[int, ...]:

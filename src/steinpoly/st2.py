@@ -17,9 +17,10 @@ free: it walks (suffix of the second factor, unused entries of the first)
 depth first and keeps each word in order, where the flag basis holds the
 prefix fixed and sorts. The coproduct tests each split with one minor. Both
 write the second factor once in the basis of the first and read every test
-and every cut line off one table of its minors by one Cramer rule
-(steinberg._Minors and _cut_line), so neither computes a determinant or
-does Fraction arithmetic on the apartment keys.
+and every cut line off one flat table of its minors by one Cramer rule
+(steinberg._minors and _cut_line), so neither computes a determinant or
+does Fraction arithmetic on the apartment keys. The coproduct's splits
+come in ints from _splits, which st2_coproduct wraps in St2s.
 
 Apartment pairs (make_pair) and the L and I generators come in through
 steinberg's one way for rational vectors: _int_vectors takes ints as
@@ -42,8 +43,10 @@ there instead of building the whole expansion.
 The stable quotient is reached in ints too (_stable_ints): the tensor's
 numerators over one denominator go through the int s-map and
 barcplx._shuffle_quotient, so the zero test stops at the group of the
-first nonzero block and the cobracket fingerprints come out as int
-numerators, with no Fraction per word.
+first nonzero block. The cobracket check runs in ints a pair at a time:
+every factor on both of its routes is one apartment pair, fingerprinted
+once (_pair_fingerprint) as int numerators over one denominator, with
+no St2 and no Fraction per factor or word.
 """
 from __future__ import annotations
 
@@ -67,7 +70,7 @@ from .steinberg import (
     _flag_expand_apartment,
     _independent,
     _int_vectors,
-    _Minors,
+    _minors,
     _numerators,
     _sort_sign,
     _standard_rows,
@@ -76,7 +79,6 @@ from .steinberg import (
 )
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class St2(LinComb):
@@ -94,16 +96,22 @@ class St2(LinComb):
         _acc(self.terms, (key_a, key_b, e), Fraction(c))
 
 
-def _add_pair(out: St2, first: Sequence[Point], second: Sequence[Point], c, exps) -> None:
-    """out += c [first] (x) [second] for two tuples of independent int vectors.
+def _pair_key(first: Sequence[Point], second: Sequence[Point]) -> tuple[ApKey, ApKey, int]:
+    """(key_a, key_b, sign): [first] (x) [second] = sign [key_a] (x) [key_b] for independent int vectors.
 
     Each factor is only canonicalised and sorted: the caller has decided
     that both are independent.
     """
     key_a, sign_a = _sort_sign([int_point(v) for v in first])
     key_b, sign_b = _sort_sign([int_point(v) for v in second])
+    return key_a, key_b, sign_a * sign_b
+
+
+def _add_pair(out: St2, pair: tuple[ApKey, ApKey, int], c, exps) -> None:
+    """out += c sign [key_a] (x) [key_b] for pair = (key_a, key_b, sign)."""
+    key_a, key_b, sign = pair
     c = Fraction(c)
-    out.add_term(key_a, key_b, c if sign_a == sign_b else -c, exps)
+    out.add_term(key_a, key_b, c if sign == 1 else -c, exps)
 
 
 def make_pair(vecs_a: Sequence, vecs_b: Sequence, ambient: int | None = None, c=1, exps=None) -> St2:
@@ -113,7 +121,7 @@ def make_pair(vecs_a: Sequence, vecs_b: Sequence, ambient: int | None = None, c=
     if _independent(a, n):
         b, _ = _int_vectors(vecs_b, n)
         if _independent(b, n):
-            _add_pair(out, a, b, c, exps)
+            _add_pair(out, _pair_key(a, b), c, exps)
     return out
 
 
@@ -170,9 +178,46 @@ def embed_s(x: St2) -> Bar:
 
 
 def _subset_front_sign(subset: tuple[int, ...], d: int) -> int:
-    """Parity of the permutation listing subset ascending, then the rest."""
-    listing = list(subset) + [i for i in range(d) if i not in subset]
-    return _sort_sign(listing)[1]
+    """Parity of the permutation listing subset ascending, then the rest.
+
+    The r-th entry i_r of the ascending subset passes the i_r - r smaller
+    entries left out of it, so the parity is (-1)^sum(i_r - r).
+    """
+    return -1 if (sum(subset) - len(subset) * (len(subset) - 1) // 2) % 2 else 1
+
+
+Pair = tuple[ApKey, ApKey]
+
+
+def _splits(key_a: ApKey, key_b: ApKey):
+    """The int splits of [A] (x) [B], A = key_a and B = key_b of full rank d.
+
+    Yields (I, J, left, right, sign_l, sign_r) per split that counts, in
+    st2_coproduct's order: left and right are the apartment pairs
+    (a_I, lines cut out of a_I) and (lines cut out of b_J, b_J), each
+    sorted, with sign_l the split's sign times left's sort sign and
+    sign_r right's sort sign.
+    """
+    d = len(key_a)
+    m = _minors(_flag_coords(key_b, key_a), False)
+    full = (1 << d) - 1
+    for k in range(d + 1):
+        for i_set in combinations(range(d), k):
+            not_i = full - sum(1 << i for i in i_set)
+            i_comp = tuple(i for i in range(d) if not_i >> i & 1)
+            sign_i = _subset_front_sign(i_set, d)
+            for j_set in combinations(range(d), d - k):
+                j_rows = sum(1 << j for j in j_set) << d
+                if not m[j_rows | not_i]:
+                    continue
+                j_comp = tuple(j for j in range(d) if not j_rows >> d + j & 1)
+                sign = sign_i * _subset_front_sign(j_comp, d)
+                # left: A-entries at I, against lines cut out of A_I
+                key_l, sign_l = _sort_sign([_cut_line(m, key_b, j_rows | 1 << d + j | not_i) for j in j_comp])
+                key_r, sign_r = _sort_sign([_cut_line(m, key_b, j_rows | not_i ^ 1 << i) for i in i_comp])
+                left = tuple(key_a[i] for i in i_set), key_l
+                right = key_r, tuple(key_b[j] for j in j_set)
+                yield i_set, j_set, left, right, sign * sign_l, sign_r
 
 
 def st2_coproduct(x: St2) -> list[tuple[tuple[int, ...], tuple[int, ...], St2, St2]]:
@@ -193,38 +238,32 @@ def st2_coproduct(x: St2) -> list[tuple[tuple[int, ...], tuple[int, ...], St2, S
     the left lines are their images, so they are independent; so are the
     right lines, by projecting along a_I. Each factor is therefore only
     sorted, with no rank test, and a split with I or J empty gives the
-    empty pair on that side.
+    empty pair on that side. The int splits come from _splits.
     """
     out: list[tuple[tuple[int, ...], tuple[int, ...], St2, St2]] = []
     n = x.ambient
     for (key_a, key_b, exps), c in x.terms.items():
         if any(exps):
             raise ValueError("coproduct is defined on the plain component")
-        d = len(key_a)
-        if d != n:
+        if len(key_a) != n:
             raise ValueError("coproduct needs full-rank terms")
-        minors = _Minors(_flag_coords(key_b, key_a))
-        for k in range(d + 1):
-            for i_set in combinations(range(d), k):
-                not_i = (1 << d) - 1 - sum(1 << i for i in i_set)
-                for j_set in combinations(range(d), d - k):
-                    j_mask = sum(1 << j for j in j_set)
-                    if not minors[j_mask, not_i]:
-                        continue
-                    j_comp = tuple(j for j in range(d) if j not in j_set)
-                    i_comp = tuple(i for i in range(d) if i not in i_set)
-                    sign = _subset_front_sign(i_set, d) * _subset_front_sign(j_comp, d)
-                    # left: A-entries at I, against lines cut out of A_I
-                    key_l, sign_l = _sort_sign([_cut_line(minors, key_b, j_mask | 1 << j, not_i) for j in j_comp])
-                    key_r, sign_r = _sort_sign([_cut_line(minors, key_b, j_mask, not_i ^ 1 << i) for i in i_comp])
-                    left, right = St2.zero(n), St2.zero(n)
-                    left.add_term(tuple(key_a[i] for i in i_set), key_l, c * sign * sign_l)
-                    right.add_term(key_r, tuple(key_b[j] for j in j_set), sign_r)
-                    out.append((i_set, j_set, left, right))
+        for i_set, j_set, (la, lb), (ra, rb), sign_l, sign_r in _splits(key_a, key_b):
+            left, right = St2.zero(n), St2.zero(n)
+            left.add_term(la, lb, c * sign_l)
+            right.add_term(ra, rb, sign_r)
+            out.append((i_set, j_set, left, right))
     return out
 
 
 # ------------------------------------------------------------- generators
+
+
+def _L_pair(vecs: Sequence[Point], n: int) -> tuple[ApKey, ApKey, int] | None:
+    """make_L of int vectors in Q^n as one (key_a, key_b, sign), or None when they are dependent."""
+    if not _independent(vecs, n):
+        return None
+    rev = vecs[::-1]
+    return _pair_key(list(accumulate(rev, vec_add)), rev)
 
 
 def make_L(vectors: Sequence, ambient: int | None = None, c=1, exps=None) -> St2:
@@ -235,10 +274,9 @@ def make_L(vectors: Sequence, ambient: int | None = None, c=1, exps=None) -> St2
     """
     vecs, n = _int_vectors(vectors, ambient)
     out = St2.zero(n)
-    if _independent(vecs, n):
-        rev = vecs[::-1]
-        sums = list(accumulate(rev, vec_add))
-        _add_pair(out, sums, rev, c, exps)
+    pair = _L_pair(vecs, n)
+    if pair is not None:
+        _add_pair(out, pair, c, exps)
     return out
 
 
@@ -252,7 +290,7 @@ def make_I(vectors: Sequence, ambient: int | None = None, c=1, exps=None) -> St2
     if _independent(vecs, n):
         rev = vecs[::-1]
         second = rev[:1] + [vec_sub(a, b) for a, b in zip(rev[1:], rev)]
-        _add_pair(out, rev, second, Fraction(c) * (-1) ** len(vecs), exps)
+        _add_pair(out, _pair_key(rev, second), Fraction(c) * (-1) ** len(vecs), exps)
     return out
 
 
@@ -273,7 +311,7 @@ def dualize(x: St2) -> St2:
         (dual_a, det_a), (dual_b, det_b) = _dual_lines(key_a), _dual_lines(key_b)
         if not det_a or not det_b:
             raise ValueError("duality needs independent keys")
-        _add_pair(out, dual_b, dual_a, c, exps)
+        _add_pair(out, _pair_key(dual_b, dual_a), c, exps)
     return out
 
 
@@ -355,6 +393,11 @@ def bar_infty_reduce(x: Bar) -> Bar:
     return shuffle_span_reduce(x)
 
 
+def _s_groups(key_a: ApKey, key_b: ApKey, exps: tuple) -> _Groups:
+    """The s-image of the pair [key_a] (x) [key_b] times exps, grouped for barcplx._shuffle_quotient."""
+    return _Groups(((word, exps), c) for word, c in _s_pair(key_a, key_b))
+
+
 def _stable_ints(x: St2, limit: int | None = None, memo: dict | None = None) -> tuple[int, dict]:
     """(den, {(word, exps): int}): the s-image of x modulo the shuffle span, over den.
 
@@ -375,8 +418,7 @@ def _stable_ints(x: St2, limit: int | None = None, memo: dict | None = None) -> 
     for term, num in nums.items():
         src = memo.get(term)
         if src is None:
-            ka, kb, exps = term
-            src = memo[term] = _Groups(((word, exps), c) for word, c in _s_pair(ka, kb))
+            src = memo[term] = _s_groups(*term)
         sources.append((num, src))
     scale, out = _shuffle_quotient(sources, limit)
     return den * scale, out
@@ -406,15 +448,17 @@ def cobracket_L(vectors: Sequence, ambient: int | None = None):
 
     Returns a list of (coeff, left_vectors, right_vectors); each side is
     to be read as an L generator on the span of its vectors, and the
-    pair as a wedge.
+    pair as a wedge. Int vectors stay int, others are read as rationals.
     """
-    vecs = [qv(v) for v in vectors]
-    n = ambient if ambient is not None else len(vecs[0])
+    if all(type(x) is int for v in vectors for x in v):
+        vecs = [tuple(v) for v in vectors]
+    else:
+        vecs = [qv(v) for v in vectors]
     d = len(vecs)
     v0 = vecs[0]
     for v in vecs[1:]:
         v0 = vec_add(v0, v)
-    cyc = [tuple(-x for x in v0)] + [tuple(v) for v in vecs]  # v_0, v_1, ..., v_d
+    cyc = [tuple(-x for x in v0)] + vecs  # v_0, v_1, ..., v_d
     terms = []
     for j in range(d + 1):
         for i in range(1, d):
@@ -422,6 +466,11 @@ def cobracket_L(vectors: Sequence, ambient: int | None = None):
             right = tuple(cyc[(j + t) % (d + 1)] for t in range(i + 1, d + 1))
             terms.append((Fraction(-1), left, right))
     return terms
+
+
+def _pair_fingerprint(key_a: ApKey, key_b: ApKey, n: int) -> tuple[int, dict]:
+    """(den, {(word, exps): int}): the stable class of [key_a] (x) [key_b] in Q^n, as _stable_ints gives it."""
+    return _shuffle_quotient([(1, _s_groups(key_a, key_b, zero_exps(n)))])
 
 
 def cobracket_matches_coproduct(vectors: Sequence) -> bool:
@@ -433,37 +482,51 @@ def cobracket_matches_coproduct(vectors: Sequence) -> bool:
     exactly. The coproduct route antisymmetrizes every split and keeps
     only the splits where both sides are nontrivial.
 
-    Each distinct factor (by its sorted terms) is fingerprinted once. The
-    letters of each fingerprint word span the word's support, so ambient
-    keys keep factors on different supports apart; each key gets a small
-    id. Both routes are sums of c fp(a) ^ fp(b), so route A minus route B
-    is kept on the pairs of ids ia < ib, with (ib, ia) folded in by sign
-    and ia = ib cancelling, in integers over one common denominator.
+    Every factor on both routes is one apartment pair: an L generator of
+    the cobracket side (_L_pair of cobracket_L's int vectors) or a side of
+    an int split of L (_splits). Its sign goes into the term's
+    coefficient, and each distinct pair is fingerprinted once
+    (_pair_fingerprint). The letters of each fingerprint word span the
+    word's support, so ambient keys keep factors on different supports
+    apart; each key gets a small id. Both routes are sums of
+    c fp(a) ^ fp(b), so route A minus route B is kept on the pairs of ids
+    ia < ib, with (ib, ia) folded in by sign and ia = ib cancelling, in
+    integers over one common denominator.
 
     Raises ValueError on a dependent basis, where L(vectors) is zero but
     the cobracket terms on its independent sub-tuples are not.
     """
     vecs, n = _int_vectors(vectors, None)
-    if not _independent(vecs, n):
+    whole = _L_pair(vecs, n)
+    if whole is None:
         raise ValueError("cobracket check needs independent vectors")
-    pairs = [(c, make_L(left, n), make_L(right, n)) for c, left, right in cobracket_L(vecs, n)]
-    pairs += [(-ONE, a, b) for i, j, a, b in st2_coproduct(make_L(vecs, n)) if i and j]
+    key_a, key_b, sign = whole
+    if len(key_a) != n:
+        raise ValueError("coproduct needs full-rank terms")
+    terms = []  # (c, pair a, pair b) for c fp(a) ^ fp(b)
+    for c, left, right in cobracket_L(vecs, n):
+        a, b = _L_pair(*_int_vectors(left, n)), _L_pair(*_int_vectors(right, n))
+        if a is not None and b is not None:
+            terms.append((c * a[2] * b[2], a[:2], b[:2]))
+    for i, j, left, right, sign_l, sign_r in _splits(key_a, key_b):
+        if i and j:
+            terms.append((-sign * sign_l * sign_r, left, right))
     ids: dict = {}
     fps: dict = {}
 
-    def fingerprint(x: St2) -> tuple[int, list[tuple[int, int]]]:
-        """(den, [(key id, numerator)]) of x's fingerprint, once per distinct x."""
-        fk = tuple(sorted(x.terms.items()))
-        if fk not in fps:
-            den, nums = _stable_ints(x)
-            fps[fk] = den, [(ids.setdefault(k, len(ids)), num) for k, num in nums.items()]
-        return fps[fk]
+    def fingerprint(pair: Pair) -> tuple[int, list[tuple[int, int]]]:
+        """(den, [(key id, numerator)]) of the pair's fingerprint, once per distinct pair."""
+        fp = fps.get(pair)
+        if fp is None:
+            den, nums = _pair_fingerprint(*pair, n)
+            fp = fps[pair] = den, [(ids.setdefault(k, len(ids)), num) for k, num in nums.items()]
+        return fp
 
-    terms = [(c, fingerprint(a), fingerprint(b)) for c, a, b in pairs]
+    expanded = [(c, fingerprint(a), fingerprint(b)) for c, a, b in terms]
     # each pair carries c / (den_a den_b); one lcm clears them all
-    den = lcm(*(c.denominator * da * db for c, (da, _na), (db, _nb) in terms))
+    den = lcm(*(c.denominator * da * db for c, (da, _na), (db, _nb) in expanded))
     acc: dict = {}
-    for c, (da, nums_a), (db, nums_b) in terms:
+    for c, (da, nums_a), (db, nums_b) in expanded:
         scale = c.numerator * (den // (c.denominator * da * db))
         for ia, na in nums_a:
             s = scale * na

@@ -30,13 +30,18 @@ walk goes down suffix chains S_1 > S_2 > ... of the apartment's entries:
 step i cuts the i-th flag step with the span of S_i, a state whose cut is
 no line prunes every chain through it, and the sign grows by the
 position of each dropped entry. Keys, flag rows and cut lines are plain
-ints. The key is written once in flag coordinates, and every cut line is
-read off one table of its minors (_Minors, each a Laplace sum over minors
-one size smaller) by one Cramer rule (_cut_line), so the walk computes no
-determinant and no Fraction; the coproduct of st2 cuts its lines with the
-same table and rule. The lines of a chain are kept sorted as it grows,
-with the sign carried along, so no leaf is sorted, and the words come out
-in the order the walk reaches them: every caller folds them into a dict.
+ints. The key is written once in flag coordinates, and every pruning test
+and every cut line is read off one flat table of its minors (_minors,
+m[rows << d | cols], filled in one loop over its row sets, each entry a
+Laplace sum over minors one size smaller) by one Cramer rule (_cut_line),
+so the walk computes no determinant and no Fraction. A state of the walk
+is the index of its own minor, and a child's minor is tested in the table
+before the walk recurses into it. The flag walk fills only the suffix
+column sets it reads; the s-map and the coproduct of st2, which cuts its
+lines with the same rule, fill every equal-size minor. The lines of a
+chain are kept sorted as it grows, with the sign carried along, so no
+leaf is sorted, and the words come out in the order the walk reaches
+them: every caller folds them into a dict.
 
 ash_rudolph_reduce rewrites an integral apartment as a sum of unimodular
 ones by one Ash-Rudolph step at every rank: [v_1..v_n] = sum_i [v_1..w..v_n]
@@ -325,49 +330,64 @@ def _flag_coords(key_b: Sequence[Point], key_a: Sequence[Point]) -> list[list[in
     return [[row[j] for row in work[:d]] for j in range(d, d + len(key_b))]
 
 
-class _Minors(dict):
-    """det C[R, Q] for row and column bitmasks R, Q of equal size, keyed (R, Q).
+def _minors(coords: Sequence[Sequence[int]], suffixes: bool) -> list[int]:
+    """The flat table m[rows << d | cols] = det C[rows, cols] of the d x d int matrix C = coords.
 
-    Each entry is filled on first use by Laplace along the first column q
-    of Q: M(R, Q) = sum_t (-1)^t C[R_t][q] M(R - R_t, Q - q), M(0, 0) = 1.
+    rows and cols are bitmasks of equal size; m[0] = 1. One loop over the
+    row sets R in increasing order fills the table, each entry by Laplace
+    along the first column q of cols,
+    M(R, Q) = sum_t (-1)^t C[R_t][q] M(R - R_t, Q - q), so every minor one
+    size smaller that it reads is already filled. With suffixes only the
+    column sets {i, ..., d-1} are filled, which are all the flag walk
+    reads; otherwise every column set is. Other entries stay 0.
     """
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords: Sequence[Sequence[int]]):
-        super().__init__({(0, 0): 1})
-        self.coords = coords
-
-    def __missing__(self, rq: tuple[int, int]) -> int:
-        rows, cols = rq
-        low = cols & -cols
-        q, rest = low.bit_length() - 1, cols ^ low
-        total, sign, left = 0, 1, rows
+    d = len(coords)
+    full = (1 << d) - 1
+    columns = list(zip(*coords))
+    # (cols, its first column, cols without it) by size
+    col_sets: list[list] = [[] for _ in range(d + 1)]
+    for cols in [full ^ full >> k for k in range(1, d + 1)] if suffixes else range(1, 1 << d):
+        col_sets[cols.bit_count()].append((cols, columns[(cols & -cols).bit_length() - 1], cols & (cols - 1)))
+    m = [0] * (1 << 2 * d)
+    m[0] = 1
+    for rows in range(1, 1 << d):
+        # the Laplace terms (row t, index of the minor without row t, its sign)
+        laplace = []
+        sign, left = 1, rows
         while left:
             bit = left & -left
             left ^= bit
-            x = self.coords[bit.bit_length() - 1][q]
-            if x:
-                total += sign * x * self[rows ^ bit, rest]
+            laplace.append((bit.bit_length() - 1, (rows ^ bit) << d, sign))
             sign = -sign
-        self[rq] = total
-        return total
+        at = rows << d
+        for cols, column, rest in col_sets[len(laplace)]:
+            total = 0
+            for t, sub, sign in laplace:
+                x = column[t]
+                if x:
+                    total += sign * x * m[sub | rest]
+            m[at | cols] = total
+    return m
 
 
-def _cut_line(minors: _Minors, vecs: Sequence[Point], rows: int, cols: int) -> Point:
-    """The line where span(vecs[rows]) meets {coordinates cols = 0}, |cols| = |rows| - 1.
+def _cut_line(m: list[int], vecs: Sequence[Point], cut: int) -> Point:
+    """The line where span(vecs[rows]) meets {coordinates cols = 0}, for cut = rows << d | cols.
 
-    The coordinates are those of the minors' table, one row per vec. By
-    Cramer the line is sum_t (-1)^t M(rows - rows_t, cols) vecs[rows_t]:
-    each coordinate in cols is a Laplace sum of a minor with a repeated
-    column. The caller knows the sum is nonzero: for a column c outside
-    cols, its c-th coordinate is +-M(rows, cols + c).
+    |cols| = |rows| - 1, and the coordinates are those of the minor table
+    m, one row per vec. By Cramer the line is
+    sum_t (-1)^t M(rows - rows_t, cols) vecs[rows_t], and the index of
+    M(rows - rows_t, cols) is cut with bit rows_t cleared: each coordinate
+    in cols is a Laplace sum of a minor with a repeated column. The caller
+    knows the sum is nonzero: for a column c outside cols, its c-th
+    coordinate is +-M(rows, cols + c).
     """
+    d = len(vecs)
     point = None
     sign = 1
     for t, v in enumerate(vecs):
-        if rows >> t & 1:
-            sub = minors[rows ^ 1 << t, cols]
+        bit = 1 << d + t
+        if cut & bit:
+            sub = m[cut ^ bit]
             if sub:
                 sub *= sign
                 point = [sub * y for y in v] if point is None else [x + sub * y for x, y in zip(point, v)]
@@ -376,7 +396,6 @@ def _cut_line(minors: _Minors, vecs: Sequence[Point], rows: int, cols: int) -> P
 
 
 Word = tuple[Point, ...]
-Step = tuple[Point, int, list[int] | None]
 
 
 def _walk(coords: Sequence[Sequence[int]], vecs: Sequence[Point], fixed: bool) -> tuple[tuple[Word, int], ...]:
@@ -387,19 +406,23 @@ def _walk(coords: Sequence[Sequence[int]], vecs: Sequence[Point], fixed: bool) -
     of sigma times the sign of tau, when the d letters are independent
     lines. The walk builds sigma and tau one entry at a time. A state is
     the suffix S of B and the set U of unused A-entries, as the int
-    S << d | U of two bitmasks. Its step takes an A-entry s of U, signed by
-    its position in U, and after the letter drops one entry of S, signed
-    by its position in S.
+    S << d | U of two bitmasks: the index of M(S, U) in the minor table.
+    Its step takes an A-entry s of U, signed by its position in U, and
+    after the letter drops one entry of S, signed by its position in S.
 
     In the coordinates C of B in the basis A (coords, one row per entry
     of B), the letter is where span(b[S]) has zero coordinates on U - s:
-    _cut_line of S off U - s. The earlier letters span a[not U], so the
-    letter is independent of them exactly when its s-coordinate,
-    +-M(S, U), is nonzero. That minor does not depend on s, so it prunes
-    the state before any s is tried, and the walk computes no
-    determinant. Each state's steps and each cut are computed once.
+    _cut_line of S off U - s, whose index is the state with bit s cleared.
+    The earlier letters span a[not U], so the letter is independent of
+    them exactly when its s-coordinate, +-M(S, U), is nonzero. That minor
+    does not depend on s, and the child that drops t from S has index
+    cut - t, the index of its Cramer coefficient: the walk tests it in the
+    table before recursing, and computes no determinant. Each cut is
+    computed once. A child whose S is one entry t is a leaf, whose one
+    letter is the line of b_t: the walk adds its word without visiting it.
 
-    With fixed, sigma is the identity: s is the lowest entry of U, and
+    With fixed, sigma is the identity: s is the lowest entry of U, so U is
+    always a suffix and only suffix columns of the table are filled, and
     the letters are kept sorted, a letter inserted before k of them
     flipping the sign by (-1)^k, so a leaf reads an apartment key and its
     sign off the list. With A the rows of a flag this is the flag basis.
@@ -408,49 +431,60 @@ def _walk(coords: Sequence[Sequence[int]], vecs: Sequence[Point], fixed: bool) -
     d = len(vecs)
     if not d:  # the rank-0 pair is the empty word
         return (((), 1),)
-    minors = _Minors(coords)
+    m = _minors(coords, fixed)
     full = (1 << d) - 1
-    cuts: dict[int, Point] = {}
-    states: dict[int, list[Step]] = {}
+    root = full << d | full
+    if not m[root]:
+        return ()
+    if d == 1:
+        return (((int_point(vecs[0]),), 1),)
+    # the entries s a state may take from U: with fixed, U is a suffix and s its lowest entry
+    if fixed:
+        takes = {full ^ full >> k: [1 << d - k] for k in range(1, d + 1)}
+    else:
+        takes = [[]]
+        for t in range(d):
+            takes += [ss + [1 << t] for ss in takes]
+    last = {1 << t: int_point(v) for t, v in enumerate(vecs)}  # for S = {t}, the one letter left
+    cuts: list[Point | None] = [None] * (1 << 2 * d)
     words: defaultdict[Word, int] = defaultdict(int)
     letters: list[Point] = []
 
-    def steps(state: int) -> list[Step]:
-        """(letter, parity of s, child states or None at a leaf) for each s; [] when M(S, U) = 0."""
-        suffix, unused = state >> d, state & full
-        if not minors[suffix, unused]:
-            return []
-        out = []
-        left = unused
-        while left:
-            s = left & -left
-            left ^= s
-            cut = state ^ s  # S << d | U - s: the cut's key; each child drops one entry of its S
-            line = cuts.get(cut)
-            if line is None:
-                line = cuts[cut] = _cut_line(minors, vecs, suffix, unused ^ s)
-            kids = [cut ^ 1 << t for t in range(d, 2 * d) if cut >> t & 1] if suffix & (suffix - 1) else None
-            out.append((line, len(out) % 2, kids))
-            if fixed:
-                break
-        return out
-
     def visit(state: int, sign: int) -> None:
-        todo = states.get(state)
-        if todo is None:
-            todo = states[state] = steps(state)
-        for line, odd, kids in todo:
+        """The words below a state whose S has two or more entries; children with one are leaves."""
+        suffix = state >> d
+        leaves = suffix.bit_count() == 2
+        odd = 0
+        for s in takes[state & full]:
+            cut = state ^ s  # S << d | U - s
+            line = cuts[cut]
+            if line is None:
+                line = cuts[cut] = _cut_line(m, vecs, cut)
             at = bisect(letters, line) if fixed else len(letters)
             sgn = -sign if (len(letters) - at + odd) % 2 else sign
             letters.insert(at, line)
-            if kids is None:
-                words[tuple(letters)] += sgn
-            else:
-                for k, kid in enumerate(kids):
-                    visit(kid, -sgn if k % 2 else sgn)
+            rest = suffix
+            while rest:
+                t = rest & -rest
+                rest ^= t
+                kid = cut ^ t << d
+                if not m[kid]:
+                    pass
+                elif not leaves:
+                    visit(kid, sgn)
+                elif fixed:
+                    end = last[suffix ^ t]
+                    at_end = bisect(letters, end)
+                    letters.insert(at_end, end)
+                    words[tuple(letters)] += -sgn if (len(letters) - 1 - at_end) % 2 else sgn
+                    del letters[at_end]
+                else:
+                    words[(*letters, last[suffix ^ t])] += sgn
+                sgn = -sgn
             del letters[at]
+            odd ^= 1
 
-    visit(full << d | full, 1)
+    visit(root, 1)
     return tuple((w, c) for w, c in words.items() if c)
 
 

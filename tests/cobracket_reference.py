@@ -14,18 +14,26 @@ antisymmetric ``Fraction`` dictionary, and the two are compared.
 Both project along the seeded functionals of ``stable_reference``, as
 the kernel did before it reduced modulo the shuffle span directly.
 
-Unlike the kernel, both take the list of cobracket terms as an argument,
-so tests can feed every route the same mutated terms and require the same
-verdict.
+``factor_matches_coproduct`` is the kernel as it was before every factor
+became one int apartment pair: it builds each factor as an ``St2``
+through ``make_L`` and ``st2_coproduct``, fingerprints each distinct
+factor (by its sorted ``Fraction`` terms) once through ``_stable_ints``,
+and sums the wedge in integers. It is that kernel verbatim, except that
+the terms come in as an argument.
+
+Unlike the kernel, all three take the list of cobracket terms as an
+argument, so tests can feed every route the same mutated terms and
+require the same verdict.
 """
 from fractions import Fraction
+from math import lcm
 
 from barcplx_reference import local_coords
 from stable_reference import _h_functional, st_infty_fingerprint as ambient_fingerprint
 from steinpoly.barcplx import p_H_project, shuffle_span_reduce
 from steinpoly.qlinalg import Subspace, qv
-from steinpoly.st2 import St2, embed_s, make_L, make_pair, st2_coproduct
-from steinpoly.steinberg import _acc
+from steinpoly.st2 import St2, _stable_ints, embed_s, make_L, make_pair, st2_coproduct
+from steinpoly.steinberg import _acc, _independent, _int_vectors
 
 ONE = Fraction(1)
 
@@ -117,3 +125,37 @@ def wedge_matches_coproduct(vectors, terms, seed=0):
     splits = st2_coproduct(make_L(vecs, n))
     route_b = _wedge(((ONE, left, right) for i, j, left, right in splits if i and j), seed)
     return route_a == route_b
+
+
+def factor_matches_coproduct(vectors, terms) -> bool:
+    """Compare the cobracket terms (c, left, right) with the coproduct of L(vectors)."""
+    vecs, n = _int_vectors(vectors, None)
+    if not _independent(vecs, n):
+        raise ValueError("cobracket check needs independent vectors")
+    pairs = [(c, make_L(left, n), make_L(right, n)) for c, left, right in terms]
+    pairs += [(-ONE, a, b) for i, j, a, b in st2_coproduct(make_L(vecs, n)) if i and j]
+    ids: dict = {}
+    fps: dict = {}
+
+    def fingerprint(x: St2) -> tuple[int, list[tuple[int, int]]]:
+        """(den, [(key id, numerator)]) of x's fingerprint, once per distinct x."""
+        fk = tuple(sorted(x.terms.items()))
+        if fk not in fps:
+            den, nums = _stable_ints(x)
+            fps[fk] = den, [(ids.setdefault(k, len(ids)), num) for k, num in nums.items()]
+        return fps[fk]
+
+    terms = [(c, fingerprint(a), fingerprint(b)) for c, a, b in pairs]
+    # each pair carries c / (den_a den_b); one lcm clears them all
+    den = lcm(*(c.denominator * da * db for c, (da, _na), (db, _nb) in terms))
+    acc: dict = {}
+    for c, (da, nums_a), (db, nums_b) in terms:
+        scale = c.numerator * (den // (c.denominator * da * db))
+        for ia, na in nums_a:
+            s = scale * na
+            for ib, nb in nums_b:
+                if ia < ib:
+                    acc[(ia, ib)] = acc.get((ia, ib), 0) + s * nb
+                elif ib < ia:
+                    acc[(ib, ia)] = acc.get((ib, ia), 0) - s * nb
+    return not any(acc.values())

@@ -9,7 +9,10 @@ entries only: on two ints its division would give a float.
 ``det`` and ``saturation_index`` clear each row by its own denominators
 (``_rows_to_int``) and divide by the product of those scales, where the
 kernel clears all rows by one common denominator; tests require both
-routes to give the same rational.
+routes to give the same rational. ``inverse_per_row`` and
+``canonical_point_per_row`` are the kernel's ``inverse`` and
+``canonical_point`` as they were before they cleared through ``_cleared``:
+each row scaled to integers on its own (``_row_to_int``).
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from steinpoly.qlinalg import Mat, Vec, _int_det, _minor_gcd, qm
+from steinpoly.qlinalg import Mat, Vec, _int_adjugate, _int_det, _minor_gcd, int_point, is_zero_vec, qm, qv
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -135,3 +138,30 @@ def saturation_index(vectors: Sequence[Vec]) -> Fraction:
     if g == 0:
         raise ValueError("saturation index of dependent vectors")
     return Fraction(g, denom)
+
+
+def _row_to_int(row: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Scale a rational row to integers; return (row, multiplier)."""
+    m = lcm(*(f.denominator for f in row)) if row else 1
+    return [f.numerator * (m // f.denominator) for f in row], m
+
+
+def inverse_per_row(m: Mat) -> Mat:
+    """Inverse of a square rational matrix; raises ValueError on singular input.
+
+    Row i is scaled to integers by s_i, M' = S m, so m^-1 = M'^-1 S and
+    entry (i, j) is adj(M')[i][j] * s_j / det M'.
+    """
+    rows, scales = zip(*map(_row_to_int, m)) if m else ((), ())
+    adj, dd = _int_adjugate(rows)
+    if not dd:
+        raise ValueError("matrix is singular")
+    return tuple(tuple(Fraction(x * s, dd) for x, s in zip(row, scales)) for row in adj)
+
+
+def canonical_point_per_row(v: Sequence) -> tuple[int, ...]:
+    """Projective normal form of a nonzero rational vector, cleared by _row_to_int."""
+    w = qv(v)
+    if is_zero_vec(w):
+        raise ValueError("canonical_point of the zero vector")
+    return int_point(_row_to_int(w)[0])

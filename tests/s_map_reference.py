@@ -22,7 +22,7 @@ from typing import Sequence
 
 from steinpoly.barcplx import Bar
 from steinpoly.qlinalg import ONE, Subspace, Vec, canonical_point, qv, vec_add, vec_sub
-from steinpoly.st2 import St2, _s_pair, _subset_front_sign, make_pair, zero_exps
+from steinpoly.st2 import St2, _s_pair, make_pair, zero_exps
 from steinpoly.steinberg import Point, _acc, _sort_sign
 
 
@@ -94,6 +94,12 @@ def _unit_st2(n, c):
     out = St2.zero(n)
     out.add_term((), (), c)
     return out
+
+
+def _subset_front_sign(subset, d):
+    """Parity of the permutation listing subset ascending, then the rest: listed and sorted."""
+    listing = list(subset) + [i for i in range(d) if i not in subset]
+    return _sort_sign(listing)[1]
 
 
 def st2_coproduct(x):

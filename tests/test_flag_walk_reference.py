@@ -21,7 +21,7 @@ from steinpoly.qlinalg import _int_det, _int_gauss_jordan, _int_rank, int_point
 from steinpoly.steinberg import (
     _flag_coords,
     _flag_expand_apartment,
-    _Minors,
+    _minors,
     _standard_rows,
     normalize_apartment,
 )
@@ -72,20 +72,30 @@ def test_walk_equals_determinant_walk(case):
 
 
 def test_minors_are_determinants():
-    """Every equal-size minor, the flag walk's tail minors among them."""
+    """The minor table against _int_det: every equal-size minor, and every entry of the suffix fill.
+
+    The suffix fill, which the flag walk reads, holds the minors on the
+    column sets {i, ..., d-1} and zero everywhere else.
+    """
     rng = random.Random(19)
     for d in range(1, 6):
+        full = (1 << d) - 1
+        suffixes = {full ^ full >> k for k in range(d + 1)}
         for _ in range(5):
             coords = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
-            minors = _Minors(coords)
+            every, suffix = _minors(coords, False), _minors(coords, True)
+            assert len(every) == len(suffix) == 1 << 2 * d
             for rows in range(1 << d):
                 for cols in range(1 << d):
+                    at = rows << d | cols
                     if rows.bit_count() != cols.bit_count():
+                        assert every[at] == suffix[at] == 0, (coords, rows, cols)
                         continue
                     sub_r = [t for t in range(d) if rows >> t & 1]
                     sub_c = [q for q in range(d) if cols >> q & 1]
                     want = _int_det([[coords[t][q] for q in sub_c] for t in sub_r])
-                    assert minors[rows, cols] == want, (coords, sub_r, sub_c)
+                    assert every[at] == want, (coords, sub_r, sub_c)
+                    assert suffix[at] == (want if cols in suffixes else 0), (coords, sub_r, sub_c)
 
 
 @pytest.mark.parametrize("key, frows", [

@@ -2,11 +2,13 @@
 
 ``qlinalg_reference`` keeps the old ``rref`` and the routines built on it,
 and the per-row clearing that ``det`` and ``saturation_index`` used before
-the kernel cleared all rows by one common denominator. The kernel must
-return the same rows, pivots, ranks, inverses, solutions, kernel bases,
-determinants and saturation indices, with Fraction entries, on matrices
-with zero rows, zero columns, dependent rows, and integer, Fraction or
-mixed entries whose denominators reach 10**9 + 7.
+the kernel cleared all rows by one common denominator, and that
+``inverse`` and ``canonical_point`` used before they cleared through
+``_cleared``. The kernel must return the same rows, pivots, ranks,
+inverses, solutions, kernel bases, determinants, saturation indices and
+canonical points, with Fraction entries, on matrices with zero rows, zero
+columns, dependent rows, and integer, Fraction or mixed entries whose
+denominators reach 10**9 + 7.
 """
 from fractions import Fraction
 
@@ -15,7 +17,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qlinalg_reference as ref
-from steinpoly.qlinalg import Subspace, det, inverse, nullspace, qm, rank, rref, saturation_index, solve
+from steinpoly.qlinalg import (
+    Subspace,
+    canonical_point,
+    det,
+    inverse,
+    nullspace,
+    qm,
+    rank,
+    rref,
+    saturation_index,
+    solve,
+)
 
 BIG = 10**9 + 7
 
@@ -106,6 +119,33 @@ def test_inverse_matches_reference(rows):
     assert got == want
     if got is not None:
         assert all_fractions(got)
+
+
+@given(square())
+@settings(max_examples=200, deadline=None)
+def test_inverse_matches_per_row_clearing(rows):
+    try:
+        want = ref.inverse_per_row(qm(rows))
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            inverse(rows)
+        return
+    got = inverse(rows)
+    assert got == want and all_fractions(got)
+
+
+@given(st.lists(ENTRIES, min_size=1, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_canonical_point_matches_per_row_clearing(v):
+    if not any(v):
+        with pytest.raises(ValueError):
+            ref.canonical_point_per_row(v)
+        with pytest.raises(ValueError):
+            canonical_point(v)
+        return
+    got = canonical_point(v)
+    assert got == ref.canonical_point_per_row(v)
+    assert all(type(x) is int for x in got)
 
 
 @given(square())

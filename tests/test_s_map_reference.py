@@ -8,6 +8,7 @@ different spans and pairs sharing entries, and for sums whose terms have
 different denominators and exponent tuples.
 """
 from fractions import Fraction
+from itertools import combinations
 from unittest import mock
 
 from hypothesis import assume, given, settings
@@ -156,6 +157,14 @@ def test_embed_s_dim5_matches_reference():
     assert len(want) == 945
     assert sorted(_s_pair(key_a, key_b)) == sorted(want)
     assert embed_s(x).terms == {(w, (0,) * 5): c * wc for w, wc in want}
+
+
+def test_subset_front_sign_is_the_listing_parity():
+    """The closed-form parity against listing the subset, then the rest, and sorting."""
+    for d in range(7):
+        for k in range(d + 1):
+            for subset in combinations(range(d), k):
+                assert st2._subset_front_sign(subset, d) == ref._subset_front_sign(subset, d), subset
 
 
 def test_st2_coproduct_dim5_matches_reference():
