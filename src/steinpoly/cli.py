@@ -42,8 +42,6 @@ from .st2 import (
 )
 from .steinberg import St, _dual_lines, _independent, ash_rudolph_reduce, flag_expand, make_apartment
 
-ONE = Fraction(1)
-
 # The flag normal form and the s-map visit d! orderings of an apartment, so
 # every dimension taken from arguments or input files is bounded.
 MAX_DIM = 6
@@ -56,6 +54,11 @@ MAX_WEIGHT = 12
 # points, and the shuffle study box ** 2; `fourier` refuses studies that
 # would visit more than this.
 MAX_FOURIER_POINTS = 10**6
+
+# Each term of a Fourier sum divides by a product of pairings raised to the
+# exponents, an integer that grows with their total, so `fourier` refuses a
+# Bernoulli weight or a cone's exponent sum above this.
+MAX_FOURIER_WEIGHT = 60
 
 
 class InputError(Exception):
@@ -71,7 +74,8 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer longer than sys.get_int_max_str_digits()
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -380,8 +384,6 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
-    if args.suite not in _SUITES:
-        raise InputError(f"unknown suite {args.suite!r}")
     run, pert_kind, min_dim = _SUITES[args.suite]
     _check_dim(args.dim, "--dim")
     if args.cases < 1:
@@ -496,6 +498,11 @@ def _check_points(side: int, dims: int) -> None:
         )
 
 
+def _check_fourier_weight(weight: int, what: str) -> None:
+    if weight > MAX_FOURIER_WEIGHT:
+        raise InputError(f"{what} must be at most {MAX_FOURIER_WEIGHT}, got {weight}")
+
+
 def _nonempty_list(cfg, key: str, default: list) -> list:
     value = cfg.get(key, default)
     if not isinstance(value, list) or not value:
@@ -518,6 +525,7 @@ def _tolerance(value) -> float | None:
 
 def _study_bernoulli(cfg, box):
     weights = [_positive_int(n, "weight") for n in _nonempty_list(cfg, "weights", [1, 2, 3])]
+    _check_fourier_weight(max(weights), "weight")
     points = [_frac(x) for x in _nonempty_list(cfg, "points", ["1/3", "1/5", "2/7"])]
     tol = _tolerance(cfg.get("tolerance"))
     m_max = box or _positive_int(cfg.get("m_max", 10000), "m_max")
@@ -575,6 +583,7 @@ def _study_cone(cfg, box):
         raise InputError(f"cone generators, forms and points need {n} coordinates each")
     if len(forms) != len(ns):
         raise InputError(f"{len(forms)} forms but {len(ns)} exponents")
+    _check_fourier_weight(sum(ns), "the sum of the cone exponents")
     m_max = box or _positive_int(cfg.get("m_max", 50), "m_max")
     _check_points(m_max, len(gens))
     rows = []
@@ -606,7 +615,7 @@ def cmd_fourier(args) -> int:
         "shuffle": _study_shuffle,
         "cone": _study_cone,
     }
-    if cfg["study"] not in studies:
+    if not isinstance(cfg["study"], str) or cfg["study"] not in studies:
         raise InputError(f"unknown study {cfg['study']!r}")
     if args.box is not None and args.box < 1:
         raise InputError(f"--box must be at least 1, got {args.box}")

@@ -26,7 +26,6 @@ from operator import mul
 from typing import Sequence
 
 from .qlinalg import _cleared, _int_det, qv, solve, split_seed, vec_dot
-from .st2 import St2
 from .steinberg import (
     ApKey,
     St,
@@ -157,32 +156,6 @@ def st_equality_oracle(x: St, y: St, seed: int = 0, points: int = 5) -> bool:
         return True
     rng = split_seed(seed, "st-oracle")
     return _vanishes_at_samples(lambda: rho_st(diff, _draw_point(rng, x.ambient)) == 0, points)
-
-
-def st2_equality_oracle(x: St2, y: St2, seed: int = 0, points: int = 5) -> bool:
-    """Tensor version: evaluate the two factors at independent points.
-
-    Works one sym-monomial coordinate at a time, so elements carrying
-    different exponents never mix.
-    """
-    if x.ambient != y.ambient:
-        return False
-    diff = x - y
-    if not diff.terms:
-        return True
-    rng = split_seed(seed, "st2-oracle")
-    zeros = zero_exps(x.ambient)
-
-    def vanishes() -> bool:
-        z = _draw_point(rng, x.ambient)
-        zp = _draw_point(rng, x.ambient)
-        by_exps: dict = {}
-        for (ka, kb, exps), c in diff.terms.items():
-            v = c * rho_term(ka, zeros, z) * rho_term(kb, zeros, zp)
-            by_exps[exps] = by_exps.get(exps, ZERO) + v
-        return not any(by_exps.values())
-
-    return _vanishes_at_samples(vanishes, points)
 
 
 # ------------------------------------------------------------ lattice side
@@ -369,14 +342,3 @@ def coefficient_shuffle_check(box: int = 25) -> bool:
             if got != want:
                 return False
     return True
-
-
-def homogeneity_check(
-    generators: Sequence, forms: Sequence, ns: Sequence[int], nu: Sequence, scale: int
-) -> bool:
-    """Coefficients scale by the total weight under dilation of the point."""
-    base = fourier_coefficient(generators, forms, ns, nu)
-    dil = fourier_coefficient(
-        generators, forms, ns, tuple(scale * q for q in qv(nu))
-    )
-    return dil == Fraction(scale) ** (-sum(ns)) * base

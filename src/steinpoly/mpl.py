@@ -713,6 +713,14 @@ def goncharov_symbol_bar(g: LiGen) -> Bar:
 # ----------------------------------------------------------- group actions
 
 
+def _int_matrix(a, d: int) -> tuple[list[tuple[int, ...]], int]:
+    """(M, s) with a = M / s and M integral; a must be d x d."""
+    m, s = _cleared(qm(a))
+    if len(m) != d or any(len(row) != d for row in m):
+        raise ValueError("matrix size does not match the ambient dimension")
+    return m, s
+
+
 def bar_gl_act(a, x: Bar) -> Bar:
     """Diagonal action on bar words: letters and tail variables together.
 
@@ -721,7 +729,8 @@ def bar_gl_act(a, x: Bar) -> Bar:
     coefficient is put over s^T times the lcm of the input denominators,
     T the top tail degree, and built as one Fraction per output key.
     """
-    m, s = _cleared(qm(a))
+    d = x.ambient
+    m, s = _int_matrix(a, d)
     cols = list(zip(*m))
     top = max((sum(exps) for _word, exps in x.terms), default=0)
     den, nums = _numerators(x.terms, s**top)
@@ -736,7 +745,7 @@ def bar_gl_act(a, x: Bar) -> Bar:
                     raise ValueError("canonical_point of the zero vector")
                 points[p] = int_point(image)
         if exps not in tails:
-            tails[exps] = _power_product(cols, exps, x.ambient)
+            tails[exps] = _power_product(cols, exps, d)
         num //= s ** sum(exps)
         new_word = tuple(points[p] for p in word)
         for new_exps, pc in tails[exps].items():
@@ -753,10 +762,8 @@ def _gl_ints(a, x: St2) -> tuple[int, dict]:
     bar_gl_act. A pair whose image is degenerate drops out. Entries that
     cancel stay in as zeros.
     """
-    m, s = _cleared(qm(a))
     d = x.ambient
-    if len(m) != d or any(len(row) != d for row in m):
-        raise ValueError("matrix size does not match the ambient dimension")
+    m, s = _int_matrix(a, d)
     cols = list(zip(*m))
     top = max((sum(exps) for _ka, _kb, exps in x.terms), default=0)
     den, nums = _numerators(x.terms, s**top)

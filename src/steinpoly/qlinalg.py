@@ -300,28 +300,6 @@ def dual_basis(basis: Sequence[Vec]) -> Mat:
     return inverse(transpose(m))
 
 
-def saturation_index(vectors: Sequence[Vec]) -> Fraction:
-    """Index of the span lattice of the rows inside its saturation.
-
-    For k independent integral rows this is the gcd of all k x k minors
-    (the k-th determinantal divisor); rational rows are cleared by one
-    common denominator first, which scales every minor by its k-th power,
-    so the result is a positive rational. Raises on dependent rows.
-    """
-    rows = qm(vectors)
-    if not rows:
-        return ONE
-    k = len(rows)
-    d = len(rows[0])
-    if k > d:
-        raise ValueError("more vectors than the ambient dimension")
-    scaled, den = _cleared(rows)
-    g = _minor_gcd(scaled)
-    if g == 0:
-        raise ValueError("saturation index of dependent vectors")
-    return Fraction(g, den**k)
-
-
 def _minor_gcd(rows: Sequence[Sequence[int]]) -> int:
     """gcd of the k x k minors of k integer rows; 0 exactly when they are dependent."""
     k = len(rows)

@@ -177,7 +177,7 @@ def embed_s(x: St2) -> Bar:
 # --------------------------------------------------------------- coproduct
 
 
-def _subset_front_sign(subset: tuple[int, ...], d: int) -> int:
+def _subset_front_sign(subset: tuple[int, ...]) -> int:
     """Parity of the permutation listing subset ascending, then the rest.
 
     The r-th entry i_r of the ascending subset passes the i_r - r smaller
@@ -205,13 +205,13 @@ def _splits(key_a: ApKey, key_b: ApKey):
         for i_set in combinations(range(d), k):
             not_i = full - sum(1 << i for i in i_set)
             i_comp = tuple(i for i in range(d) if not_i >> i & 1)
-            sign_i = _subset_front_sign(i_set, d)
+            sign_i = _subset_front_sign(i_set)
             for j_set in combinations(range(d), d - k):
                 j_rows = sum(1 << j for j in j_set) << d
                 if not m[j_rows | not_i]:
                     continue
                 j_comp = tuple(j for j in range(d) if not j_rows >> d + j & 1)
-                sign = sign_i * _subset_front_sign(j_comp, d)
+                sign = sign_i * _subset_front_sign(j_comp)
                 # left: A-entries at I, against lines cut out of A_I
                 key_l, sign_l = _sort_sign([_cut_line(m, key_b, j_rows | 1 << d + j | not_i) for j in j_comp])
                 key_r, sign_r = _sort_sign([_cut_line(m, key_b, j_rows | not_i ^ 1 << i) for i in i_comp])
@@ -443,7 +443,7 @@ def st_infty_fingerprint(x: St2) -> dict:
 # -------------------------------------------------------------- cobracket
 
 
-def cobracket_L(vectors: Sequence, ambient: int | None = None):
+def cobracket_L(vectors: Sequence):
     """Cyclic cobracket terms of the L generator.
 
     Returns a list of (coeff, left_vectors, right_vectors); each side is
@@ -504,7 +504,7 @@ def cobracket_matches_coproduct(vectors: Sequence) -> bool:
     if len(key_a) != n:
         raise ValueError("coproduct needs full-rank terms")
     terms = []  # (c, pair a, pair b) for c fp(a) ^ fp(b)
-    for c, left, right in cobracket_L(vecs, n):
+    for c, left, right in cobracket_L(vecs):
         a, b = _L_pair(*_int_vectors(left, n)), _L_pair(*_int_vectors(right, n))
         if a is not None and b is not None:
             terms.append((c * a[2] * b[2], a[:2], b[:2]))

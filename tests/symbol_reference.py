@@ -19,6 +19,7 @@ from itertools import product as iproduct
 from math import comb, factorial, prod
 from typing import Sequence
 
+from qlinalg_reference import saturation_index
 from steinpoly.barcplx import Bar
 from steinpoly.mpl import (
     ONE,
@@ -44,7 +45,6 @@ from steinpoly.qlinalg import (
     qm,
     qv,
     rank,
-    saturation_index,
     solve,
 )
 from steinpoly.st2 import St2, embed_s, make_L, make_pair

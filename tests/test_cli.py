@@ -1,5 +1,6 @@
 """End-to-end checks of the command line: formats, exit codes, determinism."""
 import json
+import sys
 from fractions import Fraction
 from importlib import resources
 from unittest import mock
@@ -7,7 +8,7 @@ from unittest import mock
 import pytest
 
 import flag_reference
-from steinpoly.cli import MAX_DIM, MAX_FOURIER_POINTS, MAX_WEIGHT, main
+from steinpoly.cli import MAX_DIM, MAX_FOURIER_POINTS, MAX_FOURIER_WEIGHT, MAX_WEIGHT, main
 from steinpoly.qlinalg import dual_basis, frac_to_str, qv, vec_to_json
 from steinpoly.st2 import dualize, make_I, make_L, st2_product
 
@@ -60,6 +61,18 @@ class TestReduce:
         p.write_text('{"dim": 2, "terms": [')
         code, _ = run(tmp_path, "reduce", str(p))
         assert code == 2
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this Python reads integers of any length",
+    )
+    @pytest.mark.parametrize("command", [["reduce"], ["verify", "dihedral"], ["st"], ["fourier"]])
+    def test_integer_above_the_digit_limit_exits_2(self, tmp_path, command):
+        # json.load refuses it with a ValueError that is not a JSONDecodeError
+        p = tmp_path / "long.json"
+        p.write_text('{"dim": ' + "1" * (sys.get_int_max_str_digits() + 1) + "}")
+        code, text = run(tmp_path, *command, str(p))
+        assert code == 2 and text == ""
 
     @pytest.mark.parametrize("terms", [5, None])
     def test_non_list_terms_exit_2(self, tmp_path, terms):
@@ -473,6 +486,29 @@ class TestFourier:
         path = write(tmp_path, "u.json", {"study": "sandpile"})
         code, _ = run(tmp_path, "fourier", path)
         assert code == 2
+
+    @pytest.mark.parametrize("study", [["bernoulli"], {"study": "cone"}])
+    def test_unhashable_study_exits_2(self, tmp_path, study):
+        code, text = run(tmp_path, "fourier", write(tmp_path, "u.json", {"study": study}))
+        assert code == 2 and text == ""
+
+    def test_exponent_above_max_fourier_weight_exits_2(self, tmp_path):
+        # a term's integers grow with the exponent: unbounded, 10**6 over 10 points takes seconds
+        cone = {"study": "cone", "generators": [[1]], "forms": [[1]], "points": [["1/3"]]}
+        path = write(tmp_path, "c.json", {**cone, "exponents": [10**6]})
+        code, text = run(tmp_path, "fourier", path, "--box", "10")
+        assert code == 2 and text == ""
+        # the bound is on the cone's total weight, and 60 stays allowed
+        assert MAX_FOURIER_WEIGHT >= 60
+        path = write(tmp_path, "c.json", {**cone, "forms": [[1], [2]], "exponents": [MAX_FOURIER_WEIGHT, 1]})
+        code, text = run(tmp_path, "fourier", path, "--box", "10")
+        assert code == 2 and text == ""
+        bernoulli = {"study": "bernoulli", "weights": [2, MAX_FOURIER_WEIGHT + 1], "points": ["1/3"]}
+        code, text = run(tmp_path, "fourier", write(tmp_path, "b.json", bernoulli), "--box", "10")
+        assert code == 2 and text == ""
+        path = write(tmp_path, "c.json", {**cone, "exponents": [MAX_FOURIER_WEIGHT]})
+        code, _ = run(tmp_path, "fourier", path, "--box", "10")
+        assert code == 0
 
     @pytest.mark.parametrize("weight", ["3/2", 0])
     def test_bad_weight_exits_2(self, tmp_path, weight):

@@ -439,6 +439,16 @@ class TestGLEquivariance:
         for a in [[[1, 1], [0, 1]], [[0, 1], [1, 0]], [[2, 1], [1, 1]]]:
             assert embed_s(st2_gl_act(a, x)).terms == bar_gl_act(a, embed_s(x)).terms
 
+    def test_actions_refuse_a_matrix_of_the_wrong_size(self):
+        # a 2 x 3 or 4 x 3 matrix would write letters with 2 or 4
+        # coordinates into an ambient-3 element
+        x = truncated_symbol_closed((2, 1), 3)
+        for a in ([[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], [[1, 0], [0, 1], [1, 1]]):
+            with pytest.raises(ValueError, match="matrix size"):
+                bar_gl_act(a, embed_s(x))
+            with pytest.raises(ValueError, match="matrix size"):
+                st2_gl_act(a, x)
+
 
 WEIGHT4_TERMS = [
     (F(1), PushedLi(1, [[1, 0], [0, 1]], (2, 2))),

@@ -1,7 +1,7 @@
 """Exact linear algebra: frozen examples plus independent cross-checks.
 
 Determinants are cross-checked against a Leibniz-expansion oracle,
-intersections against a nullspace construction, saturation indices
+intersections against a nullspace construction, the gcd of maximal minors
 against a brute-force lattice count on small inputs.
 """
 from fractions import Fraction
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from steinpoly.qlinalg import (
     Subspace,
+    _minor_gcd,
     canonical_point,
     det,
     dual_basis,
@@ -25,7 +26,6 @@ from steinpoly.qlinalg import (
     qv,
     rank,
     rref,
-    saturation_index,
     solve,
     split_seed,
     transpose,
@@ -230,26 +230,37 @@ def lattice_index_bruteforce(rows):
 
 
 class TestSaturation:
+    """_minor_gcd: the covolume mpl's symbol recursions read (gcd of the k x k minors)."""
+
     def test_frozen_examples(self):
-        assert saturation_index(qm([[2, 0], [0, 3]])) == 6
-        assert saturation_index(qm([[2, 4]])) == 2
+        assert _minor_gcd([[2, 0], [0, 3]]) == 6
+        assert _minor_gcd([[2, 4]]) == 2
 
     def test_unimodular_invariance(self):
         # multiplying by an integer unimodular matrix preserves the index
-        rows = qm([[2, 1, 0], [0, 1, 3]])
+        rows = [[2, 1, 0], [0, 1, 3]]
         u = qm([[1, 1], [0, 1]])
-        transformed = mat_mul(u, rows)
-        assert saturation_index(transformed) == saturation_index(rows)
+        transformed = [[int(x) for x in row] for row in mat_mul(u, qm(rows))]
+        assert _minor_gcd(transformed) == _minor_gcd(rows)
 
     def test_rational_scaling(self):
-        rows = qm([[1, 1], [1, -1]])
-        assert saturation_index(rows) == 2
-        halved = qm([["1/2", "1/2"], [1, -1]])
-        assert saturation_index(halved) == 1
+        # a common scale s multiplies every k x k minor by s^k
+        rows = [[1, 1], [1, -1]]
+        assert _minor_gcd(rows) == 2
+        for s in (2, 3, 5):
+            assert _minor_gcd([[s * x for x in row] for row in rows]) == s**2 * 2
+        assert _minor_gcd([[3 * x for x in (2, 1, 0)]]) == 3
 
     def test_dependent_rejected(self):
-        with pytest.raises(ValueError):
-            saturation_index(qm([[1, 2], [2, 4]]))
+        # 0 exactly on dependent rows, which callers refuse
+        assert _minor_gcd([[1, 2], [2, 4]]) == 0
+        assert _minor_gcd([[0, 0, 0]]) == 0
+        rng = split_seed(7, "saturation-dependence")
+        for _ in range(60):
+            k = rng.randint(1, 3)
+            d = rng.randint(k, 4)
+            rows = [[rng.randint(-1, 1) for _ in range(d)] for _ in range(k)]
+            assert (_minor_gcd(rows) == 0) == (rank(qm(rows)) < k)
 
     def test_matches_bruteforce_gcd(self):
         rng = split_seed(7, "saturation")
@@ -257,11 +268,11 @@ class TestSaturation:
         while n_done < 20:
             k = rng.randint(1, 3)
             d = rng.randint(k, 4)
-            rows = qm([[rng.randint(-4, 4) for _ in range(d)] for _ in range(k)])
-            if rank(rows) < k:
+            rows = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(k)]
+            if rank(qm(rows)) < k:
                 continue
             n_done += 1
-            assert saturation_index(rows) == lattice_index_bruteforce(rows)
+            assert _minor_gcd(rows) == lattice_index_bruteforce(qm(rows))
 
 
 class TestSubspace:
