@@ -8,6 +8,7 @@ import argparse
 import io
 import json
 import sys
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -31,6 +32,10 @@ from .qlinalg import (
     vec_to_json,
 )
 from .st2 import (
+    St2,
+    _I_keys,
+    _L_keys,
+    _pair_key,
     _stable_ints,
     cobracket_matches_coproduct,
     dualize,
@@ -38,9 +43,18 @@ from .st2 import (
     make_I,
     make_L,
     st2_normal_form,
-    st2_product,
 )
-from .steinberg import St, _dual_lines, _independent, ash_rudolph_reduce, flag_expand, make_apartment
+from .steinberg import (
+    St,
+    _dual_lines,
+    _independent,
+    _int_vectors,
+    _numerators,
+    ash_rudolph_reduce,
+    flag_expand,
+    make_apartment,
+    zero_exps,
+)
 
 # The flag normal form and the s-map visit d! orderings of an apartment, so
 # every dimension taken from arguments or input files is bounded.
@@ -279,11 +293,32 @@ def _case_basis(entry) -> list:
     return ints if den == 1 else basis
 
 
+def _flag_residual(n: int, pairs, extra) -> dict:
+    """The 8 least flag-normal-form terms of sum c [key_a] (x) [key_b] over pairs (key_a, key_b, c), plus extra.
+
+    The int coefficients and extra's numerators are summed over extra's
+    one denominator, and the sum goes to st2_normal_form as one St2.
+    """
+    den, acc = (1, {}) if extra is None else _numerators(extra.terms)
+    acc = defaultdict(int, acc)
+    zero = zero_exps(n)
+    for key_a, key_b, c in pairs:
+        acc[key_a, key_b, zero] += c * den
+    return st2_normal_form(St2(n, {k: Fraction(v, den) for k, v in acc.items() if v}), 8)
+
+
 def _suite_shuffle(vecs, n, seed, points, extra):
+    # the basis is cleared once, and its one rank test (_case_basis) decides
+    # every term: each shuffle is a permutation of the basis, each factor of
+    # the product a sub-tuple, and the product's concatenated keys span it
+    vecs, _ = _int_vectors(vecs, n)
     for d1 in range(1, n):
-        for make in (make_L, make_I):
-            # lhs minus every shuffle, subtracted in place
-            residual = st2_product(make(vecs[:d1], n), make(vecs[d1:], n))
+        for name, keys in (("make_L", _L_keys), ("make_I", _I_keys)):
+            # lhs minus every shuffle
+            ka1, kb1, sign1 = keys(vecs[:d1])
+            ka2, kb2, sign2 = keys(vecs[d1:])
+            key_a, key_b, sign = _pair_key(ka1 + ka2, kb1 + kb2)
+            pairs = [(key_a, key_b, sign * sign1 * sign2)]
             for pos in combinations(range(n), d1):
                 arranged = [None] * n
                 rest = [i for i in range(n) if i not in pos]
@@ -291,15 +326,11 @@ def _suite_shuffle(vecs, n, seed, points, extra):
                     arranged[p] = vecs[k]
                 for k, p in enumerate(rest):
                     arranged[p] = vecs[d1 + k]
-                residual -= make(arranged, n)
-            if extra is not None:
-                residual += extra
-            nf = st2_normal_form(residual, 8)
+                key_a, key_b, sign = keys(arranged)
+                pairs.append((key_a, key_b, -sign))
+            nf = _flag_residual(n, pairs, extra)
             if nf:
-                return {
-                    "relation": f"{make.__name__} split {d1}",
-                    "residual": _st2_nf_to_json(nf),
-                }
+                return {"relation": f"{name} split {d1}", "residual": _st2_nf_to_json(nf)}
     return None
 
 
@@ -339,19 +370,23 @@ def _suite_cobracket(basis, n, seed, points, extra):
 
 
 def _suite_duality(vecs, n, seed, points, extra):
-    L = make_L(vecs, n)
+    # the basis is cleared once, so the dual lines share one scale and their
+    # differences in I are those of the dual basis; its one rank test
+    # (_case_basis) decides L, and the dual lines are independent too
+    vecs, _ = _int_vectors(vecs, n)
+    key_a, key_b, sign = _L_keys(vecs)
+    L = St2(n, {(key_a, key_b, zero_exps(n)): Fraction(sign)})
     dual_L = dualize(L)
-    # one common denominator, so the dual lines share one scale and their
-    # differences in I are those of the dual basis
-    dual, _ = _dual_lines(_cleared(vecs)[0])
+    dual, _ = _dual_lines(vecs)
+    dual_a, dual_b, dual_sign = _I_keys(dual[::-1])
     checks = [
-        ("L to I", dual_L - make_I(dual[::-1], n, c=(-1) ** n)),
-        ("involution", dualize(dual_L) - L),
+        ("L to I", dual_L, [(dual_a, dual_b, -dual_sign if n % 2 else dual_sign)]),
+        ("involution", dualize(dual_L), [(key_a, key_b, sign)]),
     ]
-    for name, residual in checks:
-        if extra is not None:
-            residual = residual + extra
-        nf = st2_normal_form(residual, 8)
+    for name, lhs, rhs in checks:
+        # dualize only moves L's one term and flips its sign, so c is +-1
+        pairs = [(ka, kb, c.numerator) for (ka, kb, _exps), c in lhs.items()]
+        nf = _flag_residual(n, pairs + [(ka, kb, -c) for ka, kb, c in rhs], extra)
         if nf:
             return {"relation": name, "residual": _st2_nf_to_json(nf)}
     return None

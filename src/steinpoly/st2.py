@@ -28,7 +28,12 @@ they come and clears rationals by one common denominator, and
 _independent tests them once. Each of the two apartments of L and I is
 the input, or a unitriangular image of it, up to order, so that one test
 of the input decides whether the pair vanishes, and each key is then
-only canonicalised and sorted. Duality reads the dual lines of a key off
+only canonicalised and sorted. The key builders (_L_keys, _I_keys) are
+split from that test, for callers that have decided it already: the
+shuffle and duality suites of the command line, whose terms are all
+sub-tuples, permutations or duals of one tested basis, and the cobracket
+check, whose sides are at most d of the d + 1 cyclic vectors of one.
+Duality reads the dual lines of a key off
 steinberg._dual_lines, the columns of its int adjugate: the dual basis
 times the determinant, one common scale, which the lines ignore and
 which keeps their differences in I those of the dual basis.
@@ -75,6 +80,7 @@ from .steinberg import (
     _sort_sign,
     _standard_rows,
     _walk,
+    _walk_tables,
     zero_exps,
 )
 
@@ -200,6 +206,7 @@ def _splits(key_a: ApKey, key_b: ApKey):
     """
     d = len(key_a)
     m = _minors(_flag_coords(key_b, key_a), False)
+    laplace = _walk_tables(d, False)[1]
     full = (1 << d) - 1
     for k in range(d + 1):
         for i_set in combinations(range(d), k):
@@ -213,8 +220,8 @@ def _splits(key_a: ApKey, key_b: ApKey):
                 j_comp = tuple(j for j in range(d) if not j_rows >> d + j & 1)
                 sign = sign_i * _subset_front_sign(j_comp)
                 # left: A-entries at I, against lines cut out of A_I
-                key_l, sign_l = _sort_sign([_cut_line(m, key_b, j_rows | 1 << d + j | not_i) for j in j_comp])
-                key_r, sign_r = _sort_sign([_cut_line(m, key_b, j_rows | not_i ^ 1 << i) for i in i_comp])
+                key_l, sign_l = _sort_sign([_cut_line(m, key_b, j_rows | 1 << d + j | not_i, laplace) for j in j_comp])
+                key_r, sign_r = _sort_sign([_cut_line(m, key_b, j_rows | not_i ^ 1 << i, laplace) for i in i_comp])
                 left = tuple(key_a[i] for i in i_set), key_l
                 right = key_r, tuple(key_b[j] for j in j_set)
                 yield i_set, j_set, left, right, sign * sign_l, sign_r
@@ -258,12 +265,26 @@ def st2_coproduct(x: St2) -> list[tuple[tuple[int, ...], tuple[int, ...], St2, S
 # ------------------------------------------------------------- generators
 
 
-def _L_pair(vecs: Sequence[Point], n: int) -> tuple[ApKey, ApKey, int] | None:
-    """make_L of int vectors in Q^n as one (key_a, key_b, sign), or None when they are dependent."""
-    if not _independent(vecs, n):
-        return None
+def _L_keys(vecs: Sequence[Point]) -> tuple[ApKey, ApKey, int]:
+    """make_L of independent int vectors as one (key_a, key_b, sign), with no rank test.
+
+    The caller has decided that the vectors are independent: a sub-tuple
+    or a permutation of an independent tuple is.
+    """
     rev = vecs[::-1]
     return _pair_key(list(accumulate(rev, vec_add)), rev)
+
+
+def _I_keys(vecs: Sequence[Point]) -> tuple[ApKey, ApKey, int]:
+    """make_I of independent int vectors as one (key_a, key_b, sign), with no rank test; see _L_keys."""
+    rev = vecs[::-1]
+    key_a, key_b, sign = _pair_key(rev, [rev[0], *(vec_sub(a, b) for a, b in zip(rev[1:], rev))])
+    return key_a, key_b, -sign if len(vecs) % 2 else sign
+
+
+def _L_pair(vecs: Sequence[Point], n: int) -> tuple[ApKey, ApKey, int] | None:
+    """make_L of int vectors in Q^n as one (key_a, key_b, sign), or None when they are dependent."""
+    return _L_keys(vecs) if _independent(vecs, n) else None
 
 
 def make_L(vectors: Sequence, ambient: int | None = None, c=1, exps=None) -> St2:
@@ -288,9 +309,7 @@ def make_I(vectors: Sequence, ambient: int | None = None, c=1, exps=None) -> St2
     vecs, n = _int_vectors(vectors, ambient)
     out = St2.zero(n)
     if _independent(vecs, n):
-        rev = vecs[::-1]
-        second = rev[:1] + [vec_sub(a, b) for a, b in zip(rev[1:], rev)]
-        _add_pair(out, _pair_key(rev, second), Fraction(c) * (-1) ** len(vecs), exps)
+        _add_pair(out, _I_keys(vecs), c, exps)
     return out
 
 
@@ -483,10 +502,12 @@ def cobracket_matches_coproduct(vectors: Sequence) -> bool:
     only the splits where both sides are nontrivial.
 
     Every factor on both routes is one apartment pair: an L generator of
-    the cobracket side (_L_pair of cobracket_L's int vectors) or a side of
+    the cobracket side (_L_keys of cobracket_L's int vectors) or a side of
     an int split of L (_splits). Its sign goes into the term's
     coefficient, and each distinct pair is fingerprinted once
-    (_pair_fingerprint). The letters of each fingerprint word span the
+    (_pair_fingerprint). One rank test, of the whole basis, decides every
+    factor: each cobracket side is at most d of the d + 1 cyclic vectors
+    of the basis, and any d of them are independent. The letters of each fingerprint word span the
     word's support, so ambient keys keep factors on different supports
     apart; each key gets a small id. Both routes are sums of
     c fp(a) ^ fp(b), so route A minus route B is kept on the pairs of ids
@@ -505,9 +526,8 @@ def cobracket_matches_coproduct(vectors: Sequence) -> bool:
         raise ValueError("coproduct needs full-rank terms")
     terms = []  # (c, pair a, pair b) for c fp(a) ^ fp(b)
     for c, left, right in cobracket_L(vecs):
-        a, b = _L_pair(*_int_vectors(left, n)), _L_pair(*_int_vectors(right, n))
-        if a is not None and b is not None:
-            terms.append((c * a[2] * b[2], a[:2], b[:2]))
+        a, b = _L_keys(left), _L_keys(right)
+        terms.append((c * a[2] * b[2], a[:2], b[:2]))
     for i, j, left, right, sign_l, sign_r in _splits(key_a, key_b):
         if i and j:
             terms.append((-sign * sign_l * sign_r, left, right))

@@ -41,7 +41,11 @@ column sets it reads; the s-map and the coproduct of st2, which cuts its
 lines with the same rule, fill every equal-size minor. The lines of a
 chain are kept sorted as it grows, with the sign carried along, so no
 leaf is sorted, and the words come out in the order the walk reaches
-them: every caller folds them into a dict.
+them: every caller folds them into a dict. What depends only on d and
+the mode is built once per (d, mode), in _walk_tables: the row sets in
+order with their Laplace terms, the column sets the table fills, the
+signed rows of each cut, and the entries each state may take; a key
+only adds its own coordinates and lines.
 
 ash_rudolph_reduce rewrites an integral apartment as a sum of unimodular
 ones by one Ash-Rudolph step at every rank: [v_1..v_n] = sum_i [v_1..w..v_n]
@@ -330,6 +334,48 @@ def _flag_coords(key_b: Sequence[Point], key_a: Sequence[Point]) -> list[list[in
     return [[row[j] for row in work[:d]] for j in range(d, d + len(key_b))]
 
 
+@lru_cache(maxsize=None)
+def _walk_tables(d: int, suffixes: bool) -> tuple[tuple, tuple, tuple]:
+    """(plan, laplace, takes): everything _minors, _cut_line and _walk read that depends only on d and the mode.
+
+    laplace[rows] lists (t, (rows - t) << d, sign) for the rows t of the
+    row set rows, ascending, the sign alternating from +1: the Laplace
+    terms of a minor on rows, and the signed rows of a cut off rows.
+    plan lists (rows << d, laplace[rows], column sets) for every nonempty
+    row set in increasing order, each column set of its size as
+    (cols, its first column, cols without it): with suffixes only the
+    column sets {i, ..., d-1}, otherwise all of them. takes[U] lists the
+    entries s a walk state with unused A-entries U may take: with
+    suffixes U is a suffix and s its lowest entry (other U take none),
+    otherwise every entry of U. A cache hands the result to every caller,
+    so it is all tuples.
+    """
+    full = (1 << d) - 1
+    col_sets: list[list] = [[] for _ in range(d + 1)]
+    for cols in [full ^ full >> k for k in range(1, d + 1)] if suffixes else range(1, 1 << d):
+        col_sets[cols.bit_count()].append((cols, (cols & -cols).bit_length() - 1, cols & (cols - 1)))
+    laplace: list[tuple] = [()]
+    for rows in range(1, 1 << d):
+        terms = []
+        sign, left = 1, rows
+        while left:
+            bit = left & -left
+            left ^= bit
+            terms.append((bit.bit_length() - 1, (rows ^ bit) << d, sign))
+            sign = -sign
+        laplace.append(tuple(terms))
+    plan = tuple((rows << d, laplace[rows], tuple(col_sets[rows.bit_count()])) for rows in range(1, 1 << d))
+    if suffixes:
+        takes: list[tuple] = [()] * (1 << d)
+        for k in range(1, d + 1):
+            takes[full ^ full >> k] = (1 << d - k,)
+    else:
+        takes = [()]
+        for t in range(d):
+            takes += [ss + (1 << t,) for ss in takes]
+    return plan, tuple(laplace), tuple(takes)
+
+
 def _minors(coords: Sequence[Sequence[int]], suffixes: bool) -> list[int]:
     """The flat table m[rows << d | cols] = det C[rows, cols] of the d x d int matrix C = coords.
 
@@ -339,28 +385,16 @@ def _minors(coords: Sequence[Sequence[int]], suffixes: bool) -> list[int]:
     M(R, Q) = sum_t (-1)^t C[R_t][q] M(R - R_t, Q - q), so every minor one
     size smaller that it reads is already filled. With suffixes only the
     column sets {i, ..., d-1} are filled, which are all the flag walk
-    reads; otherwise every column set is. Other entries stay 0.
+    reads; otherwise every column set is. Other entries stay 0. The row
+    sets, column sets and Laplace terms come from _walk_tables.
     """
     d = len(coords)
-    full = (1 << d) - 1
     columns = list(zip(*coords))
-    # (cols, its first column, cols without it) by size
-    col_sets: list[list] = [[] for _ in range(d + 1)]
-    for cols in [full ^ full >> k for k in range(1, d + 1)] if suffixes else range(1, 1 << d):
-        col_sets[cols.bit_count()].append((cols, columns[(cols & -cols).bit_length() - 1], cols & (cols - 1)))
     m = [0] * (1 << 2 * d)
     m[0] = 1
-    for rows in range(1, 1 << d):
-        # the Laplace terms (row t, index of the minor without row t, its sign)
-        laplace = []
-        sign, left = 1, rows
-        while left:
-            bit = left & -left
-            left ^= bit
-            laplace.append((bit.bit_length() - 1, (rows ^ bit) << d, sign))
-            sign = -sign
-        at = rows << d
-        for cols, column, rest in col_sets[len(laplace)]:
+    for at, laplace, col_sets in _walk_tables(d, suffixes)[0]:
+        for cols, q, rest in col_sets:
+            column = columns[q]
             total = 0
             for t, sub, sign in laplace:
                 x = column[t]
@@ -370,11 +404,12 @@ def _minors(coords: Sequence[Sequence[int]], suffixes: bool) -> list[int]:
     return m
 
 
-def _cut_line(m: list[int], vecs: Sequence[Point], cut: int) -> Point:
+def _cut_line(m: list[int], vecs: Sequence[Point], cut: int, laplace: Sequence[tuple]) -> Point:
     """The line where span(vecs[rows]) meets {coordinates cols = 0}, for cut = rows << d | cols.
 
     |cols| = |rows| - 1, and the coordinates are those of the minor table
-    m, one row per vec. By Cramer the line is
+    m, one row per vec; laplace is _walk_tables' list of the signed rows
+    of each row set. By Cramer the line is
     sum_t (-1)^t M(rows - rows_t, cols) vecs[rows_t], and the index of
     M(rows - rows_t, cols) is cut with bit rows_t cleared: each coordinate
     in cols is a Laplace sum of a minor with a repeated column. The caller
@@ -382,16 +417,14 @@ def _cut_line(m: list[int], vecs: Sequence[Point], cut: int) -> Point:
     coordinate is +-M(rows, cols + c).
     """
     d = len(vecs)
+    cols = cut & (1 << d) - 1
     point = None
-    sign = 1
-    for t, v in enumerate(vecs):
-        bit = 1 << d + t
-        if cut & bit:
-            sub = m[cut ^ bit]
-            if sub:
-                sub *= sign
-                point = [sub * y for y in v] if point is None else [x + sub * y for x, y in zip(point, v)]
-            sign = -sign
+    for t, sub, sign in laplace[cut >> d]:
+        c = m[sub | cols]
+        if c:
+            c *= sign
+            v = vecs[t]
+            point = [c * y for y in v] if point is None else [x + c * y for x, y in zip(point, v)]
     return int_point(point)
 
 
@@ -427,24 +460,24 @@ def _walk(coords: Sequence[Sequence[int]], vecs: Sequence[Point], fixed: bool) -
     flipping the sign by (-1)^k, so a leaf reads an apartment key and its
     sign off the list. With A the rows of a flag this is the flag basis.
     Otherwise s runs over U and the letters stay in order, as bar words.
+
+    The per-dimension tables of _walk_tables(d, fixed) are built once and
+    shared by every key of that rank and mode: the table's row sets,
+    column sets and Laplace terms (_minors), the signed rows of each cut
+    (_cut_line), and the entries s of each U (takes). Per key the walk
+    builds only the minor table, the cut cache and the one-entry leaves.
     """
     d = len(vecs)
     if not d:  # the rank-0 pair is the empty word
         return (((), 1),)
     m = _minors(coords, fixed)
+    _plan, laplace, takes = _walk_tables(d, fixed)
     full = (1 << d) - 1
     root = full << d | full
     if not m[root]:
         return ()
     if d == 1:
         return (((int_point(vecs[0]),), 1),)
-    # the entries s a state may take from U: with fixed, U is a suffix and s its lowest entry
-    if fixed:
-        takes = {full ^ full >> k: [1 << d - k] for k in range(1, d + 1)}
-    else:
-        takes = [[]]
-        for t in range(d):
-            takes += [ss + [1 << t] for ss in takes]
     last = {1 << t: int_point(v) for t, v in enumerate(vecs)}  # for S = {t}, the one letter left
     cuts: list[Point | None] = [None] * (1 << 2 * d)
     words: defaultdict[Word, int] = defaultdict(int)
@@ -459,7 +492,7 @@ def _walk(coords: Sequence[Sequence[int]], vecs: Sequence[Point], fixed: bool) -
             cut = state ^ s  # S << d | U - s
             line = cuts[cut]
             if line is None:
-                line = cuts[cut] = _cut_line(m, vecs, cut)
+                line = cuts[cut] = _cut_line(m, vecs, cut, laplace)
             at = bisect(letters, line) if fixed else len(letters)
             sgn = -sign if (len(letters) - at + odd) % 2 else sign
             letters.insert(at, line)

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from steinpoly.barcplx import (
-    Bar,
     bar_differential,
     bar_shuffle,
     bar_word,

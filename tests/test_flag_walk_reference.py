@@ -78,7 +78,7 @@ def test_minors_are_determinants():
     column sets {i, ..., d-1} and zero everywhere else.
     """
     rng = random.Random(19)
-    for d in range(1, 6):
+    for d in range(1, 7):
         full = (1 << d) - 1
         suffixes = {full ^ full >> k for k in range(d + 1)}
         for _ in range(5):

@@ -1,5 +1,5 @@
-"""Static checks on the package source: no import is left unused, and no
-private helper is left without a caller.
+"""Static checks on the source: no import is left unused in the package or
+its tests, and no private helper of the package is left without a caller.
 
 A name bound by an import counts as used when the module reads it
 anywhere (code or annotations) or lists it in its ``__all__``. A
@@ -15,6 +15,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "steinpoly"
 MODULES = sorted(PACKAGE.glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,7 +42,9 @@ def test_detects_unused_import():
     assert unused_imports(src) == ["Callable (line 1)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize(
+    "path", MODULES + TESTS, ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TESTS]
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

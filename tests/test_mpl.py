@@ -1,5 +1,4 @@
 """Polylogarithm generators, coproduct recursion, truncated symbols."""
-import random
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -7,7 +6,6 @@ import pytest
 
 from steinpoly.barcplx import Bar
 from steinpoly.mpl import (
-    DepthOneNF,
     FormalII,
     LiGen,
     Monomial,
@@ -37,8 +35,8 @@ from steinpoly.mpl import (
     truncated_symbol_closed,
     verify_li_identity,
 )
-from steinpoly.qlinalg import qm, qv, split_seed
-from steinpoly.st2 import embed_s, is_zero_st2, make_L
+from steinpoly.qlinalg import qv, split_seed
+from steinpoly.st2 import embed_s, is_zero_st2
 from symbol_reference import _sym_poly, delta_top
 
 F = Fraction

@@ -28,7 +28,6 @@ from steinpoly.qlinalg import (
     rref,
     solve,
     split_seed,
-    transpose,
     vec_from_json,
     vec_to_json,
 )

@@ -8,13 +8,7 @@ from hypothesis import strategies as st
 
 import s_map_reference as ref
 from generator_reference import coxeter_to_basis, make_corr_colon
-from steinpoly.barcplx import (
-    bar_differential,
-    bar_shuffle,
-    is_zero_bar,
-    p_H_project,
-    shuffle_span_reduce,
-)
+from steinpoly.barcplx import bar_differential, bar_shuffle, is_zero_bar
 from steinpoly.mpl import bar_infty_reduce
 from steinpoly.qlinalg import (
     canonical_point,
@@ -40,7 +34,6 @@ from steinpoly.st2 import (
     make_pair,
     span_solve,
     st2_coproduct,
-    st2_normal_form,
     st2_product,
     st_infty_fingerprint,
 )
@@ -436,6 +429,24 @@ class TestCobracket:
             assert cobracket_matches_coproduct(
                 [(1, 0, 2, 0), (0, 1, -1, 1), (1, 1, 0, 2), (2, 0, 1, -1)]
             )
+
+    def test_one_rank_test_per_check(self):
+        # the rank test of the whole basis decides every factor: each
+        # cobracket side is at most d of the d + 1 cyclic vectors, and any d
+        # of them are independent
+        from unittest import mock
+
+        from steinpoly import st2, steinberg
+
+        for vecs in (
+            [E1, E2],
+            [(1, 2, 0), (0, 1, 3), (1, 1, 1)],
+            [(1, 0, 2, 0), (0, 1, -1, 1), (1, 1, 0, 2), (2, 0, 1, -1)],
+        ):
+            spy = mock.Mock(wraps=steinberg._independent)
+            with mock.patch.object(st2, "_independent", spy), mock.patch.object(steinberg, "_independent", spy):
+                assert cobracket_matches_coproduct(vecs)
+            assert spy.call_count == 1, vecs
 
     def test_dependent_basis_rejected(self):
         # L of a dependent basis is zero, but its cobracket terms are not

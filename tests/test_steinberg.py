@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from steinpoly.barcplx import bar_word
 from steinpoly.cli import _rand_basis
-from steinpoly.qlinalg import Subspace, canonical_point, det, qm, qv, split_seed
+from steinpoly.qlinalg import Subspace, det, qm, qv, split_seed
 from steinpoly.st2 import make_I, make_L
 from steinpoly.steinberg import (
     St,
