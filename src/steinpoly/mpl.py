@@ -11,18 +11,19 @@ integer binomial signs, and sums each depth-one right factor over its
 phases as it is built.  Its endpoint is a bar word with a symmetric-power
 tail, summed in int over one denominator.  Peeling its words off against
 L generators lands the result in the Steinberg tensor square, giving two
-independent routes to the truncated symbol; a third, coarser route goes
-through formal iterated integrals, the full coproduct and the phased
-depth-one normal forms, so it shares no reduction with the recursion.
+independent routes to the truncated symbol.  A third route, at depth at
+most two, runs the full iterated-integral coproduct on integer rows too,
+with its own walk over the index subsets and its own depth-one reduction
+of each divergent factor, so it shares no reduction with the recursion.
 The GL_d(Q) action on bar words acts by the matrix cleared to integers.
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from itertools import combinations, product as iproduct
+from itertools import product as iproduct
 from math import comb, factorial, gcd, lcm, prod
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from .barcplx import Bar, shuffle_words
@@ -588,27 +589,6 @@ class FormalII:
         return f"II({body})"
 
 
-def li_to_ii(g: LiGen) -> dict:
-    """Rewrite a polylogarithm generator as one formal iterated integral.
-
-    The argument string is 1, cumulative products of the arguments, with
-    weight-fixing zeros between; the coefficient is (-1)^depth.
-    """
-    d = g.ambient
-    prods = []
-    acc = Monomial(0, (0,) * d)
-    for a in g.args:
-        acc = acc * a
-        prods.append(acc)
-    entries: list = [None, Monomial(0, (0,) * d)]
-    for i, n in enumerate(g.ns):
-        entries.extend([None] * (n - 1))
-        if i < g.depth - 1:
-            entries.append(prods[i])
-    entries.append(prods[-1])
-    return {FormalII(entries): Fraction(-1) ** g.depth}
-
-
 def ii_shuffle(u: FormalII, v: FormalII) -> dict:
     """Shuffle product of two integrals over a common path."""
     if u.start != v.start or u.end != v.end:
@@ -637,76 +617,66 @@ def ii_reverse(ii: FormalII) -> tuple:
     return Fraction(-1) ** ii.weight, FormalII(tuple(reversed(ii.entries)))
 
 
-def goncharov_coproduct(ii: FormalII) -> list:
-    """All (subsequence integral, gap integrals) pairs of the coproduct."""
-    x = ii.entries
-    n = ii.weight
-    out = []
-    for r in range(n + 1):
-        for idx in combinations(range(1, n + 1), r):
-            seq = (0,) + idx + (n + 1,)
-            left = FormalII((x[0],) + tuple(x[i] for i in idx) + (x[n + 1],))
-            gaps = tuple(
-                FormalII(x[seq[p] : seq[p + 1] + 1]) for p in range(len(seq) - 1)
-            )
-            out.append((left, gaps))
-    return out
+def _divergent_factor(entries: tuple, w: int) -> tuple | None:
+    """(weight, W, {direction: coeff}) of I(z1; 0^j, z2, 0^l; z3), phases summed out.
 
-
-def _nonzero_middles(ii: FormalII) -> int:
-    return sum(1 for e in ii.middles if e is not None)
-
-
-def divergent_reduce(ii: FormalII) -> DepthOneNF:
-    """Depth-one normal form of an integral with a single nonzero middle.
-
-    I(z1; 0^j, z2, 0^l; z3) contributes the weight-(j+l+1) arguments
-    z3/z2 and z1/z2 with opposite signs and a binomial prefactor; a zero
-    endpoint just drops its term.
+    None unless exactly one middle entry is nonzero.  The entries are
+    int rows over W, None marking the point 0.  The factor is the
+    weight-(j+l+1) depth-one sum of the rows z3 - z2 at (-1)^(j+1)
+    C(j+l, j) and z1 - z2 at its negative, a zero endpoint dropping its
+    term: a lex-negative row flips with (-1)^(n-1), and a row of content
+    m counts m^n, the sum of its m distribution copies.  No row is zero:
+    its two points are distinct among the zero row, r1 and r1 + r2, and
+    r1, r2 are independent.
     """
-    mids = ii.middles
-    pos = [i for i, e in enumerate(mids) if e is not None]
-    if len(pos) != 1:
-        raise ValueError("expected exactly one nonzero middle entry")
-    j = pos[0]
-    l = len(mids) - 1 - j
-    z2 = mids[j]
-    w = j + l + 1
-    c = Fraction(-1) ** (j + 1) * comb(j + l, j)
-    items = []
-    if ii.end is not None:
-        items.append((c, ii.end * z2 ** (-1)))
-    if ii.start is not None:
-        items.append((-c, ii.start * z2 ** (-1)))
-    return depth1_nf(w, items)
+    z1, *mids, z3 = entries
+    points = [(j, z) for j, z in enumerate(mids) if z is not None]
+    if len(points) != 1:
+        return None
+    ((j, z2),) = points
+    n = len(mids)
+    c = (-1) ** (j + 1) * comb(n - 1, j)
+    terms: dict = {}
+    for sign, z in ((c, z3), (-c, z1)):
+        if z is not None:
+            row = tuple(map(sub, z, z2))
+            m = gcd(*row)
+            if next(e for e in row if e) < 0:
+                sign, m = sign * (-1) ** (n - 1), -m
+            _acc(terms, tuple(e // m for e in row), sign * abs(m) ** n)
+    return n, w, terms
 
 
 def goncharov_symbol_bar(g: LiGen) -> Bar:
     """Bar-word symbol through the full iterated-integral coproduct.
 
-    Independent of the top-component recursion; depth at most two.  Terms
-    whose factors are not single-row integrals of positive weight carry
-    no reduced-word content and are dropped.
+    Independent of the top-component recursion; depth at most two.  At
+    depth two, Li_{n1,n2}(a1, a2) = I(0; 1, 0^(n1-1), a1, 0^(n2-1); a1 a2),
+    its entries cleared once to int rows over one denominator W: 1 is
+    the zero row, a1 the row r1 and a1 a2 the row r1 + r2.  A coproduct
+    term carries reduced-word content only when one gap has positive
+    weight, so its index subset leaves out one run of entries, between
+    x_s and x_e, and the gap x_s..x_e and the rest each have a single
+    nonzero middle; every other term is dropped.
     """
+    if not isinstance(g, LiGen):
+        raise TypeError(f"goncharov_symbol_bar takes a LiGen, not {type(g).__name__}")
     d = g.ambient
     if g.depth == 1:
         return sigma((_nf_of_gen(g),), d)
     if g.depth != 2:
         raise ValueError("iterated-integral route covers depth <= 2")
+    (r1, r2), w = _cleared([a.exps for a in g.args])
+    n1, n2 = g.ns
+    x = (None, (0,) * d) + (None,) * (n1 - 1) + (r1,) + (None,) * (n2 - 1)
+    x += (tuple(map(add, r1, r2)),)
     acc: dict = {}
-    for ii, c0 in li_to_ii(g).items():
-        for left, gaps in goncharov_coproduct(ii):
-            if left.weight == 0:
-                continue
-            positive = [gp for gp in gaps if gp.weight > 0]
-            if len(positive) != 1:
-                continue
-            gap = positive[0]
-            if _nonzero_middles(left) != 1 or _nonzero_middles(gap) != 1:
-                continue
-            nf_left = divergent_reduce(left)
-            nf_gap = divergent_reduce(gap)
-            _sigma_acc(acc, (nf_left.forget_phases(), nf_gap.forget_phases()), c0)
+    for s in range(n1 + n2):
+        for e in range(s + 2, n1 + n2 + 2):
+            left = _divergent_factor(x[: s + 1] + x[e:], w)
+            gap = _divergent_factor(x[s : e + 1], w)
+            if left and gap:
+                _sigma_acc(acc, (left, gap))
     return _sigma_emit(acc, d)
 
 

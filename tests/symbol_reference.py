@@ -10,12 +10,16 @@ they make phased_symbol_bar, the recursion as it ran before its integer,
 phase-free rewrite.  goncharov_symbol_bar and bar_gl_act are the Fraction
 kernels from before that rewrite too, and st2_gl_act is the Fraction action
 on apartment pairs from before it moved to a cleared integer matrix; the
-reference truncated_symbol uses it.
+reference truncated_symbol uses it.  goncharov_symbol_bar runs on formal
+iterated integrals of Monomial entries: li_to_ii writes the generator as
+one, goncharov_coproduct lists every (subsequence, gaps) term of its
+coproduct, and divergent_reduce takes each single-middle factor to the
+phased depth-one normal form.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 from math import comb, factorial, prod
 from typing import Sequence
 
@@ -25,16 +29,13 @@ from steinpoly.mpl import (
     ONE,
     ZERO,
     DepthOneNF,
+    FormalII,
     LiGen,
     Monomial,
     PushedLi,
     _nf_of_gen,
     _root_expansion,
-    _nonzero_middles,
     depth1_nf,
-    divergent_reduce,
-    goncharov_coproduct,
-    li_to_ii,
     pushed_expand,
     truncated_symbol_closed,
 )
@@ -171,6 +172,71 @@ def phased_symbol_bar(g) -> Bar:
     for slots in _iterated_top(g):
         _sigma_acc(acc, slots)
     return _sigma_emit(acc, g.ambient)
+
+
+def li_to_ii(g: LiGen) -> dict:
+    """Rewrite a polylogarithm generator as one formal iterated integral.
+
+    The argument string is 1, cumulative products of the arguments, with
+    weight-fixing zeros between; the coefficient is (-1)^depth.
+    """
+    d = g.ambient
+    prods = []
+    acc = Monomial(0, (0,) * d)
+    for a in g.args:
+        acc = acc * a
+        prods.append(acc)
+    entries: list = [None, Monomial(0, (0,) * d)]
+    for i, n in enumerate(g.ns):
+        entries.extend([None] * (n - 1))
+        if i < g.depth - 1:
+            entries.append(prods[i])
+    entries.append(prods[-1])
+    return {FormalII(entries): Fraction(-1) ** g.depth}
+
+
+def goncharov_coproduct(ii: FormalII) -> list:
+    """All (subsequence integral, gap integrals) pairs of the coproduct."""
+    x = ii.entries
+    n = ii.weight
+    out = []
+    for r in range(n + 1):
+        for idx in combinations(range(1, n + 1), r):
+            seq = (0,) + idx + (n + 1,)
+            left = FormalII((x[0],) + tuple(x[i] for i in idx) + (x[n + 1],))
+            gaps = tuple(
+                FormalII(x[seq[p] : seq[p + 1] + 1]) for p in range(len(seq) - 1)
+            )
+            out.append((left, gaps))
+    return out
+
+
+def _nonzero_middles(ii: FormalII) -> int:
+    return sum(1 for e in ii.middles if e is not None)
+
+
+def divergent_reduce(ii: FormalII) -> DepthOneNF:
+    """Depth-one normal form of an integral with a single nonzero middle.
+
+    I(z1; 0^j, z2, 0^l; z3) contributes the weight-(j+l+1) arguments
+    z3/z2 and z1/z2 with opposite signs and a binomial prefactor; a zero
+    endpoint just drops its term.
+    """
+    mids = ii.middles
+    pos = [i for i, e in enumerate(mids) if e is not None]
+    if len(pos) != 1:
+        raise ValueError("expected exactly one nonzero middle entry")
+    j = pos[0]
+    l = len(mids) - 1 - j
+    z2 = mids[j]
+    w = j + l + 1
+    c = Fraction(-1) ** (j + 1) * comb(j + l, j)
+    items = []
+    if ii.end is not None:
+        items.append((c, ii.end * z2 ** (-1)))
+    if ii.start is not None:
+        items.append((-c, ii.start * z2 ** (-1)))
+    return depth1_nf(w, items)
 
 
 def goncharov_symbol_bar(g: LiGen) -> Bar:

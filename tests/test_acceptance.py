@@ -314,12 +314,12 @@ def test_criterion_08_truncated_symbol_routes():
     for ns in tuples_up_to(3, 5) + [(1, 1, 1, 1), (2, 1, 1, 1), (1, 1, 1, 1, 1), (2, 1, 1, 1, 1)]:
         st = truncated_symbol(std_li(*ns))
         assert is_zero_st2(st + (-1) * truncated_symbol_closed(ns)), ns
-    for ns in tuples_up_to(2, 4):
+    for ns in tuples_up_to(2, 6):
         lhs = goncharov_symbol_bar(std_li(*ns))
         rhs = recursion_symbol_bar(std_li(*ns))
         assert lhs.terms == rhs.terms, ns
     elapsed = time.monotonic() - t0
-    assert elapsed < 3.0, f"symbol route suite took {elapsed:.2f}s"
+    assert elapsed < 1.0, f"symbol route suite took {elapsed:.2f}s"
 
 
 def test_criterion_09_weight4_identity_and_perturbations():

@@ -14,9 +14,7 @@ from steinpoly.mpl import (
     bar_gl_act,
     bar_infty_reduce,
     depth1_nf,
-    divergent_reduce,
     gl_act,
-    goncharov_coproduct,
     goncharov_symbol_bar,
     identity_terms_from_json,
     identity_terms_to_json,
@@ -24,7 +22,6 @@ from steinpoly.mpl import (
     ii_reverse,
     ii_shuffle,
     li_identity_residual,
-    li_to_ii,
     pushed_expand,
     recursion_symbol_bar,
     sigma,
@@ -37,7 +34,7 @@ from steinpoly.mpl import (
 )
 from steinpoly.qlinalg import qv, split_seed
 from steinpoly.st2 import embed_s, is_zero_st2
-from symbol_reference import _sym_poly, delta_top
+from symbol_reference import _sym_poly, delta_top, divergent_reduce, goncharov_coproduct, li_to_ii
 
 F = Fraction
 X1, X2 = std_args(2)
@@ -273,6 +270,10 @@ class TestSymbolRoutes:
     def test_goncharov_depth_cap(self):
         with pytest.raises(ValueError):
             goncharov_symbol_bar(std_li(1, 1, 1))
+
+    def test_goncharov_takes_only_li_gens(self):
+        with pytest.raises(TypeError, match="PushedLi"):
+            goncharov_symbol_bar(PushedLi(1, [[1, 0], [0, 1]], (2, 1)))
 
     def test_depth_one_symbol(self):
         got = recursion_symbol_bar(std_li(3))

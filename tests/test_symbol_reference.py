@@ -4,17 +4,18 @@ recursion_symbol_bar runs the top coproduct on integer exponent rows with
 no phases and runs sigma's per-tuple work once per distinct direction
 tuple; bar_gl_act and st2_gl_act act by a cleared integer matrix, and
 li_identity_residual sums the integer images of its generators before one
-s-map and one reduction; _bar_to_st2 peels the
-bar's own words off one candidate at a time. Each must give exactly what
-symbol_reference.py gives, either the per-generator routes or the phased
-Fraction kernels they replaced: the same Bar terms, the same St2 terms,
-and an ArithmeticError exactly where the reference raises one.
+s-map and one reduction; _bar_to_st2 peels the bar's own words off one
+candidate at a time; goncharov_symbol_bar runs the iterated-integral
+coproduct on integer rows with its own depth-one count. Each must give
+exactly what symbol_reference.py gives, either the per-generator routes or
+the phased Fraction kernels they replaced: the same Bar terms, the same
+St2 terms, and an ArithmeticError exactly where the reference raises one.
 """
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import symbol_reference as ref
@@ -93,11 +94,11 @@ def small_det_pushforwards(draw):
 
 
 @st.composite
-def rational_li_gens(draw, max_depth=3):
+def rational_li_gens(draw, max_depth=3, max_slot=3):
     """Li_ns at monomials with some exponent denominator > 1 and every phase nonzero."""
     k = draw(st.integers(1, max_depth))
     d = draw(st.integers(k, max_depth))
-    ns = [draw(st.integers(1, 3)) for _ in range(k)]
+    ns = [draw(st.integers(1, max_slot)) for _ in range(k)]
     ints = [[draw(st.integers(-2, 2)) for _ in range(d)] for _ in range(k)]
     assume(_int_rank(ints) == k)
     dens = [draw(st.sampled_from((1, 2, 3, 6))) for _ in ints]
@@ -234,8 +235,14 @@ def test_gl_action_raises_on_a_letter_sent_to_zero():
             route([[1, -1], [1, -1]], x)
 
 
+# rows r1 = (-6, 2), r2 = (4, -6) over W = 3: r1 and r1 + r2 are lex-negative of content 2
+FLIPPED = (Monomial(F(1, 3), (-2, F(2, 3))), Monomial(F(1, 2), (F(4, 3), -2)))
+
+
 @SETTINGS
-@given(rational_li_gens(max_depth=2))
+@given(rational_li_gens(max_depth=2, max_slot=4))
+@example(LiGen((3, 2), FLIPPED))
+@example(LiGen((2, 2), FLIPPED))
 def test_goncharov_route_equals_reference(g):
     assert goncharov_symbol_bar(g).terms == ref.goncharov_symbol_bar(g).terms
 
@@ -272,6 +279,20 @@ def test_standard_truncated_symbol_solves_no_system():
     ):
         for ns in [t for t in _tuples(5, 5) if len(t) >= 2]:
             assert truncated_symbol(std_li(*ns)).terms, ns
+
+
+def test_goncharov_route_builds_no_monomial_and_no_phased_form():
+    # the depth-two route runs on int rows: no Monomial product or power, no depth1_nf
+    import steinpoly.mpl as mpl
+
+    gens = [std_li(*ns) for ns in _tuples(2, 6) if len(ns) == 2]
+    with (
+        mock.patch.object(Monomial, "__mul__", side_effect=AssertionError),
+        mock.patch.object(Monomial, "__pow__", side_effect=AssertionError),
+        mock.patch.object(mpl, "depth1_nf", side_effect=AssertionError),
+    ):
+        got = [goncharov_symbol_bar(g).terms for g in gens]
+    assert got == [recursion_symbol_bar(g).terms for g in gens]
 
 
 @settings(max_examples=30, deadline=None)
