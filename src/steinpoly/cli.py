@@ -11,6 +11,7 @@ import sys
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
+from heapq import nsmallest
 from itertools import combinations
 
 from .barcplx import Bar
@@ -18,7 +19,6 @@ from .cones import (
     PoleError,
     bernoulli_reference,
     coefficient_shuffle_check,
-    st_equality_oracle,
     truncated_fourier_sum,
 )
 from .mpl import identity_terms_from_json, li_identity_residual
@@ -45,6 +45,7 @@ from .st2 import (
     st2_normal_form,
 )
 from .steinberg import (
+    CertificateError,
     St,
     _dual_lines,
     _independent,
@@ -52,7 +53,9 @@ from .steinberg import (
     _numerators,
     ash_rudolph_reduce,
     flag_expand,
+    is_zero,
     make_apartment,
+    replay_ash_rudolph,
     zero_exps,
 )
 
@@ -307,7 +310,7 @@ def _flag_residual(n: int, pairs, extra) -> dict:
     return st2_normal_form(St2(n, {k: Fraction(v, den) for k, v in acc.items() if v}), 8)
 
 
-def _suite_shuffle(vecs, n, seed, points, extra):
+def _suite_shuffle(vecs, n, extra):
     # the basis is cleared once, and its one rank test (_case_basis) decides
     # every term: each shuffle is a permutation of the basis, each factor of
     # the product a sub-tuple, and the product's concatenated keys span it
@@ -334,7 +337,7 @@ def _suite_shuffle(vecs, n, seed, points, extra):
     return None
 
 
-def _suite_dihedral(vecs, n, seed, points, extra):
+def _suite_dihedral(vecs, n, extra):
     total = tuple(sum(v[i] for v in vecs) for i in range(n))
     v0 = tuple(-e for e in total)
     L = make_L(vecs, n)
@@ -362,14 +365,14 @@ def _suite_dihedral(vecs, n, seed, points, extra):
     return None
 
 
-def _suite_cobracket(basis, n, seed, points, extra):
+def _suite_cobracket(basis, n, extra):
     # cmd_verify refuses perturbations for this suite, so extra is None
     if not cobracket_matches_coproduct(basis):
         return {"relation": "cobracket vs antisymmetrized coproduct"}
     return None
 
 
-def _suite_duality(vecs, n, seed, points, extra):
+def _suite_duality(vecs, n, extra):
     # the basis is cleared once, so the dual lines share one scale and their
     # differences in I are those of the dual basis; its one rank test
     # (_case_basis) decides L, and the dual lines are independent too
@@ -392,20 +395,27 @@ def _suite_duality(vecs, n, seed, points, extra):
     return None
 
 
-def _suite_ashrudolph(basis, n, seed, points, extra):
+def _suite_ashrudolph(basis, n, extra):
+    # exact: the reduction's pivot table proves x = replay term by term, so
+    # x = red exactly when red - replay, the terms where they differ, is zero
     if any(x.denominator != 1 for v in basis for x in v):
         rows = [vec_to_json(v) for v in basis]
         raise InputError(f"ashrudolph needs an integral basis, got {rows}")
     vecs = [tuple(int(x) for x in v) for v in basis]
-    x = make_apartment(vecs, n)
-    red = ash_rudolph_reduce(vecs)
+    pivots: dict = {}
+    red = ash_rudolph_reduce(vecs, pivots)
     if extra is not None:
         red += extra
     for key in red.terms:
         if abs(_int_det(key)) != 1:
             return {"relation": "unimodularity", "apartment": [vec_to_json(p) for p in key]}
-    if not st_equality_oracle(x, red, seed=seed, points=points):
-        return {"relation": "evaluation mismatch", "terms": _st_to_json(red)[:8]}
+    try:
+        replay = replay_ash_rudolph(make_apartment(vecs, n), pivots)
+    except CertificateError as exc:
+        return {"relation": "certificate", "apartment": [vec_to_json(p) for p in exc.key]}
+    if replay != red and not is_zero(red - replay):
+        # the 8 least terms, without writing out the rest
+        return {"relation": "evaluation mismatch", "terms": _st_to_json(St(n, dict(nsmallest(8, red.items()))))}
     return None
 
 
@@ -423,8 +433,6 @@ def cmd_verify(args) -> int:
     _check_dim(args.dim, "--dim")
     if args.cases < 1:
         raise InputError(f"--cases must be at least 1, got {args.cases}")
-    if args.oracle_points < 1:
-        raise InputError(f"--oracle-points must be at least 1, got {args.oracle_points}")
     n = args.dim
     if args.file:
         data = _load_json(args.file)
@@ -454,7 +462,7 @@ def cmd_verify(args) -> int:
                 extra = pc * make_apartment(pvecs, len(basis))
             else:
                 raise InputError(f"suite {args.suite} takes no perturbation")
-        witness = run(basis, len(basis), args.seed, args.oracle_points, extra)
+        witness = run(basis, len(basis), extra)
         if witness is not None:
             failures.append(
                 {"case": i, "basis": [vec_to_json(v) for v in basis], "witness": witness}
@@ -695,7 +703,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", nargs="?", default=None, help="optional fixture of cases")
     p.add_argument("--dim", type=int, default=3, help=f"dimension, 1 to {MAX_DIM}")
     p.add_argument("--cases", type=int, default=12, help="random cases, at least 1")
-    p.add_argument("--oracle-points", type=int, default=5, help="evaluation points, at least 1")
     common(p)
     p.set_defaults(func=cmd_verify)
 

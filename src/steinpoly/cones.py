@@ -148,6 +148,9 @@ def st_equality_oracle(x: St, y: St, seed: int = 0, points: int = 5) -> bool:
     points with disagreement elsewhere would need the difference to be
     a nonzero function vanishing there, which retrying several points
     makes implausible; identity of classes implies agreement always.
+    It shares no code with any reduction, so tests keep it as an
+    independent check; `verify ashrudolph` decides exactly instead, by
+    steinberg.replay_ash_rudolph and the flag zero test.
     """
     if x.ambient != y.ambient:
         return False

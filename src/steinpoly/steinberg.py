@@ -53,7 +53,11 @@ ones by one Ash-Rudolph step at every rank: [v_1..v_n] = sum_i [v_1..w..v_n]
 c_i, the child determinants, have the least sup norm. The admissible c form
 a lattice of index |det|^(n-1); its minimum, at most |det|^((n-1)/n) by
 Minkowski, is enumerated exactly from an LLL-reduced basis. The whole
-reduction runs on int keys and int coefficients.
+reduction runs on int keys and int coefficients. Each step holds for any
+pivot, so the table of pivots the reduction chose proves its result:
+replay_ash_rudolph rewrites the apartment from that table alone, with
+its own sort sign and no search, and fails (CertificateError) on a
+missing entry or a child whose |det| does not drop.
 """
 from __future__ import annotations
 
@@ -61,6 +65,7 @@ from bisect import bisect
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from math import lcm
 from operator import mul
 from typing import Sequence
@@ -634,12 +639,15 @@ def _chart_coords(t_mat: Mat, v: Point) -> Point:
 # --------------------------------------------------- Ash-Rudolph reduction
 
 
-def ash_rudolph_reduce(vectors: Sequence[Sequence]) -> St:
+def ash_rudolph_reduce(vectors: Sequence[Sequence], pivots: dict | None = None) -> St:
     """Express an integral apartment as a sum of unimodular apartments.
 
     Every rank takes the same Ash-Rudolph step at the pivot of
-    _least_pivot (see _ar_apartment); each child determinant is at most
-    |det|^((n-1)/n), so the recursion is shallow.
+    _least_pivot (see _ar_step); each child determinant is at most
+    |det|^((n-1)/n), so the recursion is shallow. A dict passed as pivots
+    receives the pivot of every non-unimodular key the reduction visits,
+    key -> w, read from the same steps: the table replay_ash_rudolph
+    checks the reduction by.
     """
     vecs, den = _cleared([qv(v) for v in vectors])
     if not vecs:
@@ -654,31 +662,102 @@ def ash_rudolph_reduce(vectors: Sequence[Sequence]) -> St:
     for key, c in start.terms.items():
         for k2, c2 in _ar_apartment(key):
             out.add_term(k2, c * c2)
+    if pivots is not None:
+        stack = list(start.terms)
+        while stack:
+            key = stack.pop()
+            step = _ar_step(key)
+            if step is not None and key not in pivots:
+                pivots[key] = step[0]
+                stack.extend(child for child, _sign in step[1])
     return out
 
 
 @lru_cache(maxsize=None)
-def _ar_apartment(key: ApKey) -> tuple[tuple[ApKey, int], ...]:
-    """Unimodular reduction of one apartment, with integer coefficients.
+def _ar_step(key: ApKey) -> tuple[Point, tuple[tuple[ApKey, int], ...]] | None:
+    """(w, nonzero children with their sort signs) of the step at key; None when |det| = 1.
 
     With D = det(key) and the pivot w = sum_i c_i key[i] / D of
     _least_pivot, the boundary relation of (w, key[0], ..., key[n-1])
     gives [key] = sum_i [key with key[i] replaced by w]. The i-th child
     has determinant c_i, so children with c_i = 0 are degenerate and
-    every other one is reduced in turn.
+    left out.
     """
     dd = _int_det(key)
     if abs(dd) == 1:
-        return ((key, 1),)
+        return None
     w, nums = _least_pivot(key, dd)
     w = int_point(w)
+    return w, tuple(_sort_sign(key[:i] + (w,) + key[i + 1 :]) for i, ci in enumerate(nums) if ci)
+
+
+@lru_cache(maxsize=None)
+def _ar_apartment(key: ApKey) -> tuple[tuple[ApKey, int], ...]:
+    """Unimodular reduction of one apartment, with integer coefficients: _ar_step down to |det| = 1."""
+    step = _ar_step(key)
+    if step is None:
+        return ((key, 1),)
     out: dict[ApKey, int] = {}
-    for i, ci in enumerate(nums):
-        if ci:
-            child, sign = _sort_sign(key[:i] + (w,) + key[i + 1 :])
-            for k2, c2 in _ar_apartment(child):
-                _acc(out, k2, sign * c2)
+    for child, sign in step[1]:
+        for k2, c2 in _ar_apartment(child):
+            _acc(out, k2, sign * c2)
     return tuple(sorted(out.items()))
+
+
+class CertificateError(ValueError):
+    """A pivot table that does not prove a reduction; key is the step at fault."""
+
+    def __init__(self, key: ApKey, why: str):
+        super().__init__(f"{why} at {key}")
+        self.key = key
+
+
+def replay_ash_rudolph(x: St, pivots: dict) -> St:
+    """x rewritten by the boundary relations of a pivot table {key: w} alone.
+
+    For any line w, [key] = sum_i [key with key[i] replaced by w], and a
+    child with dependent vectors is zero. Each key of |det| > 1 is
+    replaced so at pivots[key], in order of decreasing |det|, so every
+    key is replaced once with its whole coefficient. Every nonzero child
+    must have a smaller |det| than its key, so the replay ends, at keys
+    of |det| 1. It uses no pivot search, no LLL and its own sort sign
+    (an inversion count), so a result equal to ash_rudolph_reduce(x)
+    proves that reduction exact whatever the search did. Raises
+    CertificateError naming the key of a missing entry, of a pivot that
+    is not a nonzero int vector of the key's length, or of a child whose
+    |det| does not drop.
+    """
+    den, pending = _numerators(x.terms)
+    heap = [(-abs(_int_det(key)), key) for key in pending]
+    heapify(heap)
+    out = {}
+    while heap:
+        size, key = heappop(heap)
+        c = pending.pop(key)
+        if size == -1:
+            out[key] = c
+            continue
+        if not c:
+            continue
+        w = pivots.get(key)
+        if w is None:
+            raise CertificateError(key, "no pivot")
+        if len(w) != len(key) or any(type(e) is not int for e in w) or not any(w):
+            raise CertificateError(key, f"bad pivot {w}")
+        for i in range(len(key)):
+            child = key[:i] + (w,) + key[i + 1 :]
+            d = abs(_int_det(child))
+            if not d:
+                continue
+            if d >= -size:
+                raise CertificateError(key, f"a child of |det| {d} >= {-size}")
+            inversions = sum(a > b for j, a in enumerate(child) for b in child[j + 1 :])
+            child = tuple(sorted(child))
+            if child not in pending:
+                pending[child] = 0
+                heappush(heap, (-d, child))
+            pending[child] += -c if inversions % 2 else c
+    return St(x.ambient, {k: Fraction(v, den) for k, v in out.items() if v})
 
 
 def _least_pivot(key: ApKey, dd: int) -> tuple[Point, list[int]]:

@@ -16,7 +16,7 @@ from steinpoly.st2 import dualize, make_I, make_L, st2_normal_form, st2_product
 from steinpoly.steinberg import _dual_lines
 
 
-def suite_shuffle(vecs, n, seed, points, extra):
+def suite_shuffle(vecs, n, extra):
     for d1 in range(1, n):
         for make in (make_L, make_I):
             # lhs minus every shuffle, subtracted in place
@@ -40,7 +40,7 @@ def suite_shuffle(vecs, n, seed, points, extra):
     return None
 
 
-def suite_duality(vecs, n, seed, points, extra):
+def suite_duality(vecs, n, extra):
     L = make_L(vecs, n)
     dual_L = dualize(L)
     # one common denominator, so the dual lines share one scale and their

@@ -63,6 +63,7 @@ from steinpoly.steinberg import (
     flag_expand,
     is_zero,
     make_apartment,
+    replay_ash_rudolph,
 )
 
 E1, E2 = (1, 0), (0, 1)
@@ -344,6 +345,14 @@ def test_criterion_09_weight4_identity_and_perturbations():
         assert not verify_li_identity(bad), i
 
 
+def certified_reduction(vecs):
+    """ash_rudolph_reduce(vecs), checked by replaying its pivot table."""
+    pivots = {}
+    out = ash_rudolph_reduce(vecs, pivots)
+    assert replay_ash_rudolph(make_apartment(vecs), pivots) == out
+    return out
+
+
 def test_criterion_10_unimodular_reduction():
     t0 = time.monotonic()
     rng = split_seed(2026, "acc-reduce")
@@ -353,7 +362,7 @@ def test_criterion_10_unimodular_reduction():
         dd = abs(det(qm(vecs)))
         if dd == 0 or dd > 100:
             continue
-        out = ash_rudolph_reduce(vecs)
+        out = certified_reduction(vecs)
         for key in out.terms:
             assert abs(det(qm(key))) == 1
         assert len(out.terms) <= 4 * math.log2(max(dd, 2)) + 4
@@ -365,7 +374,7 @@ def test_criterion_10_unimodular_reduction():
         dd = abs(det(qm(vecs)))
         if dd == 0 or dd > 50:
             continue
-        out = ash_rudolph_reduce(vecs)
+        out = certified_reduction(vecs)
         for key in out.terms:
             assert abs(det(qm(key))) == 1
         assert st_equality_oracle(out, make_apartment(vecs), seed=done, points=5)
@@ -377,7 +386,7 @@ def test_criterion_10_unimodular_reduction():
         dd = abs(det(qm(vecs)))
         if not 10**5 <= dd <= 10**6:
             continue
-        out = ash_rudolph_reduce(vecs)
+        out = certified_reduction(vecs)
         for key in out.terms:
             assert abs(det(qm(key))) == 1
         assert len(out.terms) <= 4 * math.log2(dd) + 4
@@ -387,7 +396,7 @@ def test_criterion_10_unimodular_reduction():
     # not finish in 9 minutes
     for n in (5, 6):
         vecs = rand_basis(rng, n, bound=3)
-        out = ash_rudolph_reduce(vecs)
+        out = certified_reduction(vecs)
         for key in out.terms:
             assert abs(det(qm(key))) == 1
         assert st_equality_oracle(out, make_apartment(vecs), seed=n, points=5)

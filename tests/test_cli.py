@@ -273,16 +273,37 @@ class TestVerify:
 
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_oracle_points_below_one_exits_2(self, tmp_path, points):
-        # the only case is perturbed, so an oracle that skips every point would PASS
+        # the verdict is exact, so `verify` has no evaluation oracle and no
+        # --oracle-points: any value is an unknown option, exit 2 with no
+        # report, and the perturbed case still FAILs without it
         path = write(tmp_path, "fix.json", {"cases": [{
             "basis": [[2, 1], [1, 3]],
             "perturb": {"vectors": [[1, 0], [0, 1]], "coeff": "1"},
         }]})
-        code, text = run(tmp_path, "verify", "ashrudolph", path, "--oracle-points", points)
-        assert code == 2 and text == ""
-        code, report = run_json(tmp_path, "verify", "ashrudolph", path, "--oracle-points", "5")
+        for value in (points, "5"):
+            with pytest.raises(SystemExit) as exc:
+                run(tmp_path, "verify", "ashrudolph", path, "--oracle-points", value)
+            assert exc.value.code == 2
+            assert not (tmp_path / "out.txt").exists()
+        code, report = run_json(tmp_path, "verify", "ashrudolph", path)
         assert code == 1
         assert report["failures"][0]["witness"]["relation"] == "evaluation mismatch"
+
+    def test_ashrudolph_verdict_evaluates_nothing(self, tmp_path):
+        # the verdict comes from the reduction's pivot table and the flag
+        # test, so it stands with the evaluation oracle's kernel broken
+        basis = [[3, 1, 2], [1, -2, 1], [2, 1, -3]]
+        passing = write(tmp_path, "pass.json", {"cases": [{"basis": basis}]})
+        perturbed = write(tmp_path, "bad.json", {"cases": [{
+            "basis": basis,
+            "perturb": {"vectors": [[1, 0, 0], [0, 1, 0], [1, 1, 1]], "coeff": "1/2"},
+        }]})
+        with mock.patch("steinpoly.cones.rho_term", side_effect=AssertionError("evaluated")):
+            code, report = run_json(tmp_path, "verify", "ashrudolph", passing)
+            assert code == 0 and report["verdict"] == "PASS"
+            code, report = run_json(tmp_path, "verify", "ashrudolph", perturbed)
+            assert code == 1
+            assert report["failures"][0]["witness"]["relation"] == "evaluation mismatch"
 
     @pytest.mark.parametrize("suite", ["shuffle", "cobracket"])
     def test_dimension_one_checks_nothing_exits_2(self, tmp_path, suite):

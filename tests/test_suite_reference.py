@@ -54,7 +54,7 @@ def cases(draw):
 def test_witness_equals_reference(suite, case):
     basis, n, extra = case
     kernel, reference = SUITES[suite]
-    assert kernel(basis, n, 0, 1, extra) == reference(basis, n, 0, 1, extra)
+    assert kernel(basis, n, extra) == reference(basis, n, extra)
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
@@ -69,5 +69,5 @@ def test_passing_case_makes_no_rank_test(suite, rational):
         mock.patch.object(st2, "_independent", spy),
         mock.patch.object(cli, "_independent", spy),
     ):
-        assert SUITES[suite][0](basis, 4, 0, 1, None) is None
+        assert SUITES[suite][0](basis, 4, None) is None
     assert spy.call_count == 0
