@@ -406,13 +406,18 @@ def _suite_ashrudolph(basis, n, extra):
     red = ash_rudolph_reduce(vecs, pivots)
     if extra is not None:
         red += extra
-    for key in red.terms:
-        if abs(_int_det(key)) != 1:
-            return {"relation": "unimodularity", "apartment": [vec_to_json(p) for p in key]}
     try:
-        replay = replay_ash_rudolph(make_apartment(vecs, n), pivots)
+        replay, broken = replay_ash_rudolph(make_apartment(vecs, n), pivots), None
     except CertificateError as exc:
-        return {"relation": "certificate", "apartment": [vec_to_json(p) for p in exc.key]}
+        replay, broken = St.zero(n), exc.key
+    # the replay ends at keys of |det| 1, so only the keys of red it does not
+    # hold need a determinant; unimodularity is still reported first, at the
+    # first such key in red's order
+    for key in red.terms:
+        if key not in replay.terms and abs(_int_det(key)) != 1:
+            return {"relation": "unimodularity", "apartment": [vec_to_json(p) for p in key]}
+    if broken is not None:
+        return {"relation": "certificate", "apartment": [vec_to_json(p) for p in broken]}
     if replay != red and not is_zero(red - replay):
         # the 8 least terms, without writing out the rest
         return {"relation": "evaluation mismatch", "terms": _st_to_json(St(n, dict(nsmallest(8, red.items()))))}
@@ -675,53 +680,76 @@ def cmd_fourier(args) -> int:
 # ------------------------------------------------------------------- main
 
 
+def _file_arg(p):
+    p.add_argument("file")
+
+
+def _symbol_args(p):
+    p.add_argument("--kind", choices=("L", "I"), required=True)
+    p.add_argument("--dim", type=int, default=None)
+    p.add_argument("vectors", nargs="+", help="comma-separated coordinates")
+
+
+def _verify_args(p):
+    p.add_argument("suite", choices=sorted(_SUITES))
+    p.add_argument("file", nargs="?", default=None, help="optional fixture of cases")
+    p.add_argument("--dim", type=int, default=3, help=f"dimension, 1 to {MAX_DIM}")
+    p.add_argument("--cases", type=int, default=12, help="random cases, at least 1")
+
+
+def _fourier_args(p):
+    p.add_argument("file", help="study configuration")
+    p.add_argument("--box", type=int, default=None, help="override the summation box, at least 1")
+
+
+# name -> (help, function adding the command's own arguments, handler)
+_COMMANDS = {
+    "reduce": ("flag-basis normal form of an element", _file_arg, cmd_reduce),
+    "symbol": ("bar-word expansion of a generator", _symbol_args, cmd_symbol),
+    "verify": ("run a relation suite", _verify_args, cmd_verify),
+    "st": ("verify a polylogarithm identity file", _file_arg, cmd_st),
+    "fourier": ("truncated Fourier studies, CSV output", _fourier_args, cmd_fourier),
+}
+
+
+def _add_command(p, name: str) -> None:
+    _help, add_args, func = _COMMANDS[name]
+    add_args(p)
+    p.add_argument("--seed", type=int, default=0, help="master seed, recorded in the output")
+    p.add_argument("--out", default=None, help="output path (default stdout)")
+    p.set_defaults(func=func)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="steinpoly",
         description="Exact computations with apartment classes and polylogarithm symbols.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--seed", type=int, default=0, help="master seed, recorded in the output")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-
-    p = sub.add_parser("reduce", help="flag-basis normal form of an element")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("symbol", help="bar-word expansion of a generator")
-    p.add_argument("--kind", choices=("L", "I"), required=True)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("vectors", nargs="+", help="comma-separated coordinates")
-    common(p)
-    p.set_defaults(func=cmd_symbol)
-
-    p = sub.add_parser("verify", help="run a relation suite")
-    p.add_argument("suite", choices=sorted(_SUITES))
-    p.add_argument("file", nargs="?", default=None, help="optional fixture of cases")
-    p.add_argument("--dim", type=int, default=3, help=f"dimension, 1 to {MAX_DIM}")
-    p.add_argument("--cases", type=int, default=12, help="random cases, at least 1")
-    common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("st", help="verify a polylogarithm identity file")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(func=cmd_st)
-
-    p = sub.add_parser("fourier", help="truncated Fourier studies, CSV output")
-    p.add_argument("file", help="study configuration")
-    p.add_argument("--box", type=int, default=None, help="override the summation box, at least 1")
-    common(p)
-    p.set_defaults(func=cmd_fourier)
-
+    for name, (help_text, *_) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text), name)
     return parser
 
 
+def _parse(argv: list) -> argparse.Namespace:
+    """The full tree's parse of argv, building one command's parser when it can.
+
+    A subcommand's parser in the tree is an ArgumentParser with prog
+    "steinpoly <name>" that parses everything after the name, so it prints
+    the same help and errors alone. Only arguments it leaves over are
+    reported by the top-level parser, so those go to the full tree.
+    """
+    if argv and argv[0] in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"steinpoly {argv[0]}")
+        _add_command(parser, argv[0])
+        args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return _build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except InputError as exc:

@@ -1,4 +1,5 @@
 """End-to-end checks of the command line: formats, exit codes, determinism."""
+import argparse
 import json
 import sys
 from fractions import Fraction
@@ -8,7 +9,15 @@ from unittest import mock
 import pytest
 
 import flag_reference
-from steinpoly.cli import MAX_DIM, MAX_FOURIER_POINTS, MAX_FOURIER_WEIGHT, MAX_WEIGHT, main
+from steinpoly.cli import (
+    MAX_DIM,
+    MAX_FOURIER_POINTS,
+    MAX_FOURIER_WEIGHT,
+    MAX_WEIGHT,
+    _build_parser,
+    _parse,
+    main,
+)
 from steinpoly.qlinalg import dual_basis, frac_to_str, qv, vec_to_json
 from steinpoly.st2 import dualize, make_I, make_L, st2_product
 
@@ -659,3 +668,81 @@ class TestDeterminism:
         _, a = run(tmp_path, "st", FIXTURE, "--seed", "4")
         _, b = run(tmp_path, "st", FIXTURE, "--seed", "4")
         assert a == b
+
+
+# help, usage errors and leftovers, each decided by argparse before any command runs
+PARSER_ERRORS = [
+    [], ["-h"], ["nonsense"], ["-x", "verify"],
+    *([name, "-h"] for name in ("reduce", "symbol", "verify", "st", "fourier")),
+    ["verify", "nonsense"],
+    ["verify", "shuffle", "--dim", "x"],
+    ["symbol", "1,0"],
+    ["fourier", "f", "--box"],
+    # leftover positional arguments
+    ["reduce", "f", "g"],
+    ["symbol", "--kind", "L", "1,0", "--dim", "2", "0,1"],
+    ["verify", "shuffle", "f", "g"],
+    ["st", "f", "g"],
+    ["fourier", "f", "g"],
+    ["verify", "--", "shuffle", "--cases", "1"],
+    # leftover options
+    ["reduce", "f", "--bogus"],
+    ["symbol", "--kind", "L", "1,0", "--bogus=1"],
+    ["verify", "shuffle", "--dim", "3", "--bogus"],
+    ["st", "f", "-x"],
+    ["fourier", "f", "--box", "3", "--bogus", "1"],
+    ["verify", "shuffle", "--bogus", "-h"],
+]
+
+PARSED = [
+    ["reduce", "f"],
+    ["symbol", "--kind", "I", "1,0", "0,1", "--dim", "2"],
+    ["verify", "shuffle", "f", "--dim", "4", "--cases", "2", "--seed", "3", "--out", "o"],
+    ["verify", "--", "shuffle"],
+    ["st", "f", "--seed=7"],
+    ["fourier", "f", "--box", "5"],
+]
+
+
+class TestParser:
+    """main parses as the full parser tree does, building one command's parser."""
+
+    @staticmethod
+    def outcome(capsys, parse, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        out, err = capsys.readouterr()
+        return exc.value.code, out, err
+
+    @pytest.mark.parametrize("argv", PARSER_ERRORS, ids=lambda argv: " ".join(argv) or "no arguments")
+    def test_help_and_errors_match_the_full_tree(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        expected = self.outcome(capsys, _build_parser().parse_args, argv)
+        assert self.outcome(capsys, main, argv) == expected
+        assert expected[0] in (0, 2) and (expected[1] or expected[2])
+
+    @pytest.mark.parametrize("argv", PARSED, ids=" ".join)
+    def test_namespace_matches_the_full_tree(self, capsys, argv):
+        args = _parse(argv)
+        assert args == _build_parser().parse_args(argv)
+        assert args.command == argv[0]
+        assert capsys.readouterr() == ("", "")
+
+    def test_a_command_builds_one_parser(self, tmp_path, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        fixture = write(tmp_path, "fix.json", {"cases": [{"basis": [[1, 2], [0, 3]]}]})
+        code, report = run_json(tmp_path, "verify", "shuffle", fixture)
+        assert code == 0 and report["verdict"] == "PASS"
+        assert built == ["steinpoly verify"]
+        # a leftover argument is reported under the top-level usage
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "shuffle", fixture, "--bogus"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[0].startswith("usage: steinpoly [-h]")
