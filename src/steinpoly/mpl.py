@@ -1,20 +1,19 @@
 """Formal multiple polylogarithms on split tori and their truncated symbols.
 
 Arguments are monomials zeta * x_1^{a_1} ... x_d^{a_d} with an exact
-root-of-unity phase in Q/Z and a rational exponent vector.  The depth-one
-quotient has an explicit basis (primitive lexicographically positive
-directions at a covering level, phases kept).  The symbol forgets phases,
-so the recursion route never carries them: it writes a generator's
-exponent vectors once as integer rows over one common denominator W, runs
-the top component of the reduced coproduct on (weights, rows) keys with
-integer binomial signs, and sums each depth-one right factor over its
-phases as it is built.  Its endpoint is a bar word with a symmetric-power
-tail, summed in int over one denominator.  Peeling its words off against
-L generators lands the result in the Steinberg tensor square, giving two
-independent routes to the truncated symbol.  A third route, at depth at
-most two, runs the full iterated-integral coproduct on integer rows too,
-with its own walk over the index subsets and its own depth-one reduction
-of each divergent factor, so it shares no reduction with the recursion.
+root-of-unity phase in Q/Z and a rational exponent vector.  The symbol
+forgets phases, so no symbol route carries them.  The recursion writes a
+generator's exponent vectors once as integer rows over one common
+denominator W, runs the top component of the reduced coproduct on
+(weights, rows) keys with integer binomial signs, and sums each
+depth-one right factor over its phases as it is built.  Its endpoint is
+a bar word with a symmetric-power tail, summed in int over one
+denominator.  Peeling its words off against L generators lands the
+result in the Steinberg tensor square, giving two independent routes to
+the truncated symbol.  A third route, at depth at most two, runs the
+full iterated-integral coproduct on integer rows too, with its own walk
+over the index subsets and its own depth-one count of each divergent
+factor, so it shares no reduction with the recursion.
 The GL_d(Q) action on bar words acts by the matrix cleared to integers.
 """
 from __future__ import annotations
@@ -24,9 +23,9 @@ from fractions import Fraction
 from itertools import product as iproduct
 from math import comb, factorial, gcd, lcm, prod
 from operator import add, mul, sub
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .barcplx import Bar, shuffle_words
+from .barcplx import Bar
 from .qlinalg import (
     _cleared,
     _minor_gcd,
@@ -37,7 +36,6 @@ from .qlinalg import (
     mat_mul,
     positive_int_from_json,
     qm,
-    qv,
 )
 from .st2 import St2, _s_map, bar_infty_reduce, embed_s, make_L
 from .steinberg import _acc, _independent, _int_vectors, _numerators, _power_product, normalize_apartment
@@ -160,9 +158,9 @@ class PushedLi:
 
         A . Li_ns = N^{n-d-1} sum_{j in (Z/N)^d} Li_ns(zeta_N^{<a_l, j>} x^{a_l / N})_l,
 
-    N^d phase tuples at N^{n-d-1} (pushed_expand lists them).  A only
-    reaches the generator through its first k columns, so a matrix
-    fixing e_1..e_k fixes it at every depth.  The matrix is stored as
+    N^d phase tuples at N^{n-d-1}.  A only reaches the generator through
+    its first k columns, so a matrix fixing e_1..e_k fixes it at every
+    depth.  The matrix is stored as
     its primitive integral representative; the positive rational scale
     s acts as s^{n-k}, through the degree of the symmetric tail, and is
     folded into the coefficient on construction, so equal actions get
@@ -228,127 +226,7 @@ def gl_act(a: Sequence[Sequence], x: PushedLi) -> PushedLi:
     return PushedLi(x.coeff, mat_mul(qm(a), qm(x.matrix)), x.ns)
 
 
-def pushed_expand(p: PushedLi) -> list[tuple[Fraction, LiGen]]:
-    """Root expansion of the action into honest generators.
-
-    alpha of the first k columns of the matrix, each coefficient times
-    the generator's own: N^d generators at p.coeff * N^{n-d-1}.  They
-    share their exponent vectors and differ only in phase, so any map
-    that is linear and blind to phase (the symbol recursion) takes N^d
-    times its value on the zero-phase generator, the first one listed.
-    """
-    cols = list(zip(*p.matrix))[: p.depth]
-    return [(p.coeff * c, LiGen(p.ns, slots)) for c, slots in alpha(cols, p.ns)]
-
-
-# ------------------------------------------------------ depth-one normal form
-
-
-class DepthOneNF:
-    """Weight-n depth-one classes on primitive lex-positive directions.
-
-    Keys (phase, p) live at a covering level W: the class is the weight-n
-    polylogarithm at e^{2 pi i phase} x^{p/W}.  Torsion arguments stay in
-    a symbolic constants bucket and never touch the direction keys.
-    """
-
-    __slots__ = ("weight", "level", "terms", "constants")
-
-    def __init__(self, weight: int, level: int, terms: dict, constants: dict):
-        self.weight = weight
-        self.level = level
-        self.terms = terms
-        self.constants = constants
-
-    def is_zero(self) -> bool:
-        return not self.terms and not self.constants
-
-    def items(self) -> list[tuple[Fraction, Fraction, tuple[Fraction, ...]]]:
-        """(coeff, phase, rational direction vector) triples."""
-        w = self.level
-        return [
-            (c, phase, tuple(Fraction(e, w) for e in vec))
-            for (phase, vec), c in sorted(self.terms.items())
-        ]
-
-    def forget_phases(self) -> tuple:
-        """(weight, level, {direction: coeff}), each direction summed over its phases.
-
-        This is all of the class that sigma reads.
-        """
-        terms: dict = {}
-        for (_phase, vec), c in self.terms.items():
-            _acc(terms, vec, c)
-        return self.weight, self.level, terms
-
-    def rescale(self, new_level: int) -> "DepthOneNF":
-        if new_level % self.level:
-            raise ValueError("covering levels must be nested")
-        m = new_level // self.level
-        if m == 1:
-            return self
-        out: dict = {}
-        for (phase, vec), c in self.terms.items():
-            # the same direction seen at level m*W is m*vec, then re-split
-            for key, factor in _primitive_split(self.weight, phase, tuple(m * e for e in vec)):
-                _acc(out, key, c * factor)
-        return DepthOneNF(self.weight, new_level, out, dict(self.constants))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DepthOneNF) or self.weight != other.weight:
-            return False
-        w = lcm(self.level, other.level)
-        a = self.rescale(w)
-        b = other.rescale(w)
-        return a.terms == b.terms and a.constants == b.constants
-
-    def __repr__(self) -> str:
-        return (
-            f"DepthOneNF(weight={self.weight}, level={self.level}, "
-            f"{len(self.terms)} keys, {len(self.constants)} constants)"
-        )
-
-
-def _primitive_split(n: int, phase: Fraction, vec: tuple[int, ...]):
-    """Normalize one integral key: flip to lex-positive, split off content."""
-    sign = ONE
-    lead = next((e for e in vec if e), 0)
-    if lead < 0:
-        sign = Fraction((-1) ** (n - 1))
-        vec = tuple(-e for e in vec)
-        phase = (-phase) % 1
-    m = gcd(*[abs(e) for e in vec])
-    prim = tuple(e // m for e in vec)
-    base = phase / m
-    factor = sign * Fraction(m) ** (n - 1)
-    return [(((base + Fraction(j, m)) % 1, prim), factor) for j in range(m)]
-
-
-def depth1_nf(weight: int, items: Iterable[tuple]) -> DepthOneNF:
-    """Normal form of a formal sum of weight-n depth-one polylogarithms.
-
-    Inversion flips negative directions with (-1)^{n-1}; the distribution
-    relation expands imprimitive directions over the canonical roots of
-    the phase.  Torsion arguments go into the constants bucket.
-    """
-    items = [(Fraction(c), m) for c, m in items]
-    level = 1
-    for _, m in items:
-        for e in m.exps:
-            level = lcm(level, e.denominator)
-    terms: dict = {}
-    constants: dict = {}
-    for c, m in items:
-        if m.is_torsion():
-            _acc(constants, m.phase, c)
-            continue
-        vec = tuple(int(e * level) for e in m.exps)
-        for key, factor in _primitive_split(weight, m.phase, vec):
-            _acc(terms, key, c * factor)
-    return DepthOneNF(weight, level, terms, constants)
-
-
-# --------------------------------------------------------- sigma and alpha
+# ------------------------------------------------------------------- sigma
 
 
 def _sigma_acc(acc: dict, factors: Sequence[tuple], scale=1) -> None:
@@ -395,55 +273,6 @@ def _sigma_emit(acc: dict, ambient: int) -> Bar:
     return Bar(ambient, {key: Fraction(v, den) for key, v in nums.items()})
 
 
-def sigma(factors: Sequence[DepthOneNF], ambient: int) -> Bar:
-    """Section of the root-expansion embedding on depth-one tensors.
-
-    Phases are forgotten, the direction tuple picks up its covolume
-    factor, and the weights feed the symmetric tail.  Dependent tuples
-    and constant slots contribute nothing.
-    """
-    acc: dict = {}
-    _sigma_acc(acc, [f.forget_phases() for f in factors])
-    return _sigma_emit(acc, ambient)
-
-
-def _root_expansion(vectors: Sequence[Sequence[int]], weights: Sequence[int]) -> tuple:
-    """(N^{n-d-1}, N, vectors / N) for independent integral vectors in Z^d.
-
-    N is the index of their lattice in its saturation, the gcd of their
-    maximal minors (|det| of d vectors in Z^d).
-    """
-    nn = _minor_gcd(vectors)
-    if not nn:
-        raise ValueError("root expansion of dependent vectors")
-    pref = Fraction(nn) ** (sum(weights) - len(vectors[0]) - 1)
-    return pref, nn, [[Fraction(e, nn) for e in v] for v in vectors]
-
-
-def alpha(vectors: Sequence[Sequence[int]], weights: Sequence[int]) -> list:
-    """Root expansion of a bar word with symmetric tail into depth-one tensors.
-
-    Integral direction vectors only.  N is the index of their lattice in
-    its saturation; all d coordinates acquire N-th roots, giving N^d
-    phase tuples of coefficient N^{n-d-1}, and the slot of v has phase
-    sum_i v_i j_i / N on the exponent vector v / N.
-    """
-    vecs = [qv(v) for v in vectors]
-    if any(e.denominator != 1 for v in vecs for e in v):
-        raise ValueError("alpha expects integral vectors")
-    ints = [[int(e) for e in v] for v in vecs]
-    pref, nn, roots = _root_expansion(ints, weights)
-    d = len(ints[0])
-    out = []
-    for js in iproduct(range(nn), repeat=d):
-        slots = tuple(
-            Monomial(sum(Fraction(v[i] * js[i], nn) for i in range(d)), root)
-            for v, root in zip(ints, roots)
-        )
-        out.append((pref, slots))
-    return out
-
-
 # ------------------------------------------------- top coproduct component
 
 
@@ -477,9 +306,9 @@ def _top_buckets(ns: tuple, rows: tuple) -> dict:
 def _directions(n: int, items: list) -> dict:
     """{direction: coeff} of sum c Li_n(x^(row / W)) at level W, phases summed out.
 
-    The sums of depth1_nf followed by forget_phases, but read at the
-    level W of the rows, not at their least common one: sigma divides a
-    factor at level L by L^n, and its content there is L / W times that
+    The phased depth-one normal form with its phases summed out, read at
+    the level W of the rows, not at their least common one: sigma divides
+    a factor at level L by L^n, and its content there is L / W times that
     of the row, so L cancels.  A lex-negative row flips with (-1)^(n-1),
     and a row of content m splits into m copies at m^(n-1), which sum to
     m^n once their phases are forgotten.  Zero rows are constants, which
@@ -515,10 +344,6 @@ def _top_slots(ns: tuple, rows: tuple, w: int) -> list:
     return out
 
 
-def _nf_of_gen(g: LiGen) -> DepthOneNF:
-    return depth1_nf(g.ns[0], [(ONE, g.args[0])])
-
-
 def recursion_symbol_bar(g) -> Bar:
     """Bar-word symbol through the iterated top coproduct and sigma.
 
@@ -546,75 +371,7 @@ def recursion_symbol_bar(g) -> Bar:
     return scale * _sigma_emit(acc, g.ambient)
 
 
-# -------------------------------------------------- formal iterated integrals
-
-
-class FormalII:
-    """Formal iterated integral with monomial entries; None marks a zero."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: Sequence):
-        self.entries = tuple(entries)
-        if len(self.entries) < 2:
-            raise ValueError("need at least two endpoints")
-        for e in self.entries:
-            if e is not None and not isinstance(e, Monomial):
-                raise TypeError("entries are Monomial or None")
-
-    @property
-    def weight(self) -> int:
-        return len(self.entries) - 2
-
-    @property
-    def start(self):
-        return self.entries[0]
-
-    @property
-    def end(self):
-        return self.entries[-1]
-
-    @property
-    def middles(self) -> tuple:
-        return self.entries[1:-1]
-
-    def __eq__(self, other):
-        return isinstance(other, FormalII) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        body = ", ".join("0" if e is None else repr(e) for e in self.entries)
-        return f"II({body})"
-
-
-def ii_shuffle(u: FormalII, v: FormalII) -> dict:
-    """Shuffle product of two integrals over a common path."""
-    if u.start != v.start or u.end != v.end:
-        raise ValueError("shuffle needs matching endpoints")
-    out: dict = {}
-    for mids in shuffle_words(u.middles, v.middles):
-        _acc(out, FormalII((u.start,) + mids + (u.end,)), ONE)
-    return out
-
-
-def ii_path_compose(ii: FormalII, cut) -> list:
-    """Splittings of the path at an intermediate point."""
-    mids = ii.middles
-    out = []
-    for j in range(len(mids) + 1):
-        out.append(
-            (
-                FormalII((ii.start,) + mids[:j] + (cut,)),
-                FormalII((cut,) + mids[j:] + (ii.end,)),
-            )
-        )
-    return out
-
-
-def ii_reverse(ii: FormalII) -> tuple:
-    return Fraction(-1) ** ii.weight, FormalII(tuple(reversed(ii.entries)))
+# --------------------------------------------------------- iterated integrals
 
 
 def _divergent_factor(entries: tuple, w: int) -> tuple | None:
@@ -650,29 +407,31 @@ def _divergent_factor(entries: tuple, w: int) -> tuple | None:
 def goncharov_symbol_bar(g: LiGen) -> Bar:
     """Bar-word symbol through the full iterated-integral coproduct.
 
-    Independent of the top-component recursion; depth at most two.  At
-    depth two, Li_{n1,n2}(a1, a2) = I(0; 1, 0^(n1-1), a1, 0^(n2-1); a1 a2),
-    its entries cleared once to int rows over one denominator W: 1 is
-    the zero row, a1 the row r1 and a1 a2 the row r1 + r2.  A coproduct
-    term carries reduced-word content only when one gap has positive
-    weight, so its index subset leaves out one run of entries, between
-    x_s and x_e, and the gap x_s..x_e and the rest each have a single
-    nonzero middle; every other term is dropped.
+    Independent of the top-component recursion; depth at most two.  The
+    arguments are cleared once to int rows over one denominator W, 1
+    being the zero row.  At depth one, Li_n(a) = -I(0; 1, 0^(n-1); a) is
+    a single divergent factor.  At depth two, Li_{n1,n2}(a1, a2) =
+    I(0; 1, 0^(n1-1), a1, 0^(n2-1); a1 a2), a1 a2 being the row r1 + r2.
+    A coproduct term carries reduced-word content only when one gap has
+    positive weight, so its index subset leaves out one run of entries,
+    between x_s and x_e, and the gap x_s..x_e and the rest each have a
+    single nonzero middle; every other term is dropped.
     """
     if not isinstance(g, LiGen):
         raise TypeError(f"goncharov_symbol_bar takes a LiGen, not {type(g).__name__}")
-    d = g.ambient
-    if g.depth == 1:
-        return sigma((_nf_of_gen(g),), d)
-    if g.depth != 2:
+    if g.depth > 2:
         raise ValueError("iterated-integral route covers depth <= 2")
-    (r1, r2), w = _cleared([a.exps for a in g.args])
-    n1, n2 = g.ns
-    x = (None, (0,) * d) + (None,) * (n1 - 1) + (r1,) + (None,) * (n2 - 1)
-    x += (tuple(map(add, r1, r2)),)
+    d = g.ambient
+    rows, w = _cleared([a.exps for a in g.args])
+    x = (None, (0,) * d) + (None,) * (g.ns[0] - 1) + (rows[0],)
     acc: dict = {}
-    for s in range(n1 + n2):
-        for e in range(s + 2, n1 + n2 + 2):
+    if g.depth == 1:
+        _sigma_acc(acc, (_divergent_factor(x, w),), -1)
+        return _sigma_emit(acc, d)
+    x += (None,) * (g.ns[1] - 1) + (tuple(map(add, *rows)),)
+    n = g.weight
+    for s in range(n):
+        for e in range(s + 2, n + 2):
             left = _divergent_factor(x[: s + 1] + x[e:], w)
             gap = _divergent_factor(x[s : e + 1], w)
             if left and gap:
@@ -775,7 +534,7 @@ def truncated_symbol_closed(ns: Sequence[int], ambient: int | None = None) -> St
     d = k if ambient is None else ambient
     if k > d:
         raise ValueError("depth exceeds ambient dimension")
-    vecs = [tuple(ONE if j == i else ZERO for j in range(d)) for i in range(k)]
+    vecs = [tuple(int(j == i) for j in range(d)) for i in range(k)]
     exps = tuple(n - 1 for n in ns) + (0,) * (d - k)
     c = ONE
     for n in ns:
@@ -801,7 +560,7 @@ def _bar_to_st2(bar: Bar) -> St2:
         for word, exps in words:
             c = rest.get((word, exps))
             if c is not None:
-                cand = make_L([qv(p) for p in reversed(word)], bar.ambient, exps=exps)
+                cand = make_L(word[::-1], bar.ambient, exps=exps)
                 out += c * cand
                 for key, v in embed_s(cand).terms.items():
                     _acc(rest, key, -c * v)

@@ -1,6 +1,14 @@
 """Reference symbol routes, kept verbatim from before the faster rewrites
 so tests can check that the faster routes agree with them bit for bit.
 
+The phased depth-one kernel lives here too, moved out of the package
+once its integer, phase-free routes no longer read it: DepthOneNF
+with _primitive_split and depth1_nf (the depth-one normal form, phases
+kept), _nf_of_gen, _root_expansion, alpha and pushed_expand (the root
+expansion of a bar word or a pushforward into phased generators), and
+FormalII with ii_shuffle, ii_path_compose and ii_reverse (formal iterated
+integrals with Monomial entries).
+
 recursion_symbol_bar sums the symbol of every root-expanded generator of a
 pushforward (N^d of them) and runs sigma once per slot tuple;
 _bar_slice_to_st2 solves against every word the candidates embed to, not
@@ -20,25 +28,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product as iproduct
-from math import comb, factorial, prod
-from typing import Sequence
+from math import comb, factorial, gcd, lcm, prod
+from typing import Iterable, Sequence
 
 from qlinalg_reference import saturation_index
-from steinpoly.barcplx import Bar
-from steinpoly.mpl import (
-    ONE,
-    ZERO,
-    DepthOneNF,
-    FormalII,
-    LiGen,
-    Monomial,
-    PushedLi,
-    _nf_of_gen,
-    _root_expansion,
-    depth1_nf,
-    pushed_expand,
-    truncated_symbol_closed,
-)
+from steinpoly.barcplx import Bar, shuffle_words
+from steinpoly.mpl import ONE, ZERO, LiGen, Monomial, PushedLi, truncated_symbol_closed
 from steinpoly.qlinalg import (
     _minor_gcd,
     canonical_point,
@@ -50,6 +45,222 @@ from steinpoly.qlinalg import (
 )
 from steinpoly.st2 import St2, embed_s, make_L, make_pair
 from steinpoly.steinberg import _acc, _power_product
+
+
+def pushed_expand(p: PushedLi) -> list[tuple[Fraction, LiGen]]:
+    """Root expansion of the action into honest generators.
+
+    alpha of the first k columns of the matrix, each coefficient times
+    the generator's own: N^d generators at p.coeff * N^{n-d-1}.  They
+    share their exponent vectors and differ only in phase, so any map
+    that is linear and blind to phase (the symbol recursion) takes N^d
+    times its value on the zero-phase generator, the first one listed.
+    """
+    cols = list(zip(*p.matrix))[: p.depth]
+    return [(p.coeff * c, LiGen(p.ns, slots)) for c, slots in alpha(cols, p.ns)]
+
+
+class DepthOneNF:
+    """Weight-n depth-one classes on primitive lex-positive directions.
+
+    Keys (phase, p) live at a covering level W: the class is the weight-n
+    polylogarithm at e^{2 pi i phase} x^{p/W}.  Torsion arguments stay in
+    a symbolic constants bucket and never touch the direction keys.
+    """
+
+    __slots__ = ("weight", "level", "terms", "constants")
+
+    def __init__(self, weight: int, level: int, terms: dict, constants: dict):
+        self.weight = weight
+        self.level = level
+        self.terms = terms
+        self.constants = constants
+
+    def is_zero(self) -> bool:
+        return not self.terms and not self.constants
+
+    def items(self) -> list[tuple[Fraction, Fraction, tuple[Fraction, ...]]]:
+        """(coeff, phase, rational direction vector) triples."""
+        w = self.level
+        return [
+            (c, phase, tuple(Fraction(e, w) for e in vec))
+            for (phase, vec), c in sorted(self.terms.items())
+        ]
+
+    def rescale(self, new_level: int) -> "DepthOneNF":
+        if new_level % self.level:
+            raise ValueError("covering levels must be nested")
+        m = new_level // self.level
+        if m == 1:
+            return self
+        out: dict = {}
+        for (phase, vec), c in self.terms.items():
+            # the same direction seen at level m*W is m*vec, then re-split
+            for key, factor in _primitive_split(self.weight, phase, tuple(m * e for e in vec)):
+                _acc(out, key, c * factor)
+        return DepthOneNF(self.weight, new_level, out, dict(self.constants))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DepthOneNF) or self.weight != other.weight:
+            return False
+        w = lcm(self.level, other.level)
+        a = self.rescale(w)
+        b = other.rescale(w)
+        return a.terms == b.terms and a.constants == b.constants
+
+    def __repr__(self) -> str:
+        return (
+            f"DepthOneNF(weight={self.weight}, level={self.level}, "
+            f"{len(self.terms)} keys, {len(self.constants)} constants)"
+        )
+
+
+def _primitive_split(n: int, phase: Fraction, vec: tuple[int, ...]):
+    """Normalize one integral key: flip to lex-positive, split off content."""
+    sign = ONE
+    lead = next((e for e in vec if e), 0)
+    if lead < 0:
+        sign = Fraction((-1) ** (n - 1))
+        vec = tuple(-e for e in vec)
+        phase = (-phase) % 1
+    m = gcd(*[abs(e) for e in vec])
+    prim = tuple(e // m for e in vec)
+    base = phase / m
+    factor = sign * Fraction(m) ** (n - 1)
+    return [(((base + Fraction(j, m)) % 1, prim), factor) for j in range(m)]
+
+
+def depth1_nf(weight: int, items: Iterable[tuple]) -> DepthOneNF:
+    """Normal form of a formal sum of weight-n depth-one polylogarithms.
+
+    Inversion flips negative directions with (-1)^{n-1}; the distribution
+    relation expands imprimitive directions over the canonical roots of
+    the phase.  Torsion arguments go into the constants bucket.
+    """
+    items = [(Fraction(c), m) for c, m in items]
+    level = 1
+    for _, m in items:
+        for e in m.exps:
+            level = lcm(level, e.denominator)
+    terms: dict = {}
+    constants: dict = {}
+    for c, m in items:
+        if m.is_torsion():
+            _acc(constants, m.phase, c)
+            continue
+        vec = tuple(int(e * level) for e in m.exps)
+        for key, factor in _primitive_split(weight, m.phase, vec):
+            _acc(terms, key, c * factor)
+    return DepthOneNF(weight, level, terms, constants)
+
+
+def _root_expansion(vectors: Sequence[Sequence[int]], weights: Sequence[int]) -> tuple:
+    """(N^{n-d-1}, N, vectors / N) for independent integral vectors in Z^d.
+
+    N is the index of their lattice in its saturation, the gcd of their
+    maximal minors (|det| of d vectors in Z^d).
+    """
+    nn = _minor_gcd(vectors)
+    if not nn:
+        raise ValueError("root expansion of dependent vectors")
+    pref = Fraction(nn) ** (sum(weights) - len(vectors[0]) - 1)
+    return pref, nn, [[Fraction(e, nn) for e in v] for v in vectors]
+
+
+def alpha(vectors: Sequence[Sequence[int]], weights: Sequence[int]) -> list:
+    """Root expansion of a bar word with symmetric tail into depth-one tensors.
+
+    Integral direction vectors only.  N is the index of their lattice in
+    its saturation; all d coordinates acquire N-th roots, giving N^d
+    phase tuples of coefficient N^{n-d-1}, and the slot of v has phase
+    sum_i v_i j_i / N on the exponent vector v / N.
+    """
+    vecs = [qv(v) for v in vectors]
+    if any(e.denominator != 1 for v in vecs for e in v):
+        raise ValueError("alpha expects integral vectors")
+    ints = [[int(e) for e in v] for v in vecs]
+    pref, nn, roots = _root_expansion(ints, weights)
+    d = len(ints[0])
+    out = []
+    for js in iproduct(range(nn), repeat=d):
+        slots = tuple(
+            Monomial(sum(Fraction(v[i] * js[i], nn) for i in range(d)), root)
+            for v, root in zip(ints, roots)
+        )
+        out.append((pref, slots))
+    return out
+
+
+def _nf_of_gen(g: LiGen) -> DepthOneNF:
+    return depth1_nf(g.ns[0], [(ONE, g.args[0])])
+
+
+class FormalII:
+    """Formal iterated integral with monomial entries; None marks a zero."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: Sequence):
+        self.entries = tuple(entries)
+        if len(self.entries) < 2:
+            raise ValueError("need at least two endpoints")
+        for e in self.entries:
+            if e is not None and not isinstance(e, Monomial):
+                raise TypeError("entries are Monomial or None")
+
+    @property
+    def weight(self) -> int:
+        return len(self.entries) - 2
+
+    @property
+    def start(self):
+        return self.entries[0]
+
+    @property
+    def end(self):
+        return self.entries[-1]
+
+    @property
+    def middles(self) -> tuple:
+        return self.entries[1:-1]
+
+    def __eq__(self, other):
+        return isinstance(other, FormalII) and self.entries == other.entries
+
+    def __hash__(self):
+        return hash(self.entries)
+
+    def __repr__(self):
+        body = ", ".join("0" if e is None else repr(e) for e in self.entries)
+        return f"II({body})"
+
+
+def ii_shuffle(u: FormalII, v: FormalII) -> dict:
+    """Shuffle product of two integrals over a common path."""
+    if u.start != v.start or u.end != v.end:
+        raise ValueError("shuffle needs matching endpoints")
+    out: dict = {}
+    for mids in shuffle_words(u.middles, v.middles):
+        _acc(out, FormalII((u.start,) + mids + (u.end,)), ONE)
+    return out
+
+
+def ii_path_compose(ii: FormalII, cut) -> list:
+    """Splittings of the path at an intermediate point."""
+    mids = ii.middles
+    out = []
+    for j in range(len(mids) + 1):
+        out.append(
+            (
+                FormalII((ii.start,) + mids[:j] + (cut,)),
+                FormalII((cut,) + mids[j:] + (ii.end,)),
+            )
+        )
+    return out
+
+
+def ii_reverse(ii: FormalII) -> tuple:
+    return Fraction(-1) ** ii.weight, FormalII(tuple(reversed(ii.entries)))
 
 
 def _sym_poly(vectors: Sequence[Sequence], weights: Sequence[int], d: int) -> dict:

@@ -6,25 +6,17 @@ import pytest
 
 from steinpoly.barcplx import Bar
 from steinpoly.mpl import (
-    FormalII,
     LiGen,
     Monomial,
     PushedLi,
-    alpha,
     bar_gl_act,
     bar_infty_reduce,
-    depth1_nf,
     gl_act,
     goncharov_symbol_bar,
     identity_terms_from_json,
     identity_terms_to_json,
-    ii_path_compose,
-    ii_reverse,
-    ii_shuffle,
     li_identity_residual,
-    pushed_expand,
     recursion_symbol_bar,
-    sigma,
     st2_gl_act,
     std_args,
     std_li,
@@ -34,7 +26,21 @@ from steinpoly.mpl import (
 )
 from steinpoly.qlinalg import qv, split_seed
 from steinpoly.st2 import embed_s, is_zero_st2
-from symbol_reference import _sym_poly, delta_top, divergent_reduce, goncharov_coproduct, li_to_ii
+from symbol_reference import (
+    FormalII,
+    _sym_poly,
+    alpha,
+    delta_top,
+    depth1_nf,
+    divergent_reduce,
+    goncharov_coproduct,
+    ii_path_compose,
+    ii_reverse,
+    ii_shuffle,
+    li_to_ii,
+    pushed_expand,
+    sigma,
+)
 
 F = Fraction
 X1, X2 = std_args(2)

@@ -243,6 +243,8 @@ FLIPPED = (Monomial(F(1, 3), (-2, F(2, 3))), Monomial(F(1, 2), (F(4, 3), -2)))
 @given(rational_li_gens(max_depth=2, max_slot=4))
 @example(LiGen((3, 2), FLIPPED))
 @example(LiGen((2, 2), FLIPPED))
+@example(LiGen((2,), FLIPPED[:1]))
+@example(LiGen((3,), FLIPPED[:1]))
 def test_goncharov_route_equals_reference(g):
     assert goncharov_symbol_bar(g).terms == ref.goncharov_symbol_bar(g).terms
 
@@ -282,14 +284,15 @@ def test_standard_truncated_symbol_solves_no_system():
 
 
 def test_goncharov_route_builds_no_monomial_and_no_phased_form():
-    # the depth-two route runs on int rows: no Monomial product or power, no depth1_nf
+    # the route runs on int rows at depths one and two: no Monomial product
+    # or power, and the package holds no phased depth-one normal form
     import steinpoly.mpl as mpl
 
-    gens = [std_li(*ns) for ns in _tuples(2, 6) if len(ns) == 2]
+    assert not hasattr(mpl, "depth1_nf") and not hasattr(mpl, "DepthOneNF")
+    gens = [std_li(*ns) for ns in _tuples(2, 6)]
     with (
         mock.patch.object(Monomial, "__mul__", side_effect=AssertionError),
         mock.patch.object(Monomial, "__pow__", side_effect=AssertionError),
-        mock.patch.object(mpl, "depth1_nf", side_effect=AssertionError),
     ):
         got = [goncharov_symbol_bar(g).terms for g in gens]
     assert got == [recursion_symbol_bar(g).terms for g in gens]
