@@ -191,8 +191,11 @@ def _st2_nf_to_json(nf: dict) -> list:
 
 def _emit(text: str, out_path) -> None:
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -680,43 +683,53 @@ def cmd_fourier(args) -> int:
 # ------------------------------------------------------------------- main
 
 
-def _file_arg(p):
-    p.add_argument("file")
+# Each argument is declared once, as the name and keywords that _add_command
+# hands to add_argument; _plain_parse reads the same declarations.
+_COMMON_ARGS = (
+    ("--seed", {"type": int, "default": 0, "help": "master seed, recorded in the output"}),
+    ("--out", {"default": None, "help": "output path (default stdout)"}),
+)
 
+_FILE_ARG = (("file", {}),)
 
-def _symbol_args(p):
-    p.add_argument("--kind", choices=("L", "I"), required=True)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("vectors", nargs="+", help="comma-separated coordinates")
-
-
-def _verify_args(p):
-    p.add_argument("suite", choices=sorted(_SUITES))
-    p.add_argument("file", nargs="?", default=None, help="optional fixture of cases")
-    p.add_argument("--dim", type=int, default=3, help=f"dimension, 1 to {MAX_DIM}")
-    p.add_argument("--cases", type=int, default=12, help="random cases, at least 1")
-
-
-def _fourier_args(p):
-    p.add_argument("file", help="study configuration")
-    p.add_argument("--box", type=int, default=None, help="override the summation box, at least 1")
-
-
-# name -> (help, function adding the command's own arguments, handler)
+# name -> (help, handler, the command's own arguments in help order)
 _COMMANDS = {
-    "reduce": ("flag-basis normal form of an element", _file_arg, cmd_reduce),
-    "symbol": ("bar-word expansion of a generator", _symbol_args, cmd_symbol),
-    "verify": ("run a relation suite", _verify_args, cmd_verify),
-    "st": ("verify a polylogarithm identity file", _file_arg, cmd_st),
-    "fourier": ("truncated Fourier studies, CSV output", _fourier_args, cmd_fourier),
+    "reduce": ("flag-basis normal form of an element", cmd_reduce, _FILE_ARG),
+    "symbol": (
+        "bar-word expansion of a generator",
+        cmd_symbol,
+        (
+            ("--kind", {"choices": ("L", "I"), "required": True}),
+            ("--dim", {"type": int, "default": None}),
+            ("vectors", {"nargs": "+", "help": "comma-separated coordinates"}),
+        ),
+    ),
+    "verify": (
+        "run a relation suite",
+        cmd_verify,
+        (
+            ("suite", {"choices": sorted(_SUITES)}),
+            ("file", {"nargs": "?", "default": None, "help": "optional fixture of cases"}),
+            ("--dim", {"type": int, "default": 3, "help": f"dimension, 1 to {MAX_DIM}"}),
+            ("--cases", {"type": int, "default": 12, "help": "random cases, at least 1"}),
+        ),
+    ),
+    "st": ("verify a polylogarithm identity file", cmd_st, _FILE_ARG),
+    "fourier": (
+        "truncated Fourier studies, CSV output",
+        cmd_fourier,
+        (
+            ("file", {"help": "study configuration"}),
+            ("--box", {"type": int, "default": None, "help": "override the summation box, at least 1"}),
+        ),
+    ),
 }
 
 
 def _add_command(p, name: str) -> None:
-    _help, add_args, func = _COMMANDS[name]
-    add_args(p)
-    p.add_argument("--seed", type=int, default=0, help="master seed, recorded in the output")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
+    _help, func, own = _COMMANDS[name]
+    for arg, kwargs in own + _COMMON_ARGS:
+        p.add_argument(arg, **kwargs)
     p.set_defaults(func=func)
 
 
@@ -731,21 +744,78 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse(argv: list) -> argparse.Namespace:
-    """The full tree's parse of argv, building one command's parser when it can.
+def _plain_value(kwargs: dict, text: str):
+    """text under the declaration's type and choices; ValueError where argparse errs."""
+    value = kwargs.get("type", str)(text)
+    if "choices" in kwargs and value not in kwargs["choices"]:
+        raise ValueError(f"{value!r} is not a choice")
+    return value
 
-    A subcommand's parser in the tree is an ArgumentParser with prog
-    "steinpoly <name>" that parses everything after the name, so it prints
-    the same help and errors alone. Only arguments it leaves over are
-    reported by the top-level parser, so those go to the full tree.
+
+def _plain_parse(argv: list):
+    """The full tree's Namespace for a plainly spelled command line, else None.
+
+    Plain is a command's name, then its positionals in one run, then
+    declared options spelled out in full, each followed by one value that
+    does not start with "-", meeting every nargs, choices, type and
+    required rule of the declarations in _COMMANDS. Every other spelling
+    (help, "--opt=value", abbreviations, "--", a value starting with "-",
+    positionals after an option) and every error gets None.
     """
-    if argv and argv[0] in _COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"steinpoly {argv[0]}")
-        _add_command(parser, argv[0])
-        args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not extras:
-            return args
-    return _build_parser().parse_args(argv)
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _help, func, own = _COMMANDS[argv[0]]
+    options, positionals = {}, []
+    for arg, kwargs in own + _COMMON_ARGS:
+        if arg.startswith("-"):
+            options[arg] = kwargs
+        else:
+            positionals.append((arg, kwargs))
+    values = {arg[2:].replace("-", "_"): kwargs.get("default") for arg, kwargs in options.items()}
+    end = 1
+    while end < len(argv) and not argv[end].startswith("-"):
+        end += 1
+    run, pairs = argv[1:end], argv[end:]
+    # each positional takes what argparse's greedy match gives it: one
+    # string, "?" one if the later ones can spare it, "+" all they spare
+    need = sum(kwargs.get("nargs") != "?" for _arg, kwargs in positionals)
+    at = 0
+    try:
+        for arg, kwargs in positionals:
+            nargs = kwargs.get("nargs")
+            need -= nargs != "?"
+            spare = len(run) - at - need
+            take = spare if nargs == "+" else min(spare, 1)
+            if take < (nargs != "?"):
+                return None
+            strings = run[at : at + take]
+            at += take
+            if nargs == "+":
+                values[arg] = [_plain_value(kwargs, text) for text in strings]
+            else:
+                values[arg] = _plain_value(kwargs, strings[0]) if strings else kwargs.get("default")
+        if at < len(run) or len(pairs) % 2:
+            return None
+        for option, text in zip(pairs[::2], pairs[1::2]):
+            if option not in options or text.startswith("-"):
+                return None
+            values[option[2:].replace("-", "_")] = _plain_value(options[option], text)
+    except ValueError:
+        return None
+    if any(kwargs.get("required") and option not in pairs[::2] for option, kwargs in options.items()):
+        return None
+    return argparse.Namespace(command=argv[0], func=func, **values)
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """The full tree's parse of argv, building no parser for a plain spelling.
+
+    _plain_parse takes the spelling almost every call uses; anything it
+    declines goes to the whole tree, whose help and error text are the
+    reference. Nothing is kept between calls, so a fresh process saves
+    what an in-process call saves.
+    """
+    return _plain_parse(argv) or _build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -1,21 +1,30 @@
 """End-to-end checks of the command line: formats, exit codes, determinism."""
 import argparse
+import io
 import json
+import os
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from importlib import resources
 from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import flag_reference
 from steinpoly.cli import (
+    _COMMANDS,
+    _COMMON_ARGS,
+    _SUITES,
     MAX_DIM,
     MAX_FOURIER_POINTS,
     MAX_FOURIER_WEIGHT,
     MAX_WEIGHT,
     _build_parser,
     _parse,
+    _plain_parse,
     main,
 )
 from steinpoly.qlinalg import dual_basis, frac_to_str, qv, vec_to_json
@@ -176,6 +185,19 @@ class TestSymbol:
         vec = ",".join(["1"] + ["0"] * (length - 1))
         code, text = run(tmp_path, "symbol", "--kind", "L", *dim_args, vec)
         assert code == 2 and text == ""
+
+
+    def test_negative_first_coordinate_needs_double_dash(self, capsys):
+        # "-1,0" reads as an unknown option; after "--" it is a vector
+        with pytest.raises(SystemExit) as exc:
+            main(["symbol", "--kind", "L", "-1,0", "0,1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "steinpoly: error: unrecognized arguments: -1,0"
+        )
+        # --out would read as a vector after "--", so the report goes to stdout
+        assert main(["symbol", "--kind", "L", "--", "-1,0", "0,1"]) == 0
+        assert json.loads(capsys.readouterr().out)["terms"]
 
 
 class TestVerify:
@@ -648,6 +670,30 @@ class TestFourier:
         assert code == 2
 
 
+class TestOut:
+    @pytest.mark.parametrize("target", ["missing/x.json", "."])
+    @pytest.mark.parametrize("command", ["reduce", "symbol", "verify", "st", "fourier"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, command, target):
+        # a missing directory or a directory is bad input, not a traceback
+        element = write(tmp_path, "e.json", {
+            "dim": 2, "terms": [{"apartment": [["0", "1"], ["1", "1"]]}],
+        })
+        study = write(tmp_path, "s.json", {"study": "shuffle", "box": 3})
+        argv = {
+            "reduce": ["reduce", element],
+            "symbol": ["symbol", "1,0", "0,1", "--kind", "L"],
+            "verify": ["verify", "shuffle", "--dim", "2", "--cases", "1"],
+            "st": ["st", FIXTURE],
+            "fourier": ["fourier", study],
+        }[command]
+        out = str(tmp_path / target)
+        assert main([*argv, "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+
+
 class TestDeterminism:
     def test_verify_byte_identical(self, tmp_path):
         _, a = run(tmp_path, "verify", "shuffle", "--dim", "2", "--cases", "3",
@@ -694,6 +740,16 @@ PARSER_ERRORS = [
     ["verify", "shuffle", "--bogus", "-h"],
 ]
 
+# spellings the plain parse leaves to argparse
+UNUSUAL = [
+    ["verify", "shuffle", "--seed=7"],
+    ["verify", "shuffle", "--di", "4"],
+    ["verify", "--dim", "4", "shuffle", "f"],
+    ["symbol", "--kind", "L", "--dim", "2", "1,0", "0,1"],
+    ["symbol", "--kind", "L", "--", "-1,0", "0,1"],
+    ["verify", "shuffle", "--seed", "-3"],
+]
+
 PARSED = [
     ["reduce", "f"],
     ["symbol", "--kind", "I", "1,0", "0,1", "--dim", "2"],
@@ -701,11 +757,79 @@ PARSED = [
     ["verify", "--", "shuffle"],
     ["st", "f", "--seed=7"],
     ["fourier", "f", "--box", "5"],
+    *UNUSUAL,
+]
+
+# spellings the plain parse reads without argparse
+PLAIN = [
+    ["reduce", "f"],
+    ["symbol", "1,0", "0,1", "--kind", "I", "--dim", "2"],
+    ["symbol", "", "--kind", "L", "--kind", "I"],
+    ["verify", "shuffle", "f", "--dim", "4", "--cases", "2", "--seed", "3", "--out", "o"],
+    ["verify", "dihedral", "--dim", "4", "--dim", " 5", "--out", ""],
+    ["st", "f", "--seed", "7"],
+    ["fourier", "f", "--box", "5"],
 ]
 
 
+def _echo(args):
+    """A stand-in handler: prints what it was given instead of running a command."""
+    print(sorted((k, v) for k, v in vars(args).items() if k != "func"))
+    return 0
+
+
+def _outcome(call, argv):
+    """call(argv)'s return value, or its exit code, with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = call(argv)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+def _full_tree_main(argv):
+    args = _build_parser().parse_args(argv)
+    return args.func(args)
+
+
+# argv drawn from every command and declared option, and the spellings
+# argparse alone reads: help, "--", "=", an abbreviation, a value that
+# starts with "-", bad ints and choices
+_DECLARED = sorted({arg for _h, _f, own in _COMMANDS.values() for arg, _kw in own + _COMMON_ARGS})
+_VALUES = [
+    "x", "", "f", "0", "3", "12", " 4", "3.5", "-2", "-1,0", "1,0", "0,1", "L", "I",
+    *sorted(_SUITES), "nonsense",
+]
+_TOKENS = [*_COMMANDS, *_DECLARED, *_VALUES, "--dim=4", "--di", "--", "-h"]
+
+
+@st.composite
+def _argvs(draw):
+    shape = draw(st.sampled_from(["any", "named", "plain"]))
+    if shape == "any":
+        return draw(st.lists(st.sampled_from(_TOKENS), max_size=8))
+    name = draw(st.sampled_from(sorted(_COMMANDS)))
+    if shape == "named":
+        # anything after the command, in any order, with repeats
+        return [name, *draw(st.lists(st.sampled_from(_TOKENS), max_size=7))]
+    # the plain shape, whose values mostly meet the declarations but may
+    # break a rule
+    _help, _func, own = _COMMANDS[name]
+
+    def value(kwargs):
+        good = kwargs.get("choices") or (["0", "3", " 4"] if kwargs.get("type") is int else ["f", "1,0"])
+        return draw(st.sampled_from(good if draw(st.integers(0, 3)) else _VALUES))
+
+    run = [value(kw) for arg, kw in own if not arg.startswith("-") for _ in range(draw(st.integers(0, 2)))]
+    options = [(arg, kw) for arg, kw in own + _COMMON_ARGS if arg.startswith("-")]
+    picked = draw(st.lists(st.sampled_from(options), max_size=4))
+    return [name, *run, *(t for arg, kw in picked for t in (arg, value(kw)))]
+
+
 class TestParser:
-    """main parses as the full parser tree does, building one command's parser."""
+    """main parses as the full parser tree does, building no parser for a plain spelling."""
 
     @staticmethod
     def outcome(capsys, parse, argv):
@@ -728,7 +852,35 @@ class TestParser:
         assert args.command == argv[0]
         assert capsys.readouterr() == ("", "")
 
+    @pytest.mark.parametrize("argv", PLAIN, ids=lambda argv: " ".join(map(repr, argv)))
+    def test_plain_spellings_need_no_parser(self, argv):
+        assert _plain_parse(argv) == _build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("argv", UNUSUAL, ids=" ".join)
+    def test_unusual_spellings_go_to_argparse(self, argv):
+        assert _plain_parse(argv) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=_argvs())
+    @example(argv=["symbol", "-1,0", "--kind", "L"])
+    @example(argv=["verify", "shuffle", "f", "g"])
+    @example(argv=["verify", "shuffle", "--dim", "3", "f"])
+    @example(argv=["symbol", "1,0", "--dim", "x", "--kind", "L"])
+    @example(argv=["verify", "shuffle", "--cases", "3.5"])
+    @example(argv=["fourier", "f", "--box"])
+    def test_plain_parse_agrees_with_the_full_tree(self, argv):
+        # both routes read the handlers from _COMMANDS, so no command runs
+        echoing = {name: (h, _echo, own) for name, (h, _f, own) in _COMMANDS.items()}
+        with mock.patch.dict(_COMMANDS, echoing), mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+            expected = _outcome(_full_tree_main, argv)
+            assert _outcome(main, argv) == expected
+            plain = _plain_parse(argv)
+            if plain is not None:
+                assert plain == _build_parser().parse_args(argv)
+                assert expected[0] == 0 and expected[2] == ""
+
     def test_a_command_builds_one_parser(self, tmp_path, capsys, monkeypatch):
+        # a plain spelling builds none; only a leftover builds the whole tree
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -740,7 +892,7 @@ class TestParser:
         fixture = write(tmp_path, "fix.json", {"cases": [{"basis": [[1, 2], [0, 3]]}]})
         code, report = run_json(tmp_path, "verify", "shuffle", fixture)
         assert code == 0 and report["verdict"] == "PASS"
-        assert built == ["steinpoly verify"]
+        assert built == []
         # a leftover argument is reported under the top-level usage
         with pytest.raises(SystemExit) as exc:
             main(["verify", "shuffle", fixture, "--bogus"])

@@ -24,7 +24,7 @@ from steinpoly.mpl import (
     truncated_symbol_closed,
     verify_li_identity,
 )
-from steinpoly.qlinalg import qv, split_seed
+from steinpoly.qlinalg import canonical_point, qv, split_seed
 from steinpoly.st2 import embed_s, is_zero_st2
 from symbol_reference import (
     FormalII,
@@ -184,11 +184,6 @@ class TestSigmaAlpha:
                 nfs = tuple(nf1(n, (1, m)) for n, m in zip(ns, slots))
                 out = out + pref * sigma(nfs, d)
             base = Bar.zero(d)
-            word = tuple(
-                tuple(int(e) for e in qv(v)) for v in vecs
-            )
-            from steinpoly.qlinalg import canonical_point
-
             word = tuple(canonical_point(qv(v)) for v in vecs)
             for exps, c in _sym_poly([qv(v) for v in vecs], ns, d).items():
                 base.add_word(word, c, exps)
