@@ -126,10 +126,6 @@ def bar_differential(x: Bar) -> Bar:
     return out
 
 
-def is_zero_bar(x: Bar) -> bool:
-    return not x.terms
-
-
 # ---------------------------------------------------------------- shuffles
 
 

@@ -7,6 +7,7 @@ codes: 0 pass, 1 mathematical failure, 2 malformed input.
 import argparse
 import io
 import json
+import os
 import sys
 from collections import defaultdict
 from fractions import Fraction
@@ -189,6 +190,19 @@ def _st2_nf_to_json(nf: dict) -> list:
     return rows
 
 
+def _check_out(out_path) -> None:
+    """Refuse an --out path that names a directory or lies in none, before any work.
+
+    Nothing is created or truncated; _emit still maps every other failure
+    to write.
+    """
+    if os.path.isdir(out_path):
+        raise InputError(f"cannot write {out_path}: it is a directory")
+    parent = os.path.dirname(out_path) or "."
+    if not os.path.isdir(parent):
+        raise InputError(f"cannot write {out_path}: {parent} is not a directory")
+
+
 def _emit(text: str, out_path) -> None:
     if out_path:
         try:
@@ -255,11 +269,9 @@ def cmd_symbol(args) -> int:
 # ----------------------------------------------------------------- verify
 
 
-def _rand_basis(rng, n: int, bound: int = 3) -> list:
+def _rand_basis(rng, n: int) -> list:
     while True:
-        vecs = [
-            tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(n)
-        ]
+        vecs = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n)]
         if _independent(vecs, n):
             return vecs
 
@@ -821,6 +833,8 @@ def _parse(argv: list) -> argparse.Namespace:
 def main(argv=None) -> int:
     args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
+        if args.out:
+            _check_out(args.out)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

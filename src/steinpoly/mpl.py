@@ -28,8 +28,8 @@ from typing import Sequence
 from .barcplx import Bar
 from .qlinalg import (
     _cleared,
+    _int_det,
     _minor_gcd,
-    det,
     frac_from_str,
     frac_to_str,
     int_point,
@@ -64,9 +64,6 @@ class Monomial:
     def ambient(self) -> int:
         return len(self.exps)
 
-    def is_torsion(self) -> bool:
-        return all(e == 0 for e in self.exps)
-
     def __mul__(self, other: "Monomial") -> "Monomial":
         return Monomial(
             self.phase + other.phase,
@@ -88,13 +85,6 @@ class Monomial:
 
     def __repr__(self) -> str:
         return f"Monomial({self.phase}, {self.exps})"
-
-    def to_json(self) -> dict:
-        return {"phase": frac_to_str(self.phase), "exp": [frac_to_str(e) for e in self.exps]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Monomial":
-        return cls(frac_from_str(data["phase"]), [frac_from_str(e) for e in data["exp"]])
 
 
 def std_args(d: int) -> tuple[Monomial, ...]:
@@ -179,9 +169,9 @@ class PushedLi:
             raise ValueError("matrix must be square")
         if len(self.ns) > d:
             raise ValueError("depth exceeds ambient dimension")
-        if det(a) == 0:
-            raise ValueError("matrix must be invertible")
         ints, denom = _cleared(a)
+        if not _int_det(ints):
+            raise ValueError("matrix must be invertible")
         content = gcd(*[abs(e) for row in ints for e in row])
         scale = Fraction(content, denom)  # a = scale * primitive, scale > 0
         self.matrix = tuple(tuple(e // content for e in row) for row in ints)
@@ -636,10 +626,6 @@ def li_identity_residual(terms: Sequence) -> Bar:
             total[key] += scale * num
     words = _s_map(total)
     return bar_infty_reduce(Bar(ambient, {k: Fraction(v, den) for k, v in words.items() if v}))
-
-
-def verify_li_identity(terms: Sequence) -> bool:
-    return not li_identity_residual(terms).terms
 
 
 def identity_terms_from_json(data) -> list:

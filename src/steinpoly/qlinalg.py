@@ -42,20 +42,12 @@ def vec_sub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
-def vec_neg(a: Vec) -> Vec:
-    return tuple(-x for x in a)
-
-
 def vec_dot(a: Vec, b: Vec) -> Fraction:
     return sum((x * y for x, y in zip(a, b, strict=True)), start=ZERO)
 
 
 def is_zero_vec(a: Vec) -> bool:
     return all(x == 0 for x in a)
-
-
-def mat_vec(m: Mat, v: Vec) -> Vec:
-    return tuple(vec_dot(row, v) for row in m)
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -294,12 +286,6 @@ def int_point(v: Sequence[int]) -> tuple[int, ...]:
     return tuple(v) if g == 1 else tuple([x // g for x in v])
 
 
-def dual_basis(basis: Sequence[Vec]) -> Mat:
-    """Rows w^i with <w^i, w_j> = delta_ij for a square basis (w_j)."""
-    m = qm(basis)
-    return inverse(transpose(m))
-
-
 def _minor_gcd(rows: Sequence[Sequence[int]]) -> int:
     """gcd of the k x k minors of k integer rows; 0 exactly when they are dependent."""
     k = len(rows)
@@ -426,10 +412,6 @@ def positive_int_from_json(value, what: str) -> int:
 
 def vec_to_json(v: Sequence[Fraction]) -> list[str]:
     return [frac_to_str(x) for x in v]
-
-
-def vec_from_json(data: Sequence) -> Vec:
-    return tuple(frac_from_str(x) for x in data)
 
 
 def split_seed(seed: int, label: str) -> random.Random:

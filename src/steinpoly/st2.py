@@ -63,7 +63,7 @@ from math import lcm
 from typing import Sequence
 
 from .barcplx import Bar, _Groups, _shuffle_quotient, shuffle_span_reduce
-from .qlinalg import int_point, qv, solve, vec_add, vec_sub
+from .qlinalg import int_point, qv, vec_add, vec_sub
 from .steinberg import (
     ApKey,
     LinComb,
@@ -83,8 +83,6 @@ from .steinberg import (
     _walk_tables,
     zero_exps,
 )
-
-ZERO = Fraction(0)
 
 
 class St2(LinComb):
@@ -557,19 +555,3 @@ def cobracket_matches_coproduct(vectors: Sequence) -> bool:
                     acc[(ib, ia)] = acc.get((ib, ia), 0) - s * nb
     return not any(acc.values())
 
-
-# ------------------------------------------------------ generic pair solve
-
-
-def span_solve(target: St2, family: Sequence[St2]):
-    """Coefficients writing target in the span of the family, or None.
-
-    Works in flag normal-form coordinates; free coefficients are set to
-    zero, so the answer is deterministic.
-    """
-    t_nf = st2_normal_form(target)
-    f_nfs = [st2_normal_form(f) for f in family]
-    keys = sorted(set(t_nf) | {k for nf in f_nfs for k in nf})
-    rows = tuple(tuple(nf.get(k, ZERO) for nf in f_nfs) for k in keys)
-    rhs = tuple(t_nf.get(k, ZERO) for k in keys)
-    return solve(rows, rhs)

@@ -2,9 +2,10 @@
 verbatim from before the integer rewrite so tests can check that the
 faster kernel agrees with it value for value.
 
-_dual_data inverts each key with the Fraction dual_basis; rho_term expands
-the monomial with Fraction coefficients and builds a Fraction per factor;
-the oracles sample Fraction points.
+_dual_data inverts each key with the Fraction dual_basis of
+qlinalg_reference; rho_term expands the monomial with Fraction
+coefficients and builds a Fraction per factor; the oracles sample
+Fraction points.
 """
 from __future__ import annotations
 
@@ -13,8 +14,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
+from qlinalg_reference import dual_basis
 from steinpoly.cones import ONE, ZERO, PoleError, _vanishes_at_samples
-from steinpoly.qlinalg import Vec, _int_det, dual_basis, qv, split_seed, vec_dot
+from steinpoly.qlinalg import Vec, _int_det, qv, split_seed, vec_dot
 from steinpoly.st2 import St2
 from steinpoly.steinberg import ApKey, St, _acc
 

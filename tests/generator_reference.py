@@ -15,7 +15,8 @@ package; they live here with the tests that use them.
 from fractions import Fraction
 from typing import Sequence
 
-from steinpoly.qlinalg import Vec, canonical_point, dual_basis, qv, rank, solve, vec_add, vec_sub
+from qlinalg_reference import dual_basis
+from steinpoly.qlinalg import Vec, canonical_point, qv, rank, solve, vec_add, vec_sub
 from steinpoly.st2 import St2
 from steinpoly.steinberg import normalize_apartment
 

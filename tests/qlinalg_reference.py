@@ -4,7 +4,9 @@
 fraction-free one in ``steinpoly.qlinalg`` replaced; ``inverse``, ``solve``
 and ``nullspace`` are the unchanged routines, run on it. Tests require the
 kernel to give the same rows, pivots and solutions. Feed it Fraction
-entries only: on two ints its division would give a float.
+entries only: on two ints its division would give a float. ``dual_basis``
+is the Fraction dual basis that ``steinberg._dual_lines`` replaced in the
+package, here on this module's ``inverse``.
 
 ``det`` and ``saturation_index`` clear each row by its own denominators
 (``_rows_to_int``) and divide by the product of those scales, where the
@@ -20,7 +22,18 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from steinpoly.qlinalg import Mat, Vec, _int_adjugate, _int_det, _minor_gcd, int_point, is_zero_vec, qm, qv
+from steinpoly.qlinalg import (
+    Mat,
+    Vec,
+    _int_adjugate,
+    _int_det,
+    _minor_gcd,
+    int_point,
+    is_zero_vec,
+    qm,
+    qv,
+    transpose,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -69,6 +82,11 @@ def inverse(m: Mat) -> Mat:
     if pivots[:n] != tuple(range(n)) or len(reduced) != n:
         raise ValueError("matrix is singular")
     return tuple(tuple(row[n:]) for row in reduced)
+
+
+def dual_basis(basis: Sequence[Vec]) -> Mat:
+    """Rows w^i with <w^i, w_j> = delta_ij for a square basis (w_j)."""
+    return inverse(transpose(qm(basis)))
 
 
 def solve(m: Mat, rhs: Vec) -> Vec | None:

@@ -37,11 +37,11 @@ from steinpoly.mpl import ONE, ZERO, LiGen, Monomial, PushedLi, truncated_symbol
 from steinpoly.qlinalg import (
     _minor_gcd,
     canonical_point,
-    mat_vec,
     qm,
     qv,
     rank,
     solve,
+    vec_dot,
 )
 from steinpoly.st2 import St2, embed_s, make_L, make_pair
 from steinpoly.steinberg import _acc, _power_product
@@ -145,7 +145,7 @@ def depth1_nf(weight: int, items: Iterable[tuple]) -> DepthOneNF:
     terms: dict = {}
     constants: dict = {}
     for c, m in items:
-        if m.is_torsion():
+        if not any(m.exps):
             _acc(constants, m.phase, c)
             continue
         vec = tuple(int(e * level) for e in m.exps)
@@ -485,7 +485,7 @@ def bar_gl_act(a, x: Bar) -> Bar:
     cols = list(zip(*am))
     out = Bar.zero(x.ambient)
     for (word, exps), c in x.terms.items():
-        new_word = tuple(canonical_point(mat_vec(am, qv(p))) for p in word)
+        new_word = tuple(canonical_point(tuple(vec_dot(row, qv(p)) for row in am)) for p in word)
         for new_exps, pc in _power_product(cols, exps, x.ambient).items():
             out.add_word(new_word, c * pc, new_exps)
     return out
@@ -498,8 +498,8 @@ def st2_gl_act(a, x: St2) -> St2:
     d = x.ambient
     out = St2.zero(d)
     for (key_a, key_b, exps), c in x.terms.items():
-        va = [mat_vec(am, qv(p)) for p in key_a]
-        vb = [mat_vec(am, qv(p)) for p in key_b]
+        va = [tuple(vec_dot(row, qv(p)) for row in am) for p in key_a]
+        vb = [tuple(vec_dot(row, qv(p)) for row in am) for p in key_b]
         for new_exps, pc in _power_product(cols, exps, d).items():
             out += make_pair(va, vb, d, c * pc, new_exps)
     return out

@@ -12,7 +12,7 @@ from fractions import Fraction
 from importlib import resources
 from itertools import combinations
 
-from steinpoly.barcplx import bar_differential, is_zero_bar
+from steinpoly.barcplx import bar_differential
 from steinpoly.cli import main
 from steinpoly.cones import (
     bernoulli_reference,
@@ -26,12 +26,12 @@ from steinpoly.mpl import (
     bar_gl_act,
     goncharov_symbol_bar,
     identity_terms_from_json,
+    li_identity_residual,
     recursion_symbol_bar,
     std_args,
     std_li,
     truncated_symbol,
     truncated_symbol_closed,
-    verify_li_identity,
 )
 from steinpoly.qlinalg import (
     canonical_point,
@@ -43,7 +43,6 @@ from steinpoly.qlinalg import (
     split_seed,
     transpose,
     vec_add,
-    vec_neg,
 )
 from steinpoly.st2 import (
     cobracket_matches_coproduct,
@@ -214,7 +213,7 @@ def test_criterion_03_s_map_displays_and_closedness():
         n = 2 + i % 3
         make = make_L if i % 2 == 0 else make_I
         vecs = rand_basis(rng, n, bound=3)
-        assert is_zero_bar(bar_differential(embed_s(make(vecs, n))))
+        assert not bar_differential(embed_s(make(vecs, n)))
     elapsed = time.monotonic() - t0
     assert elapsed < 3.0, f"s-map display suite took {elapsed:.2f}s"
 
@@ -251,10 +250,10 @@ def test_criterion_05_dihedral_and_nongeneric():
         total = vecs[0]
         for v in vecs[1:]:
             total = vec_add(total, v)
-        v0 = vec_neg(total)
+        v0 = tuple(-x for x in total)
         L = make_L(vecs, n)
         assert is_zero_st_infty(L - make_L(vecs[1:] + [v0], n))
-        assert is_zero_st_infty(L - make_L([vec_neg(v) for v in vecs], n))
+        assert is_zero_st_infty(L - make_L([tuple(-x for x in v) for v in vecs], n))
         assert is_zero_st_infty(L - make_L(list(reversed(vecs)), n, c=(-1) ** (n + 1)))
         I = make_I(vecs, n)
         assert is_zero_st_infty(I - make_I(list(reversed(vecs)), n, c=(-1) ** (n + 1)))
@@ -328,7 +327,7 @@ def test_criterion_09_weight4_identity_and_perturbations():
         resources.files("steinpoly").joinpath("data/weight4_depth2.json").read_text()
     )
     terms = identity_terms_from_json(data)
-    assert verify_li_identity(terms)
+    assert not li_identity_residual(terms).terms
     # coefficients on the depth-one term and the product marker sit below
     # the top depth, where the stable quotient is identically blind; the
     # six depth-two coefficients are the ones the verifier can see
@@ -342,7 +341,7 @@ def test_criterion_09_weight4_identity_and_perturbations():
         bad = list(terms)
         c, p = bad[i]
         bad[i] = (c + Fraction(1, 3), p)
-        assert not verify_li_identity(bad), i
+        assert li_identity_residual(bad).terms, i
 
 
 def certified_reduction(vecs):

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import flag_reference
+from qlinalg_reference import dual_basis
 from steinpoly.cli import (
     _COMMANDS,
     _COMMON_ARGS,
@@ -27,7 +28,7 @@ from steinpoly.cli import (
     _plain_parse,
     main,
 )
-from steinpoly.qlinalg import dual_basis, frac_to_str, qv, vec_to_json
+from steinpoly.qlinalg import frac_to_str, qv, vec_to_json
 from steinpoly.st2 import dualize, make_I, make_L, st2_product
 
 FIXTURE = str(resources.files("steinpoly").joinpath("data/weight4_depth2.json"))
@@ -461,7 +462,7 @@ class TestSt:
     ], ids=["matrix", "weight"])
     def test_bounds_come_before_any_generator(self, tmp_path, matrix, exponents):
         path = write(tmp_path, "big.json", [{"coeff": "1", "matrix": matrix, "exponents": exponents}])
-        with mock.patch("steinpoly.mpl.det", side_effect=AssertionError("generator built")):
+        with mock.patch("steinpoly.mpl.PushedLi.__init__", side_effect=AssertionError("generator built")):
             code, text = run(tmp_path, "st", path)
         assert code == 2 and text == ""
 
@@ -692,6 +693,16 @@ class TestOut:
         assert captured.out == ""
         assert captured.err.splitlines() == [captured.err.strip()]
         assert captured.err.startswith(f"error: cannot write {out}: ")
+
+    @pytest.mark.parametrize("target", ["missing/x.json", "."])
+    def test_unwritable_out_refused_before_any_work(self, tmp_path, capsys, target):
+        # the path is checked before the command runs: no case is drawn and
+        # nothing is created
+        out = str(tmp_path / target)
+        with mock.patch("steinpoly.cli._rand_basis", side_effect=AssertionError("work began")):
+            assert main(["verify", "dihedral", "--dim", "6", "--cases", "50", "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
 
 
 class TestDeterminism:

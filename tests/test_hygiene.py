@@ -1,14 +1,16 @@
 """Static checks on the source: no import is left unused in the package or
 its tests, no private helper of the package is left without a caller, and
-the list of public definitions that nothing reads only shrinks.
+every public definition of the package is read.
 
 A name bound by an import counts as used when the module reads it
 anywhere (code or annotations) or lists it in its ``__all__``. A
 module-level function or class whose name starts with ``_`` counts as
 used when some module of the package names it (as a name, an attribute
-or an imported name) outside the helper's own body. A public one counts
-as read when some module names it that way, or a file of the benchmark
-under ``perfbench/`` or a code span of the README holds it as a word.
+or an imported name) outside the helper's own body. A public one, or a
+public method of a package class, counts as read when some module names
+it that way, or a file of the benchmark under ``perfbench/`` or a code
+span of the README holds it as a word. The README's code spans are the
+one list of library names that nothing in the package calls.
 """
 import ast
 import re
@@ -21,29 +23,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "steinpoly"
 MODULES = sorted(PACKAGE.glob("*.py"))
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
-
-# Public top-level definitions that no other module, no benchmark file and
-# no README code span names. Each is still to be documented, moved next to
-# the tests that use it, or deleted; the list may only shrink.
-UNREAD_PUBLIC = {
-    "barcplx.bar_differential",
-    "barcplx.deconcat",
-    "barcplx.is_zero_bar",
-    "cones.cone_to_steinberg",
-    "mpl.gl_act",
-    "mpl.identity_terms_to_json",
-    "mpl.verify_li_identity",
-    "qlinalg.dual_basis",
-    "qlinalg.mat_vec",
-    "qlinalg.vec_from_json",
-    "qlinalg.vec_neg",
-    "st2.make_corr",
-    "st2.span_solve",
-    "st2.st2_coproduct",
-    "steinberg.block_embed",
-    "steinberg.residue",
-    "steinberg.st_multiply",
-}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -90,19 +69,32 @@ def _names(node) -> Counter:
 
 
 def _unnamed_definitions(sources: dict[str, str]):
-    """(module, name) of every module-level function or class no code names outside its body."""
+    """(module, name) of every definition no code names outside its body.
+
+    That is every module-level function or class, and every public method
+    of a module-level class as "Class.method"; dunders and private methods
+    are left out.
+    """
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
     everywhere = sum((_names(tree) for tree in trees.values()), Counter())
     for mod, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                if everywhere[node.name] == _names(node)[node.name]:
-                    yield mod, node.name
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if everywhere[node.name] == _names(node)[node.name]:
+                yield mod, node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        if everywhere[item.name] == _names(item)[item.name]:
+                            yield mod, f"{node.name}.{item.name}"
 
 
 def orphaned_helpers(sources: dict[str, str]) -> list[str]:
     """module.name of every private module-level helper no other code names."""
-    return sorted(f"{mod}.{name}" for mod, name in _unnamed_definitions(sources) if name.startswith("_"))
+    return sorted(
+        f"{mod}.{name}" for mod, name in _unnamed_definitions(sources) if name.rpartition(".")[2].startswith("_")
+    )
 
 
 def code_span_words(markdown: str) -> set[str]:
@@ -113,11 +105,11 @@ def code_span_words(markdown: str) -> set[str]:
 
 
 def unread_public(sources: dict[str, str], readers: set[str]) -> list[str]:
-    """module.name of every public module-level definition no other code names and readers lacks."""
+    """module.name of every public definition or method no other code names and readers lacks."""
     return sorted(
         f"{mod}.{name}"
         for mod, name in _unnamed_definitions(sources)
-        if not name.startswith("_") and name not in readers
+        if not (last := name.rpartition(".")[2]).startswith("_") and last not in readers
     )
 
 
@@ -142,12 +134,25 @@ def test_detects_unread_public_definition():
     assert unread_public(sources, readers) == ["a.alone"]
 
 
-def test_unread_public_definitions_only_shrink():
+def test_detects_unread_public_method():
+    sources = {
+        "a": (
+            "class C:\n"
+            "    def __init__(self):\n        self.x = 1\n\n"
+            "    def used(self):\n        return self.x\n\n"
+            "    def alone(self):\n        return self.alone()\n\n"
+            "    def _private(self):\n        pass\n"
+        ),
+        "b": "from .a import C\n\nC().used()\n",
+    }
+    assert unread_public(sources, set()) == ["a.C.alone"]
+    assert orphaned_helpers(sources) == []
+
+
+def test_every_public_definition_is_read():
     benchmark = [p for p in (ROOT / "perfbench").rglob("*") if p.suffix in {".py", ".md", ".json"}]
     readers = code_span_words((ROOT / "README.md").read_text())
     for path in benchmark:
         readers.update(re.findall(r"\w+", path.read_text()))
-    found = set(unread_public({p.stem: p.read_text() for p in MODULES}, readers))
-    new, stale = sorted(found - UNREAD_PUBLIC), sorted(UNREAD_PUBLIC - found)
-    assert not new, f"nothing reads {new}: call it from a route, name it in the README or delete it"
-    assert not stale, f"{stale} gone or read now: drop it from UNREAD_PUBLIC"
+    found = unread_public({p.stem: p.read_text() for p in MODULES}, readers)
+    assert found == [], f"nothing reads {found}: call it from a route, name it in the README or delete it"

@@ -22,7 +22,6 @@ from steinpoly.mpl import (
     std_li,
     truncated_symbol,
     truncated_symbol_closed,
-    verify_li_identity,
 )
 from steinpoly.qlinalg import canonical_point, qv, split_seed
 from steinpoly.st2 import embed_s, is_zero_st2
@@ -61,12 +60,8 @@ class TestMonomial:
 
     def test_inverse_power(self):
         a = Monomial(F(1, 3), (2, -1))
-        assert (a * a ** -1).is_torsion()
+        assert not any((a * a ** -1).exps)
         assert (a ** -1).phase == F(2, 3)
-
-    def test_json_round_trip(self):
-        a = Monomial(F(2, 5), (F(1, 2), -3))
-        assert Monomial.from_json(a.to_json()) == a
 
 
 class TestLiGen:
@@ -464,14 +459,14 @@ WEIGHT4_TERMS = [
 
 class TestIdentityVerifier:
     def test_weight4_depth2_identity_holds(self):
-        assert verify_li_identity(WEIGHT4_TERMS)
+        assert not li_identity_residual(WEIGHT4_TERMS).terms
 
     def test_single_coefficient_perturbations_fail(self):
         for i in range(6):
             bad = list(WEIGHT4_TERMS)
             c, p = bad[i]
             bad[i] = (c + F(1, 3), p)
-            assert not verify_li_identity(bad), i
+            assert li_identity_residual(bad).terms, i
 
     def test_residual_is_nonempty_witness(self):
         bad = list(WEIGHT4_TERMS)
@@ -479,11 +474,11 @@ class TestIdentityVerifier:
         assert li_identity_residual(bad).terms
 
     def test_empty_identity_holds(self):
-        assert verify_li_identity([])
+        assert not li_identity_residual([]).terms
 
     def test_mixed_weights_rejected(self):
         with pytest.raises(ValueError):
-            verify_li_identity(
+            li_identity_residual(
                 [(F(1), PushedLi(1, [[1]], (2,))), (F(1), PushedLi(1, [[1]], (3,)))]
             )
 
