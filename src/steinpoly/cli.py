@@ -311,18 +311,18 @@ def _case_basis(entry) -> list:
     return ints if den == 1 else basis
 
 
-def _flag_residual(n: int, pairs, extra) -> dict:
-    """The 8 least flag-normal-form terms of sum c [key_a] (x) [key_b] over pairs (key_a, key_b, c), plus extra.
+def _residual(n: int, pairs, extra) -> St2:
+    """sum c [key_a] (x) [key_b] over pairs (key_a, key_b, c), plus extra, as one St2.
 
     The int coefficients and extra's numerators are summed over extra's
-    one denominator, and the sum goes to st2_normal_form as one St2.
+    one denominator.
     """
     den, acc = (1, {}) if extra is None else _numerators(extra.terms)
     acc = defaultdict(int, acc)
     zero = zero_exps(n)
     for key_a, key_b, c in pairs:
         acc[key_a, key_b, zero] += c * den
-    return st2_normal_form(St2(n, {k: Fraction(v, den) for k, v in acc.items() if v}), 8)
+    return St2(n, {k: Fraction(v, den) for k, v in acc.items() if v})
 
 
 def _suite_shuffle(vecs, n, extra):
@@ -346,22 +346,29 @@ def _suite_shuffle(vecs, n, extra):
                     arranged[p] = vecs[d1 + k]
                 key_a, key_b, sign = keys(arranged)
                 pairs.append((key_a, key_b, -sign))
-            nf = _flag_residual(n, pairs, extra)
+            nf = st2_normal_form(_residual(n, pairs, extra), 8)
             if nf:
                 return {"relation": f"{name} split {d1}", "residual": _st2_nf_to_json(nf)}
     return None
 
 
 def _suite_dihedral(vecs, n, extra):
-    total = tuple(sum(v[i] for v in vecs) for i in range(n))
-    v0 = tuple(-e for e in total)
-    L = make_L(vecs, n)
-    I = make_I(vecs, n)
+    # the basis is cleared once, and its one rank test (_case_basis) decides
+    # every term: each is a reversal or a negation of the basis, or n of its
+    # n + 1 cyclic vectors v_0 = -sum v_i, v_1, ..., v_n
+    vecs, _ = _int_vectors(vecs, n)
+    v0 = tuple(-sum(col) for col in zip(*vecs))
+    L, rev = _L_keys(vecs), (-1) ** (n + 1)
+    # (name, lhs, rhs, c) for the residual lhs - c rhs of two (key_a, key_b, sign)
+    relations = [
+        ("rotation", L, _L_keys(vecs[1:] + [v0]), 1),
+        ("negation", L, _L_keys([tuple(-e for e in v) for v in vecs]), 1),
+        ("L reversal", L, _L_keys(vecs[::-1]), rev),
+        ("I reversal", _I_keys(vecs), _I_keys(vecs[::-1]), rev),
+    ]
     checks = [
-        ("rotation", L - make_L(vecs[1:] + [v0], n)),
-        ("negation", L - make_L([tuple(-e for e in v) for v in vecs], n)),
-        ("L reversal", L - make_L(list(reversed(vecs)), n, c=(-1) ** (n + 1))),
-        ("I reversal", I - make_I(list(reversed(vecs)), n, c=(-1) ** (n + 1))),
+        (name, _residual(n, [lhs, (*rhs[:2], -c * rhs[2])], extra))
+        for name, lhs, rhs, c in relations
     ]
     # the stable class is linear in the terms, so one memo reduces each
     # generator's words once across the checks and keeps a generator only
@@ -369,8 +376,6 @@ def _suite_dihedral(vecs, n, extra):
     # canonical keys) is decided before any reduction
     memo: dict = {}
     for i, (name, residual) in enumerate(checks):
-        if extra is not None:
-            residual = residual + extra
         den, block = _stable_ints(residual, 1, memo)
         if block:
             least = sorted(block.items())[:8]
@@ -404,7 +409,7 @@ def _suite_duality(vecs, n, extra):
     for name, lhs, rhs in checks:
         # dualize only moves L's one term and flips its sign, so c is +-1
         pairs = [(ka, kb, c.numerator) for (ka, kb, _exps), c in lhs.items()]
-        nf = _flag_residual(n, pairs + [(ka, kb, -c) for ka, kb, c in rhs], extra)
+        nf = st2_normal_form(_residual(n, pairs + [(ka, kb, -c) for ka, kb, c in rhs], extra), 8)
         if nf:
             return {"relation": name, "residual": _st2_nf_to_json(nf)}
     return None
@@ -439,17 +444,18 @@ def _suite_ashrudolph(basis, n, extra):
     return None
 
 
+# suite -> (run, generator of its perturbation or None when it takes none, least dimension)
 _SUITES = {
-    "shuffle": (_suite_shuffle, "st2", 2),
-    "dihedral": (_suite_dihedral, "st2", 1),
-    "cobracket": (_suite_cobracket, "none", 2),
-    "duality": (_suite_duality, "st2", 1),
-    "ashrudolph": (_suite_ashrudolph, "st", 1),
+    "shuffle": (_suite_shuffle, make_L, 2),
+    "dihedral": (_suite_dihedral, make_L, 1),
+    "cobracket": (_suite_cobracket, None, 2),
+    "duality": (_suite_duality, make_L, 1),
+    "ashrudolph": (_suite_ashrudolph, make_apartment, 1),
 }
 
 
 def cmd_verify(args) -> int:
-    run, pert_kind, min_dim = _SUITES[args.suite]
+    run, perturbation, min_dim = _SUITES[args.suite]
     _check_dim(args.dim, "--dim")
     if args.cases < 1:
         raise InputError(f"--cases must be at least 1, got {args.cases}")
@@ -476,12 +482,9 @@ def cmd_verify(args) -> int:
         pvecs, pc = _case_perturbation(entry, len(basis))
         extra = None
         if pvecs is not None:
-            if pert_kind == "st2":
-                extra = pc * make_L(pvecs, len(basis))
-            elif pert_kind == "st":
-                extra = pc * make_apartment(pvecs, len(basis))
-            else:
+            if perturbation is None:
                 raise InputError(f"suite {args.suite} takes no perturbation")
+            extra = pc * perturbation(pvecs, len(basis))
         witness = run(basis, len(basis), extra)
         if witness is not None:
             failures.append(

@@ -64,15 +64,6 @@ class Monomial:
     def ambient(self) -> int:
         return len(self.exps)
 
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(
-            self.phase + other.phase,
-            [a + b for a, b in zip(self.exps, other.exps, strict=True)],
-        )
-
-    def __pow__(self, k: int) -> "Monomial":
-        return Monomial(k * self.phase, [k * e for e in self.exps])
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Monomial)

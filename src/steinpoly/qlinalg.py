@@ -5,7 +5,10 @@ Everything here is exact, no floats. Every elimination is fraction-free:
 the rows are cleared to integers once, by the lcm of all their
 denominators (_cleared, the package's one clearing of a family of rows),
 and reduced by Bareiss steps with exact division, and Fraction appears
-only in the output. Subspaces are kept in reduced row echelon form so
+only in the output. There are two eliminations: _int_det for a
+determinant, and _int_gauss_jordan for everything else, whose pivot
+count is every rank (rank, and steinberg._independent for fewer vectors
+than coordinates). Subspaces are kept in reduced row echelon form so
 that equality of subspaces is equality of the stored rows, and
 downstream modules can use them as dict keys.
 """
@@ -99,35 +102,6 @@ def _int_det(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _int_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
-
-    After r pivots every entry below them is an (r+1)-minor of the input,
-    so the division by the previous pivot stays exact when zero columns
-    are skipped.
-    """
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    r, prev = 0, 1
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pivot = m[r][c]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                m[i][j] = (m[i][j] * pivot - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = pivot
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
 def det(m: Sequence[Sequence[Fraction]]) -> Fraction:
     """Determinant of a square rational matrix (Bareiss on a scaled copy)."""
     n = len(m)
@@ -213,7 +187,7 @@ def rref(rows: Sequence[Vec]) -> tuple[Mat, tuple[int, ...]]:
 
 
 def rank(rows: Sequence[Vec]) -> int:
-    return _int_rank(_cleared(rows)[0])
+    return len(rref(rows)[1])
 
 
 def inverse(m: Mat) -> Mat:
@@ -392,9 +366,8 @@ def frac_to_str(f: Fraction) -> str:
 def frac_from_str(s) -> Fraction:
     if isinstance(s, Fraction):
         return s
-    if isinstance(s, int):
-        return Fraction(s)
-    if isinstance(s, str):
+    # a JSON true or false is a bool, which is an int to isinstance
+    if type(s) is int or isinstance(s, str):
         return Fraction(s)
     raise ValueError(f"cannot parse rational from {s!r}")
 

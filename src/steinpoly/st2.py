@@ -30,9 +30,10 @@ the input, or a unitriangular image of it, up to order, so that one test
 of the input decides whether the pair vanishes, and each key is then
 only canonicalised and sorted. The key builders (_L_keys, _I_keys) are
 split from that test, for callers that have decided it already: the
-shuffle and duality suites of the command line, whose terms are all
-sub-tuples, permutations or duals of one tested basis, and the cobracket
-check, whose sides are at most d of the d + 1 cyclic vectors of one.
+shuffle, dihedral and duality suites of the command line, whose terms
+are all sub-tuples, permutations, negations, duals or cyclic rotations
+of one tested basis, and the cobracket check, whose sides are at most d
+of the d + 1 cyclic vectors of one.
 Duality reads the dual lines of a key off
 steinberg._dual_lines, the columns of its int adjugate: the dual basis
 times the determinant, one common scale, which the lines ignore and
@@ -280,11 +281,6 @@ def _I_keys(vecs: Sequence[Point]) -> tuple[ApKey, ApKey, int]:
     return key_a, key_b, -sign if len(vecs) % 2 else sign
 
 
-def _L_pair(vecs: Sequence[Point], n: int) -> tuple[ApKey, ApKey, int] | None:
-    """make_L of int vectors in Q^n as one (key_a, key_b, sign), or None when they are dependent."""
-    return _L_keys(vecs) if _independent(vecs, n) else None
-
-
 def make_L(vectors: Sequence, ambient: int | None = None, c=1, exps=None) -> St2:
     """Pair of the reversed-suffix-sum apartment against the reversed one.
 
@@ -293,9 +289,8 @@ def make_L(vectors: Sequence, ambient: int | None = None, c=1, exps=None) -> St2
     """
     vecs, n = _int_vectors(vectors, ambient)
     out = St2.zero(n)
-    pair = _L_pair(vecs, n)
-    if pair is not None:
-        _add_pair(out, pair, c, exps)
+    if _independent(vecs, n):
+        _add_pair(out, _L_keys(vecs), c, exps)
     return out
 
 
@@ -516,10 +511,9 @@ def cobracket_matches_coproduct(vectors: Sequence) -> bool:
     the cobracket terms on its independent sub-tuples are not.
     """
     vecs, n = _int_vectors(vectors, None)
-    whole = _L_pair(vecs, n)
-    if whole is None:
+    if not _independent(vecs, n):
         raise ValueError("cobracket check needs independent vectors")
-    key_a, key_b, sign = whole
+    key_a, key_b, sign = _L_keys(vecs)
     if len(key_a) != n:
         raise ValueError("coproduct needs full-rank terms")
     terms = []  # (c, pair a, pair b) for c fp(a) ^ fp(b)

@@ -15,9 +15,10 @@ with the sort sign folded into the coefficient.
 Since a class ignores the scale of each entry, rational vectors come in
 one way: _int_vectors takes int vectors as they come and clears rational
 ones once, by one common denominator, and _independent tests them once
-(one determinant, or one rank when there are fewer vectors than
-coordinates). normalize_apartment, the generators of st2, mpl's LiGen,
-the cones and the command line all go through the two. _dual_lines reads
+(one determinant, or the pivot count of one Gauss-Jordan elimination
+when there are fewer vectors than coordinates). normalize_apartment,
+the generators of st2, mpl's LiGen, the cones and the command line all
+go through the two. _dual_lines reads
 the dual basis of an int basis, times its determinant, off the columns
 of its adjugate; duality in st2 and, cached, the evaluation oracle of
 cones both use it.
@@ -76,7 +77,6 @@ from .qlinalg import (
     _int_adjugate,
     _int_det,
     _int_gauss_jordan,
-    _int_rank,
     canonical_point,
     int_point,
     qv,
@@ -246,11 +246,14 @@ def _int_vectors(vectors: Sequence, ambient: int | None) -> tuple[list[Point], i
 
 
 def _independent(vecs: Sequence[Point], n: int) -> bool:
-    """Whether the int vectors in Q^n are independent: one determinant or rank test."""
+    """Whether the int vectors in Q^n are independent: one determinant, or one Gauss-Jordan pivot count.
+
+    The empty family is independent.
+    """
     d = len(vecs)
     if d == n:
         return _int_det(vecs) != 0
-    return d < n and _int_rank(vecs) == d
+    return d < n and (not vecs or len(_int_gauss_jordan(list(vecs))[0]) == d)
 
 
 def _dual_lines(basis: Sequence[Sequence[int]]) -> tuple[tuple[Point, ...], int]:

@@ -15,6 +15,11 @@ routes to give the same rational. ``inverse_per_row`` and
 ``canonical_point_per_row`` are the kernel's ``inverse`` and
 ``canonical_point`` as they were before they cleared through ``_cleared``:
 each row scaled to integers on its own (``_row_to_int``).
+
+``_int_rank`` is the third fraction-free elimination the package had, a
+Bareiss rank beside ``_int_det`` and ``_int_gauss_jordan``; the package
+now reads every rank off the pivot count of ``_int_gauss_jordan``, and
+tests use this one as the reference rank of integer rows.
 """
 from __future__ import annotations
 
@@ -120,6 +125,35 @@ def nullspace(m: Mat) -> Mat:
             v[p] = -row[fc]
         basis.append(tuple(v))
     return tuple(basis)
+
+
+def _int_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+
+    After r pivots every entry below them is an (r+1)-minor of the input,
+    so the division by the previous pivot stays exact when zero columns
+    are skipped.
+    """
+    m = [list(r) for r in rows]
+    if not m:
+        return 0
+    nrows, ncols = len(m), len(m[0])
+    r, prev = 0, 1
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pivot = m[r][c]
+        for i in range(r + 1, nrows):
+            for j in range(c + 1, ncols):
+                m[i][j] = (m[i][j] * pivot - m[i][c] * m[r][j]) // prev
+            m[i][c] = 0
+        prev = pivot
+        r += 1
+        if r == nrows:
+            break
+    return r
 
 
 def _rows_to_int(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:

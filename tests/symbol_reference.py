@@ -7,7 +7,8 @@ with _primitive_split and depth1_nf (the depth-one normal form, phases
 kept), _nf_of_gen, _root_expansion, alpha and pushed_expand (the root
 expansion of a bar word or a pushforward into phased generators), and
 FormalII with ii_shuffle, ii_path_compose and ii_reverse (formal iterated
-integrals with Monomial entries).
+integrals with Monomial entries), and monomial_mul and monomial_pow, the
+product and powers of Monomials, which only these phased routes take.
 
 recursion_symbol_bar sums the symbol of every root-expanded generator of a
 pushforward (N^d of them) and runs sigma once per slot tuple;
@@ -45,6 +46,16 @@ from steinpoly.qlinalg import (
 )
 from steinpoly.st2 import St2, embed_s, make_L, make_pair
 from steinpoly.steinberg import _acc, _power_product
+
+
+def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
+    """a * b: the phases add, and the exponent vectors add."""
+    return Monomial(a.phase + b.phase, [x + y for x, y in zip(a.exps, b.exps, strict=True)])
+
+
+def monomial_pow(a: Monomial, k: int) -> Monomial:
+    """a ** k: the phase and the exponent vector times k."""
+    return Monomial(k * a.phase, [k * e for e in a.exps])
 
 
 def pushed_expand(p: PushedLi) -> list[tuple[Fraction, LiGen]]:
@@ -330,7 +341,7 @@ def delta_top(g: LiGen) -> list:
 
     push(LiGen(ns[1:], args[1:]), ONE, ns[0], args[0])
     for i in range(k - 1):
-        merged = args[i] * args[i + 1]
+        merged = monomial_mul(args[i], args[i + 1])
         rest_ns = ns[:i] + ns[i + 2 :]
         rest_args = args[:i] + (merged,) + args[i + 2 :]
         for a in range(ns[i + 1]):
@@ -395,7 +406,7 @@ def li_to_ii(g: LiGen) -> dict:
     prods = []
     acc = Monomial(0, (0,) * d)
     for a in g.args:
-        acc = acc * a
+        acc = monomial_mul(acc, a)
         prods.append(acc)
     entries: list = [None, Monomial(0, (0,) * d)]
     for i, n in enumerate(g.ns):
@@ -444,9 +455,9 @@ def divergent_reduce(ii: FormalII) -> DepthOneNF:
     c = Fraction(-1) ** (j + 1) * comb(j + l, j)
     items = []
     if ii.end is not None:
-        items.append((c, ii.end * z2 ** (-1)))
+        items.append((c, monomial_mul(ii.end, monomial_pow(z2, -1))))
     if ii.start is not None:
-        items.append((-c, ii.start * z2 ** (-1)))
+        items.append((-c, monomial_mul(ii.start, monomial_pow(z2, -1))))
     return depth1_nf(w, items)
 
 

@@ -426,6 +426,15 @@ class TestSt:
         assert report["verdict"] == "FAIL"
         assert report["residual"]
 
+    @pytest.mark.parametrize("coeff", [True, False])
+    def test_bool_coefficient_exits_2(self, tmp_path, coeff):
+        # JSON true and false are no rationals; read as 1 and 0 they would
+        # PASS and FAIL
+        data = json.load(open(FIXTURE))
+        data[0]["coeff"] = coeff
+        code, text = run(tmp_path, "st", write(tmp_path, "bool.json", data))
+        assert code == 2 and text == ""
+
     def test_empty_identity_exits_2(self, tmp_path):
         # nothing is checked, so there is no verdict to report
         for data in ([], [{"coeff": "1", "product": [2, 2]}]):

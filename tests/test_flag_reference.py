@@ -18,7 +18,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import flag_reference as ref
-from steinpoly.qlinalg import _int_rank, canonical_point, qm, qv, rank, solve
+from qlinalg_reference import _int_rank
+from steinpoly.qlinalg import canonical_point, qm, qv, rank, solve
 from steinpoly.st2 import St2, is_zero_st2, make_I, make_L, st2_normal_form, st2_product
 from steinpoly.steinberg import (
     St,
@@ -178,6 +179,10 @@ def test_one_independence_test_is_full_rank(case):
     assert m == n and all(type(x) is int for v in ints for x in v)
     assert _int_rank(ints) == rank(qm(vecs))
     assert _independent(ints, n) == (rank(qm(vecs)) == len(vecs))
+    # families shorter than the dimension go through the Gauss-Jordan pivot
+    # count; the empty family is independent
+    for k in range(min(len(ints), n - 1) + 1):
+        assert _independent(ints[:k], n) == (_int_rank(ints[:k]) == k)
 
 
 DIM5_KEYS = [

@@ -16,8 +16,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import flag_walk_reference as ref
+from qlinalg_reference import _int_rank
 from steinpoly import steinberg
-from steinpoly.qlinalg import _int_det, _int_gauss_jordan, _int_rank, int_point
+from steinpoly.qlinalg import _int_det, _int_gauss_jordan, int_point
 from steinpoly.steinberg import (
     _flag_coords,
     _flag_expand_apartment,
@@ -124,6 +125,6 @@ def test_walk_takes_no_determinant_and_sorts_no_leaf(frows):
     key = normalize_apartment([(1, 0, 2, -1), (0, 1, -1, 2), (2, 1, 0, 1), (1, -1, 1, 0)])[0]
     want = ref.flag_expand_apartment(key, frows)
     boom = mock.Mock(side_effect=AssertionError("called"))
-    with mock.patch.multiple(steinberg, _int_det=boom, _int_rank=boom, _sort_sign=boom):
+    with mock.patch.multiple(steinberg, _int_det=boom, _independent=boom, _sort_sign=boom):
         got = walk(key, frows)
     assert sorted(got) == sorted(want) and len(got) > 1

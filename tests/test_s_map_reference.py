@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 
 import flag_reference
 import s_map_reference as ref
+from qlinalg_reference import _int_rank
 from steinpoly import st2, steinberg
 from steinpoly.barcplx import Bar
-from steinpoly.qlinalg import _int_gauss_jordan, _int_rank, int_point
+from steinpoly.qlinalg import _int_gauss_jordan, int_point
 from steinpoly.st2 import St2, _s_pair, embed_s, make_I, make_L, make_pair, st2_coproduct
 from steinpoly.steinberg import _flag_expand_apartment, _sort_sign, _standard_rows
 
@@ -184,8 +185,8 @@ def test_s_map_and_coproduct_take_no_determinant():
     pairs = [(key_a, key_b), (low_a, low_b), outside]
     want = [ref.s_pair(*p) for p in pairs], ref.st2_coproduct(x)
     boom = mock.Mock(side_effect=AssertionError("called"))
-    with mock.patch.multiple(steinberg, _int_det=boom, _int_rank=boom), \
-            mock.patch.multiple(st2, _int_det=boom, _int_rank=boom, create=True):
+    with mock.patch.multiple(steinberg, _int_det=boom, _independent=boom), \
+            mock.patch.multiple(st2, _int_det=boom, _independent=boom, create=True):
         got = [sorted(_s_pair.__wrapped__(*p)) for p in pairs], st2_coproduct(x)
     assert got == ([sorted(words) for words in want[0]], want[1])
     assert len(want[0][0]) > 1 and len(want[0][1]) > 1 and want[0][2] == ()

@@ -1,9 +1,9 @@
-"""The shuffle and duality suites against their St2 bodies.
+"""The shuffle, dihedral and duality suites against their St2 bodies.
 
-``suite_reference`` keeps ``cli._suite_shuffle`` and ``_suite_duality`` as
-they were before their residuals became int pairs from one cleared
-basis, with a generator and a rank test per term. On random bases of
-dims 2-5, integral and rational, with and without a perturbation, both
+``suite_reference`` keeps ``cli._suite_shuffle``, ``_suite_dihedral`` and
+``_suite_duality`` as they were before their residuals became int pairs
+from one cleared basis, with a generator and a rank test per term. On
+random bases of dims 2-5, integral and rational, with and without a perturbation, both
 must return the same witness: both None, or the same relation and the
 same residual rows. A passing case must make no rank test inside the
 suite: the one in ``cli._case_basis`` decides every term.
@@ -20,7 +20,11 @@ from steinpoly import cli, st2, steinberg
 from steinpoly.st2 import make_L
 from steinpoly.steinberg import _independent, _int_vectors
 
-SUITES = {"shuffle": (cli._suite_shuffle, ref.suite_shuffle), "duality": (cli._suite_duality, ref.suite_duality)}
+SUITES = {
+    "shuffle": (cli._suite_shuffle, ref.suite_shuffle),
+    "dihedral": (cli._suite_dihedral, ref.suite_dihedral),
+    "duality": (cli._suite_duality, ref.suite_duality),
+}
 
 
 @st.composite
