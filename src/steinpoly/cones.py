@@ -150,7 +150,7 @@ def st_equality_oracle(x: St, y: St, seed: int = 0, points: int = 5) -> bool:
     makes implausible; identity of classes implies agreement always.
     It shares no code with any reduction, so tests keep it as an
     independent check; `verify ashrudolph` decides exactly instead, by
-    steinberg.replay_ash_rudolph and the flag zero test.
+    its reduction's pivot table replayed and the flag zero test.
     """
     if x.ambient != y.ambient:
         return False

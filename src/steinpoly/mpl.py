@@ -637,7 +637,7 @@ def identity_terms_from_json(data) -> list:
         if key == "product":
             out.append(("product", sum(ns)))
             continue
-        matrix = [[frac_from_str(str(e)) for e in row] for row in entry["matrix"]]
+        matrix = [[frac_from_str(e) for e in row] for row in entry["matrix"]]
         out.append((c, PushedLi(ONE, matrix, ns)))
     return out
 

@@ -364,12 +364,21 @@ def frac_to_str(f: Fraction) -> str:
 
 
 def frac_from_str(s) -> Fraction:
-    if isinstance(s, Fraction):
-        return s
-    # a JSON true or false is a bool, which is an int to isinstance
-    if type(s) is int or isinstance(s, str):
+    """A rational JSON value, by the one rule every input file follows.
+
+    An int is taken as is, a float by its decimal text (0.5 is 1/2) and a
+    string as a rational or a decimal. true and false (ints to
+    isinstance), NaN, +-Infinity, a zero denominator and any other value
+    raise ValueError.
+    """
+    if isinstance(s, Fraction) or type(s) is int:
         return Fraction(s)
-    raise ValueError(f"cannot parse rational from {s!r}")
+    if type(s) is not float and not isinstance(s, str):
+        raise ValueError(f"cannot parse rational from {s!r}")
+    try:
+        return Fraction(str(s))
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {s!r}") from exc
 
 
 def positive_int_from_json(value, what: str) -> int:

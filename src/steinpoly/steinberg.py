@@ -55,10 +55,10 @@ c_i, the child determinants, have the least sup norm. The admissible c form
 a lattice of index |det|^(n-1); its minimum, at most |det|^((n-1)/n) by
 Minkowski, is enumerated exactly from an LLL-reduced basis. The whole
 reduction runs on int keys and int coefficients. Each step holds for any
-pivot, so the table of pivots the reduction chose proves its result:
-replay_ash_rudolph rewrites the apartment from that table alone, with
-its own sort sign and no search, and fails (CertificateError) on a
-missing entry or a child whose |det| does not drop.
+pivot, so the reduction is its own certificate: a search only picks the
+pivots, and replay_ash_rudolph rewrites the apartment from that table
+alone, with its own sort sign, failing (CertificateError) on a missing
+entry or a child whose |det| does not drop.
 """
 from __future__ import annotations
 
@@ -645,12 +645,12 @@ def _chart_coords(t_mat: Mat, v: Point) -> Point:
 def ash_rudolph_reduce(vectors: Sequence[Sequence], pivots: dict | None = None) -> St:
     """Express an integral apartment as a sum of unimodular apartments.
 
-    Every rank takes the same Ash-Rudolph step at the pivot of
-    _least_pivot (see _ar_step); each child determinant is at most
-    |det|^((n-1)/n), so the recursion is shallow. A dict passed as pivots
-    receives the pivot of every non-unimodular key the reduction visits,
-    key -> w, read from the same steps: the table replay_ash_rudolph
-    checks the reduction by.
+    A depth-first search takes the step of _ar_step once at each
+    non-unimodular key it reaches and records its pivot, key -> w (in
+    pivots, when a dict is passed); the result is that table replayed
+    by replay_ash_rudolph, which raises CertificateError on a wrong step
+    instead of giving a wrong sum. Each child determinant is at most
+    |det|^((n-1)/n), so the search is shallow.
     """
     vecs, den = _cleared([qv(v) for v in vectors])
     if not vecs:
@@ -661,50 +661,33 @@ def ash_rudolph_reduce(vectors: Sequence[Sequence], pivots: dict | None = None) 
     if len(vecs) != n:
         raise ValueError("apartment must have as many vectors as coordinates")
     start = make_apartment(vecs, n)
-    out = St.zero(n)
-    for key, c in start.terms.items():
-        for k2, c2 in _ar_apartment(key):
-            out.add_term(k2, c * c2)
-    if pivots is not None:
-        stack = list(start.terms)
-        while stack:
-            key = stack.pop()
-            step = _ar_step(key)
-            if step is not None and key not in pivots:
-                pivots[key] = step[0]
-                stack.extend(child for child, _sign in step[1])
-    return out
+    pivots = {} if pivots is None else pivots
+    stack = list(start.terms)
+    while stack:
+        key = stack.pop()
+        step = None if key in pivots else _ar_step(key)
+        if step is not None:
+            pivots[key] = step[0]
+            stack.extend(step[1])
+    return replay_ash_rudolph(start, pivots)
 
 
 @lru_cache(maxsize=None)
-def _ar_step(key: ApKey) -> tuple[Point, tuple[tuple[ApKey, int], ...]] | None:
-    """(w, nonzero children with their sort signs) of the step at key; None when |det| = 1.
+def _ar_step(key: ApKey) -> tuple[Point, tuple[ApKey, ...]] | None:
+    """(w, the sorted keys of the nonzero children) of the step at key; None when |det| = 1.
 
     With D = det(key) and the pivot w = sum_i c_i key[i] / D of
     _least_pivot, the boundary relation of (w, key[0], ..., key[n-1])
     gives [key] = sum_i [key with key[i] replaced by w]. The i-th child
     has determinant c_i, so children with c_i = 0 are degenerate and
-    left out.
+    left out; only the search reads them, so they carry no sort sign.
     """
     dd = _int_det(key)
     if abs(dd) == 1:
         return None
     w, nums = _least_pivot(key, dd)
     w = int_point(w)
-    return w, tuple(_sort_sign(key[:i] + (w,) + key[i + 1 :]) for i, ci in enumerate(nums) if ci)
-
-
-@lru_cache(maxsize=None)
-def _ar_apartment(key: ApKey) -> tuple[tuple[ApKey, int], ...]:
-    """Unimodular reduction of one apartment, with integer coefficients: _ar_step down to |det| = 1."""
-    step = _ar_step(key)
-    if step is None:
-        return ((key, 1),)
-    out: dict[ApKey, int] = {}
-    for child, sign in step[1]:
-        for k2, c2 in _ar_apartment(child):
-            _acc(out, k2, sign * c2)
-    return tuple(sorted(out.items()))
+    return w, tuple(tuple(sorted(key[:i] + (w,) + key[i + 1 :])) for i, ci in enumerate(nums) if ci)
 
 
 class CertificateError(ValueError):
@@ -724,8 +707,8 @@ def replay_ash_rudolph(x: St, pivots: dict) -> St:
     key is replaced once with its whole coefficient. Every nonzero child
     must have a smaller |det| than its key, so the replay ends, at keys
     of |det| 1. It uses no pivot search, no LLL and its own sort sign
-    (an inversion count), so a result equal to ash_rudolph_reduce(x)
-    proves that reduction exact whatever the search did. Raises
+    (an inversion count), so its result, which ash_rudolph_reduce
+    returns, is exact whatever the search did. Raises
     CertificateError naming the key of a missing entry, of a pivot that
     is not a nonzero int vector of the key's length, or of a child whose
     |det| does not drop.

@@ -1,11 +1,14 @@
 """The Ash-Rudolph pivot table as a certificate of the reduction.
 
-ash_rudolph_reduce records the pivot of every non-unimodular key it
-visits. replay_ash_rudolph rewrites the apartment by the boundary
-relations of that table alone, and `verify ashrudolph` decides on the
-replay, with the exact flag test on the terms where replay and reduction
-differ. Verdicts are checked against the flag test on the whole
-difference; a corrupted table or a wrong reduction must not pass.
+ash_rudolph_reduce searches only for pivots: it records the pivot of
+every non-unimodular key it reaches, and its result is
+replay_ash_rudolph of that table, which rewrites the apartment by the
+boundary relations alone and checks every step. `verify ashrudolph` runs
+no second replay: a CertificateError is its `certificate` witness, only
+the perturbation can fail `unimodularity`, and the exact flag test on the
+perturbation decides the rest. Verdicts are checked against the flag
+test on the whole difference; a corrupted table or a wrong search step
+must raise or still give the right sum, never a PASS on a wrong one.
 """
 from fractions import Fraction
 
@@ -15,7 +18,7 @@ from hypothesis import strategies as st
 
 from steinpoly import steinberg
 from steinpoly.cli import _suite_ashrudolph
-from steinpoly.qlinalg import _int_det
+from steinpoly.qlinalg import _int_det, vec_to_json
 from steinpoly.steinberg import (
     CertificateError,
     St,
@@ -33,10 +36,8 @@ BASIS = [(3, 1, 2), (1, -2, 1), (2, 1, -3)]
 @pytest.fixture
 def fresh_caches():
     steinberg._ar_step.cache_clear()
-    steinberg._ar_apartment.cache_clear()
     yield
     steinberg._ar_step.cache_clear()
-    steinberg._ar_apartment.cache_clear()
 
 
 def reduced(basis):
@@ -63,6 +64,9 @@ def test_replay_equals_reduction(basis):
     red, pivots = reduced(basis)
     assert pivots and all(abs(_int_det(key)) > 1 for key in pivots)
     assert replay_ash_rudolph(make_apartment(basis), pivots) == red
+    # the reduction is the replay, so the flag test checks it independently
+    assert all(abs(_int_det(key)) == 1 for key in red.terms)
+    assert is_zero(make_apartment(basis) - red)
 
 
 def test_unimodular_apartment_needs_no_table():
@@ -117,17 +121,20 @@ def mutated(monkeypatch, target, mutate):
         return mutate(*out) if key == target else out
 
     monkeypatch.setattr(steinberg, "_ar_step", step)
-    steinberg._ar_apartment.cache_clear()
 
 
 @pytest.mark.parametrize("mutation", ["flipped sign", "dropped child", "corrupted pivot"])
 def test_wrong_step_of_the_reduction(monkeypatch, fresh_caches, mutation):
-    right, pivots = reduced(BASIS)
+    x = make_apartment(BASIS)
+    _, pivots = reduced(BASIS)
+    raised = 0
     for target in pivots:
+        right = steinberg._ar_step(target)[1]
         if mutation == "flipped sign":
+            # a step carries no signs to flip: it lists a wrong child key, its
+            # own, in place of its first child
             def mutate(w, children):
-                (child, sign), *rest = children
-                return w, ((child, -sign), *rest)
+                return w, (target, *children[1:])
         elif mutation == "dropped child":
             def mutate(w, children):
                 return w, children[1:]
@@ -135,20 +142,31 @@ def test_wrong_step_of_the_reduction(monkeypatch, fresh_caches, mutation):
             def mutate(w, children):
                 return tuple(a + b for a, b in zip(w, target[0])), children
         mutated(monkeypatch, target, mutate)
-        red, table = reduced(BASIS)
-        witness = _suite_ashrudolph(BASIS, 3, None)
-        if mutation == "corrupted pivot":
-            # the reduction is right and only its table is wrong
-            assert red == right
-            assert fails(make_apartment(BASIS), table, red)
-            assert witness is None or witness["relation"] == "certificate"
+        table: dict = {}
+        try:
+            red = ash_rudolph_reduce(BASIS, table)
+            broken = None
+        except CertificateError as exc:
+            # the search went wrong and its table proves nothing: the suite
+            # names the step at fault
+            broken = exc.key
+            raised += 1
+            witness = _suite_ashrudolph(BASIS, 3, None)
+            assert witness == {"relation": "certificate", "apartment": [vec_to_json(p) for p in broken]}
         else:
-            assert not is_zero(make_apartment(BASIS) - red)
-            assert witness is not None, (mutation, target)
-            assert witness["relation"] in ("certificate", "evaluation mismatch")
+            # the search went wrong where it did no harm: the sum is still x
+            assert all(abs(_int_det(key)) == 1 for key in red.terms)
+            assert is_zero(x - red), (mutation, target)
+            assert _suite_ashrudolph(BASIS, 3, None) is None
+        lost = right[0]
+        if mutation != "corrupted pivot" and lost not in table and abs(_int_det(lost)) > 1:
+            # a lost child with no entry left in the table is the greatest key
+            # the replay cannot rewrite
+            assert broken == lost, (mutation, target)
         monkeypatch.undo()
-        steinberg._ar_apartment.cache_clear()
         steinberg._ar_step.cache_clear()
+    # on this basis every mutation breaks the certificate at some step
+    assert raised, mutation
 
 
 BOUND = {2: 9, 3: 4, 4: 3, 5: 2}
@@ -193,4 +211,10 @@ def test_suite_verdict_is_the_flag_test(basis, kind, coeff, data):
     witness = _suite_ashrudolph(basis, n, extra)
     assert (witness is None) is expect
     if witness is not None:
-        assert witness["relation"] in ("unimodularity", "evaluation mismatch")
+        # only the perturbation can fail unimodularity: its first key outside
+        # the reduction with |det| != 1
+        bad = [key for key in extra.terms if key not in red.terms and abs(_int_det(key)) != 1]
+        if bad:
+            assert witness == {"relation": "unimodularity", "apartment": [vec_to_json(p) for p in bad[0]]}
+        else:
+            assert witness["relation"] == "evaluation mismatch"

@@ -435,6 +435,25 @@ class TestSt:
         code, text = run(tmp_path, "st", write(tmp_path, "bool.json", data))
         assert code == 2 and text == ""
 
+    def test_number_coefficients_read_as_strings(self, tmp_path):
+        # one reader of rational JSON values: a JSON number coefficient is
+        # read by its decimal text, as a fixture's matrix entry is
+        data = json.load(open(FIXTURE))
+        for entry in data:
+            entry["coeff"] = float(Fraction(entry["coeff"]))
+        assert {type(entry["coeff"]) for entry in data} == {float}
+        _, shipped = run(tmp_path, "st", FIXTURE)
+        code, text = run(tmp_path, "st", write(tmp_path, "numbers.json", data))
+        assert code == 0 and text == shipped
+
+    @pytest.mark.parametrize("coeff", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_coefficient_exits_2(self, tmp_path, coeff):
+        # json writes these as NaN and +-Infinity, which no rational is
+        data = json.load(open(FIXTURE))
+        data[0]["coeff"] = coeff
+        code, text = run(tmp_path, "st", write(tmp_path, "nonfinite.json", data))
+        assert code == 2 and text == ""
+
     def test_empty_identity_exits_2(self, tmp_path):
         # nothing is checked, so there is no verdict to report
         for data in ([], [{"coeff": "1", "product": [2, 2]}]):
