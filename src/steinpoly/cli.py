@@ -13,9 +13,8 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from heapq import nsmallest
-from itertools import combinations
 
-from .barcplx import Bar
+from .barcplx import Bar, shuffle_words
 from .cones import (
     PoleError,
     bernoulli_reference,
@@ -334,13 +333,7 @@ def _suite_shuffle(vecs, n, extra):
             ka2, kb2, sign2 = keys(vecs[d1:])
             key_a, key_b, sign = _pair_key(ka1 + ka2, kb1 + kb2)
             pairs = [(key_a, key_b, sign * sign1 * sign2)]
-            for pos in combinations(range(n), d1):
-                arranged = [None] * n
-                rest = [i for i in range(n) if i not in pos]
-                for k, p in enumerate(pos):
-                    arranged[p] = vecs[k]
-                for k, p in enumerate(rest):
-                    arranged[p] = vecs[d1 + k]
+            for arranged in shuffle_words(vecs[:d1], vecs[d1:]):
                 key_a, key_b, sign = keys(arranged)
                 pairs.append((key_a, key_b, -sign))
             nf = st2_normal_form(_residual(n, pairs, extra), 8)

@@ -58,7 +58,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, combinations, islice
 from math import lcm
 from typing import Sequence
@@ -145,7 +144,6 @@ def st2_product(x: St2, y: St2) -> St2:
 # ------------------------------------------------------------------- s-map
 
 
-@lru_cache(maxsize=None)
 def _s_pair(key_a: ApKey, key_b: ApKey) -> tuple[tuple[tuple[Point, ...], int], ...]:
     """Bar words of a pair of apartments: the free steinberg._walk of A against B.
 
@@ -159,11 +157,15 @@ def _s_pair(key_a: ApKey, key_b: ApKey) -> tuple[tuple[tuple[Point, ...], int], 
 def _s_map(nums: dict) -> defaultdict:
     """The s-image of an int combination {(key_a, key_b, exps): int}, as {(word, exps): int}.
 
-    Entries that cancel stay in as zeros.
+    Entries that cancel stay in as zeros. A pair under several exponent
+    tuples is walked once: its words are kept for this call only.
     """
     acc: defaultdict = defaultdict(int)
+    pairs: dict = {}
     for (ka, kb, exps), num in nums.items():
-        for word, wc in _s_pair(ka, kb):
+        if (ka, kb) not in pairs:
+            pairs[ka, kb] = _s_pair(ka, kb)
+        for word, wc in pairs[ka, kb]:
             acc[word, exps] += num * wc
     return acc
 
@@ -336,15 +338,16 @@ def st2_normal_form(x: St2, limit: int | None = None) -> dict:
     Terms are grouped by the side with fewer distinct (key, exps) pairs
     (ties by the first factor), and each group's sum on the other side is
     expanded first, so its terms cancel before the second expansion. Only
-    outer apartments whose group keeps a term are expanded. The result
-    comes in one block per first-factor basis apartment ka, in ascending
-    order: ka is a first-stage key when the grouped side is the second
-    factor, and a key of an outer expansion otherwise. A block's
-    (kb, exps) rows are summed and sorted only when it is reached, and
-    the output stops after limit terms (all when limit is None), so a
-    nonzero element is witnessed by its least terms without building the
-    rest. Everything is summed as ints over one common denominator, with
-    one Fraction per output term. The coordinates do not depend on the
+    outer apartments whose group keeps a term are expanded, each once, as
+    the blocks are built; the expansions live as long as the call. The
+    result comes in one block per first-factor basis apartment ka, in
+    ascending order: ka is a first-stage key when the grouped side is the
+    second factor, and a key of an outer expansion otherwise. A block's
+    (kb, exps) rows are summed and sorted only when it is reached, and the
+    output stops after limit terms (all when limit is None), so a nonzero
+    element is witnessed by its least terms without building the rest.
+    Everything is summed as ints over one common denominator, with one
+    Fraction per output term. The coordinates do not depend on the
     grouping: both give the bilinear expansion term by term.
     """
     n = x.ambient
@@ -368,23 +371,24 @@ def st2_normal_form(x: St2, limit: int | None = None) -> dict:
         stage1 = {k: v for k, v in acc.items() if v}
         if stage1:
             kept[outer].append((exps, stage1))
-    # ka -> [(scale, exps, second)]: second is an outer key still to expand
-    # when swapped, else the first stage's {kb: int}
+    # ka -> [(scale, exps, second)]: second is the expanded outer key when
+    # swapped, else the first stage's (kb, int) items
     blocks: defaultdict = defaultdict(list)
     for outer, rows in kept.items():
+        expanded = _flag_expand_apartment(outer, frows)
         if swap:
             for exps, stage1 in rows:
                 for ka, v in stage1.items():
-                    blocks[ka].append((v, exps, outer))
+                    blocks[ka].append((v, exps, expanded))
         else:
-            for ka, c in _flag_expand_apartment(outer, frows):
-                blocks[ka].extend((c, exps, stage1) for exps, stage1 in rows)
+            for ka, c in expanded:
+                blocks[ka].extend((c, exps, stage1.items()) for exps, stage1 in rows)
 
     def terms():
         for ka in sorted(blocks):
             row: defaultdict = defaultdict(int)
             for scale, exps, second in blocks[ka]:
-                for kb, c in _flag_expand_apartment(second, frows) if swap else second.items():
+                for kb, c in second:
                     row[kb, exps] += scale * c
             for (kb, exps), v in sorted(item for item in row.items() if item[1]):
                 yield (ka, kb, exps), Fraction(v, den)

@@ -59,6 +59,10 @@ pivot, so the reduction is its own certificate: a search only picks the
 pivots, and replay_ash_rudolph rewrites the apartment from that table
 alone, with its own sort sign, failing (CertificateError) on a missing
 entry or a child whose |det| does not drop.
+
+Nothing keyed by an apartment outlives its call: the caches here are
+keyed by dimension only (_standard_rows, _walk_tables), and a call that
+meets a key twice reuses it from its own state, such as a pivot table.
 """
 from __future__ import annotations
 
@@ -529,7 +533,6 @@ def _walk(coords: Sequence[Sequence[int]], vecs: Sequence[Point], fixed: bool) -
     return tuple((w, c) for w, c in words.items() if c)
 
 
-@lru_cache(maxsize=None)
 def _flag_expand_apartment(key: ApKey, frows: FlagRows) -> tuple[tuple[ApKey, int], ...]:
     """Flag-basis expansion of one apartment: the fixed _walk of the flag rows against the key.
 
@@ -607,7 +610,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-@lru_cache(maxsize=None)
 def _line_chart(p: Point) -> Mat:
     """Unimodular T with T p = e_1; lattice-exact chart of Z^n / Z p.
 
@@ -647,10 +649,12 @@ def ash_rudolph_reduce(vectors: Sequence[Sequence], pivots: dict | None = None) 
 
     A depth-first search takes the step of _ar_step once at each
     non-unimodular key it reaches and records its pivot, key -> w (in
-    pivots, when a dict is passed); the result is that table replayed
-    by replay_ash_rudolph, which raises CertificateError on a wrong step
-    instead of giving a wrong sum. Each child determinant is at most
-    |det|^((n-1)/n), so the search is shallow.
+    pivots, when a dict is passed); a key already in the table is not
+    stepped again, so the table is the search's one memory and lives as
+    long as the call, or the caller's dict. The result is that table
+    replayed by replay_ash_rudolph, which raises CertificateError on a
+    wrong step instead of giving a wrong sum. Each child determinant is
+    at most |det|^((n-1)/n), so the search is shallow.
     """
     vecs, den = _cleared([qv(v) for v in vectors])
     if not vecs:
@@ -672,7 +676,6 @@ def ash_rudolph_reduce(vectors: Sequence[Sequence], pivots: dict | None = None) 
     return replay_ash_rudolph(start, pivots)
 
 
-@lru_cache(maxsize=None)
 def _ar_step(key: ApKey) -> tuple[Point, tuple[ApKey, ...]] | None:
     """(w, the sorted keys of the nonzero children) of the step at key; None when |det| = 1.
 

@@ -33,13 +33,6 @@ from steinpoly.steinberg import (
 BASIS = [(3, 1, 2), (1, -2, 1), (2, 1, -3)]
 
 
-@pytest.fixture
-def fresh_caches():
-    steinberg._ar_step.cache_clear()
-    yield
-    steinberg._ar_step.cache_clear()
-
-
 def reduced(basis):
     pivots: dict = {}
     red = ash_rudolph_reduce(basis, pivots)
@@ -124,7 +117,7 @@ def mutated(monkeypatch, target, mutate):
 
 
 @pytest.mark.parametrize("mutation", ["flipped sign", "dropped child", "corrupted pivot"])
-def test_wrong_step_of_the_reduction(monkeypatch, fresh_caches, mutation):
+def test_wrong_step_of_the_reduction(monkeypatch, mutation):
     x = make_apartment(BASIS)
     _, pivots = reduced(BASIS)
     raised = 0
@@ -164,7 +157,6 @@ def test_wrong_step_of_the_reduction(monkeypatch, fresh_caches, mutation):
             # the replay cannot rewrite
             assert broken == lost, (mutation, target)
         monkeypatch.undo()
-        steinberg._ar_step.cache_clear()
     # on this basis every mutation breaks the certificate at some step
     assert raised, mutation
 

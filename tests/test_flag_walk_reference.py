@@ -27,7 +27,7 @@ from steinpoly.steinberg import (
     normalize_apartment,
 )
 
-walk = _flag_expand_apartment.__wrapped__  # the kernel itself, not its cache
+walk = _flag_expand_apartment
 
 
 def rows(n, count, bound=1):

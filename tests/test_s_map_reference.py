@@ -187,6 +187,6 @@ def test_s_map_and_coproduct_take_no_determinant():
     boom = mock.Mock(side_effect=AssertionError("called"))
     with mock.patch.multiple(steinberg, _int_det=boom, _independent=boom), \
             mock.patch.multiple(st2, _int_det=boom, _independent=boom, create=True):
-        got = [sorted(_s_pair.__wrapped__(*p)) for p in pairs], st2_coproduct(x)
+        got = [sorted(_s_pair(*p)) for p in pairs], st2_coproduct(x)
     assert got == ([sorted(words) for words in want[0]], want[1])
     assert len(want[0][0]) > 1 and len(want[0][1]) > 1 and want[0][2] == ()
