@@ -114,13 +114,19 @@ def bar_differential(x: Bar) -> Bar:
     """Sum of adjacent-letter merges with alternating signs.
 
     Output words hold apartment-key letters, so the result can be fed
-    back in; a line p of an input word is the letter (p,).
+    back in; a line p of an input word is the letter (p,). Words repeat
+    few distinct letter pairs, so each pair is merged once per call and
+    its letters are kept until the call ends.
     """
     out = Bar.zero(x.ambient)
+    merges: dict = {}
     for (word, exps), c in x.terms.items():
         letters = word if _is_keyed(word) else tuple((p,) for p in word)
         for j in range(len(letters) - 1):
-            for merged, mc in _merge_letters(letters[j], letters[j + 1]):
+            pair = letters[j], letters[j + 1]
+            if pair not in merges:
+                merges[pair] = _merge_letters(*pair)
+            for merged, mc in merges[pair]:
                 new_word = letters[:j] + (merged,) + letters[j + 2 :]
                 out.add_word(new_word, c * mc * (-1) ** j, exps)
     return out

@@ -39,8 +39,10 @@ steinberg._dual_lines, the columns of its int adjugate: the dual basis
 times the determinant, one common scale, which the lines ignore and
 which keeps their differences in I those of the dual basis.
 
-The tensor normal form (st2_normal_form) flag-expands both factors with
-steinberg._flag_expand_apartment, in ints over one common denominator. It
+The tensor normal form (st2_normal_form) flag-expands both factors, in
+ints over one common denominator: each group's sum of inner keys by one
+merged walk (steinberg._flag_expand_sum), whose terms cancel level by
+level, and each outer key by steinberg._flag_expand_apartment. It
 comes out in ascending key order, one block per first-factor basis
 apartment, and a block is summed only when it is reached, so a caller
 that needs only the least terms (a FAIL witness, the zero test) stops
@@ -73,6 +75,7 @@ from .steinberg import (
     _dual_lines,
     _flag_coords,
     _flag_expand_apartment,
+    _flag_expand_sum,
     _independent,
     _int_vectors,
     _minors,
@@ -337,7 +340,9 @@ def st2_normal_form(x: St2, limit: int | None = None) -> dict:
 
     Terms are grouped by the side with fewer distinct (key, exps) pairs
     (ties by the first factor), and each group's sum on the other side is
-    expanded first, so its terms cancel before the second expansion. Only
+    expanded first, as one sum by steinberg._flag_expand_sum: its keys'
+    walk states merge and cancel level by level, and its terms cancel
+    before the second expansion. Only
     outer apartments whose group keeps a term are expanded, each once, as
     the blocks are built; the expansions live as long as the call. The
     result comes in one block per first-factor basis apartment ka, in
@@ -364,11 +369,7 @@ def st2_normal_form(x: St2, limit: int | None = None) -> dict:
         groups[outer, exps][inner] = num
     kept: defaultdict = defaultdict(list)  # outer -> [(exps, {inner basis key: int})]
     for (outer, exps), inner in groups.items():
-        acc: defaultdict = defaultdict(int)
-        for key, num in inner.items():
-            for k2, c2 in _flag_expand_apartment(key, frows):
-                acc[k2] += num * c2
-        stage1 = {k: v for k, v in acc.items() if v}
+        stage1 = _flag_expand_sum(inner, n)
         if stage1:
             kept[outer].append((exps, stage1))
     # ka -> [(scale, exps, second)]: second is the expanded outer key when

@@ -48,6 +48,18 @@ order with their Laplace terms, the column sets the table fills, the
 signed rows of each cut, and the entries each state may take; a key
 only adds its own coordinates and lines.
 
+A combination is expanded as a whole, not key by key: _flag_expand_sum
+runs the fixed walk over a whole sum of c [key] at once. On the standard
+flag the letter of a state and its surviving children depend only on
+its sub-apartment b[S], so every vector is interned as one bit and a
+state is the int prefix << nv | sub, prefix being the set of letter
+ranks taken so far. States from every key and path that share prefix
+and sub merge, and those that cancel are dropped at each level, so each
+sub is walked once and the terms of the sum cancel as they meet rather
+than after d! words per key. flag_expand and the first stage of st2's
+tensor normal form use it; a sum of one key is the one-apartment walk,
+which also serves other flags and the s-map.
+
 ash_rudolph_reduce rewrites an integral apartment as a sum of unimodular
 ones by one Ash-Rudolph step at every rank: [v_1..v_n] = sum_i [v_1..w..v_n]
 (w in slot i) at an integral pivot w = sum_i c_i v_i / det whose numerators
@@ -546,23 +558,128 @@ def _flag_expand_apartment(key: ApKey, frows: FlagRows) -> tuple[tuple[ApKey, in
     return _walk(key if frows == _standard_rows(len(frows)) else _flag_coords(key, frows), key, True)
 
 
+def _flag_expand_sum(nums: dict, n: int) -> dict:
+    """sum c _flag_expand_apartment(key, standard rows) over nums {key: c}, as {basis key: int}, zeros dropped.
+
+    The keys have rank n in Q^n; one that is not sorted, unlike St's
+    canonical keys, is sorted first with its sort sign. One fixed walk
+    runs over the whole sum. The letter of a walk state and its surviving
+    children depend only on its sub-apartment b[S]: with the standard flag
+    the unused flag rows are the last |S| coordinates. So the states of
+    every key and path that share their letters so far and b[S] merge, and
+    states that cancel are dropped at each level.
+
+    Phase 1 interns each vector as one bit, in sorted point order, so a
+    bit's position in a sub is its entry's position in the key. It walks
+    each key on its own _minors table, as _walk does, and records for each
+    sub its letter (the vector itself for a single vector) and its children
+    of nonzero minor with their alternating signs. A sub already recorded,
+    by this key or another, is not walked again. The letters are then
+    ranked by one sort. Phase 2 goes level by level on int states
+    prefix << nv | sub, prefix being the set of letter ranks taken. A
+    letter flips the sign by the parity of the prefix bits above its rank,
+    as inserting it into the sorted letters does. The level whose subs hold
+    two vectors writes words straight to the output, and only nonzero
+    words are decoded to keys.
+
+    A sum of one key, or of rank below 2, is the one-apartment walk.
+    """
+    if len(nums) < 2 or n < 2:
+        frows = _standard_rows(n)
+        acc: defaultdict[ApKey, int] = defaultdict(int)
+        for key, c in nums.items():
+            for k2, c2 in _flag_expand_apartment(key, frows):
+                acc[k2] += c * c2
+        return {k: v for k, v in acc.items() if v}
+    full = (1 << n) - 1
+    _plan, laplace, _takes = _walk_tables(n, True)
+    points = sorted({p for key in nums for p in key})
+    nv = len(points)
+    bit_of = {p: 1 << i for i, p in enumerate(points)}
+    subs: dict[int, tuple] = {}  # sub -> (letter, ((child sub, sign), ...))
+    states: defaultdict[int, int] = defaultdict(int)
+    for key, c in nums.items():
+        if any(p > q for p, q in zip(key, key[1:])):  # bits are in sorted point order
+            key, sign = _sort_sign(key)
+            c *= sign
+        m = _minors(key, True)
+        if not m[full << n | full]:
+            continue
+        bits = [bit_of[p] for p in key]
+        root = sum(bits)
+        states[root] += c
+        stack = [(full, root)]  # (S as entries of the key, S as bits)
+        while stack:
+            local, sub = stack.pop()
+            if sub in subs:
+                continue
+            size = local.bit_count()
+            cut = local << n | full ^ full >> size - 1  # S << n | U - s, s the lowest entry of U
+            kids = []
+            sign, rest = 1, local
+            while rest:
+                t = rest & -rest
+                rest ^= t
+                if m[cut ^ t << n]:
+                    kid = sub ^ bits[t.bit_length() - 1]
+                    kids.append((kid, sign))
+                    if size > 2:
+                        stack.append((local ^ t, kid))
+                    elif kid not in subs:  # a single vector is its own letter
+                        subs[kid] = int_point(key[(local ^ t).bit_length() - 1]), ()
+                sign = -sign
+            subs[sub] = _cut_line(m, key, cut, laplace), tuple(kids)
+    letters = sorted({letter for letter, _kids in subs.values()})
+    rank = {p: r for r, p in enumerate(letters)}
+    table = {sub: (rank[letter], kids) for sub, (letter, kids) in subs.items()}
+    low = (1 << nv) - 1
+    words: defaultdict[int, int] = defaultdict(int)
+    for size in range(n, 1, -1):
+        below: defaultdict[int, int] = defaultdict(int)
+        for state, c in states.items():
+            if not c:
+                continue
+            prefix = state >> nv
+            r, kids = table[state & low]
+            if (prefix >> r).bit_count() & 1:
+                c = -c
+            prefix |= 1 << r
+            if size > 2:
+                at = prefix << nv
+                for kid, s in kids:
+                    below[at | kid] += c if s > 0 else -c
+                continue
+            for kid, s in kids:
+                r2 = table[kid][0]
+                if (prefix >> r2).bit_count() & 1:
+                    s = -s
+                words[prefix | 1 << r2] += c if s > 0 else -c
+        states = below
+    out = {}
+    for word, c in words.items():
+        if c:
+            key = []
+            while word:
+                b = word & -word
+                word ^= b
+                key.append(letters[b.bit_length() - 1])
+            out[tuple(key)] = c
+    return out
+
+
 def flag_expand(x: St) -> St:
     """Rewrite x in the basis of apartments adapted to the standard flag.
 
     Basis apartments are exactly those whose first i entries span the
     first i coordinate vectors, so the expansion is idempotent and a zero
-    test for the module. _flag_expand_apartment takes any integer flag
-    rows.
+    test for the module. The sum is expanded by one merged walk
+    (_flag_expand_sum); _flag_expand_apartment takes one apartment and
+    any integer flag rows.
     """
-    frows = _standard_rows(x.ambient)
     den, nums = _numerators(x.terms)
-    acc: defaultdict[ApKey, int] = defaultdict(int)
-    for key, num in nums.items():
-        if len(key) != x.ambient:
-            raise ValueError("flag expansion needs full-length apartments")
-        for k2, c2 in _flag_expand_apartment(key, frows):
-            acc[k2] += num * c2
-    return St(x.ambient, {k: Fraction(v, den) for k, v in acc.items() if v})
+    if any(len(key) != x.ambient for key in nums):
+        raise ValueError("flag expansion needs full-length apartments")
+    return St(x.ambient, {k: Fraction(v, den) for k, v in _flag_expand_sum(nums, x.ambient).items()})
 
 
 def is_zero(x: St) -> bool:

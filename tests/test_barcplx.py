@@ -1,8 +1,10 @@
 """Bar words of lines: differential, shuffles, projections, reduction."""
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from steinpoly import barcplx
 from steinpoly.barcplx import (
     bar_differential,
     bar_shuffle,
@@ -13,6 +15,8 @@ from steinpoly.barcplx import (
     shuffle_words,
 )
 from steinpoly.qlinalg import split_seed
+from steinpoly.st2 import embed_s, make_L
+from test_call_memory import BASIS, KEPT, counting, package_caches
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
@@ -178,3 +182,16 @@ class TestShuffleSpanReduce:
             except ValueError:
                 continue
             assert not shuffle_span_reduce(prod)
+
+
+def test_differential_merges_each_letter_pair_once_per_call(monkeypatch):
+    """Words repeat few distinct letter pairs: each is merged once in a call, and no cache keeps it."""
+    x = embed_s(make_L(BASIS))
+    pairs = Counter(
+        (((word[j],), (word[j + 1],)) for (word, _exps) in x.terms for j in range(len(word) - 1))
+    )
+    assert sum(pairs.values()) > 2 * len(pairs)  # most merges repeat a pair
+    merges = counting(monkeypatch, barcplx, "_merge_letters")
+    assert not bar_differential(x)  # d(s(L)) = 0
+    assert merges == Counter(dict.fromkeys(pairs, 1))
+    assert set(package_caches().values()) <= {f"{mod}.{name}" for mod, name in KEPT}
